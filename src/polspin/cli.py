@@ -17,7 +17,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -56,6 +56,9 @@ EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 EXIT_NUMERICAL = 5
 
+# Cells converted to Python values at a time when a sweep is written out.
+_ROW_BLOCK = 4096
+
 
 class NumericalFailure(RuntimeError):
     pass
@@ -78,25 +81,22 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _table_of(result: Any, config_hash: str) -> tuple[list[str], list[list[Any]]]:
-    """Flatten a result object into (header, rows) for CSV."""
+def _plain(value: Any) -> Any:
+    """A numpy scalar as the Python value it holds: under numpy 2 its repr
+    is 'np.float64(0.5)', which no CSV reader parses back."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def _table_of(result: Any, config_hash: str) -> tuple[list[str], Iterator[list[Any]]]:
+    """Flatten a result object into (header, rows) for CSV and JSON. A
+    sweep's rows are produced lazily, a block of cells at a time."""
     if isinstance(result, SweepResult):
-        axis_names = [name for name, _ in result.axes]
-        header = axis_names + [result.quantity] + list(result.columns) + ["config_hash"]
-        rows = []
-        grids = [vals for _, vals in result.axes]
-        if len(grids) == 1:
-            for i, x in enumerate(grids[0]):
-                rows.append([x, result.values[i]]
-                            + [col[i] for col in result.columns.values()]
-                            + [config_hash])
-        else:
-            for i, x in enumerate(grids[0]):
-                for j, y in enumerate(grids[1]):
-                    rows.append([x, y, result.values[i, j]]
-                                + [col[i, j] for col in result.columns.values()]
-                                + [config_hash])
-        return header, rows
+        header = ([name for name, _ in result.axes] + [result.quantity]
+                  + list(result.columns) + ["config_hash"])
+        grids = np.meshgrid(*(vals for _, vals in result.axes), indexing="ij")
+        columns = ([g.ravel() for g in grids] + [result.values.ravel()]
+                   + [col.ravel() for col in result.columns.values()])
+        return header, _sweep_rows(columns, config_hash)
     if dataclasses.is_dataclass(result) and not isinstance(result, type):
         fields = dataclasses.fields(result)
         header = []
@@ -114,32 +114,39 @@ def _table_of(result: Any, config_hash: str) -> tuple[list[str], list[list[Any]]
                 row.append(val)
         header.append("config_hash")
         row.append(config_hash)
-        return header, [row]
+        return header, iter([[_plain(v) for v in row]])
     if isinstance(result, dict):
         header = list(result) + ["config_hash"]
-        return header, [list(result.values()) + [config_hash]]
+        return header, iter([[_plain(v) for v in result.values()] + [config_hash]])
     raise TypeError(f"cannot tabulate {type(result)!r}")
+
+
+def _sweep_rows(columns: list[np.ndarray], config_hash: str) -> Iterator[list[Any]]:
+    for start in range(0, columns[0].size, _ROW_BLOCK):
+        block = [col[start:start + _ROW_BLOCK].tolist() for col in columns]
+        for row in zip(*block):
+            yield [*row, config_hash]
 
 
 def write_table(result: Any, fmt: str, path: str | Path, config_hash: str,
                 metadata: dict[str, Any] | None = None) -> None:
     """Serialize a result to CSV (header row, '.' decimal, newline-terminated
-    rows) or JSON (full metadata block, round-trippable at full precision)."""
+    rows, floats at full precision with NaN as 'nan') or JSON (full
+    metadata block, round-trippable at full precision)."""
     path = Path(path)
     if fmt == "csv":
         header, rows = _table_of(result, config_hash)
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            for row in rows:
-                writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            writer.writerows(rows)
     elif fmt == "json":
         header, rows = _table_of(result, config_hash)
         payload = {
             "config_hash": config_hash,
             "metadata": _jsonable(metadata or {}),
             "columns": header,
-            "rows": _jsonable(rows),
+            "rows": _jsonable(list(rows)),
         }
         if isinstance(result, SweepResult):
             payload["metadata"] = _jsonable({**result.metadata,
@@ -180,7 +187,8 @@ def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> None:
             _axis_from(cfg.sweep.get("axis"), tv_default),
             _axis_from(cfg.sweep.get("second_axis"), rh_default),
             cfg.cavity, cfg.polarizer,
-            zeta_V=cfg.pdr.zeta_V, zeta_H=cfg.pdr.zeta_H, r_cav_h=cfg.r_cav_h)
+            zeta_V=cfg.pdr.zeta_V, zeta_H=cfg.pdr.zeta_H, r_cav_h=cfg.r_cav_h,
+            reflection_sign=cfg.raw["pdr"]["reflection_sign"])
         write_table(res, fmt, out, cfg.config_hash)
     elif kind in ("cavity_c", "cavity_coupling"):
         which = "cooperativity" if kind == "cavity_c" else "coupling"

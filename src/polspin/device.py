@@ -1,7 +1,13 @@
 """Device physics: spin-dependent cavity reflection, etalon algebra between
-the polarization-dependent reflector and the cavity, joint photon-spin
-evolution, heralded spin projection, and the four-state average transfer
-fidelity.
+the polarization-dependent reflector and the cavity, heralded spin
+projection, and the four-state average transfer fidelity.
+
+fidelity_kernel computes all of it, from the cavity reflections to the
+average fidelity and the masks of invalid cells, with arithmetic operators
+only, so one code path serves scalar calls (transfer_fidelity,
+effective_reflections) and the broadcast numpy grids of the sweeps.
+evolve_joint_state and herald_spin_state spell out the same physics one
+state at a time on value objects; they are not on the computing path.
 
 All operations are pure functions of value inputs.
 """
@@ -11,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 from .params import (
     DESIGN_R_CAV_H,
@@ -22,6 +29,8 @@ from .params import (
 
 _SQRT2 = math.sqrt(2.0)
 _DEGENERATE_ETALON_TOL = 1e-12
+_DEGENERATE_MSG = f"degenerate resonant etalon: |1 - r_cav*r_pdr| < {_DEGENERATE_ETALON_TOL}"
+_PASSIVITY_TOL = 1e-9
 
 
 class UnheraldableOutcomeError(ValueError):
@@ -50,7 +59,7 @@ class EffectiveReflections:
     def __post_init__(self) -> None:
         for name in ("r_H_on", "r_H_off", "r_V_on", "r_V_off"):
             mag = abs(getattr(self, name))
-            if mag > 1 + 1e-9:
+            if mag > 1 + _PASSIVITY_TOL:
                 raise ValidationError(f"|{name}| = {mag} exceeds 1")
 
 
@@ -123,17 +132,56 @@ class FidelityReport:
     per_outcome: dict[tuple[str, HeraldOutcome], tuple[float, float]]
 
 
-def cavity_reflection(cavity: CavityParams, coupled: bool = True) -> complex:
-    """Single-sided cavity field reflection from input-output theory.
+def _cavity_reflections(kappa, kappa_wg, gamma, g, delta_c, delta_a):
+    """(r_on, r_off) of the single-sided cavity from input-output theory:
+    r = 1 - kappa_wg / (dc (1 + g^2 / (dc da))) with dc = kappa/2 + i delta_c
+    and da = gamma/2 + i delta_a. The uncoupled spin state sees g = 0, a bare
+    cavity; a resonant, critically out-coupled one reflects with a -1 phase."""
+    dc = 1j * delta_c + kappa / 2.0
+    da = 1j * delta_a + gamma / 2.0
+    return 1.0 - kappa_wg / (dc * (1.0 + g**2 / (dc * da))), 1.0 - kappa_wg / dc
 
-    The uncoupled case (coupled=False) sets g = 0: a bare resonant,
-    critically out-coupled cavity reflects with a -1 phase.
-    """
-    dc = complex(0.0, cavity.delta_c) + cavity.kappa / 2.0
-    if not coupled or cavity.g == 0:
-        return 1.0 - cavity.kappa_wg / dc
-    da = complex(0.0, cavity.delta_a) + cavity.gamma / 2.0
-    return 1.0 - cavity.kappa_wg / (dc * (1.0 + cavity.g**2 / (dc * da)))
+
+def cavity_reflection(cavity: CavityParams, coupled: bool = True) -> complex:
+    """Single-sided cavity field reflection with the spin coupled (g) or
+    uncoupled (g = 0)."""
+    r_on, r_off = _cavity_reflections(cavity.kappa, cavity.kappa_wg, cavity.gamma,
+                                      cavity.g, cavity.delta_c, cavity.delta_a)
+    return r_on if coupled else r_off
+
+
+def _etalon(r_pdr, t_sq, r_cav):
+    """Round-trip coefficient r_pdr + r_cav t^2 / (1 - r_cav r_pdr) and
+    whether the etalon is degenerate. A degenerate cell divides by
+    denominator + 1 instead, so that no division is by zero; its value is
+    never used."""
+    denom = 1.0 - r_cav * r_pdr
+    degenerate = abs(denom) < _DEGENERATE_ETALON_TOL
+    return r_pdr + r_cav * t_sq / (denom + degenerate), degenerate
+
+
+def _reflections(t_H, r_H, t_V, r_V, eta_pol_V, eta_pol_H,
+                 kappa, kappa_wg, gamma, g, delta_c, delta_a, r_cav_h):
+    """Cavity reflections, the three etalon coefficients and the degenerate
+    mask. The transmitted path crosses the polarizer, so each t_i^2 in the
+    etalon numerator is scaled by eta_pol_i. Only the V mode couples to the
+    spin; the H mode sees a fixed cavity reflection r_cav_h in both spin
+    states (its transition is never resonant)."""
+    r_on, r_off = _cavity_reflections(kappa, kappa_wg, gamma, g, delta_c, delta_a)
+    t_sq_V = t_V**2 * eta_pol_V
+    r_H_eff, degenerate_H = _etalon(r_H, t_H**2 * eta_pol_H, r_cav_h)
+    r_V_on, degenerate_on = _etalon(r_V, t_sq_V, r_on)
+    r_V_off, degenerate_off = _etalon(r_V, t_sq_V, r_off)
+    return (r_on, r_off, r_H_eff, r_V_on, r_V_off,
+            degenerate_H | degenerate_on | degenerate_off)
+
+
+def _scalar_inputs(pdr: PdrParams, polarizer: PolarizerParams,
+                   cavity: CavityParams, r_cav_h: complex) -> tuple:
+    return (pdr.t_H, pdr.r_H, pdr.t_V, pdr.r_V,
+            polarizer.eta_pol_V, polarizer.eta_pol_H,
+            cavity.kappa, cavity.kappa_wg, cavity.gamma, cavity.g,
+            cavity.delta_c, cavity.delta_a, r_cav_h)
 
 
 def effective_reflections(
@@ -142,31 +190,13 @@ def effective_reflections(
     cavity: CavityParams,
     r_cav_h: complex = DESIGN_R_CAV_H,
 ) -> EffectiveReflections:
-    """Round-trip coefficients of the reflector-cavity etalon.
-
-    The transmitted path crosses the polarizer, so each |t_i|^2 in the
-    etalon numerator is scaled by eta_pol_i. Only the V mode couples to the
-    spin; the H mode sees a fixed cavity reflection r_cav_h in both spin
-    states (its transition is never resonant).
-    """
-    r_on = cavity_reflection(cavity, coupled=True)
-    r_off = cavity_reflection(cavity, coupled=False)
-
-    def etalon(r_pdr: complex, t_sq: complex, r_cav: complex) -> complex:
-        denom = 1.0 - r_cav * r_pdr
-        if abs(denom) < _DEGENERATE_ETALON_TOL:
-            raise ValidationError(
-                f"degenerate resonant etalon: |1 - r_cav*r_pdr| = {abs(denom)}")
-        return r_pdr + r_cav * t_sq / denom
-
-    t_sq_H = pdr.t_H**2 * polarizer.eta_pol_H
-    t_sq_V = pdr.t_V**2 * polarizer.eta_pol_V
-    return EffectiveReflections(
-        r_H_on=etalon(pdr.r_H, t_sq_H, r_cav_h),
-        r_H_off=etalon(pdr.r_H, t_sq_H, r_cav_h),
-        r_V_on=etalon(pdr.r_V, t_sq_V, r_on),
-        r_V_off=etalon(pdr.r_V, t_sq_V, r_off),
-    )
+    """Round-trip coefficients of the reflector-cavity etalon; raises
+    ValidationError for a degenerate or non-passive etalon."""
+    *_, r_H, r_V_on, r_V_off, degenerate = _reflections(
+        *_scalar_inputs(pdr, polarizer, cavity, r_cav_h))
+    if degenerate:
+        raise ValidationError(_DEGENERATE_MSG)
+    return EffectiveReflections(r_H_on=r_H, r_H_off=r_H, r_V_on=r_V_on, r_V_off=r_V_off)
 
 
 def evolve_joint_state(photon: PhotonQubit, eff: EffectiveReflections) -> JointState:
@@ -224,6 +254,80 @@ TARGET_STATES: list[tuple[str, complex, complex]] = [
 ]
 
 
+# Per target: (alpha, beta, conj(alpha), conj(beta), 1 / (8 |target|^2)). The
+# kernel's branch amplitudes carry twice the physical amplitude and the
+# Hadamard a further 1/sqrt2, so |overlap|^2 is 8 times too large.
+_TARGETS = [(a, b, complex(a).conjugate(), complex(b).conjugate(),
+             1.0 / (8.0 * (abs(a) ** 2 + abs(b) ** 2)))
+            for _, a, b in TARGET_STATES]
+
+
+class DeviceKernel(NamedTuple):
+    """What fidelity_kernel computes. Each entry is a Python scalar or an
+    array of the broadcast input shape; herald, overlap and fidelity hold
+    one entry per TARGET_STATES input, in that order."""
+
+    r_on: Any                          # V cavity reflection, spin coupled
+    r_off: Any                         # V cavity reflection, spin uncoupled
+    r_H: Any                           # H etalon coefficient, both spin states
+    r_V_on: Any                        # V etalon coefficients
+    r_V_off: Any
+    herald: tuple[tuple[Any, Any], ...]   # (p_H, p_V) herald probabilities
+    overlap: tuple[tuple[Any, Any], ...]  # (o_H, o_V): p times conditional fidelity
+    fidelity: tuple[Any, ...]          # herald-weighted fidelity per input
+    f_avg: Any
+    degenerate: Any                    # some |1 - r_cav r_pdr| < 1e-12
+    non_passive: Any                   # some |r_eff| > 1 + 1e-9
+    opaque: Any                        # some input is never heralded
+
+
+def fidelity_kernel(t_H, r_H, t_V, r_V, eta_pol_V, eta_pol_H,
+                    kappa, kappa_wg, gamma, g, delta_c, delta_a,
+                    r_cav_h) -> DeviceKernel:
+    """Reflections, herald probabilities and average transfer fidelity.
+
+    Written with arithmetic operators, abs() and .conjugate() only, so the
+    same code runs on Python scalars (transfer_fidelity) and on broadcast
+    numpy arrays (the sweeps). Cells that are degenerate, non-passive or
+    opaque carry finite placeholder values and are flagged in the masks; no
+    division is by zero.
+
+    For each input alpha|H> + beta|V> the device reflects with the spin in
+    (|down> + |up>)/sqrt2, the half-wave plate maps H -> (H + V)/sqrt2 and
+    V -> (V - H)/sqrt2, and each detector outcome leaves an unnormalized spin
+    branch whose squared norm is its herald probability. The branch is
+    corrected by a Hadamard for the H outcome and a Hadamard followed by a
+    pi phase flip for the V outcome, then overlapped with the target
+    alpha|down> + beta|up>. Loss only removes amplitude.
+    """
+    r_on, r_off, r_H_eff, r_V_on, r_V_off, degenerate = _reflections(
+        t_H, r_H, t_V, r_V, eta_pol_V, eta_pol_H,
+        kappa, kappa_wg, gamma, g, delta_c, delta_a, r_cav_h)
+    limit = 1.0 + _PASSIVITY_TOL
+    non_passive = (abs(r_H_eff) > limit) | (abs(r_V_on) > limit) | (abs(r_V_off) > limit)
+    herald, overlap, fidelity = [], [], []
+    opaque = False
+    for a, b, ca, cb, scale in _TARGETS:
+        ah, b_on, b_off = a * r_H_eff, b * r_V_on, b * r_V_off
+        # twice the branch amplitudes on (spin down, spin up) per outcome
+        hd, hu = ah - b_on, ah - b_off
+        vd, vu = ah + b_on, ah + b_off
+        p_H = (abs(hd) ** 2 + abs(hu) ** 2) / 4.0
+        p_V = (abs(vd) ** 2 + abs(vu) ** 2) / 4.0
+        o_H = abs(ca * (hd + hu) + cb * (hd - hu)) ** 2 * scale
+        o_V = abs(ca * (vd + vu) - cb * (vd - vu)) ** 2 * scale
+        total = p_H + p_V
+        never = total == 0.0
+        opaque = opaque | never
+        herald.append((p_H, p_V))
+        overlap.append((o_H, o_V))
+        fidelity.append((o_H + o_V) / (total + never))
+    f_avg = (fidelity[0] + fidelity[1] + fidelity[2] + fidelity[3]) / 4.0
+    return DeviceKernel(r_on, r_off, r_H_eff, r_V_on, r_V_off, tuple(herald),
+                        tuple(overlap), tuple(fidelity), f_avg,
+                        degenerate, non_passive, opaque)
+
+
 def transfer_fidelity(
     pdr: PdrParams,
     polarizer: PolarizerParams,
@@ -235,31 +339,26 @@ def transfer_fidelity(
     Each input's fidelity is the herald-probability-weighted average over
     the two detector outcomes of the corrected spin state's overlap with the
     matching target, renormalized by the input's total herald probability.
-    Detection efficiency and spin gate errors are excluded.
+    Detection efficiency and spin gate errors are excluded. Raises
+    ValidationError for a degenerate or non-passive etalon and
+    OpaqueDeviceError when some input is never heralded.
     """
-    eff = effective_reflections(pdr, polarizer, cavity, r_cav_h=r_cav_h)
+    k = fidelity_kernel(*_scalar_inputs(pdr, polarizer, cavity, r_cav_h))
+    if k.degenerate:
+        raise ValidationError(_DEGENERATE_MSG)
+    if k.non_passive:
+        mag = max(abs(k.r_H), abs(k.r_V_on), abs(k.r_V_off))
+        raise ValidationError(f"non-passive etalon: |r_eff| = {mag} exceeds 1")
     per_input: list[tuple[str, float]] = []
     per_outcome: dict[tuple[str, HeraldOutcome], tuple[float, float]] = {}
-    for label, alpha, beta in TARGET_STATES:
-        joint = evolve_joint_state(PhotonQubit(alpha, beta), eff)
-        target = SpinState(amp_down=alpha, amp_up=beta)
-        total_p = 0.0
-        weighted = 0.0
-        for outcome in HeraldOutcome:
-            try:
-                prob, spin = herald_spin_state(joint, outcome)
-            except UnheraldableOutcomeError:
-                per_outcome[(label, outcome)] = (0.0, float("nan"))
-                continue
-            fid = spin.fidelity(target)
-            per_outcome[(label, outcome)] = (prob, fid)
-            total_p += prob
-            weighted += prob * fid
-        if total_p == 0.0:
+    for (label, _, _), probs, overlaps, fid in zip(
+            TARGET_STATES, k.herald, k.overlap, k.fidelity):
+        if k.opaque and probs[0] + probs[1] == 0.0:
             raise OpaqueDeviceError(f"device opaque for input {label}")
-        per_input.append((label, weighted / total_p))
-    f_avg = sum(f for _, f in per_input) / len(per_input)
-    return FidelityReport(f_avg=f_avg, per_input=per_input, per_outcome=per_outcome)
+        for outcome, p, o in zip(HeraldOutcome, probs, overlaps):
+            per_outcome[(label, outcome)] = (p, o / p) if p else (0.0, float("nan"))
+        per_input.append((label, fid))
+    return FidelityReport(f_avg=k.f_avg, per_input=per_input, per_outcome=per_outcome)
 
 
 def loss_balance_residual(eff: EffectiveReflections) -> float:

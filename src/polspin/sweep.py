@@ -3,8 +3,12 @@
 Produces structured result tables for the fidelity maps (reflector power
 coefficients, cooperativity, waveguide coupling) and the rate-versus-loss
 curve family with the repeaterless bound and optional Monte Carlo estimates.
-Cells are pure-function evaluations written by index, so results are
-independent of evaluation order.
+The fidelity maps evaluate their grids through the device kernel
+(polspin.device.fidelity_kernel) in fixed blocks of cells; a cell is NaN
+exactly where the scalar transfer_fidelity path would reject it, and the
+reason is counted in metadata["nan_reasons"]. Cells are pure-function
+evaluations written by index, so results are independent of evaluation
+order.
 """
 
 from __future__ import annotations
@@ -12,11 +16,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
-from .device import transfer_fidelity
+from .device import OpaqueDeviceError, fidelity_kernel, transfer_fidelity
 from .montecarlo import McConfig, simulate_rate
 from .params import (
     DESIGN_R_CAV_H,
@@ -36,6 +40,17 @@ from .rate import (
 )
 
 DEFAULT_CONSTRAINTS = (0.95, 0.97, 0.98, 0.99)
+
+# Cells per device-kernel evaluation in the fidelity sweeps: whole-grid
+# temporaries would grow peak memory with the grid, blocks keep it flat.
+_BLOCK_CELLS = 4096
+# PdrParams' tolerance on negative complements and on T + R above 1.
+_COMPLEMENT_TOL = 1e-12
+# Why a fidelity cell is NaN, in the order the checks run; the first
+# failing check names the cell. SweepResult.metadata["nan_reasons"] counts
+# the cells per reason.
+NAN_REASONS = ("pdr_range", "pdr_complement", "pdr_power_sum", "cavity_range",
+               "degenerate_etalon", "non_passive_etalon")
 
 
 @dataclass(frozen=True)
@@ -99,6 +114,41 @@ def _meta(**kwargs: Any) -> dict[str, Any]:
     return out
 
 
+def _fidelity_cells(n: int, cell_inputs: Callable) -> tuple[np.ndarray, dict[str, int]]:
+    """Average fidelity of n grid cells through the device kernel, in blocks
+    of _BLOCK_CELLS flat cell indices so that temporaries stay small.
+
+    cell_inputs(idx) returns the kernel's keyword inputs for the cells idx and
+    the input checks as (reason, rejected mask) pairs, in the order the
+    scalar constructors make them. A cell is NaN exactly where the scalar
+    path raises ValidationError; it is counted under the first reason that
+    rejects it. Returns the values and the NaN count per reason.
+    """
+    values = np.empty(n)
+    reasons = dict.fromkeys(NAN_REASONS, 0)
+    for start in range(0, n, _BLOCK_CELLS):
+        idx = np.arange(start, min(start + _BLOCK_CELLS, n))
+        inputs, checks = cell_inputs(idx)
+        # NaN inputs give NaN cells, silently, as on the scalar path
+        with np.errstate(invalid="ignore"):
+            k = fidelity_kernel(**inputs)
+        rejected = np.zeros(idx.size, dtype=bool)
+        for reason, bad in checks + [("degenerate_etalon", k.degenerate),
+                                     ("non_passive_etalon", k.non_passive)]:
+            reasons[reason] += int(np.count_nonzero(bad & ~rejected))
+            rejected |= bad
+        if np.any(k.opaque & ~rejected):
+            raise OpaqueDeviceError("device opaque for some input")
+        values[idx] = np.where(rejected, np.nan, k.f_avg)
+    return values, reasons
+
+
+def _fixed_inputs(polarizer: PolarizerParams, cavity: CavityParams) -> dict[str, Any]:
+    return {"eta_pol_V": polarizer.eta_pol_V, "eta_pol_H": polarizer.eta_pol_H,
+            "kappa": cavity.kappa, "kappa_wg": cavity.kappa_wg, "gamma": cavity.gamma,
+            "g": cavity.g, "delta_c": cavity.delta_c, "delta_a": cavity.delta_a}
+
+
 def sweep_fidelity_pdr(
     tv_axis: SweepAxis,
     rh_axis: SweepAxis,
@@ -107,29 +157,45 @@ def sweep_fidelity_pdr(
     zeta_V: float = 0.0,
     zeta_H: float = 0.0,
     r_cav_h: complex = DESIGN_R_CAV_H,
+    reflection_sign: float = -1.0,
 ) -> SweepResult:
     """Average fidelity over a (T_V, R_H) grid at fixed cavity parameters.
 
-    Per cell, R_V = 1 - T_V - zeta_V and T_H = 1 - R_H - zeta_H; cells with
-    negative complements are tagged NaN rather than fatal.
+    Per cell, R_V = 1 - T_V - zeta_V and T_H = 1 - R_H - zeta_H, with real
+    field coefficients as PdrParams.from_power builds them; cells that
+    constructor or transfer_fidelity would reject are NaN, not fatal.
     """
     tv = tv_axis.values()
     rh = rh_axis.values()
-    values = np.full((tv.size, rh.size), np.nan)
-    for i, t in enumerate(tv):
-        for j, r in enumerate(rh):
-            try:
-                pdr = PdrParams.from_power(T_V=t, R_H=r, zeta_V=zeta_V, zeta_H=zeta_H)
-                values[i, j] = transfer_fidelity(
-                    pdr, polarizer, cavity, r_cav_h=r_cav_h).f_avg
-            except ValidationError:
-                continue
+    fixed = _fixed_inputs(polarizer, cavity)
+
+    def cells(idx: np.ndarray) -> tuple[dict[str, Any], list]:
+        # the array form of PdrParams.from_power and its checks
+        i, j = np.divmod(idx, rh.size)
+        T_V, R_H = tv[i], rh[j]
+        R_V = 1.0 - T_V - zeta_V
+        T_H = 1.0 - R_H - zeta_H
+        t_H = np.sqrt(np.maximum(T_H, 0.0))
+        r_H = reflection_sign * np.sqrt(np.maximum(R_H, 0.0))
+        t_V = np.sqrt(np.maximum(T_V, 0.0))
+        r_V = reflection_sign * np.sqrt(np.maximum(R_V, 0.0))
+        limit = 1.0 + _COMPLEMENT_TOL
+        checks = [
+            ("pdr_range", ~((0 <= T_V) & (T_V <= 1) & (0 <= R_H) & (R_H <= 1))),
+            ("pdr_complement", ~((R_V >= -_COMPLEMENT_TOL) & (T_H >= -_COMPLEMENT_TOL))),
+            ("pdr_power_sum", ~((t_H**2 + r_H**2 <= limit) & (t_V**2 + r_V**2 <= limit))),
+        ]
+        return {"t_H": t_H, "r_H": r_H, "t_V": t_V, "r_V": r_V, "r_cav_h": r_cav_h,
+                **fixed}, checks
+
+    values, reasons = _fidelity_cells(tv.size * rh.size, cells)
     return SweepResult(
         axes=[(tv_axis.path, tv), (rh_axis.path, rh)],
-        values=values,
+        values=values.reshape(tv.size, rh.size),
         quantity="fidelity",
         metadata=_meta(cavity=cavity, polarizer=polarizer, zeta_V=zeta_V,
-                       zeta_H=zeta_H, r_cav_h=r_cav_h),
+                       zeta_H=zeta_H, r_cav_h=r_cav_h, reflection_sign=reflection_sign,
+                       nan_reasons=reasons),
     )
 
 
@@ -142,28 +208,36 @@ def sweep_fidelity_cavity(
     r_cav_h: complex = DESIGN_R_CAV_H,
 ) -> SweepResult:
     """Average fidelity along a cooperativity or waveguide-coupling axis,
-    holding the other cavity parameter and the reflector design fixed."""
+    holding the reflector design and the rest of the base cavity fixed.
+
+    A cooperativity C sets g = sqrt(C kappa gamma / 4); a coupling ratio x
+    sets kappa_wg = x kappa. kappa, gamma and both detunings stay those of
+    base_cavity. Cells outside C >= 0 or kappa_wg in [0, kappa] are NaN.
+    """
     if which not in ("cooperativity", "coupling"):
         raise ValidationError(f"unknown cavity sweep target: {which}")
     xs = axis.values()
-    values = np.full(xs.size, np.nan)
-    base_ratio = base_cavity.kappa_wg / base_cavity.kappa
-    base_c = base_cavity.cooperativity
-    for i, x in enumerate(xs):
-        try:
-            if which == "cooperativity":
-                cav = CavityParams.from_ratios(base_ratio, x)
-            else:
-                cav = CavityParams.from_ratios(x, base_c)
-            values[i] = transfer_fidelity(pdr, polarizer, cav, r_cav_h=r_cav_h).f_avg
-        except ValidationError:
-            continue
+    cav = base_cavity
+    fixed = {**_fixed_inputs(polarizer, cav), "t_H": pdr.t_H, "r_H": pdr.r_H,
+             "t_V": pdr.t_V, "r_V": pdr.r_V, "r_cav_h": r_cav_h}
+
+    def cells(idx: np.ndarray) -> tuple[dict[str, Any], list]:
+        x = xs[idx]
+        if which == "cooperativity":
+            varied = {"g": np.sqrt(np.maximum(x, 0.0) * cav.kappa * cav.gamma / 4.0)}
+            bad = ~(x >= 0)
+        else:
+            varied = {"kappa_wg": x * cav.kappa}
+            bad = ~((0 <= varied["kappa_wg"]) & (varied["kappa_wg"] <= cav.kappa))
+        return {**fixed, **varied}, [("cavity_range", bad)]
+
+    values, reasons = _fidelity_cells(xs.size, cells)
     return SweepResult(
         axes=[(axis.path, xs)],
         values=values,
         quantity="fidelity",
         metadata=_meta(pdr=pdr, polarizer=polarizer, base_cavity=base_cavity,
-                       which=which, r_cav_h=r_cav_h),
+                       which=which, r_cav_h=r_cav_h, nan_reasons=reasons),
     )
 
 

@@ -6,10 +6,17 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from polspin.cli import main, write_table
 from polspin.config import ConfigError, PRESETS, load_config
+from polspin.sweep import (
+    SweepAxis,
+    sweep_fidelity_cavity,
+    sweep_fidelity_pdr,
+    sweep_rate_vs_loss,
+)
 
 
 class TestLoadConfig:
@@ -183,3 +190,70 @@ class TestMain:
             tmp_path, capsys)
         assert code == 5
         assert json.loads(cap.err)["error"] == "numerical"
+
+
+class TestSweepCsvRoundTrip:
+    """Every sweep kind written through main parses back with csv + float to
+    exactly the values the sweep functions return, NaN and inf included."""
+
+    @staticmethod
+    def read(path):
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        body = [[float(x) for x in row[:-1]] for row in rows[1:]]
+        return rows[0], np.array(body), {row[-1] for row in rows[1:]}
+
+    def check(self, path, header, columns, config_hash):
+        got_header, body, hashes = self.read(path)
+        assert got_header == header + ["config_hash"]
+        assert hashes == {config_hash}
+        assert body.shape == (columns[0].size, len(columns))
+        for i, col in enumerate(columns):
+            assert np.array_equal(body[:, i], col, equal_nan=True), header[i]
+
+    def run(self, tmp_path, capsys, sets):
+        out = tmp_path / "out.csv"
+        args = ["--command", "sweep", "--out", str(out)]
+        for expr in sets:
+            args += ["--set", expr]
+        assert main(args) == 0
+        capsys.readouterr()
+        return out, load_config(overrides=sets)
+
+    def test_pdr(self, tmp_path, capsys):
+        out, cfg = self.run(tmp_path, capsys, ["sweep.kind=pdr", "sweep.axis=[0.5,1.0,9]",
+                                               "sweep.second_axis=[0.0,0.6,7]"])
+        res = sweep_fidelity_pdr(SweepAxis("pdr.T_V", 0.5, 1.0, 9),
+                                 SweepAxis("pdr.R_H", 0.0, 0.6, 7),
+                                 cfg.cavity, cfg.polarizer, r_cav_h=cfg.r_cav_h)
+        assert np.isnan(res.values).any()
+        tv, rh = np.meshgrid(res.axes[0][1], res.axes[1][1], indexing="ij")
+        self.check(out, ["pdr.T_V", "pdr.R_H", "fidelity"],
+                   [tv.ravel(), rh.ravel(), res.values.ravel()], cfg.config_hash)
+
+    @pytest.mark.parametrize("kind,which,axis", [
+        ("cavity_c", "cooperativity", SweepAxis("cavity.cooperativity", 0.5, 20.0, 11, "log")),
+        ("cavity_coupling", "coupling", SweepAxis("cavity.coupling_ratio", 0.05, 1.0, 20)),
+    ])
+    def test_cavity(self, tmp_path, capsys, kind, which, axis):
+        spec = json.dumps([axis.start, axis.stop, axis.num, axis.spacing])
+        out, cfg = self.run(tmp_path, capsys, [f"sweep.kind={kind}", f"sweep.axis={spec}"])
+        res = sweep_fidelity_cavity(axis, cfg.pdr, cfg.polarizer, cfg.cavity,
+                                    which=which, r_cav_h=cfg.r_cav_h)
+        self.check(out, [axis.path, "fidelity"], [res.axes[0][1], res.values],
+                   cfg.config_hash)
+
+    def test_rate_vs_loss(self, tmp_path, capsys):
+        out, cfg = self.run(tmp_path, capsys, ["sweep.kind=rate_vs_loss",
+                                               "sweep.axis=[0,30,4]",
+                                               "constraints=[0.95,0.99999]"])
+        results = sweep_rate_vs_loss(SweepAxis("loss_db", 0.0, 30.0, 4, "db"), cfg.pdr,
+                                     cfg.polarizer, cfg.cavity, cfg.link, cfg.timing,
+                                     constraints=cfg.constraints, r_cav_h=cfg.r_cav_h)
+        assert np.isnan(results[0.99999].values).all()
+        for suffix, f_target in (("_f95", 0.95), ("_f100", 0.99999)):
+            res = results[f_target]
+            self.check(tmp_path / f"out{suffix}.csv",
+                       ["loss_db", "rate", "bound", "n_max", "regime"],
+                       [res.axes[0][1], res.values, *res.columns.values()],
+                       cfg.config_hash)

@@ -3,12 +3,16 @@ argmax locations on the default grids, constraint ordering, and regime
 structure of the rate-versus-loss curves."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polspin as ps
 from polspin.sweep import (
+    NAN_REASONS,
     SweepAxis,
     SweepResult,
     default_cooperativity_axis,
@@ -109,6 +113,161 @@ class TestFidelityCavitySweep:
             ps.sweep_fidelity_cavity(default_cooperativity_axis(),
                                      design["pdr"], design["polarizer"],
                                      design["cavity"], which="detuning")
+
+
+class TestCavitySweepKeepsBaseCavity:
+    # detuned, with kappa and gamma away from 1
+    BASE = ps.CavityParams(kappa=2.0, kappa_wg=1.46, gamma=0.8, g=0.9,
+                           delta_c=0.3, delta_a=0.5)
+
+    @pytest.mark.parametrize("which,axis", [
+        ("cooperativity", SweepAxis("cavity.cooperativity", BASE.cooperativity,
+                                    2 * BASE.cooperativity, 3)),
+        ("coupling", SweepAxis("cavity.coupling_ratio", BASE.kappa_wg / BASE.kappa, 1.0, 3)),
+    ])
+    def test_base_value_cell_equals_direct(self, design, which, axis):
+        res = ps.sweep_fidelity_cavity(axis, design["pdr"], design["polarizer"],
+                                       self.BASE, which=which)
+        direct = ps.transfer_fidelity(design["pdr"], design["polarizer"], self.BASE).f_avg
+        assert abs(res.values[0] - direct) <= 1e-12
+
+    def test_atom_detuning_is_not_dropped(self, design):
+        base = dataclasses.replace(design["cavity"], delta_a=0.5)
+        res = ps.sweep_fidelity_cavity(SweepAxis("cavity.cooperativity", 4.0, 8.0, 2),
+                                       design["pdr"], design["polarizer"], base)
+        direct = ps.transfer_fidelity(design["pdr"], design["polarizer"], base).f_avg
+        assert direct < 0.99
+        assert abs(res.values[0] - direct) <= 1e-12
+
+
+class TestNanReasons:
+    def test_design_map_nan_cells_are_non_passive(self, design):
+        res = ps.sweep_fidelity_pdr(*default_pdr_axes(), design["cavity"],
+                                    design["polarizer"])
+        reasons = res.metadata["nan_reasons"]
+        assert list(reasons) == list(NAN_REASONS)
+        assert reasons["non_passive_etalon"] == np.isnan(res.values).sum() > 0
+        assert sum(reasons.values()) == reasons["non_passive_etalon"]
+
+    def test_first_failing_check_names_the_cell(self, design):
+        res = ps.sweep_fidelity_pdr(
+            SweepAxis("pdr.T_V", 0.90, 1.1, 5), SweepAxis("pdr.R_H", -0.1, 0.3, 5),
+            design["cavity"], design["polarizer"], zeta_V=0.08)
+        reasons = res.metadata["nan_reasons"]
+        # T_V = 1.05, 1.1 and R_H = -0.1 are out of range: 2 * 5 + 3 cells;
+        # T_V = 0.95, 1.0 leave R_V < 0: 2 * 4 more
+        assert reasons["pdr_range"] == 13
+        assert reasons["pdr_complement"] == 8
+        assert sum(reasons.values()) == np.isnan(res.values).sum()
+
+    def test_coupling_outside_unit_interval(self, design):
+        res = ps.sweep_fidelity_cavity(SweepAxis("cavity.coupling_ratio", -0.5, 1.5, 5),
+                                       design["pdr"], design["polarizer"],
+                                       design["cavity"], which="coupling")
+        assert res.metadata["nan_reasons"]["cavity_range"] == 2
+        assert np.isnan(res.values[[0, 4]]).all()
+
+
+def test_opaque_device_raises_in_sweep_and_scalar_path():
+    # critically coupled bare cavity (C = 0) absorbs V, the polarizer blocks H
+    pdr = ps.PdrParams.from_power(T_V=1.0, R_H=0.0)
+    pol = ps.PolarizerParams(eta_pol_V=1.0, eta_pol_H=0.0)
+    cav = ps.CavityParams(kappa=1.0, kappa_wg=0.5, gamma=1.0, g=0.0)
+    with pytest.raises(ps.OpaqueDeviceError):
+        ps.transfer_fidelity(pdr, pol, cav)
+    with pytest.raises(ps.OpaqueDeviceError):
+        ps.sweep_fidelity_cavity(SweepAxis("cavity.cooperativity", 0.0, 1.0, 2),
+                                 pdr, pol, cav)
+
+
+def _assert_sweep_matches_scalar(run_sweep, build, xs):
+    """run_sweep() must give, per cell, transfer_fidelity of the scalar
+    inputs build(x) to 1e-12, and NaN exactly where building them or the
+    call raises ValidationError. Where the scalar path finds an opaque
+    device, the sweep must raise OpaqueDeviceError too."""
+    scalar = []
+    for x in xs:
+        try:
+            pdr, pol, cav, r_cav_h = build(x)
+            scalar.append(ps.transfer_fidelity(pdr, pol, cav, r_cav_h=r_cav_h).f_avg)
+        except ps.ValidationError:
+            scalar.append(math.nan)
+        except ps.OpaqueDeviceError:
+            with pytest.raises(ps.OpaqueDeviceError):
+                run_sweep()
+            return
+    res = run_sweep()
+    values = res.values
+    scalar = np.asarray(scalar).reshape(values.shape)
+    assert np.array_equal(np.isnan(values), np.isnan(scalar))
+    both = ~np.isnan(scalar)
+    assert np.all(np.abs(values[both] - scalar[both]) <= 1e-12)
+    assert sum(res.metadata["nan_reasons"].values()) == np.isnan(values).sum()
+
+
+def _axis(path, lo, hi, max_span):
+    return st.builds(lambda a, span, n: SweepAxis(path, a, a + span, n),
+                     st.floats(lo, hi), st.floats(1e-3, max_span), st.integers(2, 6))
+
+
+# both sides of the non-passive band that starts near kappa_wg/kappa = 0.93
+_coupling = st.one_of(st.floats(0.05, 0.93), st.floats(0.93, 1.0))
+_cavities = st.builds(
+    lambda kappa, ratio, gamma, c, dc, da: ps.CavityParams(
+        kappa, ratio * kappa, gamma, math.sqrt(c * kappa * gamma / 4), dc, da),
+    st.floats(0.5, 2.0), _coupling, st.floats(0.5, 2.0), st.floats(0.5, 20.0),
+    st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+_polarizers = st.builds(lambda v, h: ps.PolarizerParams(v, h * v),
+                        st.floats(0.8, 1.0), st.floats(0.0, 1.0))
+_r_cav_h = st.sampled_from([ps.params.DESIGN_R_CAV_H, complex(0.6, -0.7), -1.0])
+
+
+class TestKernelMatchesScalarPath:
+    """Each sweep cell equals the scalar transfer_fidelity to 1e-12 and is
+    NaN exactly where the scalar path raises ValidationError."""
+
+    @given(tv=_axis("pdr.T_V", 0.3, 1.0, 0.3), rh=_axis("pdr.R_H", -0.05, 0.7, 0.5),
+           zeta_V=st.floats(-0.02, 0.1), zeta_H=st.floats(-0.02, 0.1),
+           sign=st.sampled_from([-1.0, 1.0]), cav=_cavities, pol=_polarizers,
+           r_cav_h=_r_cav_h)
+    @settings(max_examples=150, deadline=None)
+    def test_pdr_grid(self, tv, rh, zeta_V, zeta_H, sign, cav, pol, r_cav_h):
+        def build(cell):
+            pdr = ps.PdrParams.from_power(*cell, zeta_V, zeta_H, reflection_sign=sign)
+            return pdr, pol, cav, r_cav_h
+
+        _assert_sweep_matches_scalar(
+            lambda: ps.sweep_fidelity_pdr(tv, rh, cav, pol, zeta_V=zeta_V, zeta_H=zeta_H,
+                                          r_cav_h=r_cav_h, reflection_sign=sign),
+            build, [(t, r) for t in tv.values() for r in rh.values()])
+
+    @given(axis=_axis("cavity.cooperativity", -1.0, 20.0, 10.0), cav=_cavities,
+           pol=_polarizers, r_cav_h=_r_cav_h, tv=st.floats(0.5, 1.0),
+           rh=st.floats(0.0, 0.6), sign=st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_cooperativity_axis(self, axis, cav, pol, r_cav_h, tv, rh, sign):
+        pdr = ps.PdrParams.from_power(tv, rh, reflection_sign=sign)
+
+        def build(c):
+            if not c >= 0:
+                raise ps.ValidationError("cooperativity must be >= 0")
+            g = math.sqrt(c * cav.kappa * cav.gamma / 4.0)
+            return pdr, pol, dataclasses.replace(cav, g=g), r_cav_h
+
+        _assert_sweep_matches_scalar(
+            lambda: ps.sweep_fidelity_cavity(axis, pdr, pol, cav, "cooperativity", r_cav_h),
+            build, axis.values())
+
+    @given(axis=_axis("cavity.coupling_ratio", -0.1, 1.0, 0.3), cav=_cavities,
+           pol=_polarizers, r_cav_h=_r_cav_h, tv=st.floats(0.5, 1.0),
+           rh=st.floats(0.0, 0.6), sign=st.sampled_from([-1.0, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_coupling_axis(self, axis, cav, pol, r_cav_h, tv, rh, sign):
+        pdr = ps.PdrParams.from_power(tv, rh, reflection_sign=sign)
+        _assert_sweep_matches_scalar(
+            lambda: ps.sweep_fidelity_cavity(axis, pdr, pol, cav, "coupling", r_cav_h),
+            lambda x: (pdr, pol, dataclasses.replace(cav, kappa_wg=x * cav.kappa), r_cav_h),
+            axis.values())
 
 
 @pytest.fixture(scope="module")
