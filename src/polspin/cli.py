@@ -41,6 +41,7 @@ from .rate import (
 from .sweep import (
     SweepAxis,
     SweepResult,
+    _jsonable,
     default_cooperativity_axis,
     default_coupling_axis,
     default_loss_axis,
@@ -62,23 +63,6 @@ _ROW_BLOCK = 4096
 
 class NumericalFailure(RuntimeError):
     pass
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def _plain(value: Any) -> Any:
@@ -159,9 +143,16 @@ def write_table(result: Any, fmt: str, path: str | Path, config_hash: str,
 def _axis_from(spec: list | None, default: SweepAxis) -> SweepAxis:
     if spec is None:
         return default
-    start, stop, num = spec[0], spec[1], spec[2]
-    spacing = spec[3] if len(spec) > 3 else default.spacing
-    return SweepAxis(default.path, start, stop, int(num), spacing)
+    if not (isinstance(spec, list) and len(spec) in (3, 4)):
+        raise ConfigError(
+            f"sweep axis must be [start, stop, num] or [start, stop, num, spacing], "
+            f"got {spec!r}")
+    start, stop, num, *rest = spec
+    spacing = rest[0] if rest else default.spacing
+    try:
+        return SweepAxis(default.path, start, stop, int(num), spacing)
+    except (TypeError, ValueError) as exc:  # ValidationError included
+        raise ConfigError(f"sweep axis {spec!r}: {exc}") from exc
 
 
 def _cmd_fidelity(cfg: RunConfig, out: Path, fmt: str) -> None:
@@ -263,6 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _failure(code: int, kind: str, exc: Exception) -> int:
+    print(json.dumps({"error": kind, "detail": str(exc)}), file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     overrides = list(args.overrides)
@@ -272,31 +268,16 @@ def main(argv: list[str] | None = None) -> int:
         overrides.append(f"mc.trials={args.trials}")
     try:
         cfg = load_config(args.config, overrides, preset=args.preset)
-    except (ConfigError, ValidationError) as exc:
-        print(json.dumps({"error": "validation", "detail": str(exc)}),
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(json.dumps({"error": "io", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_IO
-    print(cfg.echo_json())
-    try:
+        print(cfg.echo_json())
         _COMMANDS[args.command](cfg, Path(args.out), args.format)
     except InfeasibleConstraintError as exc:
-        print(json.dumps({"error": "infeasible", "detail": str(exc)}),
-              file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return _failure(EXIT_INFEASIBLE, "infeasible", exc)
     except (ConfigError, ValidationError) as exc:
-        print(json.dumps({"error": "validation", "detail": str(exc)}),
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        return _failure(EXIT_VALIDATION, "validation", exc)
     except (NumericalFailure, OpaqueDeviceError, NoDetectionError) as exc:
-        print(json.dumps({"error": "numerical", "detail": str(exc)}),
-              file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _failure(EXIT_NUMERICAL, "numerical", exc)
     except OSError as exc:
-        print(json.dumps({"error": "io", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_IO
+        return _failure(EXIT_IO, "io", exc)
     return EXIT_OK
 
 

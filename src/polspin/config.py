@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
+from .montecarlo import McConfig
 from .params import (
+    DESIGN,
     CavityParams,
     LinkParams,
     PdrParams,
@@ -18,37 +19,23 @@ from .params import (
     ProtocolTiming,
     ValidationError,
 )
+from .sweep import DEFAULT_CONSTRAINTS
 
 
 class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
 
 
-# Fully-resolved defaults; the paper-design preset. Every key a config file
-# may set appears here, so the resolved echo never hides a default.
+# Fully-resolved defaults: the paper design point plus the run settings.
+# Every key a config file may set appears here, so the resolved echo never
+# hides a default.
 PRESETS: dict[str, dict[str, Any]] = {
     "paper-design": {
-        "cavity": {
-            "kappa": 1.0, "kappa_wg": 0.73, "gamma": 1.0, "g": 1.0,
-            "delta_c": 0.0, "delta_a": 0.0,
-        },
-        "pdr": {
-            "T_V": 0.99, "R_H": 0.15, "zeta_V": 0.0, "zeta_H": 0.0,
-            "reflection_sign": -1.0,
-        },
-        "polarizer": {"eta_pol_V": 0.989, "eta_pol_H": 0.128},
-        "link": {
-            "eta_link": 1e-3, "eta_det": 0.936,
-            "r_cav_V_avg": 0.356, "r_cav_H": 0.921, "xi": None,
-        },
-        "timing": {
-            "tau_reset": 30e-6, "tau_pulse": 1.0 / 5.81e6, "pulse_multiplier": 1.0,
-        },
-        "r_cav_h": [-math.sqrt(0.921), 0.0],
+        **DESIGN,
         "f_target": 0.95,
-        "constraints": [0.95, 0.97, 0.98, 0.99],
+        "constraints": list(DEFAULT_CONSTRAINTS),
         "false_herald_correction": False,
-        "mc": {"trials": 100, "seed": 0, "attempt_cap": 10**8, "harmonic_rate": True},
+        "mc": asdict(McConfig()),
         "sweep": {
             "kind": "pdr",
             "axis": None,       # optional [start, stop, num, spacing] override

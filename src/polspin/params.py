@@ -8,7 +8,12 @@ reflectivity, efficiencies) are dimensionless probabilities in [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any
+
+
+# Tolerance on power sums above 1 and on negative power complements.
+POWER_TOL = 1e-12
 
 
 class ValidationError(ValueError):
@@ -51,12 +56,11 @@ class CavityParams:
         return 4 * self.g**2 / (self.kappa * self.gamma)
 
     @classmethod
-    def from_ratios(cls, coupling_ratio: float, cooperativity: float,
-                    delta_c: float = 0.0, delta_a: float = 0.0) -> "CavityParams":
-        """Build from kappa_wg/kappa and C with kappa = gamma = 1."""
+    def from_ratios(cls, coupling_ratio: float, cooperativity: float) -> "CavityParams":
+        """Build from kappa_wg/kappa and C with kappa = gamma = 1, no detuning."""
         _check(cooperativity >= 0, "cooperativity must be >= 0")
         return cls(kappa=1.0, kappa_wg=coupling_ratio, gamma=1.0,
-                   g=math.sqrt(cooperativity / 4), delta_c=delta_c, delta_a=delta_a)
+                   g=math.sqrt(cooperativity / 4))
 
 
 @dataclass(frozen=True)
@@ -76,9 +80,9 @@ class PdrParams:
         for name in ("t_H", "r_H", "t_V", "r_V"):
             z = getattr(self, name)
             _check(_finite(z), f"{name} must be finite")
-        _check(self.T_H + self.R_H <= 1 + 1e-12,
+        _check(self.T_H + self.R_H <= 1 + POWER_TOL,
                f"T_H + R_H = {self.T_H + self.R_H} exceeds 1")
-        _check(self.T_V + self.R_V <= 1 + 1e-12,
+        _check(self.T_V + self.R_V <= 1 + POWER_TOL,
                f"T_V + R_V = {self.T_V + self.R_V} exceeds 1")
 
     @property
@@ -117,8 +121,8 @@ class PdrParams:
         R_V = 1.0 - T_V - zeta_V
         T_H = 1.0 - R_H - zeta_H
         _check(0 <= T_V <= 1 and 0 <= R_H <= 1, "T_V and R_H must lie in [0, 1]")
-        _check(R_V >= -1e-12, f"R_V = 1 - T_V - zeta_V is negative ({R_V})")
-        _check(T_H >= -1e-12, f"T_H = 1 - R_H - zeta_H is negative ({T_H})")
+        _check(R_V >= -POWER_TOL, f"R_V = 1 - T_V - zeta_V is negative ({R_V})")
+        _check(T_H >= -POWER_TOL, f"T_H = 1 - R_H - zeta_H is negative ({T_H})")
         return cls(
             t_H=complex(math.sqrt(max(T_H, 0.0))),
             r_H=complex(reflection_sign * math.sqrt(R_H)),
@@ -159,7 +163,7 @@ class LinkParams:
             # worst case: all non-reflected H light reaches the spin
             object.__setattr__(self, "xi", 1.0 - self.r_cav_H)
         _check(0 <= self.xi <= 1, f"xi out of [0,1]: {self.xi}")
-        _check(self.xi <= 1 - self.r_cav_H + 1e-12,
+        _check(self.xi <= 1 - self.r_cav_H + POWER_TOL,
                f"xi = {self.xi} exceeds 1 - r_cav_H = {1 - self.r_cav_H}")
 
 
@@ -182,35 +186,41 @@ class ProtocolTiming:
         return self.pulse_multiplier * self.tau_pulse
 
 
-# Reference design point. The H mode sees an effectively fixed cavity
-# reflection behind the reflector stopband; its field value is pinned to the
-# design power reflectivity of 92.1% with mirror-like phase.
-DESIGN_R_CAV_H_POWER = 0.921
-DESIGN_R_CAV_H = complex(-math.sqrt(DESIGN_R_CAV_H_POWER))
-DESIGN_R_CAV_V_AVG = 0.356
-
-DESIGN_CLOCK_RATE = 5.81e6  # Hz
-DESIGN_TAU_RESET = 30e-6    # s
+# Reference design point, in the format of a run config's device sections;
+# config.PRESETS["paper-design"] is this plus the run settings. g = 1 with
+# kappa = gamma = 1 gives C = 4. The H mode sees an effectively fixed cavity
+# reflection behind the reflector stopband; its field value r_cav_h
+# ([re, im]) is pinned to the design power reflectivity r_cav_H with
+# mirror-like phase.
+DESIGN: dict[str, Any] = {
+    "cavity": {"kappa": 1.0, "kappa_wg": 0.73, "gamma": 1.0, "g": 1.0,
+               "delta_c": 0.0, "delta_a": 0.0},
+    "pdr": {"T_V": 0.99, "R_H": 0.15, "zeta_V": 0.0, "zeta_H": 0.0,
+            "reflection_sign": -1.0},
+    "polarizer": {"eta_pol_V": 0.989, "eta_pol_H": 0.128},
+    "link": {"eta_link": 1e-3, "eta_det": 0.936, "r_cav_V_avg": 0.356,
+             "r_cav_H": 0.921, "xi": None},
+    "timing": {"tau_reset": 30e-6, "tau_pulse": 1.0 / 5.81e6, "pulse_multiplier": 1.0},
+}
+DESIGN["r_cav_h"] = [-math.sqrt(DESIGN["link"]["r_cav_H"]), 0.0]
+DESIGN_R_CAV_H = complex(*DESIGN["r_cav_h"])
 
 
 def design_cavity() -> CavityParams:
-    """C = 4, kappa_wg/kappa = 0.73, zero detuning."""
-    return CavityParams.from_ratios(coupling_ratio=0.73, cooperativity=4.0)
+    return CavityParams(**DESIGN["cavity"])
 
 
-def design_pdr(zeta_V: float = 0.0, zeta_H: float = 0.0) -> PdrParams:
-    """T_V = 0.99, R_H = 0.15 with configurable scattering loss."""
-    return PdrParams.from_power(T_V=0.99, R_H=0.15, zeta_V=zeta_V, zeta_H=zeta_H)
+def design_pdr() -> PdrParams:
+    return PdrParams.from_power(**DESIGN["pdr"])
 
 
 def design_polarizer() -> PolarizerParams:
-    return PolarizerParams(eta_pol_V=0.989, eta_pol_H=0.128)
+    return PolarizerParams(**DESIGN["polarizer"])
 
 
-def design_link(eta_link: float = 1e-3) -> LinkParams:
-    return LinkParams(eta_link=eta_link, eta_det=0.936,
-                      r_cav_V_avg=DESIGN_R_CAV_V_AVG, r_cav_H=DESIGN_R_CAV_H_POWER)
+def design_link(eta_link: float = DESIGN["link"]["eta_link"]) -> LinkParams:
+    return LinkParams(**{**DESIGN["link"], "eta_link": eta_link})
 
 
 def design_timing() -> ProtocolTiming:
-    return ProtocolTiming(tau_reset=DESIGN_TAU_RESET, tau_pulse=1.0 / DESIGN_CLOCK_RATE)
+    return ProtocolTiming(**DESIGN["timing"])

@@ -167,26 +167,26 @@ def max_attempts(
     probs: AttemptProbabilities,
     f0: float,
     f_target: float,
-    cap: int = ATTEMPT_SEARCH_CAP,
 ) -> MaxAttempts:
     """Largest sequence length whose protocol fidelity still meets f_target.
 
     Fidelity is non-increasing in n, so an exponential ramp followed by
-    binary search finds the boundary. With no unheralded-error channel the
-    constraint never binds and the result is flagged unbounded.
+    binary search finds the boundary, up to ATTEMPT_SEARCH_CAP. With no
+    unheralded-error channel the constraint never binds and the result is
+    flagged unbounded.
     """
     if f_target > f0:
         raise InfeasibleConstraintError(
             f"f_target = {f_target} exceeds single-attempt fidelity f0 = {f0}")
     if probs.p_e == 0.0:
-        return MaxAttempts(n=cap, unbounded=True)
+        return MaxAttempts(n=ATTEMPT_SEARCH_CAP, unbounded=True)
     hi = 1
-    while hi < cap and protocol_fidelity(hi, probs, f0) >= f_target:
+    while hi < ATTEMPT_SEARCH_CAP and protocol_fidelity(hi, probs, f0) >= f_target:
         hi *= 2
-    if hi >= cap:
-        if protocol_fidelity(cap, probs, f0) >= f_target:
-            return MaxAttempts(n=cap, cap_reached=True)
-        hi = cap
+    if hi >= ATTEMPT_SEARCH_CAP:
+        if protocol_fidelity(ATTEMPT_SEARCH_CAP, probs, f0) >= f_target:
+            return MaxAttempts(n=ATTEMPT_SEARCH_CAP, cap_reached=True)
+        hi = ATTEMPT_SEARCH_CAP
     lo = max(1, hi // 2)  # fidelity(lo) >= f_target by construction
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -253,17 +253,13 @@ def repeaterless_bound(eta_link: float, timing: ProtocolTiming) -> float:
     return -math.log2(1.0 - eta_link) / timing.tau_slot
 
 
-def classify_regime(
-    n_max: int,
-    timing: ProtocolTiming,
-    n_low: int = DEFAULT_REGIME1_THRESHOLD,
-) -> int:
+def classify_regime(n_max: int, timing: ProtocolTiming) -> int:
     """Regime 3 when attempts dominate the sequence (n_max*tau_slot >
     tau_reset), Regime 1 when the fidelity constraint pins n_max at or below
-    n_low, Regime 2 in between."""
+    DEFAULT_REGIME1_THRESHOLD, Regime 2 in between."""
     if n_max * timing.tau_slot > timing.tau_reset:
         return 3
-    if n_max <= n_low:
+    if n_max <= DEFAULT_REGIME1_THRESHOLD:
         return 1
     return 2
 
@@ -278,7 +274,6 @@ def transfer_rate(
     f0: float | None = None,
     r_cav_h: complex = DESIGN_R_CAV_H,
     false_herald_correction: bool = False,
-    n_low: int = DEFAULT_REGIME1_THRESHOLD,
 ) -> RateResult:
     """Average transfer rate under a fidelity constraint.
 
@@ -312,7 +307,7 @@ def transfer_rate(
         t_failures=t_fail,
         t_success=t_succ,
         rate=rate,
-        regime=classify_regime(nm.n, timing, n_low=n_low),
+        regime=classify_regime(nm.n, timing),
         unbounded=nm.unbounded,
         cap_reached=nm.cap_reached,
     )

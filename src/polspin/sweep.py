@@ -24,6 +24,7 @@ from .device import OpaqueDeviceError, fidelity_kernel, transfer_fidelity
 from .montecarlo import McConfig, simulate_rate
 from .params import (
     DESIGN_R_CAV_H,
+    POWER_TOL,
     CavityParams,
     LinkParams,
     PdrParams,
@@ -44,8 +45,6 @@ DEFAULT_CONSTRAINTS = (0.95, 0.97, 0.98, 0.99)
 # Cells per device-kernel evaluation in the fidelity sweeps: whole-grid
 # temporaries would grow peak memory with the grid, blocks keep it flat.
 _BLOCK_CELLS = 4096
-# PdrParams' tolerance on negative complements and on T + R above 1.
-_COMPLEMENT_TOL = 1e-12
 # Why a fidelity cell is NaN, in the order the checks run; the first
 # failing check names the cell. SweepResult.metadata["nan_reasons"] counts
 # the cells per reason.
@@ -64,12 +63,16 @@ class SweepAxis:
     spacing: str = "linear"  # linear | log | db
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValidationError(f"axis {self.path}: start and stop must be finite")
         if self.num < 2:
             raise ValidationError(f"axis {self.path}: need >= 2 points")
         if self.start >= self.stop:
             raise ValidationError(f"axis {self.path}: start must be < stop")
         if self.spacing not in ("linear", "log", "db"):
             raise ValidationError(f"axis {self.path}: unknown spacing {self.spacing}")
+        if self.spacing == "log" and self.start <= 0:
+            raise ValidationError(f"axis {self.path}: a log axis needs start > 0")
 
     def values(self) -> np.ndarray:
         if self.spacing == "log":
@@ -104,14 +107,23 @@ class SweepResult:
                 raise ValidationError(f"column {name} shape mismatch")
 
 
-def _meta(**kwargs: Any) -> dict[str, Any]:
-    out: dict[str, Any] = {}
-    for key, val in kwargs.items():
-        if dataclasses.is_dataclass(val) and not isinstance(val, type):
-            out[key] = {f.name: getattr(val, f.name) for f in dataclasses.fields(val)}
-        else:
-            out[key] = val
-    return out
+def _jsonable(value: Any) -> Any:
+    """value as plain JSON types: dataclasses as dicts of their fields,
+    complex numbers as [re, im] pairs, numpy values as Python values."""
+    if isinstance(value, (np.floating, np.integer)):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return [_jsonable(v) for v in value.tolist()]
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _jsonable(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
 
 
 def _fidelity_cells(n: int, cell_inputs: Callable) -> tuple[np.ndarray, dict[str, int]]:
@@ -179,10 +191,10 @@ def sweep_fidelity_pdr(
         r_H = reflection_sign * np.sqrt(np.maximum(R_H, 0.0))
         t_V = np.sqrt(np.maximum(T_V, 0.0))
         r_V = reflection_sign * np.sqrt(np.maximum(R_V, 0.0))
-        limit = 1.0 + _COMPLEMENT_TOL
+        limit = 1.0 + POWER_TOL
         checks = [
             ("pdr_range", ~((0 <= T_V) & (T_V <= 1) & (0 <= R_H) & (R_H <= 1))),
-            ("pdr_complement", ~((R_V >= -_COMPLEMENT_TOL) & (T_H >= -_COMPLEMENT_TOL))),
+            ("pdr_complement", ~((R_V >= -POWER_TOL) & (T_H >= -POWER_TOL))),
             ("pdr_power_sum", ~((t_H**2 + r_H**2 <= limit) & (t_V**2 + r_V**2 <= limit))),
         ]
         return {"t_H": t_H, "r_H": r_H, "t_V": t_V, "r_V": r_V, "r_cav_h": r_cav_h,
@@ -193,9 +205,9 @@ def sweep_fidelity_pdr(
         axes=[(tv_axis.path, tv), (rh_axis.path, rh)],
         values=values.reshape(tv.size, rh.size),
         quantity="fidelity",
-        metadata=_meta(cavity=cavity, polarizer=polarizer, zeta_V=zeta_V,
-                       zeta_H=zeta_H, r_cav_h=r_cav_h, reflection_sign=reflection_sign,
-                       nan_reasons=reasons),
+        metadata=_jsonable(dict(
+            cavity=cavity, polarizer=polarizer, zeta_V=zeta_V, zeta_H=zeta_H,
+            r_cav_h=r_cav_h, reflection_sign=reflection_sign, nan_reasons=reasons)),
     )
 
 
@@ -236,8 +248,9 @@ def sweep_fidelity_cavity(
         axes=[(axis.path, xs)],
         values=values,
         quantity="fidelity",
-        metadata=_meta(pdr=pdr, polarizer=polarizer, base_cavity=base_cavity,
-                       which=which, r_cav_h=r_cav_h, nan_reasons=reasons),
+        metadata=_jsonable(dict(
+            pdr=pdr, polarizer=polarizer, base_cavity=base_cavity, which=which,
+            r_cav_h=r_cav_h, nan_reasons=reasons)),
     )
 
 
@@ -291,10 +304,9 @@ def sweep_rate_vs_loss(
             axes=[(loss_axis.path, loss_db)],
             values=rate_col,
             quantity="rate",
-            metadata=_meta(pdr=pdr, polarizer=polarizer, cavity=cavity,
-                           link=link_template, timing=timing,
-                           f_target=f_target, f0=f0,
-                           mc=mc, r_cav_h=r_cav_h),
+            metadata=_jsonable(dict(
+                pdr=pdr, polarizer=polarizer, cavity=cavity, link=link_template,
+                timing=timing, f_target=f_target, f0=f0, mc=mc, r_cav_h=r_cav_h)),
             columns=columns,
         )
     return results

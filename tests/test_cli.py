@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+import polspin as ps
 from polspin.cli import main, write_table
 from polspin.config import ConfigError, PRESETS, load_config
 from polspin.sweep import (
@@ -27,6 +28,16 @@ class TestLoadConfig:
         assert cfg.cavity.cooperativity == pytest.approx(4.0)
         assert cfg.link.eta_det == 0.936
         assert cfg.r_cav_h == pytest.approx(complex(-math.sqrt(0.921), 0.0))
+
+    def test_preset_is_the_design_point(self):
+        cfg = load_config()
+        assert cfg.cavity == ps.design_cavity()
+        assert cfg.pdr == ps.design_pdr()
+        assert cfg.polarizer == ps.design_polarizer()
+        assert cfg.link == ps.design_link()
+        assert cfg.timing == ps.design_timing()
+        assert cfg.r_cav_h == ps.params.DESIGN_R_CAV_H
+        assert cfg.config_hash == "1c102c291be3434a"
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
@@ -159,10 +170,16 @@ class TestMain:
         capsys.readouterr()
         assert out1.read_text() == out2.read_text()
 
-    def test_validation_exit_code(self, tmp_path, capsys):
-        code, cap, _ = run_cli(
-            ["--command", "fidelity", "--set", "link.eta_det=2.0"],
-            tmp_path, capsys)
+    @pytest.mark.parametrize("args", [
+        ["--command", "fidelity", "--set", "link.eta_det=2.0"],
+        ["--command", "sweep", "--set", "sweep.kind=pdr",
+         "--set", "sweep.axis=[NaN,1,3]"],
+        ["--command", "sweep", "--set", "sweep.kind=cavity_c",
+         "--set", "sweep.axis=[0,20,5]"],
+        ["--command", "sweep", "--set", "sweep.axis=[0.5,1]"],
+    ], ids=["eta_det", "nan_axis", "log_axis_from_zero", "two_entry_axis"])
+    def test_validation_exit_code(self, tmp_path, capsys, args):
+        code, cap, _ = run_cli(args, tmp_path, capsys)
         assert code == 2
         assert json.loads(cap.err)["error"] == "validation"
 

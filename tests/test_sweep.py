@@ -49,6 +49,12 @@ class TestSweepAxis:
             SweepAxis("x", 1.0, 0.0, 5)
         with pytest.raises(ps.ValidationError):
             SweepAxis("x", 0.0, 1.0, 5, spacing="cubic")
+        nan, inf = float("nan"), float("inf")
+        for start, stop, spacing in [(nan, 1.0, "linear"), (0.0, nan, "linear"),
+                                     (0.0, inf, "db"), (-inf, 1.0, "linear"),
+                                     (0.0, 20.0, "log"), (-1.0, 20.0, "log")]:
+            with pytest.raises(ps.ValidationError):
+                SweepAxis("x", start, stop, 3, spacing=spacing)
 
     def test_result_shape_validation(self):
         with pytest.raises(ps.ValidationError):
