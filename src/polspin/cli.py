@@ -23,6 +23,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .device import (
+    FidelityReport,
     OpaqueDeviceError,
     effective_reflections,
     loss_balance_residual,
@@ -32,10 +33,9 @@ from .montecarlo import McConfig, NoDetectionError, simulate_rate
 from .params import ValidationError
 from .rate import (
     InfeasibleConstraintError,
+    RateResult,
     attempt_probabilities,
-    error_attribution_gap,
     explicit_error_probability,
-    max_attempts,
     transfer_rate,
 )
 from .sweep import (
@@ -73,7 +73,8 @@ def _plain(value: Any) -> Any:
 
 def _table_of(result: Any, config_hash: str) -> tuple[list[str], Iterator[list[Any]]]:
     """Flatten a result object into (header, rows) for CSV and JSON. A
-    sweep's rows are produced lazily, a block of cells at a time."""
+    sweep's rows are produced lazily, a block of cells at a time; any other
+    result is one row."""
     if isinstance(result, SweepResult):
         header = ([name for name, _ in result.axes] + [result.quantity]
                   + list(result.columns) + ["config_hash"])
@@ -81,24 +82,11 @@ def _table_of(result: Any, config_hash: str) -> tuple[list[str], Iterator[list[A
         columns = ([g.ravel() for g in grids] + [result.values.ravel()]
                    + [col.ravel() for col in result.columns.values()])
         return header, _sweep_rows(columns, config_hash)
-    if dataclasses.is_dataclass(result) and not isinstance(result, type):
-        fields = dataclasses.fields(result)
-        header = []
-        row = []
-        for f in fields:
-            val = getattr(result, f.name)
-            if f.name == "per_input":
-                for label, fid in val:
-                    header.append(f"fidelity_{label}")
-                    row.append(fid)
-            elif f.name == "per_outcome":
-                continue
-            else:
-                header.append(f.name)
-                row.append(val)
-        header.append("config_hash")
-        row.append(config_hash)
-        return header, iter([[_plain(v) for v in row]])
+    if isinstance(result, FidelityReport):
+        result = {"f_avg": result.f_avg,
+                  **{f"fidelity_{label}": fid for label, fid in result.per_input}}
+    elif dataclasses.is_dataclass(result) and not isinstance(result, type):
+        result = dataclasses.asdict(result)
     if isinstance(result, dict):
         header = list(result) + ["config_hash"]
         return header, iter([[_plain(v) for v in result.values()] + [config_hash]])
@@ -161,22 +149,36 @@ def _cmd_fidelity(cfg: RunConfig, out: Path, fmt: str) -> None:
     write_table(report, fmt, out, cfg.config_hash)
 
 
-def _cmd_rate(cfg: RunConfig, out: Path, fmt: str) -> None:
+def _rate(cfg: RunConfig) -> RateResult:
+    """The analytic rate of the configured run, the one n_max pipeline of
+    the rate and montecarlo commands; a search that ends at the attempt cap
+    is a failure."""
     res = transfer_rate(cfg.pdr, cfg.polarizer, cfg.cavity, cfg.link,
                         cfg.timing, cfg.f_target, r_cav_h=cfg.r_cav_h,
                         false_herald_correction=cfg.false_herald_correction)
     if res.cap_reached:
         raise NumericalFailure("attempt search cap reached")
-    write_table(res, fmt, out, cfg.config_hash)
+    return res
+
+
+def _cmd_rate(cfg: RunConfig, out: Path, fmt: str) -> None:
+    write_table(_rate(cfg), fmt, out, cfg.config_hash)
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> None:
     kind = cfg.sweep["kind"]
+    # refuse settings this kind would not read, which still change the hash
+    if kind != "pdr" and cfg.sweep["second_axis"] is not None:
+        raise ConfigError(f"sweep.second_axis applies only to the pdr sweep, not {kind}")
+    if kind != "rate_vs_loss" and cfg.sweep["with_mc"]:
+        raise ConfigError(f"sweep.with_mc applies only to rate_vs_loss, not {kind}")
+    if cfg.false_herald_correction:
+        raise ConfigError("false_herald_correction is not supported by sweeps")
     if kind == "pdr":
         tv_default, rh_default = default_pdr_axes()
         res = sweep_fidelity_pdr(
-            _axis_from(cfg.sweep.get("axis"), tv_default),
-            _axis_from(cfg.sweep.get("second_axis"), rh_default),
+            _axis_from(cfg.sweep["axis"], tv_default),
+            _axis_from(cfg.sweep["second_axis"], rh_default),
             cfg.cavity, cfg.polarizer,
             zeta_V=cfg.pdr.zeta_V, zeta_H=cfg.pdr.zeta_H, r_cav_h=cfg.r_cav_h,
             reflection_sign=cfg.raw["pdr"]["reflection_sign"])
@@ -186,13 +188,13 @@ def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> None:
         default = (default_cooperativity_axis() if kind == "cavity_c"
                    else default_coupling_axis())
         res = sweep_fidelity_cavity(
-            _axis_from(cfg.sweep.get("axis"), default),
+            _axis_from(cfg.sweep["axis"], default),
             cfg.pdr, cfg.polarizer, cfg.cavity, which=which, r_cav_h=cfg.r_cav_h)
         write_table(res, fmt, out, cfg.config_hash)
     else:  # rate_vs_loss
-        mc = McConfig(**cfg.mc) if cfg.sweep.get("with_mc") else None
+        mc = McConfig(**cfg.mc) if cfg.sweep["with_mc"] else None
         results = sweep_rate_vs_loss(
-            _axis_from(cfg.sweep.get("axis"), default_loss_axis()),
+            _axis_from(cfg.sweep["axis"], default_loss_axis()),
             cfg.pdr, cfg.polarizer, cfg.cavity, cfg.link, cfg.timing,
             constraints=cfg.constraints, mc=mc, r_cav_h=cfg.r_cav_h)
         for f_target, res in results.items():
@@ -202,28 +204,25 @@ def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> None:
 
 
 def _cmd_montecarlo(cfg: RunConfig, out: Path, fmt: str) -> None:
+    res = _rate(cfg)
     probs = attempt_probabilities(cfg.pdr, cfg.polarizer, cfg.link)
-    f0 = transfer_fidelity(cfg.pdr, cfg.polarizer, cfg.cavity,
-                           r_cav_h=cfg.r_cav_h).f_avg
-    nm = max_attempts(probs, f0, cfg.f_target)
-    if nm.cap_reached:
-        raise NumericalFailure("attempt search cap reached")
-    est = simulate_rate(probs, nm.n, cfg.timing, McConfig(**cfg.mc))
+    est = simulate_rate(probs, res.n_max, cfg.timing, McConfig(**cfg.mc))
     write_table(est, fmt, out, cfg.config_hash,
-                metadata={"n_max": nm.n, "unbounded": nm.unbounded})
+                metadata={"n_max": res.n_max, "unbounded": res.unbounded})
 
 
 def _cmd_diagnose(cfg: RunConfig, out: Path, fmt: str) -> None:
     eff = effective_reflections(cfg.pdr, cfg.polarizer, cfg.cavity,
                                 r_cav_h=cfg.r_cav_h)
     probs = attempt_probabilities(cfg.pdr, cfg.polarizer, cfg.link)
+    explicit = explicit_error_probability(cfg.pdr, cfg.polarizer, cfg.link)
     row = {
         "loss_balance_residual": loss_balance_residual(eff),
         "p_det": probs.p_det,
         "p_lost": probs.p_lost,
         "p_e_canonical": probs.p_e,
-        "p_e_explicit": explicit_error_probability(cfg.pdr, cfg.polarizer, cfg.link),
-        "p_e_gap": error_attribution_gap(cfg.pdr, cfg.polarizer, cfg.link),
+        "p_e_explicit": explicit,
+        "p_e_gap": probs.p_e - explicit,
     }
     write_table(row, fmt, out, cfg.config_hash)
 
@@ -243,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Heralded photon-to-spin transfer: fidelity and rate modeling")
     parser.add_argument("--command", required=True, choices=sorted(_COMMANDS))
     parser.add_argument("--config", default=None, help="JSON config file")
-    parser.add_argument("--preset", default="paper-design")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="dotted-path override, repeatable")
     parser.add_argument("--out", default="result.csv", help="output path")
@@ -267,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.trials is not None:
         overrides.append(f"mc.trials={args.trials}")
     try:
-        cfg = load_config(args.config, overrides, preset=args.preset)
+        cfg = load_config(args.config, overrides)
         print(cfg.echo_json())
         _COMMANDS[args.command](cfg, Path(args.out), args.format)
     except InfeasibleConstraintError as exc:

@@ -1,5 +1,5 @@
-"""Run configuration: JSON loading, the paper-design preset, dotted-path
-overrides, validation, and the resolved-config echo used for provenance."""
+"""Run configuration: the defaults, JSON loading, dotted-path overrides,
+validation, and the resolved-config echo used for provenance."""
 
 from __future__ import annotations
 
@@ -29,37 +29,42 @@ class ConfigError(ValueError):
 # Fully-resolved defaults: the paper design point plus the run settings.
 # Every key a config file may set appears here, so the resolved echo never
 # hides a default.
-PRESETS: dict[str, dict[str, Any]] = {
-    "paper-design": {
-        **DESIGN,
-        "f_target": 0.95,
-        "constraints": list(DEFAULT_CONSTRAINTS),
-        "false_herald_correction": False,
-        "mc": asdict(McConfig()),
-        "sweep": {
-            "kind": "pdr",
-            "axis": None,       # optional [start, stop, num, spacing] override
-            "second_axis": None,
-            "with_mc": False,
-        },
+DEFAULTS: dict[str, Any] = {
+    **DESIGN,
+    "f_target": 0.95,
+    "constraints": list(DEFAULT_CONSTRAINTS),
+    "false_herald_correction": False,
+    "mc": asdict(McConfig()),
+    "sweep": {
+        "kind": "pdr",
+        "axis": None,       # optional [start, stop, num, spacing] override
+        "second_axis": None,
+        "with_mc": False,
     },
 }
 
 
 def _deep_merge(base: dict, extra: dict, path: str = "") -> dict:
+    """base with extra's values written over it, key by key. A mapping merges
+    into the mapping it replaces; where base holds a scalar it merges into
+    nothing, so its first key is unknown. A scalar never replaces a mapping."""
     out = dict(base)
     for key, val in extra.items():
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key: {here}")
-        if isinstance(base[key], dict) and isinstance(val, dict):
-            out[key] = _deep_merge(base[key], val, here)
+        if isinstance(val, dict):
+            below = base[key] if isinstance(base[key], dict) else {}
+            out[key] = _deep_merge(below, val, here)
+        elif isinstance(base[key], dict):
+            raise ConfigError(f"config key {here} takes a mapping, got {val!r}")
         else:
             out[key] = val
     return out
 
 
-def _parse_override(expr: str) -> tuple[list[str], Any]:
+def _parse_override(expr: str) -> dict[str, Any]:
+    """'a.b=v' as {"a": {"b": v}}; v is read as JSON, else kept as text."""
     if "=" not in expr:
         raise ConfigError(f"override must look like key=value, got {expr!r}")
     key, raw = expr.split("=", 1)
@@ -67,7 +72,9 @@ def _parse_override(expr: str) -> tuple[list[str], Any]:
         val = json.loads(raw)
     except json.JSONDecodeError:
         val = raw
-    return key.strip().split("."), val
+    for k in reversed(key.strip().split(".")):
+        val = {k: val}
+    return val
 
 
 @dataclass(frozen=True)
@@ -104,17 +111,17 @@ def _build(raw: dict[str, Any]) -> RunConfig:
         polarizer = PolarizerParams(**raw["polarizer"])
         link = LinkParams(**raw["link"])
         timing = ProtocolTiming(**raw["timing"])
+        f_target = raw["f_target"]
+        if not 0 <= f_target <= 1:
+            raise ConfigError(f"f_target out of [0,1]: {f_target}")
+        for c in raw["constraints"]:
+            if not 0 <= c <= 1:
+                raise ConfigError(f"constraint out of [0,1]: {c}")
     except (ValidationError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     re_im = raw["r_cav_h"]
     if not (isinstance(re_im, list) and len(re_im) == 2):
         raise ConfigError("r_cav_h must be a [re, im] pair")
-    f_target = raw["f_target"]
-    if not 0 <= f_target <= 1:
-        raise ConfigError(f"f_target out of [0,1]: {f_target}")
-    for c in raw["constraints"]:
-        if not 0 <= c <= 1:
-            raise ConfigError(f"constraint out of [0,1]: {c}")
     if raw["sweep"]["kind"] not in ("pdr", "cavity_c", "cavity_coupling",
                                     "rate_vs_loss"):
         raise ConfigError(f"unknown sweep kind: {raw['sweep']['kind']}")
@@ -137,16 +144,14 @@ def _build(raw: dict[str, Any]) -> RunConfig:
 def load_config(
     path: str | Path | None = None,
     overrides: list[str] | None = None,
-    preset: str = "paper-design",
 ) -> RunConfig:
-    """Resolve preset -> config file -> --set overrides, then validate.
+    """Resolve DEFAULTS -> config file -> --set overrides, then validate.
 
-    The file may be empty or contain a partial JSON object; unknown keys are
-    rejected with their full dotted path.
+    The file may be empty or contain a partial JSON object; it and each
+    override are merged the same way, and unknown keys are rejected with
+    their full dotted path.
     """
-    if preset not in PRESETS:
-        raise ConfigError(f"unknown preset: {preset!r} (have {sorted(PRESETS)})")
-    raw = json.loads(json.dumps(PRESETS[preset]))  # deep copy
+    raw = json.loads(json.dumps(DEFAULTS))  # deep copy
     if path is not None:
         text = Path(path).read_text()
         if text.strip():
@@ -160,13 +165,5 @@ def load_config(
                 raise ConfigError(f"{path}: top level must be a JSON object")
             raw = _deep_merge(raw, data)
     for expr in overrides or []:
-        keys, val = _parse_override(expr)
-        node = raw
-        for k in keys[:-1]:
-            if not isinstance(node, dict) or k not in node:
-                raise ConfigError(f"unknown config key: {'.'.join(keys)}")
-            node = node[k]
-        if not isinstance(node, dict) or keys[-1] not in node:
-            raise ConfigError(f"unknown config key: {'.'.join(keys)}")
-        node[keys[-1]] = val
+        raw = _deep_merge(raw, _parse_override(expr))
     return _build(raw)

@@ -116,8 +116,11 @@ class PdrParams:
 
         R_V and T_H are the complements after scattering loss. Reflections
         carry a mirror-like pi phase by default (reflection_sign = -1); the
-        sign is exposed because only power values are physically pinned.
+        sign is exposed because only power values are physically pinned, and
+        any value other than +1 or -1 is rejected.
         """
+        if reflection_sign not in (1, -1):
+            raise ValidationError(f"reflection_sign must be +1 or -1, got {reflection_sign}")
         R_V = 1.0 - T_V - zeta_V
         T_H = 1.0 - R_H - zeta_H
         _check(0 <= T_V <= 1 and 0 <= R_H <= 1, "T_V and R_H must lie in [0, 1]")
@@ -187,7 +190,7 @@ class ProtocolTiming:
 
 
 # Reference design point, in the format of a run config's device sections;
-# config.PRESETS["paper-design"] is this plus the run settings. g = 1 with
+# config.DEFAULTS is this plus the run settings. g = 1 with
 # kappa = gamma = 1 gives C = 4. The H mode sees an effectively fixed cavity
 # reflection behind the reflector stopband; its field value r_cav_h
 # ([re, im]) is pinned to the design power reflectivity r_cav_H with

@@ -119,14 +119,6 @@ def explicit_error_probability(
     )
 
 
-def error_attribution_gap(
-    pdr: PdrParams, polarizer: PolarizerParams, link: LinkParams
-) -> float:
-    """Signed gap between the canonical p_e and the explicit expression."""
-    probs = attempt_probabilities(pdr, polarizer, link)
-    return probs.p_e - explicit_error_probability(pdr, polarizer, link)
-
-
 def error_probability_given_click(m: int, probs: AttemptProbabilities) -> float:
     """Probability that at least one unheralded error preceded a detector
     click on the m-th attempt of a sequence."""

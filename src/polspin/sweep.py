@@ -175,8 +175,11 @@ def sweep_fidelity_pdr(
 
     Per cell, R_V = 1 - T_V - zeta_V and T_H = 1 - R_H - zeta_H, with real
     field coefficients as PdrParams.from_power builds them; cells that
-    constructor or transfer_fidelity would reject are NaN, not fatal.
+    constructor or transfer_fidelity would reject are NaN, not fatal. A
+    reflection_sign other than +1 or -1 is rejected before any cell.
     """
+    if reflection_sign not in (1, -1):
+        raise ValidationError(f"reflection_sign must be +1 or -1, got {reflection_sign}")
     tv = tv_axis.values()
     rh = rh_axis.values()
     fixed = _fixed_inputs(polarizer, cavity)

@@ -1,4 +1,4 @@
-"""Configuration-resolution and command-line tests: preset/override/file
+"""Configuration-resolution and command-line tests: defaults/file/override
 layering, validation messages, exit codes, output formats, and determinism
 of seeded runs."""
 
@@ -11,7 +11,7 @@ import pytest
 
 import polspin as ps
 from polspin.cli import main, write_table
-from polspin.config import ConfigError, PRESETS, load_config
+from polspin.config import DEFAULTS, ConfigError, load_config
 from polspin.sweep import (
     SweepAxis,
     sweep_fidelity_cavity,
@@ -39,15 +39,11 @@ class TestLoadConfig:
         assert cfg.r_cav_h == ps.params.DESIGN_R_CAV_H
         assert cfg.config_hash == "1c102c291be3434a"
 
-    def test_unknown_preset(self):
-        with pytest.raises(ConfigError, match="unknown preset"):
-            load_config(preset="nope")
-
     def test_override_layering(self):
         cfg = load_config(overrides=["link.eta_link=0.01", "f_target=0.97"])
         assert cfg.link.eta_link == 0.01
         assert cfg.f_target == 0.97
-        # untouched keys keep preset values
+        # untouched keys keep their defaults
         assert cfg.link.eta_det == 0.936
 
     def test_file_then_override(self, tmp_path):
@@ -91,7 +87,20 @@ class TestLoadConfig:
 
     def test_echo_contains_every_preset_key(self):
         echoed = json.loads(load_config().echo_json())
-        assert set(echoed["config"]) == set(PRESETS["paper-design"])
+        assert set(echoed["config"]) == set(DEFAULTS)
+
+    def test_mapping_override_keeps_other_keys(self):
+        echoed = json.loads(load_config(overrides=['mc={"trials":5}']).echo_json())
+        assert echoed["config"]["mc"] == {**DEFAULTS["mc"], "trials": 5}
+
+    @pytest.mark.parametrize("overrides,match", [
+        (["f_target.x=1"], r"unknown config key: f_target\.x"),
+        (['f_target={"x":1}'], r"unknown config key: f_target\.x"),
+        (['link={"xi":{"a":1}}'], r"unknown config key: link\.xi\.a"),
+    ])
+    def test_mapping_over_scalar_is_unknown_key(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            load_config(overrides=overrides)
 
 
 class TestWriteTable:
@@ -144,10 +153,25 @@ class TestMain:
         code, _, out = run_cli(["--command", "diagnose"], tmp_path, capsys)
         assert code == 0
         with out.open() as fh:
-            row = next(csv.DictReader(fh))
-        assert float(row["p_det"]) == pytest.approx(2.397e-4, rel=1e-3)
-        assert float(row["loss_balance_residual"]) == pytest.approx(
-            0.02473, abs=1e-4)
+            row = {k: float(v) for k, v in next(csv.DictReader(fh)).items()
+                   if k != "config_hash"}
+        assert row["p_det"] == pytest.approx(2.397e-4, rel=1e-3)
+        assert row["loss_balance_residual"] == pytest.approx(0.02473, abs=1e-4)
+        assert row["p_e_gap"] == row["p_e_canonical"] - row["p_e_explicit"]
+
+    def test_rate_and_montecarlo_share_n_max(self, tmp_path, capsys):
+        # the false-herald correction lowers f0 and with it n_max (1908 -> 1677)
+        sets = ["--set", "link.eta_link=1e-3", "--set", "false_herald_correction=true",
+                "--format", "json"]
+        rate_out, mc_out = tmp_path / "rate.json", tmp_path / "mc.json"
+        assert main(["--command", "rate", "--out", str(rate_out)] + sets) == 0
+        assert main(["--command", "montecarlo", "--trials", "2", "--seed", "1",
+                     "--out", str(mc_out)] + sets) == 0
+        capsys.readouterr()
+        rate = json.loads(rate_out.read_text())
+        n_max = dict(zip(rate["columns"], rate["rows"][0]))["n_max"]
+        assert n_max == 1677
+        assert json.loads(mc_out.read_text())["metadata"]["n_max"] == n_max
 
     def test_sweep_rate_writes_one_file_per_constraint(self, tmp_path, capsys):
         out = tmp_path / "rates.csv"
@@ -177,9 +201,41 @@ class TestMain:
         ["--command", "sweep", "--set", "sweep.kind=cavity_c",
          "--set", "sweep.axis=[0,20,5]"],
         ["--command", "sweep", "--set", "sweep.axis=[0.5,1]"],
-    ], ids=["eta_det", "nan_axis", "log_axis_from_zero", "two_entry_axis"])
+        ["--command", "fidelity", "--set", "pdr.reflection_sign=0.5"],
+        ["--command", "sweep", "--set", "sweep.kind=cavity_c",
+         "--set", "sweep.second_axis=[0,1,3]"],
+        ["--command", "sweep", "--set", "sweep.kind=rate_vs_loss",
+         "--set", "sweep.second_axis=[0,1,3]"],
+        ["--command", "sweep", "--set", "sweep.kind=pdr", "--set", "sweep.with_mc=true"],
+        ["--command", "sweep", "--set", "sweep.kind=cavity_coupling",
+         "--set", "sweep.with_mc=true"],
+        *[["--command", "sweep", "--set", f"sweep.kind={kind}",
+           "--set", "false_herald_correction=true"]
+          for kind in ("pdr", "cavity_c", "cavity_coupling", "rate_vs_loss")],
+    ], ids=["eta_det", "nan_axis", "log_axis_from_zero", "two_entry_axis",
+            "reflection_sign", "second_axis_cavity_c", "second_axis_rate_vs_loss",
+            "with_mc_pdr", "with_mc_cavity_coupling", "false_herald_pdr",
+            "false_herald_cavity_c", "false_herald_cavity_coupling",
+            "false_herald_rate_vs_loss"])
     def test_validation_exit_code(self, tmp_path, capsys, args):
         code, cap, _ = run_cli(args, tmp_path, capsys)
+        assert code == 2
+        assert json.loads(cap.err)["error"] == "validation"
+
+    @pytest.mark.parametrize("setting", [
+        ["--set", 'f_target="a"'],
+        ["--set", "constraints=5"],
+        {"f_target": {"x": 1}},
+        ["--set", "mc=5"],
+        ["--set", "sweep=5"],
+    ], ids=["f_target_text", "constraints_scalar", "file_f_target_mapping",
+            "mc_scalar", "sweep_scalar"])
+    def test_bad_setting_type_exit_code(self, tmp_path, capsys, setting):
+        if isinstance(setting, dict):
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(setting))
+            setting = ["--config", str(path)]
+        code, cap, _ = run_cli(["--command", "rate"] + setting, tmp_path, capsys)
         assert code == 2
         assert json.loads(cap.err)["error"] == "validation"
 

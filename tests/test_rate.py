@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import polspin as ps
 from polspin.rate import (
-    error_attribution_gap,
     explicit_error_probability,
     success_probability,
 )
@@ -65,14 +64,11 @@ class TestAttemptProbabilities:
         assert probs.p_lost == pytest.approx(ORACLE_P_LOST, rel=1e-12)
         assert probs.p_e == pytest.approx(ORACLE_P_E, rel=1e-9)
 
-    def test_explicit_error_expression_and_gap(self):
+    def test_explicit_error_expression(self):
         pdr, pol = ps.design_pdr(), ps.design_polarizer()
         link = ps.design_link(1e-3)
         explicit = explicit_error_probability(pdr, pol, link)
         assert explicit == pytest.approx(ORACLE_P_E_EXPLICIT, rel=1e-12)
-        gap = error_attribution_gap(pdr, pol, link)
-        probs = ps.attempt_probabilities(pdr, pol, link)
-        assert gap == pytest.approx(probs.p_e - explicit, abs=1e-15)
 
     @given(st.floats(1e-4, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=500)

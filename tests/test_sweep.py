@@ -98,6 +98,19 @@ class TestFidelityPdrSweep:
                                       design["cavity"]).f_avg
         assert res.values[2, 3] == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("sign", [0.5, 0.0, -2.0, float("nan")])
+    def test_reflection_sign_must_be_unit(self, design, monkeypatch, sign):
+        with pytest.raises(ps.ValidationError, match="reflection_sign"):
+            ps.PdrParams.from_power(T_V=0.99, R_H=0.15, reflection_sign=sign)
+
+        def no_cells(*args, **kwargs):
+            raise AssertionError("a cell was evaluated")
+
+        monkeypatch.setattr(ps.sweep, "_fidelity_cells", no_cells)
+        with pytest.raises(ps.ValidationError, match="reflection_sign"):
+            ps.sweep_fidelity_pdr(*default_pdr_axes(), design["cavity"],
+                                  design["polarizer"], reflection_sign=sign)
+
 
 class TestFidelityCavitySweep:
     def test_cooperativity_argmax_near_design(self, design):
