@@ -32,6 +32,7 @@ from .device import (
 from .montecarlo import McConfig, NoDetectionError, simulate_rate
 from .params import ValidationError
 from .rate import (
+    ATTEMPT_SEARCH_CAP,
     InfeasibleConstraintError,
     RateResult,
     attempt_probabilities,
@@ -151,13 +152,15 @@ def _cmd_fidelity(cfg: RunConfig, out: Path, fmt: str) -> None:
 
 def _rate(cfg: RunConfig) -> RateResult:
     """The analytic rate of the configured run, the one n_max pipeline of
-    the rate and montecarlo commands; a search that ends at the attempt cap
-    is a failure."""
+    the rate and montecarlo commands; a constraint that still holds at the
+    attempt cap (2**53, about 157 dB of loss at the design point) is a
+    failure."""
     res = transfer_rate(cfg.pdr, cfg.polarizer, cfg.cavity, cfg.link,
                         cfg.timing, cfg.f_target, r_cav_h=cfg.r_cav_h,
                         false_herald_correction=cfg.false_herald_correction)
     if res.cap_reached:
-        raise NumericalFailure("attempt search cap reached")
+        raise NumericalFailure(
+            f"constraint still holds at the attempt cap {ATTEMPT_SEARCH_CAP}")
     return res
 
 

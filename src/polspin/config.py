@@ -3,7 +3,6 @@ validation, and the resolved-config echo used for provenance."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -20,6 +19,16 @@ from .params import (
     ValidationError,
 )
 from .sweep import DEFAULT_CONSTRAINTS
+
+# hashlib loads OpenSSL, several MB of resident memory, for one digest; the
+# interpreter's own sha256 module gives the same digest without it.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.11 and earlier
+    except ImportError:
+        from hashlib import sha256
 
 
 class ConfigError(ValueError):
@@ -96,12 +105,23 @@ class RunConfig:
 
     @property
     def config_hash(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.raw, sort_keys=True).encode()).hexdigest()[:16]
+        return sha256(json.dumps(self.raw, sort_keys=True).encode()).hexdigest()[:16]
 
     def echo_json(self) -> str:
         return json.dumps({"config": self.raw, "config_hash": self.config_hash},
                           indent=2, sort_keys=True)
+
+
+def _check_mc(mc: dict[str, Any]) -> None:
+    """The mc section holds the types McConfig and the sampler need, so a bad
+    value fails every command alike, not only those that simulate."""
+    for key, least in (("trials", 1), ("seed", 0), ("attempt_cap", 1)):
+        v = mc[key]
+        if isinstance(v, bool) or not isinstance(v, int) or v < least:
+            raise ConfigError(f"mc.{key} must be an integer >= {least}, got {v!r}")
+    if not isinstance(mc["harmonic_rate"], bool):
+        raise ConfigError(f"mc.harmonic_rate must be true or false, "
+                          f"got {mc['harmonic_rate']!r}")
 
 
 def _build(raw: dict[str, Any]) -> RunConfig:
@@ -117,6 +137,7 @@ def _build(raw: dict[str, Any]) -> RunConfig:
         for c in raw["constraints"]:
             if not 0 <= c <= 1:
                 raise ConfigError(f"constraint out of [0,1]: {c}")
+        _check_mc(raw["mc"])
     except (ValidationError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     re_im = raw["r_cav_h"]

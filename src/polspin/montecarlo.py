@@ -65,7 +65,9 @@ def simulate_trial(
     [p_lost, p_lost + p_e) unheralded error, remainder detected. The error
     flag reports whether any error preceded the detecting attempt within
     its own sequence (earlier sequences end in a reset and cannot matter).
-    Elapsed time charges a reset at the start of every sequence.
+    Elapsed time charges a reset at the start of every sequence. Raises
+    NoDetectionError once about attempt_cap attempts pass without a click,
+    within a sequence too (an unbounded constraint gives n_max = 2**53).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -77,7 +79,7 @@ def simulate_trial(
         sequences += 1
         done = 0
         error_in_seq = False
-        while done < n_max:
+        while done < n_max and attempts + done < attempt_cap:
             block = min(n_max - done, _DRAW_CHUNK)
             draws = rng.random(block)
             clicks = np.flatnonzero(draws >= err_edge)
@@ -97,7 +99,7 @@ def simulate_trial(
                 )
             error_in_seq = error_in_seq or bool(np.any(draws >= p_lost))
             done += block
-        attempts += n_max
+        attempts += done
     raise NoDetectionError(
         f"no detection within {attempt_cap} attempts (p_det = {probs.p_det})")
 

@@ -4,12 +4,21 @@ Per-attempt outcome probabilities for both polarizations, the unheralded
 error probability of an attempt sequence, the fidelity-constrained maximum
 sequence length, expected timing, the average transfer rate, regime
 classification, and the repeaterless bound.
+
+The error probability, the n_max search and the timing form one rate kernel
+written against a few numpy function names (exp, expm1, log1p, where, ...),
+so the same code runs on Python floats (transfer_rate, through _PyMath) and
+on numpy arrays (sweep.sweep_rate_vs_loss). It keeps its accuracy at any
+link loss: p_det and p_e are each an exact product of eta_link and a
+device-only fraction, and the error probability is a sum of positive terms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .device import transfer_fidelity
 from .params import (
@@ -22,8 +31,36 @@ from .params import (
     ValidationError,
 )
 
-ATTEMPT_SEARCH_CAP = 10**9
+# The largest n_max a float column holds exactly; a constraint that still
+# holds there is reported as cap_reached.
+ATTEMPT_SEARCH_CAP = 2**53
 DEFAULT_REGIME1_THRESHOLD = 3
+# The largest double below 1: log1p(-x) of a ratio clipped to it is finite.
+_BELOW_ONE = 1.0 - 2.0**-53
+# Newton steps of the n_max search before it only bisects, which bounds the
+# search at this many plus 53 steps.
+_NEWTON_STEPS = 16
+# Newton steps on the closed form of p_err that place the search's first
+# candidate.
+_GUESS_STEPS = 5
+
+
+class _PyMath:
+    """The numpy functions the rate kernel calls, for Python floats."""
+
+    exp = staticmethod(math.exp)
+    expm1 = staticmethod(math.expm1)
+    log1p = staticmethod(math.log1p)
+    sqrt = staticmethod(math.sqrt)
+    floor = staticmethod(math.floor)
+    minimum = staticmethod(min)
+    maximum = staticmethod(max)
+    max = staticmethod(float)
+    any = staticmethod(bool)
+
+    @staticmethod
+    def where(cond, a, b):
+        return a if cond else b
 
 
 class InfeasibleConstraintError(ValueError):
@@ -34,10 +71,12 @@ class InfeasibleConstraintError(ValueError):
 class AttemptProbabilities:
     """Partition of a single transmission attempt: detected, lost without
     touching the spin, or lost after the spin interaction (unheralded error).
-    p_e is defined as 1 - p_det - p_lost so the partition is exact."""
+    p_e defaults to 1 - p_det - p_lost; attempt_probabilities supplies it
+    exactly, since that difference cancels when p_lost is close to 1."""
 
     p_det: float
     p_lost: float
+    p_e: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("p_det", "p_lost"):
@@ -47,17 +86,20 @@ class AttemptProbabilities:
         if self.p_det + self.p_lost > 1 + 1e-12:
             raise ValidationError(
                 f"p_det + p_lost = {self.p_det + self.p_lost} exceeds 1")
-
-    @property
-    def p_e(self) -> float:
-        return max(0.0, 1.0 - self.p_det - self.p_lost)
+        if self.p_e is None:
+            object.__setattr__(self, "p_e", max(0.0, 1.0 - self.p_det - self.p_lost))
+        elif not (0 <= self.p_e <= 1
+                  and abs(self.p_det + self.p_lost + self.p_e - 1.0) <= 1e-12):
+            raise ValidationError(
+                f"p_e = {self.p_e} does not complete p_det = {self.p_det} "
+                f"and p_lost = {self.p_lost} to 1")
 
 
 @dataclass(frozen=True)
 class MaxAttempts:
     """Fidelity-constrained sequence length. unbounded means the constraint
-    never binds (no unheralded-error channel); cap_reached means the search
-    hit ATTEMPT_SEARCH_CAP before the constraint bound."""
+    never binds (the error probability's limit p_e / (p_det + p_e) meets
+    it); cap_reached means it still holds at ATTEMPT_SEARCH_CAP."""
 
     n: int
     unbounded: bool = False
@@ -77,6 +119,23 @@ class RateResult:
     cap_reached: bool = False
 
 
+def _detected_and_lost(pdr: PdrParams, polarizer: PolarizerParams,
+                       link: LinkParams, eta):
+    """p_det and p_lost at link transmissivity eta, a float or an array."""
+    ev, eh = polarizer.eta_pol_V, polarizer.eta_pol_H
+    T_V, R_V, T_H, R_H = pdr.T_V, pdr.R_V, pdr.T_H, pdr.R_H
+    p_det = (eta / 2.0) * (
+        T_V**2 * ev**2 * link.r_cav_V_avg + R_V
+        + T_H**2 * eh**2 * link.r_cav_H + R_H
+    ) * link.eta_det
+    p_lost = (1.0 - eta) + (eta / 2.0) * (
+        pdr.zeta_V + pdr.zeta_H
+        + T_V * (1.0 - ev) + T_H * (1.0 - eh)
+        + T_H * eh * (1.0 - link.r_cav_H - link.xi)
+    )
+    return p_det, p_lost
+
+
 def attempt_probabilities(
     pdr: PdrParams, polarizer: PolarizerParams, link: LinkParams
 ) -> AttemptProbabilities:
@@ -85,23 +144,18 @@ def attempt_probabilities(
     Detection requires either a polarizer-cavity round trip or a direct
     reflection off the reflector; loss-without-error collects link loss,
     reflector scattering, polarizer absorption, and H cavity leakage that
-    never reaches the spin.
+    never reaches the spin. The unheralded-error probability p_e is
+    eta_link times the device-only fraction 1 - p_det - p_lost at
+    eta_link = 1, an exact product at any link loss.
     """
-    ev, eh = polarizer.eta_pol_V, polarizer.eta_pol_H
-    T_V, R_V, T_H, R_H = pdr.T_V, pdr.R_V, pdr.T_H, pdr.R_H
-    p_det = (link.eta_link / 2.0) * (
-        T_V**2 * ev**2 * link.r_cav_V_avg + R_V
-        + T_H**2 * eh**2 * link.r_cav_H + R_H
-    ) * link.eta_det
-    p_lost = (1.0 - link.eta_link) + (link.eta_link / 2.0) * (
-        pdr.zeta_V + pdr.zeta_H
-        + T_V * (1.0 - ev) + T_H * (1.0 - eh)
-        + T_H * eh * (1.0 - link.r_cav_H - link.xi)
-    )
+    p_det, p_lost = _detected_and_lost(pdr, polarizer, link, link.eta_link)
     if not (0 <= p_det <= 1 and 0 <= p_lost <= 1 and p_det + p_lost <= 1 + 1e-12):
         raise ValidationError(
             f"inconsistent device parameters: p_det={p_det}, p_lost={p_lost}")
-    return AttemptProbabilities(p_det=p_det, p_lost=min(p_lost, 1.0 - p_det))
+    unit_det, unit_lost = _detected_and_lost(pdr, polarizer, link, 1.0)
+    return AttemptProbabilities(
+        p_det=p_det, p_lost=min(p_lost, 1.0 - p_det),
+        p_e=link.eta_link * max(0.0, 1.0 - unit_det - unit_lost))
 
 
 def explicit_error_probability(
@@ -109,8 +163,8 @@ def explicit_error_probability(
 ) -> float:
     """The long-form unheralded-error expression: V photons lost after the
     cavity interaction plus H photons leaking onto the spin. Diagnostic only;
-    the canonical p_e is 1 - p_det - p_lost and the two need not agree when
-    detector inefficiency is attributed differently."""
+    the canonical p_e is attempt_probabilities' and the two need not agree
+    when detector inefficiency is attributed differently."""
     ev, eh = polarizer.eta_pol_V, polarizer.eta_pol_H
     rv = link.r_cav_V_avg
     return (link.eta_link / 2.0) * (
@@ -119,14 +173,51 @@ def explicit_error_probability(
     )
 
 
+def _log_ratio(p_det, p_e, xp):
+    """log r, r = p_lost / (1 - p_det) the chance that a clickless attempt
+    is clean, from the error side so that r close to 1 keeps its digits."""
+    return xp.log1p(-xp.minimum(p_e / (1.0 - p_det), _BELOW_ONE))
+
+
 def error_probability_given_click(m: int, probs: AttemptProbabilities) -> float:
     """Probability that at least one unheralded error preceded a detector
-    click on the m-th attempt of a sequence."""
+    click on the m-th attempt of a sequence: 1 - r^(m-1)."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if probs.p_det >= 1.0:
         return 0.0
-    return 1.0 - (probs.p_lost / (1.0 - probs.p_det)) ** (m - 1)
+    return -math.expm1((m - 1) * _log_ratio(probs.p_det, probs.p_e, _PyMath))
+
+
+def _error_terms(n, p_det, p_e, xp):
+    """p_err(n), the unheralded-error probability of an n-attempt sequence,
+    and the increment p_err(n + 1) - p_err(n), from positive terms only.
+
+    p_err(n) = p_det S(n) with S(n) = sum_{k<n} (q^k - p_lost^k), q = 1 -
+    p_det. With r = p_lost / q and G(m) = sum_{k<m} p_lost^k, S follows the
+    binary digits of n from S(0) = 0:
+        S(2m) = S(m) (1 + q^m) + q^m (1 - r^m) G(m)
+        S(m + 1) = S(m) + q^m (1 - r^m)
+    where q^m, 1 - r^m and (1 - p_lost^m) = (p_det + p_e) G(m) each come
+    from exp or expm1 of m times a log1p, so no step subtracts. n holds
+    whole numbers up to ATTEMPT_SEARCH_CAP (ints, floats or a float array);
+    needs 0 < p_det + p_e and p_det < 1.
+    """
+    exp, expm1 = xp.exp, xp.expm1
+    lq, lr = xp.log1p(-p_det), _log_ratio(p_det, p_e, xp)
+    inv_s = 1.0 / (p_det + p_e)
+    top = math.frexp(xp.max(n))[1] - 1
+    m, total = n // 2.0**top, 0.0  # S(0) = S(1) = 0
+    for k in range(top - 1, -1, -1):
+        a, b = m * lq, m * lr
+        q_m, one_less_r_m = exp(a), -expm1(b)
+        step = q_m * one_less_r_m
+        half = n // 2.0**k
+        # S(2m), plus q^2m (1 - r^2m) = q_m^2 (1 - r^m)(1 + r^m) if the digit is 1
+        total = (total * (1.0 + q_m) - step * expm1(a + b) * inv_s
+                 + (half - 2.0 * m) * (step * q_m * (2.0 - one_less_r_m)))
+        m = half
+    return p_det * total, -p_det * exp(n * lq) * expm1(n * lr)
 
 
 def sequence_error_probability(n: int, probs: AttemptProbabilities) -> float:
@@ -134,15 +225,9 @@ def sequence_error_probability(n: int, probs: AttemptProbabilities) -> float:
     click positions weighted by the click-position distribution."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return 0.0  # a single attempt has no preceding bins
-    pd, pl = probs.p_det, probs.p_lost
-    if pl >= 1.0:  # then p_det = 0 and no click can carry an error
+    if probs.p_det == 0.0 or probs.p_e == 0.0:  # nothing clicks, or no error
         return 0.0
-    if pl == 0.0 and pd == 0.0:  # every attempt errors, but nothing clicks
-        return 0.0
-    val = 1.0 - (1.0 - pd) ** n - pd * (1.0 - pl**n) / (1.0 - pl)
-    return min(max(val, 0.0), 1.0)
+    return _error_terms(n, probs.p_det, probs.p_e, _PyMath)[0]
 
 
 def protocol_fidelity(n: int, probs: AttemptProbabilities, f0: float) -> float:
@@ -155,6 +240,75 @@ def protocol_fidelity(n: int, probs: AttemptProbabilities, f0: float) -> float:
     return (1.0 - p_err) * f0 + p_err * 0.5
 
 
+def _smooth_error(x, p_det, p_e, xp):
+    """The closed form p_err(x) = 1 - q^x - p_det (1 - p_lost^x) / (p_det +
+    p_e) at real x, and its slope. Its two terms cancel where x (p_det +
+    p_e) is small, so it only guides the search."""
+    lq = xp.log1p(-p_det)
+    ls = lq + _log_ratio(p_det, p_e, xp)
+    w = p_det / (p_det + p_e)
+    return (w * xp.expm1(x * ls) - xp.expm1(x * lq),
+            w * ls * xp.exp(x * ls) - lq * xp.exp(x * lq))
+
+
+def _unbounded(p_det, p_e, f0, f_target):
+    """Every sequence length meets f_target <= f0: p_err rises to its limit
+    p_e / (p_det + p_e), and that limit fits the error budget
+    (f0 - f_target) / (f0 - 1/2), or f0 <= 1/2."""
+    return p_e * (f0 - 0.5) <= (f0 - f_target) * (p_det + p_e)
+
+
+def _search(lo, p_det, p_e, f0, f_target, xp):
+    """Largest n in [lo, ATTEMPT_SEARCH_CAP] whose protocol fidelity meets
+    f_target, given that lo meets it; a result of ATTEMPT_SEARCH_CAP or
+    more means the cap meets it too.
+
+    The bracket [lo, hi) holds the answer; hi starts past the cap, at
+    ATTEMPT_SEARCH_CAP + 2 (a float holds it exactly). Each step evaluates
+    the exact p_err at a candidate c and, through the increment, at c + 1,
+    with the test protocol_fidelity makes, and so either ends the search (c
+    meets the target and c + 1 does not) or shrinks the bracket. The first
+    candidate solves p_err(n) = B, B = (f0 - f_target) / (f0 - 1/2), on the
+    closed form of p_err by _GUESS_STEPS Newton steps from the small-n root
+    sqrt(2 B / (p_det p_e)); it usually ends the search. Later candidates
+    are Newton steps on the exact p_err with the increment as slope. One
+    outside the bracket by more than a step, or any after _NEWTON_STEPS
+    steps, is replaced by the bracket's midpoint. Needs
+    0 < p_det < 1, p_e > 0 and f0 > 1/2 wherever lo is below the cap;
+    points with lo at the cap are done from the start.
+    """
+    hi = ATTEMPT_SEARCH_CAP + 2.0 + 0.0 * lo
+    budget = (f0 - f_target) / (f0 - 0.5)
+
+    def candidate(t, newton):
+        near = (lo - 1 < t) & (t < hi + 1) & newton
+        t = xp.floor(xp.where(near, t, lo + (hi - lo) // 2))
+        return xp.minimum(xp.maximum(t, lo), hi - 1)
+
+    x = xp.sqrt(2.0 * budget / p_det / p_e)
+    for _ in range(_GUESS_STEPS):
+        g, slope = _smooth_error(x, p_det, p_e, xp)
+        x = xp.minimum(xp.maximum(x - (g - budget) / xp.maximum(slope, 5e-324), 1.0),
+                       float(ATTEMPT_SEARCH_CAP))
+    c = candidate(x, True)
+    steps = 0
+    while True:
+        active = (hi - lo > 1) & (lo < ATTEMPT_SEARCH_CAP)
+        if not xp.any(active):
+            return lo
+        c = xp.where(active, c, 1.0)  # a finished point costs one digit
+        p, dp = _error_terms(c, p_det, p_e, xp)
+        meets = (1.0 - p) * f0 + p * 0.5 >= f_target
+        next_meets = (1.0 - (p + dp)) * f0 + (p + dp) * 0.5 >= f_target
+        # the bracket becomes [c + 1, hi), [c, c + 1) or [lo, c)
+        new_lo = xp.where(next_meets, c + 1, xp.where(meets, c, lo))
+        new_hi = xp.where(next_meets, hi, xp.where(meets, c + 1, c))
+        lo, hi = xp.where(active, new_lo, lo), xp.where(active, new_hi, hi)
+        steps += 1
+        c = candidate(c + (budget - p) / xp.maximum(dp, 5e-324),
+                      steps < _NEWTON_STEPS)
+
+
 def max_attempts(
     probs: AttemptProbabilities,
     f0: float,
@@ -162,31 +316,36 @@ def max_attempts(
 ) -> MaxAttempts:
     """Largest sequence length whose protocol fidelity still meets f_target.
 
-    Fidelity is non-increasing in n, so an exponential ramp followed by
-    binary search finds the boundary, up to ATTEMPT_SEARCH_CAP. With no
-    unheralded-error channel the constraint never binds and the result is
-    flagged unbounded.
+    The error probability rises monotonically with n toward p_e / (p_det +
+    p_e); when that limit meets the constraint it never binds and the result
+    is flagged unbounded. Otherwise the rate kernel's search finds the
+    boundary up to ATTEMPT_SEARCH_CAP.
     """
     if f_target > f0:
         raise InfeasibleConstraintError(
             f"f_target = {f_target} exceeds single-attempt fidelity f0 = {f0}")
-    if probs.p_e == 0.0:
+    pd, pe = probs.p_det, probs.p_e
+    if _unbounded(pd, pe, f0, f_target):
         return MaxAttempts(n=ATTEMPT_SEARCH_CAP, unbounded=True)
-    hi = 1
-    while hi < ATTEMPT_SEARCH_CAP and protocol_fidelity(hi, probs, f0) >= f_target:
-        hi *= 2
-    if hi >= ATTEMPT_SEARCH_CAP:
-        if protocol_fidelity(ATTEMPT_SEARCH_CAP, probs, f0) >= f_target:
-            return MaxAttempts(n=ATTEMPT_SEARCH_CAP, cap_reached=True)
-        hi = ATTEMPT_SEARCH_CAP
-    lo = max(1, hi // 2)  # fidelity(lo) >= f_target by construction
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if protocol_fidelity(mid, probs, f0) >= f_target:
-            lo = mid
-        else:
-            hi = mid
-    return MaxAttempts(n=lo)
+    if pd == 0.0:  # nothing clicks, so no sequence carries an error
+        return MaxAttempts(n=ATTEMPT_SEARCH_CAP, cap_reached=True)
+    n = int(_search(1, pd, pe, f0, f_target, _PyMath))
+    if n >= ATTEMPT_SEARCH_CAP:
+        return MaxAttempts(n=ATTEMPT_SEARCH_CAP, cap_reached=True)
+    return MaxAttempts(n=n)
+
+
+def _sequence_timing(n, p_det, timing: ProtocolTiming, xp):
+    """Click probability of an n-attempt sequence, the mean time spent on
+    clickless sequences (each a full sequence plus a reset) before the
+    first clicking one, and the clicking sequence's click-time term summed
+    over the unconditional click-position distribution. Needs
+    0 < p_det < 1."""
+    a = n * xp.log1p(-p_det)
+    p_succ, q_n = -xp.expm1(a), xp.exp(a)
+    t_fail = (q_n / p_succ) * (n * timing.tau_slot + timing.tau_reset)
+    click = timing.tau_slot * (p_succ / p_det - n * q_n)
+    return p_succ, t_fail, click
 
 
 def success_probability(n_max: int, probs: AttemptProbabilities) -> float:
@@ -203,11 +362,11 @@ def expected_failure_time(
 ) -> float:
     """Mean time spent on clickless sequences (each costs a full sequence
     plus a reset) before the first successful sequence."""
-    p_succ = success_probability(n_max, probs)
-    if p_succ == 0.0:
+    if probs.p_det <= 0.0:
         return math.inf
-    q_n = (1.0 - probs.p_det) ** n_max
-    return (q_n / p_succ) * (n_max * timing.tau_slot + timing.tau_reset)
+    if probs.p_det >= 1.0:
+        return 0.0
+    return _sequence_timing(n_max, probs.p_det, timing, _PyMath)[1]
 
 
 def expected_success_time(
@@ -226,34 +385,41 @@ def expected_success_time(
     pd = probs.p_det
     if pd == 0.0:
         return math.inf
-    p_succ = success_probability(n_max, probs)
-    q_n = (1.0 - pd) ** n_max
-    click_term = timing.tau_slot * (p_succ / pd - n_max * q_n)
+    if pd >= 1.0:  # the first attempt clicks
+        return timing.tau_reset + timing.tau_slot
+    p_succ, _, click_term = _sequence_timing(n_max, pd, timing, _PyMath)
     if conditional:
         click_term /= p_succ
     return timing.tau_reset + click_term
 
 
+def _plob(eta, tau_slot, xp):
+    return -xp.log1p(-eta) / (math.log(2.0) * tau_slot)
+
+
 def repeaterless_bound(eta_link: float, timing: ProtocolTiming) -> float:
     """Secret-key capacity of direct transmission per slot time:
     -log2(1 - eta_link) / tau_slot, approximately 1.44 eta_link / tau_slot
-    at high loss."""
+    at high loss (Pirandola, Laurenza, Ottaviani and Banchi, Nat. Commun.
+    8, 15043, 2017). Computed through log1p, so it keeps its digits at any
+    loss."""
     if not 0 <= eta_link <= 1:
         raise ValidationError(f"eta_link out of [0,1]: {eta_link}")
     if eta_link == 1.0:
         return math.inf  # lossless link: the bound diverges
-    return -math.log2(1.0 - eta_link) / timing.tau_slot
+    return _plob(eta_link, timing.tau_slot, _PyMath)
+
+
+def _regime(n, timing: ProtocolTiming, xp):
+    return xp.where(n * timing.tau_slot > timing.tau_reset, 3,
+                    xp.where(n <= DEFAULT_REGIME1_THRESHOLD, 1, 2))
 
 
 def classify_regime(n_max: int, timing: ProtocolTiming) -> int:
     """Regime 3 when attempts dominate the sequence (n_max*tau_slot >
     tau_reset), Regime 1 when the fidelity constraint pins n_max at or below
     DEFAULT_REGIME1_THRESHOLD, Regime 2 in between."""
-    if n_max * timing.tau_slot > timing.tau_reset:
-        return 3
-    if n_max <= DEFAULT_REGIME1_THRESHOLD:
-        return 1
-    return 2
+    return _regime(n_max, timing, _PyMath)
 
 
 def transfer_rate(
@@ -303,3 +469,57 @@ def transfer_rate(
         unbounded=nm.unbounded,
         cap_reached=nm.cap_reached,
     )
+
+
+@dataclass(frozen=True)
+class RateCurves:
+    """transfer_rate's n_max, rate and regime on a grid of constraints (rows)
+    and link transmissivities (columns), NaN where the constraint exceeds f0
+    (infeasible) or still holds at ATTEMPT_SEARCH_CAP (cap_reached), and the
+    repeaterless bound per transmissivity."""
+
+    n_max: np.ndarray
+    rate: np.ndarray
+    regime: np.ndarray
+    bound: np.ndarray
+    infeasible: np.ndarray
+    cap_reached: np.ndarray
+
+
+def rate_curves(
+    pdr: PdrParams,
+    polarizer: PolarizerParams,
+    link: LinkParams,
+    timing: ProtocolTiming,
+    eta: np.ndarray,
+    f0: float,
+    f_targets: tuple[float, ...],
+) -> RateCurves:
+    """The rate kernel on numpy arrays: every constraint at every link
+    transmissivity in eta in one search, with the partition, the error
+    probability, the search and the timing of transfer_rate, so each cell
+    matches a transfer_rate call at that eta_link (link.eta_link is not
+    read). The device is checked once, at eta_link = 1, where its losses are
+    largest. An unbounded cell has n_max = ATTEMPT_SEARCH_CAP, as in
+    transfer_rate."""
+    unit = attempt_probabilities(pdr, polarizer, replace(link, eta_link=1.0))
+    p_det = _detected_and_lost(pdr, polarizer, link, eta)[0]
+    p_e = eta * unit.p_e
+    target = np.asarray(f_targets, dtype=float).reshape(-1, 1)
+    infeasible = np.broadcast_to(target > f0, (target.size, eta.size))
+    cap = float(ATTEMPT_SEARCH_CAP)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        unbounded = _unbounded(p_det, p_e, f0, target)
+        n = _search(np.where(infeasible | unbounded | (p_det == 0.0), cap, 1.0),
+                    p_det, p_e, f0, target, np)
+        n = np.where(unbounded, cap, np.minimum(n, cap))
+        cap_reached = ~infeasible & ~unbounded & (n == cap)
+        p_succ, t_fail, click = _sequence_timing(n, p_det, timing, np)
+        rate = 1.0 / (t_fail + (timing.tau_reset + click / p_succ))
+        bound = _plob(eta, timing.tau_slot, np)
+    nan = infeasible | cap_reached
+    return RateCurves(
+        n_max=np.where(nan, np.nan, n),
+        rate=np.where(nan, np.nan, rate),
+        regime=np.where(nan, np.nan, _regime(n, timing, np)),
+        bound=bound, infeasible=infeasible, cap_reached=cap_reached)

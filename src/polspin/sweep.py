@@ -32,13 +32,7 @@ from .params import (
     ProtocolTiming,
     ValidationError,
 )
-from .rate import (
-    InfeasibleConstraintError,
-    attempt_probabilities,
-    max_attempts,
-    repeaterless_bound,
-    transfer_rate,
-)
+from .rate import attempt_probabilities, rate_curves
 
 DEFAULT_CONSTRAINTS = (0.95, 0.97, 0.98, 0.99)
 
@@ -270,49 +264,57 @@ def sweep_rate_vs_loss(
 ) -> dict[float, SweepResult]:
     """Analytic rate (and optional Monte Carlo estimate) versus link loss in
     dB, one result per fidelity constraint, each carrying the repeaterless
-    bound, n_max, and regime columns. Infeasible cells are tagged NaN."""
+    bound, n_max, and regime columns.
+
+    Every constraint's whole loss axis goes through rate.rate_curves in one
+    call, which computes each cell as transfer_rate does. A cell is NaN where
+    the constraint exceeds the device fidelity f0 ("infeasible_target") or
+    still holds at rate.ATTEMPT_SEARCH_CAP attempts ("attempt_cap"), counted
+    per reason in metadata["nan_reasons"]; an unbounded cell keeps n_max =
+    ATTEMPT_SEARCH_CAP, as transfer_rate reports it. The Monte Carlo columns
+    run one simulate_rate per cell with a finite n_max.
+    """
     loss_db = loss_axis.values()
+    eta = 10.0 ** (-loss_db / 10.0)
     f0 = transfer_fidelity(pdr, polarizer, cavity, r_cav_h=r_cav_h).f_avg
+    curves = rate_curves(pdr, polarizer, dataclasses.replace(link_template, xi=None),
+                         timing, eta, f0, constraints)
     results: dict[float, SweepResult] = {}
-    for f_target in constraints:
-        rate_col = np.full(loss_db.size, np.nan)
-        bound_col = np.full(loss_db.size, np.nan)
-        nmax_col = np.full(loss_db.size, np.nan)
-        regime_col = np.full(loss_db.size, np.nan)
-        mc_rate_col = np.full(loss_db.size, np.nan)
-        mc_se_col = np.full(loss_db.size, np.nan)
-        for i, db in enumerate(loss_db):
-            eta = 10.0 ** (-db / 10.0)
-            link = dataclasses.replace(link_template, eta_link=eta, xi=None)
-            bound_col[i] = repeaterless_bound(eta, timing)
-            try:
-                res = transfer_rate(pdr, polarizer, cavity, link, timing,
-                                    f_target, f0=f0, r_cav_h=r_cav_h)
-            except InfeasibleConstraintError:
-                continue
-            rate_col[i] = res.rate
-            nmax_col[i] = res.n_max
-            regime_col[i] = res.regime
-            if mc is not None:
-                probs = attempt_probabilities(pdr, polarizer, link)
-                est = simulate_rate(probs, res.n_max, timing,
-                                    dataclasses.replace(mc, seed=mc.seed + i))
-                mc_rate_col[i] = est.mean_rate
-                mc_se_col[i] = est.std_error
-        columns = {"bound": bound_col, "n_max": nmax_col, "regime": regime_col}
+    for i, f_target in enumerate(constraints):
+        columns = {"bound": curves.bound, "n_max": curves.n_max[i],
+                   "regime": curves.regime[i]}
         if mc is not None:
-            columns["mc_rate"] = mc_rate_col
-            columns["mc_std_error"] = mc_se_col
+            columns["mc_rate"], columns["mc_std_error"] = _mc_columns(
+                mc, curves.n_max[i], eta, pdr, polarizer, link_template, timing)
+        reasons = {"infeasible_target": int(np.count_nonzero(curves.infeasible[i])),
+                   "attempt_cap": int(np.count_nonzero(curves.cap_reached[i]))}
         results[f_target] = SweepResult(
             axes=[(loss_axis.path, loss_db)],
-            values=rate_col,
+            values=curves.rate[i],
             quantity="rate",
             metadata=_jsonable(dict(
                 pdr=pdr, polarizer=polarizer, cavity=cavity, link=link_template,
-                timing=timing, f_target=f_target, f0=f0, mc=mc, r_cav_h=r_cav_h)),
+                timing=timing, f_target=f_target, f0=f0, mc=mc, r_cav_h=r_cav_h,
+                nan_reasons=reasons)),
             columns=columns,
         )
     return results
+
+
+def _mc_columns(mc: McConfig, n_max: np.ndarray, eta: np.ndarray, pdr: PdrParams,
+                polarizer: PolarizerParams, link_template: LinkParams,
+                timing: ProtocolTiming) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo rate and standard error at each loss point with a finite
+    n_max, one seed per point (mc.seed + index); NaN elsewhere."""
+    mc_rate = np.full(eta.size, np.nan)
+    mc_se = np.full(eta.size, np.nan)
+    for i in np.flatnonzero(np.isfinite(n_max)):
+        link = dataclasses.replace(link_template, eta_link=float(eta[i]), xi=None)
+        est = simulate_rate(attempt_probabilities(pdr, polarizer, link), int(n_max[i]),
+                            timing, dataclasses.replace(mc, seed=mc.seed + int(i)))
+        mc_rate[i] = est.mean_rate
+        mc_se[i] = est.std_error
+    return mc_rate, mc_se
 
 
 def default_pdr_axes() -> tuple[SweepAxis, SweepAxis]:

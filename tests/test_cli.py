@@ -239,6 +239,35 @@ class TestMain:
         assert code == 2
         assert json.loads(cap.err)["error"] == "validation"
 
+    @pytest.mark.parametrize("command", ["fidelity", "rate", "montecarlo", "diagnose"])
+    @pytest.mark.parametrize("setting", [
+        'mc.trials="x"', "mc.trials=0", "mc.trials=true", "mc.trials=2.5",
+        'mc.seed="x"', "mc.seed=-1", 'mc.attempt_cap="x"', "mc.attempt_cap=0",
+        "mc.harmonic_rate=1",
+    ])
+    def test_bad_mc_setting_exit_code(self, tmp_path, capsys, command, setting):
+        # every command checks the mc section, not only those that simulate
+        code, cap, _ = run_cli(["--command", command, "--set", setting],
+                               tmp_path, capsys)
+        assert code == 2
+        assert json.loads(cap.err)["error"] == "validation"
+
+    def test_rate_at_90_db(self, tmp_path, capsys):
+        # n_max from the 60-digit oracle (see test_rate.ORACLE_N_MAX_AND_RATE)
+        code, _, out = run_cli(["--command", "rate", "--set", "link.eta_link=1e-9"],
+                               tmp_path, capsys)
+        assert code == 0
+        with out.open() as fh:
+            row = next(csv.DictReader(fh))
+        assert int(row["n_max"]) == 1908407501
+        assert row["cap_reached"] == "False"
+
+    def test_rate_past_the_attempt_cap_exit_code(self, tmp_path, capsys):
+        code, cap, _ = run_cli(["--command", "rate", "--set", "link.eta_link=1e-17"],
+                               tmp_path, capsys)
+        assert code == 5
+        assert json.loads(cap.err)["error"] == "numerical"
+
     def test_infeasible_exit_code(self, tmp_path, capsys):
         code, cap, _ = run_cli(
             ["--command", "rate", "--set", "f_target=0.99999"],

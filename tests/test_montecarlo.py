@@ -32,6 +32,13 @@ class TestSimulateTrial:
         with pytest.raises(NoDetectionError):
             ps.simulate_trial(probs_of(0.0, 1.0), 10, TIMING, rng, attempt_cap=1000)
 
+    def test_attempt_cap_binds_inside_a_sequence(self):
+        # an unbounded constraint gives n_max = 2**53: the cap must still end
+        # a sequence that never clicks
+        rng = np.random.default_rng(0)
+        with pytest.raises(NoDetectionError):
+            ps.simulate_trial(probs_of(0.0, 1.0), 2**53, TIMING, rng, attempt_cap=1000)
+
     def test_elapsed_reconstructible_from_counts(self):
         rng = np.random.default_rng(7)
         probs = probs_of(0.05, 0.9)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import polspin as ps
 from polspin.rate import (
+    ATTEMPT_SEARCH_CAP,
     explicit_error_probability,
     success_probability,
 )
@@ -27,6 +28,23 @@ ORACLE_P_E_EXPLICIT = 0.00032148811738000007
 
 # frozen independent value of the device fidelity (see test_device oracle)
 F0_DESIGN = 0.999845005849864
+
+# 60-digit values from the mpmath oracle in benchmarks/oracle.py (design
+# point, eta_link = 10^(-dB/10)), written out since mpmath is not a
+# dependency. P_ERR maps (dB, n) to p_err(n); N_MAX_AND_RATE maps dB to the
+# exact n_max and the rate there at F >= 0.95 with the program's f0.
+ORACLE_P_E_120DB = 3.8425290773668318385e-13
+ORACLE_PLOB_120DB = 8.3820581875690686876e-6
+ORACLE_P_ERR = {
+    (60, 2): 9.2106225942746184784e-14,
+    (90, 1000): 4.6007046640119039495e-14,
+    (120, 10**12): 0.034816150279695674167,
+}
+ORACLE_N_MAX_AND_RATE = {
+    60: (1908407, 1.3925106745401693347),
+    90: (1908407501, 0.0013926689975503602007),
+    120: (1908407501620, 1.3926691558913711365e-6),
+}
 
 
 def probs_of(p_det, p_lost):
@@ -292,6 +310,61 @@ class TestTransferRate:
                 ps.design_pdr(), ps.design_polarizer(), ps.design_cavity(),
                 link, ps.design_timing(), f_target=0.95).rate)
         assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+
+def design_probs(db):
+    return ps.attempt_probabilities(ps.design_pdr(), ps.design_polarizer(),
+                                    ps.design_link(10 ** (-db / 10)))
+
+
+class TestLossExactKernel:
+    """The rate kernel keeps its digits at any link loss: p_e is an exact
+    product, p_err a sum of positive terms, and the n_max search has no cap
+    below 2**53."""
+
+    def test_error_channel_is_exact_at_high_loss(self):
+        assert design_probs(120).p_e == pytest.approx(ORACLE_P_E_120DB, rel=1e-14)
+
+    def test_explicit_p_e_is_checked(self):
+        probs = ps.AttemptProbabilities(p_det=0.1, p_lost=0.5, p_e=0.4)
+        assert probs.p_e == 0.4
+        with pytest.raises(ps.ValidationError):
+            ps.AttemptProbabilities(p_det=0.1, p_lost=0.5, p_e=0.3)
+
+    @pytest.mark.parametrize("db,n", sorted(ORACLE_P_ERR))
+    def test_sequence_error_matches_oracle(self, db, n):
+        assert ps.sequence_error_probability(n, design_probs(db)) \
+            == pytest.approx(ORACLE_P_ERR[db, n], rel=1e-14)
+
+    @pytest.mark.parametrize("db", sorted(ORACLE_N_MAX_AND_RATE))
+    def test_transfer_rate_matches_oracle(self, db):
+        n_max, rate = ORACLE_N_MAX_AND_RATE[db]
+        res = ps.transfer_rate(ps.design_pdr(), ps.design_polarizer(),
+                               ps.design_cavity(), ps.design_link(10 ** (-db / 10)),
+                               ps.design_timing(), f_target=0.95)
+        assert (res.n_max, res.cap_reached, res.unbounded) == (n_max, False, False)
+        assert res.rate == pytest.approx(rate, rel=1e-12)
+
+    def test_bound_keeps_its_digits(self):
+        assert ps.repeaterless_bound(1e-12, ps.design_timing()) \
+            == pytest.approx(ORACLE_PLOB_120DB, rel=1e-14)
+
+    def test_cap_reached_past_2_to_the_53(self):
+        # 170 dB needs about 1.9e17 attempts at F >= 0.95
+        res = ps.max_attempts(design_probs(170), F0_DESIGN, 0.95)
+        assert res == ps.MaxAttempts(n=ATTEMPT_SEARCH_CAP, cap_reached=True)
+        assert ATTEMPT_SEARCH_CAP == 2**53
+
+    def test_unbounded_exactly_when_the_limit_fits(self):
+        # p_err rises to p_e / (p_det + p_e) = 0.5; with f0 = 0.9 the budget
+        # (0.9 - F) / 0.4 holds it for every F <= 0.7
+        probs = probs_of(0.1, 0.8)
+        assert ps.max_attempts(probs, 0.9, 0.7) \
+            == ps.MaxAttempts(n=ATTEMPT_SEARCH_CAP, unbounded=True)
+        bounded = ps.max_attempts(probs, 0.9, 0.71)
+        assert not bounded.unbounded and not bounded.cap_reached
+        assert ps.protocol_fidelity(bounded.n, probs, 0.9) >= 0.71
+        assert ps.protocol_fidelity(bounded.n + 1, probs, 0.9) < 0.71
 
 
 class TestRepeaterlessBound:

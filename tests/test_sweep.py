@@ -356,6 +356,73 @@ class TestRateVsLoss:
         rel = np.abs(res.columns["mc_rate"] - res.values) / res.values
         assert np.all(rel <= 0.05)
 
+    def test_infeasible_cells_are_counted(self, design):
+        out = ps.sweep_rate_vs_loss(
+            SweepAxis("loss_db", 0.0, 10.0, 3, spacing="db"),
+            design["pdr"], design["polarizer"], design["cavity"],
+            ps.design_link(1.0), design["timing"], constraints=(0.95, 0.99999))
+        assert out[0.99999].metadata["nan_reasons"] == {
+            "infeasible_target": 3, "attempt_cap": 0}
+        assert out[0.95].metadata["nan_reasons"] == {
+            "infeasible_target": 0, "attempt_cap": 0}
+
+    def test_cells_past_the_cap_are_nan_and_counted(self, design):
+        # 2**53 attempts hold F >= 0.95 to about 157 dB and F >= 0.99 to
+        # about 161 dB; 170 dB is past the cap for both
+        out = ps.sweep_rate_vs_loss(
+            SweepAxis("loss_db", 150.0, 170.0, 3, spacing="db"),
+            design["pdr"], design["polarizer"], design["cavity"],
+            ps.design_link(1.0), design["timing"], constraints=(0.95, 0.99))
+        for f_target, capped in ((0.95, [False, True, True]),
+                                 (0.99, [False, False, True])):
+            res = out[f_target]
+            for col in (res.values, res.columns["n_max"], res.columns["regime"]):
+                assert np.isnan(col).tolist() == capped
+            assert res.metadata["nan_reasons"] == {
+                "infeasible_target": 0, "attempt_cap": sum(capped)}
+            assert np.isfinite(res.columns["bound"]).all()
+            for db, cap in zip(res.axes[0][1], capped):
+                scalar = ps.transfer_rate(
+                    design["pdr"], design["polarizer"], design["cavity"],
+                    ps.design_link(10 ** (-db / 10)), design["timing"], f_target)
+                assert scalar.cap_reached == cap
+
+    def test_unbounded_cells_keep_the_cap(self, design):
+        # F <= 1/2 never binds: every sequence length meets it
+        res = ps.sweep_rate_vs_loss(
+            SweepAxis("loss_db", 0.0, 60.0, 4, spacing="db"),
+            design["pdr"], design["polarizer"], design["cavity"],
+            ps.design_link(1.0), design["timing"], constraints=(0.5,))[0.5]
+        assert (res.columns["n_max"] == 2.0**53).all()
+        assert np.isfinite(res.values).all()
+        scalar = ps.transfer_rate(design["pdr"], design["polarizer"], design["cavity"],
+                                  ps.design_link(1e-2), design["timing"], 0.5)
+        assert scalar.unbounded and scalar.rate == res.values[1]
+
+    def test_columns_equal_per_point_transfer_rate(self, design):
+        """One rate kernel serves both paths. numpy's exp and log differ from
+        the C library's in the last bit now and then; above 120 dB, where
+        the double-precision fidelity test no longer separates n from n + 1
+        at n near 10**14 and up, n_max may differ in the 15th digit."""
+        out = ps.sweep_rate_vs_loss(
+            SweepAxis("loss_db", 0.0, 150.0, 301, spacing="db"),
+            design["pdr"], design["polarizer"], design["cavity"],
+            ps.design_link(1.0), design["timing"])
+        for f_target, res in out.items():
+            for i, db in enumerate(res.axes[0][1]):
+                eta = float(10.0 ** (-db / 10.0))  # as the sweep computes it
+                scalar = ps.transfer_rate(
+                    design["pdr"], design["polarizer"], design["cavity"],
+                    ps.design_link(eta), design["timing"], f_target)
+                if db <= 120:
+                    assert res.columns["n_max"][i] == scalar.n_max
+                else:
+                    assert res.columns["n_max"][i] == pytest.approx(scalar.n_max, rel=1e-14)
+                assert res.values[i] == pytest.approx(scalar.rate, rel=1e-13)
+                assert res.columns["regime"][i] == scalar.regime
+                assert res.columns["bound"][i] == pytest.approx(
+                    ps.repeaterless_bound(eta, design["timing"]), rel=1e-15)
+
     def test_default_loss_axis_grid(self):
         ax = default_loss_axis()
         vals = ax.values()
