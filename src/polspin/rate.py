@@ -16,6 +16,7 @@ device-only fraction, and the error probability is a sum of positive terms.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -50,13 +51,17 @@ class _PyMath:
 
     exp = staticmethod(math.exp)
     expm1 = staticmethod(math.expm1)
-    log1p = staticmethod(math.log1p)
     sqrt = staticmethod(math.sqrt)
     floor = staticmethod(math.floor)
     minimum = staticmethod(min)
     maximum = staticmethod(max)
     max = staticmethod(float)
-    any = staticmethod(bool)
+    logical_not = staticmethod(operator.not_)
+
+    @staticmethod
+    def log1p(x):
+        # numpy's -inf at -1 (p_det = 1), where math.log1p raises
+        return -math.inf if x == -1.0 else math.log1p(x)
 
     @staticmethod
     def where(cond, a, b):
@@ -275,7 +280,9 @@ def _search(lo, p_det, p_e, f0, f_target, xp):
     outside the bracket by more than a step, or any after _NEWTON_STEPS
     steps, is replaced by the bracket's midpoint. Needs
     0 < p_det < 1, p_e > 0 and f0 > 1/2 wherever lo is below the cap;
-    points with lo at the cap are done from the start.
+    points with lo at the cap are done from the start. On numpy, lo,
+    p_det, p_e and f_target are flat arrays of one size, f0 is a float,
+    and each step walks only the points still searching.
     """
     hi = ATTEMPT_SEARCH_CAP + 2.0 + 0.0 * lo
     budget = (f0 - f_target) / (f0 - 0.5)
@@ -285,28 +292,50 @@ def _search(lo, p_det, p_e, f0, f_target, xp):
         t = xp.floor(xp.where(near, t, lo + (hi - lo) // 2))
         return xp.minimum(xp.maximum(t, lo), hi - 1)
 
-    x = xp.sqrt(2.0 * budget / p_det / p_e)
-    for _ in range(_GUESS_STEPS):
-        g, slope = _smooth_error(x, p_det, p_e, xp)
-        x = xp.minimum(xp.maximum(x - (g - budget) / xp.maximum(slope, 5e-324), 1.0),
-                       float(ATTEMPT_SEARCH_CAP))
-    c = candidate(x, True)
-    steps = 0
+    if isinstance(lo, np.ndarray):
+        found, at = np.empty_like(lo), np.arange(lo.size)
+    c, steps = 0.0 * lo, 0
     while True:
         active = (hi - lo > 1) & (lo < ATTEMPT_SEARCH_CAP)
-        if not xp.any(active):
+        if isinstance(active, np.ndarray):  # set the finished points aside
+            found[at] = lo
+            at, lo, hi, c, p_det, p_e, f_target, budget = (
+                a[active] for a in (at, lo, hi, c, p_det, p_e, f_target, budget))
+            if at.size == 0:
+                return found
+        elif not active:
             return lo
-        c = xp.where(active, c, 1.0)  # a finished point costs one digit
+        if steps == 0:
+            x = xp.sqrt(2.0 * budget / p_det / p_e)
+            for _ in range(_GUESS_STEPS):
+                g, slope = _smooth_error(x, p_det, p_e, xp)
+                x = xp.minimum(
+                    xp.maximum(x - (g - budget) / xp.maximum(slope, 5e-324), 1.0),
+                    float(ATTEMPT_SEARCH_CAP))
+            c = candidate(x, True)
         p, dp = _error_terms(c, p_det, p_e, xp)
         meets = (1.0 - p) * f0 + p * 0.5 >= f_target
         next_meets = (1.0 - (p + dp)) * f0 + (p + dp) * 0.5 >= f_target
         # the bracket becomes [c + 1, hi), [c, c + 1) or [lo, c)
-        new_lo = xp.where(next_meets, c + 1, xp.where(meets, c, lo))
-        new_hi = xp.where(next_meets, hi, xp.where(meets, c + 1, c))
-        lo, hi = xp.where(active, new_lo, lo), xp.where(active, new_hi, hi)
+        lo, hi = (xp.where(next_meets, c + 1, xp.where(meets, c, lo)),
+                  xp.where(next_meets, hi, xp.where(meets, c + 1, c)))
         steps += 1
         c = candidate(c + (budget - p) / xp.maximum(dp, 5e-324),
                       steps < _NEWTON_STEPS)
+
+
+def _attempt_limit(p_det, p_e, f0, f_target, xp):
+    """max_attempts' decision, point by point: n_max, unbounded (n_max =
+    ATTEMPT_SEARCH_CAP) and cap_reached. A point whose f_target exceeds f0
+    is not searched and carries n_max = ATTEMPT_SEARCH_CAP with neither
+    flag; max_attempts refuses such a target before it gets here."""
+    infeasible = f_target > f0
+    unbounded = _unbounded(p_det, p_e, f0, f_target)
+    # with p_det = 0 nothing clicks, so no sequence carries an error
+    skip = unbounded | infeasible | (p_det == 0.0)
+    cap = float(ATTEMPT_SEARCH_CAP)
+    n = xp.minimum(_search(xp.where(skip, cap, 1.0), p_det, p_e, f0, f_target, xp), cap)
+    return n, unbounded, (n == cap) & xp.logical_not(unbounded | infeasible)
 
 
 def max_attempts(
@@ -324,37 +353,40 @@ def max_attempts(
     if f_target > f0:
         raise InfeasibleConstraintError(
             f"f_target = {f_target} exceeds single-attempt fidelity f0 = {f0}")
-    pd, pe = probs.p_det, probs.p_e
-    if _unbounded(pd, pe, f0, f_target):
-        return MaxAttempts(n=ATTEMPT_SEARCH_CAP, unbounded=True)
-    if pd == 0.0:  # nothing clicks, so no sequence carries an error
-        return MaxAttempts(n=ATTEMPT_SEARCH_CAP, cap_reached=True)
-    n = int(_search(1, pd, pe, f0, f_target, _PyMath))
-    if n >= ATTEMPT_SEARCH_CAP:
-        return MaxAttempts(n=ATTEMPT_SEARCH_CAP, cap_reached=True)
-    return MaxAttempts(n=n)
+    n, unbounded, cap_reached = _attempt_limit(probs.p_det, probs.p_e, f0, f_target,
+                                               _PyMath)
+    return MaxAttempts(n=int(n), unbounded=unbounded, cap_reached=cap_reached)
+
+
+def _clicks(n, p_det, xp):
+    """Click probability of an n-attempt sequence and its complement q^n."""
+    a = n * xp.log1p(-p_det)
+    return -xp.expm1(a), xp.exp(a)
 
 
 def _sequence_timing(n, p_det, timing: ProtocolTiming, xp):
     """Click probability of an n-attempt sequence, the mean time spent on
     clickless sequences (each a full sequence plus a reset) before the
     first clicking one, and the clicking sequence's click-time term summed
-    over the unconditional click-position distribution. Needs
-    0 < p_det < 1."""
-    a = n * xp.log1p(-p_det)
-    p_succ, q_n = -xp.expm1(a), xp.exp(a)
+    over the unconditional click-position distribution. Needs p_det > 0."""
+    p_succ, q_n = _clicks(n, p_det, xp)
     t_fail = (q_n / p_succ) * (n * timing.tau_slot + timing.tau_reset)
     click = timing.tau_slot * (p_succ / p_det - n * q_n)
     return p_succ, t_fail, click
 
 
+def _rate_terms(n, p_det, timing: ProtocolTiming, xp):
+    """transfer_rate's p_success, t_failures, t_success (the conditional
+    duration of the successful sequence) and rate at sequence length n.
+    Needs p_det > 0."""
+    p_succ, t_fail, click = _sequence_timing(n, p_det, timing, xp)
+    t_succ = timing.tau_reset + click / p_succ
+    return p_succ, t_fail, t_succ, 1.0 / (t_fail + t_succ)
+
+
 def success_probability(n_max: int, probs: AttemptProbabilities) -> float:
     """Probability that an n_max-attempt sequence yields at least one click."""
-    if probs.p_det <= 0.0:
-        return 0.0
-    if probs.p_det >= 1.0:
-        return 1.0
-    return -math.expm1(n_max * math.log1p(-probs.p_det))
+    return _clicks(n_max, probs.p_det, _PyMath)[0] if probs.p_det > 0.0 else 0.0
 
 
 def expected_failure_time(
@@ -364,8 +396,6 @@ def expected_failure_time(
     plus a reset) before the first successful sequence."""
     if probs.p_det <= 0.0:
         return math.inf
-    if probs.p_det >= 1.0:
-        return 0.0
     return _sequence_timing(n_max, probs.p_det, timing, _PyMath)[1]
 
 
@@ -382,12 +412,9 @@ def expected_success_time(
     that term by the sequence success probability, giving the true expected
     duration of the successful sequence.
     """
-    pd = probs.p_det
-    if pd == 0.0:
+    if probs.p_det == 0.0:
         return math.inf
-    if pd >= 1.0:  # the first attempt clicks
-        return timing.tau_reset + timing.tau_slot
-    p_succ, _, click_term = _sequence_timing(n_max, pd, timing, _PyMath)
+    p_succ, _, click_term = _sequence_timing(n_max, probs.p_det, timing, _PyMath)
     if conditional:
         click_term /= p_succ
     return timing.tau_reset + click_term
@@ -452,15 +479,13 @@ def transfer_rate(
         f0 = (1.0 - p_false) * f0 + p_false * 0.5
     probs = attempt_probabilities(pdr, polarizer, link)
     nm = max_attempts(probs, f0, f_target)
-    p_error = sequence_error_probability(nm.n, probs)
-    p_succ = success_probability(nm.n, probs)
-    t_fail = expected_failure_time(nm.n, probs, timing)
-    t_succ = expected_success_time(nm.n, probs, timing, conditional=True)
-    total = t_fail + t_succ
-    rate = 1.0 / total if math.isfinite(total) and total > 0 else 0.0
+    if probs.p_det == 0.0:  # nothing clicks: no sequence ever succeeds
+        p_succ, t_fail, t_succ, rate = 0.0, math.inf, math.inf, 0.0
+    else:
+        p_succ, t_fail, t_succ, rate = _rate_terms(nm.n, probs.p_det, timing, _PyMath)
     return RateResult(
         n_max=nm.n,
-        p_error=p_error,
+        p_error=sequence_error_probability(nm.n, probs),
         p_success=p_succ,
         t_failures=t_fail,
         t_success=t_succ,
@@ -499,27 +524,30 @@ def rate_curves(
     transmissivity in eta in one search, with the partition, the error
     probability, the search and the timing of transfer_rate, so each cell
     matches a transfer_rate call at that eta_link (link.eta_link is not
-    read). The device is checked once, at eta_link = 1, where its losses are
-    largest. An unbounded cell has n_max = ATTEMPT_SEARCH_CAP, as in
-    transfer_rate."""
+    read). eta must lie in [0, 1]. The device is checked once, at eta_link
+    = 1, where its losses are largest. An unbounded cell has n_max =
+    ATTEMPT_SEARCH_CAP, as in transfer_rate."""
+    eta = np.asarray(eta, dtype=float)
+    outside = ~((eta >= 0.0) & (eta <= 1.0))
+    if outside.any():
+        raise ValidationError(f"eta_link out of [0,1]: {eta[outside][0]}")
     unit = attempt_probabilities(pdr, polarizer, replace(link, eta_link=1.0))
-    p_det = _detected_and_lost(pdr, polarizer, link, eta)[0]
-    p_e = eta * unit.p_e
     target = np.asarray(f_targets, dtype=float).reshape(-1, 1)
-    infeasible = np.broadcast_to(target > f0, (target.size, eta.size))
-    cap = float(ATTEMPT_SEARCH_CAP)
+    shape = (target.size, eta.size)
+    p_det, p_e, f_target = (
+        np.broadcast_to(a, shape).ravel()
+        for a in (_detected_and_lost(pdr, polarizer, link, eta)[0], eta * unit.p_e, target))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        unbounded = _unbounded(p_det, p_e, f0, target)
-        n = _search(np.where(infeasible | unbounded | (p_det == 0.0), cap, 1.0),
-                    p_det, p_e, f0, target, np)
-        n = np.where(unbounded, cap, np.minimum(n, cap))
-        cap_reached = ~infeasible & ~unbounded & (n == cap)
-        p_succ, t_fail, click = _sequence_timing(n, p_det, timing, np)
-        rate = 1.0 / (t_fail + (timing.tau_reset + click / p_succ))
+        n, _, cap_reached = _attempt_limit(p_det, p_e, f0, f_target, np)
+        rate = _rate_terms(n, p_det, timing, np)[3]
         bound = _plob(eta, timing.tau_slot, np)
+    infeasible = f_target > f0
     nan = infeasible | cap_reached
+
+    def grid(values):
+        return np.where(nan, np.nan, values).reshape(shape)
+
     return RateCurves(
-        n_max=np.where(nan, np.nan, n),
-        rate=np.where(nan, np.nan, rate),
-        regime=np.where(nan, np.nan, _regime(n, timing, np)),
-        bound=bound, infeasible=infeasible, cap_reached=cap_reached)
+        n_max=grid(n), rate=grid(rate), regime=grid(_regime(n, timing, np)),
+        bound=bound, infeasible=infeasible.reshape(shape),
+        cap_reached=cap_reached.reshape(shape))

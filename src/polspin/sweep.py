@@ -271,7 +271,8 @@ def sweep_rate_vs_loss(
     the constraint exceeds the device fidelity f0 ("infeasible_target") or
     still holds at rate.ATTEMPT_SEARCH_CAP attempts ("attempt_cap"), counted
     per reason in metadata["nan_reasons"]; an unbounded cell keeps n_max =
-    ATTEMPT_SEARCH_CAP, as transfer_rate reports it. The Monte Carlo columns
+    ATTEMPT_SEARCH_CAP, as transfer_rate reports it. A loss below 0 dB
+    (eta_link > 1) is refused with ValidationError. The Monte Carlo columns
     run one simulate_rate per cell with a finite n_max.
     """
     loss_db = loss_axis.values()

@@ -212,11 +212,15 @@ class TestMain:
         *[["--command", "sweep", "--set", f"sweep.kind={kind}",
            "--set", "false_herald_correction=true"]
           for kind in ("pdr", "cavity_c", "cavity_coupling", "rate_vs_loss")],
+        ["--command", "sweep", "--set", "sweep.kind=rate_vs_loss",
+         "--set", "sweep.axis=[-3,0,4]"],
+        ["--command", "sweep", "--set", "sweep.kind=rate_vs_loss",
+         "--set", "sweep.axis=[-3,0,4]", "--set", "sweep.with_mc=true"],
     ], ids=["eta_det", "nan_axis", "log_axis_from_zero", "two_entry_axis",
             "reflection_sign", "second_axis_cavity_c", "second_axis_rate_vs_loss",
             "with_mc_pdr", "with_mc_cavity_coupling", "false_herald_pdr",
             "false_herald_cavity_c", "false_herald_cavity_coupling",
-            "false_herald_rate_vs_loss"])
+            "false_herald_rate_vs_loss", "loss_below_0_db", "loss_below_0_db_with_mc"])
     def test_validation_exit_code(self, tmp_path, capsys, args):
         code, cap, _ = run_cli(args, tmp_path, capsys)
         assert code == 2

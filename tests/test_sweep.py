@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polspin as ps
+from polspin.rate import rate_curves
 from polspin.sweep import (
     NAN_REASONS,
     SweepAxis,
@@ -422,6 +423,20 @@ class TestRateVsLoss:
                 assert res.columns["regime"][i] == scalar.regime
                 assert res.columns["bound"][i] == pytest.approx(
                     ps.repeaterless_bound(eta, design["timing"]), rel=1e-15)
+
+    def test_loss_below_0_db_is_refused(self, design):
+        # a loss below 0 dB makes eta_link > 1, where p_lost is no probability
+        with pytest.raises(ps.ValidationError, match="eta_link out of"):
+            ps.sweep_rate_vs_loss(
+                SweepAxis("loss_db", -3.0, 0.0, 4, spacing="db"),
+                design["pdr"], design["polarizer"], design["cavity"],
+                ps.design_link(1.0), design["timing"])
+
+    @pytest.mark.parametrize("eta", [1.5, -0.1, math.nan])
+    def test_rate_curves_refuse_eta_outside_unit_interval(self, design, eta):
+        with pytest.raises(ps.ValidationError, match="eta_link out of"):
+            rate_curves(design["pdr"], design["polarizer"], ps.design_link(1.0),
+                        design["timing"], np.array([0.5, eta, 0.1]), 0.98, (0.95,))
 
     def test_default_loss_axis_grid(self):
         ax = default_loss_axis()
