@@ -40,13 +40,10 @@ from .rate import (
     transfer_rate,
 )
 from .sweep import (
+    SWEEP_KINDS,
     SweepAxis,
     SweepResult,
     _jsonable,
-    default_cooperativity_axis,
-    default_coupling_axis,
-    default_loss_axis,
-    default_pdr_axes,
     sweep_fidelity_cavity,
     sweep_fidelity_pdr,
     sweep_rate_vs_loss,
@@ -107,23 +104,22 @@ def write_table(result: Any, fmt: str, path: str | Path, config_hash: str,
     rows, floats at full precision with NaN as 'nan') or JSON (full
     metadata block, round-trippable at full precision)."""
     path = Path(path)
+    header, rows = _table_of(result, config_hash)
     if fmt == "csv":
-        header, rows = _table_of(result, config_hash)
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
     elif fmt == "json":
-        header, rows = _table_of(result, config_hash)
+        if isinstance(result, SweepResult):
+            metadata = {**result.metadata, **(metadata or {})}
+        # the rows hold Python values already (tolist or _plain made them)
         payload = {
             "config_hash": config_hash,
             "metadata": _jsonable(metadata or {}),
             "columns": header,
-            "rows": _jsonable(list(rows)),
+            "rows": list(rows),
         }
-        if isinstance(result, SweepResult):
-            payload["metadata"] = _jsonable({**result.metadata,
-                                             **(metadata or {})})
         path.write_text(json.dumps(payload, indent=2) + "\n")
     else:
         raise ConfigError(f"unknown output format: {fmt!r}")
@@ -169,41 +165,36 @@ def _cmd_rate(cfg: RunConfig, out: Path, fmt: str) -> None:
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> None:
-    kind = cfg.sweep["kind"]
+    kind, sweep = cfg.sweep["kind"], cfg.sweep
+    defaults = SWEEP_KINDS[kind]
     # refuse settings this kind would not read, which still change the hash
-    if kind != "pdr" and cfg.sweep["second_axis"] is not None:
+    if len(defaults) == 1 and sweep["second_axis"] is not None:
         raise ConfigError(f"sweep.second_axis applies only to the pdr sweep, not {kind}")
-    if kind != "rate_vs_loss" and cfg.sweep["with_mc"]:
-        raise ConfigError(f"sweep.with_mc applies only to rate_vs_loss, not {kind}")
-    if cfg.false_herald_correction:
-        raise ConfigError("false_herald_correction is not supported by sweeps")
+    for key, value in (("sweep.with_mc", sweep["with_mc"]),
+                       ("false_herald_correction", cfg.false_herald_correction)):
+        if kind != "rate_vs_loss" and value:
+            raise ConfigError(f"{key} applies only to rate_vs_loss, not {kind}")
+    axes = [_axis_from(spec, default)
+            for spec, default in zip((sweep["axis"], sweep["second_axis"]), defaults)]
     if kind == "pdr":
-        tv_default, rh_default = default_pdr_axes()
-        res = sweep_fidelity_pdr(
-            _axis_from(cfg.sweep["axis"], tv_default),
-            _axis_from(cfg.sweep["second_axis"], rh_default),
-            cfg.cavity, cfg.polarizer,
+        results = {out: sweep_fidelity_pdr(
+            *axes, cfg.cavity, cfg.polarizer,
             zeta_V=cfg.pdr.zeta_V, zeta_H=cfg.pdr.zeta_H, r_cav_h=cfg.r_cav_h,
-            reflection_sign=cfg.raw["pdr"]["reflection_sign"])
-        write_table(res, fmt, out, cfg.config_hash)
-    elif kind in ("cavity_c", "cavity_coupling"):
+            reflection_sign=cfg.raw["pdr"]["reflection_sign"])}
+    elif kind == "rate_vs_loss":
+        curves = sweep_rate_vs_loss(
+            *axes, cfg.pdr, cfg.polarizer, cfg.cavity, cfg.link, cfg.timing,
+            constraints=cfg.constraints,
+            mc=McConfig(**cfg.mc) if sweep["with_mc"] else None, r_cav_h=cfg.r_cav_h,
+            false_herald_correction=cfg.false_herald_correction)
+        results = {out.with_name(f"{out.stem}_f{round(f * 100):02d}{out.suffix}"): res
+                   for f, res in curves.items()}
+    else:
         which = "cooperativity" if kind == "cavity_c" else "coupling"
-        default = (default_cooperativity_axis() if kind == "cavity_c"
-                   else default_coupling_axis())
-        res = sweep_fidelity_cavity(
-            _axis_from(cfg.sweep["axis"], default),
-            cfg.pdr, cfg.polarizer, cfg.cavity, which=which, r_cav_h=cfg.r_cav_h)
-        write_table(res, fmt, out, cfg.config_hash)
-    else:  # rate_vs_loss
-        mc = McConfig(**cfg.mc) if cfg.sweep["with_mc"] else None
-        results = sweep_rate_vs_loss(
-            _axis_from(cfg.sweep["axis"], default_loss_axis()),
-            cfg.pdr, cfg.polarizer, cfg.cavity, cfg.link, cfg.timing,
-            constraints=cfg.constraints, mc=mc, r_cav_h=cfg.r_cav_h)
-        for f_target, res in results.items():
-            suffix = f"_f{round(f_target * 100):02d}"
-            target = out.with_name(out.stem + suffix + out.suffix)
-            write_table(res, fmt, target, cfg.config_hash)
+        results = {out: sweep_fidelity_cavity(*axes, cfg.pdr, cfg.polarizer, cfg.cavity,
+                                              which=which, r_cav_h=cfg.r_cav_h)}
+    for path, res in results.items():
+        write_table(res, fmt, path, cfg.config_hash)
 
 
 def _cmd_montecarlo(cfg: RunConfig, out: Path, fmt: str) -> None:

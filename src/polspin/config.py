@@ -18,7 +18,7 @@ from .params import (
     ProtocolTiming,
     ValidationError,
 )
-from .sweep import DEFAULT_CONSTRAINTS
+from .sweep import DEFAULT_CONSTRAINTS, SWEEP_KINDS
 
 # hashlib loads OpenSSL, several MB of resident memory, for one digest; the
 # interpreter's own sha256 module gives the same digest without it.
@@ -143,9 +143,9 @@ def _build(raw: dict[str, Any]) -> RunConfig:
     re_im = raw["r_cav_h"]
     if not (isinstance(re_im, list) and len(re_im) == 2):
         raise ConfigError("r_cav_h must be a [re, im] pair")
-    if raw["sweep"]["kind"] not in ("pdr", "cavity_c", "cavity_coupling",
-                                    "rate_vs_loss"):
-        raise ConfigError(f"unknown sweep kind: {raw['sweep']['kind']}")
+    kind = raw["sweep"]["kind"]
+    if not (isinstance(kind, str) and kind in SWEEP_KINDS):
+        raise ConfigError(f"unknown sweep kind: {kind}")
     return RunConfig(
         raw=raw,
         cavity=cavity,

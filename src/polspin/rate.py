@@ -124,21 +124,38 @@ class RateResult:
     cap_reached: bool = False
 
 
+def _detection_bracket(pdr: PdrParams, polarizer: PolarizerParams, link: LinkParams):
+    """T_V^2 eta_V^2 r_cav_V_avg + R_V + T_H^2 eta_H^2 r_cav_H + R_H, twice
+    p_det on a lossless link with a perfect detector."""
+    ev, eh = polarizer.eta_pol_V, polarizer.eta_pol_H
+    return (pdr.T_V**2 * ev**2 * link.r_cav_V_avg + pdr.R_V
+            + pdr.T_H**2 * eh**2 * link.r_cav_H + pdr.R_H)
+
+
 def _detected_and_lost(pdr: PdrParams, polarizer: PolarizerParams,
                        link: LinkParams, eta):
     """p_det and p_lost at link transmissivity eta, a float or an array."""
     ev, eh = polarizer.eta_pol_V, polarizer.eta_pol_H
-    T_V, R_V, T_H, R_H = pdr.T_V, pdr.R_V, pdr.T_H, pdr.R_H
-    p_det = (eta / 2.0) * (
-        T_V**2 * ev**2 * link.r_cav_V_avg + R_V
-        + T_H**2 * eh**2 * link.r_cav_H + R_H
-    ) * link.eta_det
+    p_det = (eta / 2.0) * _detection_bracket(pdr, polarizer, link) * link.eta_det
     p_lost = (1.0 - eta) + (eta / 2.0) * (
         pdr.zeta_V + pdr.zeta_H
-        + T_V * (1.0 - ev) + T_H * (1.0 - eh)
-        + T_H * eh * (1.0 - link.r_cav_H - link.xi)
+        + pdr.T_V * (1.0 - ev) + pdr.T_H * (1.0 - eh)
+        + pdr.T_H * eh * (1.0 - link.r_cav_H - link.xi)
     )
     return p_det, p_lost
+
+
+def _f0(pdr: PdrParams, polarizer: PolarizerParams, cavity: CavityParams,
+        link: LinkParams, r_cav_h: complex, false_herald_correction: bool) -> float:
+    """The fidelity of a heralded attempt: the device-only transfer fidelity;
+    the false-herald correction mixes in the uncorrected initial spin state
+    with the conditional weight of a V photon reflecting off the reflector
+    without touching the cavity."""
+    f0 = transfer_fidelity(pdr, polarizer, cavity, r_cav_h=r_cav_h).f_avg
+    if false_herald_correction:
+        p_false = pdr.R_V / _detection_bracket(pdr, polarizer, link)
+        f0 = (1.0 - p_false) * f0 + p_false * 0.5
+    return f0
 
 
 def attempt_probabilities(
@@ -403,21 +420,14 @@ def expected_success_time(
     n_max: int,
     probs: AttemptProbabilities,
     timing: ProtocolTiming,
-    conditional: bool = False,
 ) -> float:
-    """Reset plus click-time term of the successful sequence.
-
-    The default sums the click time over the unconditional click-position
-    distribution (closed form of the direct sum); conditional=True divides
-    that term by the sequence success probability, giving the true expected
-    duration of the successful sequence.
-    """
+    """Reset plus click-time term of the successful sequence, the click
+    time summed over the unconditional click-position distribution (closed
+    form of the direct sum). transfer_rate's t_success, the true expected
+    duration, divides the click term by the sequence success probability."""
     if probs.p_det == 0.0:
         return math.inf
-    p_succ, _, click_term = _sequence_timing(n_max, probs.p_det, timing, _PyMath)
-    if conditional:
-        click_term /= p_succ
-    return timing.tau_reset + click_term
+    return timing.tau_reset + _sequence_timing(n_max, probs.p_det, timing, _PyMath)[2]
 
 
 def _plob(eta, tau_slot, xp):
@@ -456,27 +466,15 @@ def transfer_rate(
     link: LinkParams,
     timing: ProtocolTiming,
     f_target: float,
-    f0: float | None = None,
     r_cav_h: complex = DESIGN_R_CAV_H,
     false_herald_correction: bool = False,
 ) -> RateResult:
-    """Average transfer rate under a fidelity constraint.
-
-    f0 defaults to the device-only transfer fidelity; the optional
-    false-herald correction mixes in the uncorrected initial spin state with
-    the conditional weight of a V photon reflecting off the reflector
-    without touching the cavity. The stored t_success is the conditional
-    expected duration of the successful sequence, so the rate equals the
-    inverse of the true expected time per transferred qubit.
-    """
-    if f0 is None:
-        f0 = transfer_fidelity(pdr, polarizer, cavity, r_cav_h=r_cav_h).f_avg
-    if false_herald_correction:
-        ev, eh = polarizer.eta_pol_V, polarizer.eta_pol_H
-        det_num = (pdr.T_V**2 * ev**2 * link.r_cav_V_avg + pdr.R_V
-                   + pdr.T_H**2 * eh**2 * link.r_cav_H + pdr.R_H)
-        p_false = pdr.R_V / det_num
-        f0 = (1.0 - p_false) * f0 + p_false * 0.5
+    """Average transfer rate under a fidelity constraint, at the
+    single-attempt fidelity f0 of the device, false-herald corrected on
+    request. The stored t_success is the conditional expected duration of
+    the successful sequence, so the rate equals the inverse of the true
+    expected time per transferred qubit."""
+    f0 = _f0(pdr, polarizer, cavity, link, r_cav_h, false_herald_correction)
     probs = attempt_probabilities(pdr, polarizer, link)
     nm = max_attempts(probs, f0, f_target)
     if probs.p_det == 0.0:  # nothing clicks: no sequence ever succeeds

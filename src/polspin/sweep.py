@@ -20,7 +20,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .device import OpaqueDeviceError, fidelity_kernel, transfer_fidelity
+from .device import OpaqueDeviceError, fidelity_kernel
 from .montecarlo import McConfig, simulate_rate
 from .params import (
     DESIGN_R_CAV_H,
@@ -32,7 +32,7 @@ from .params import (
     ProtocolTiming,
     ValidationError,
 )
-from .rate import attempt_probabilities, rate_curves
+from .rate import _f0, attempt_probabilities, rate_curves
 
 DEFAULT_CONSTRAINTS = (0.95, 0.97, 0.98, 0.99)
 
@@ -261,25 +261,26 @@ def sweep_rate_vs_loss(
     constraints: tuple[float, ...] = DEFAULT_CONSTRAINTS,
     mc: McConfig | None = None,
     r_cav_h: complex = DESIGN_R_CAV_H,
+    false_herald_correction: bool = False,
 ) -> dict[float, SweepResult]:
     """Analytic rate (and optional Monte Carlo estimate) versus link loss in
     dB, one result per fidelity constraint, each carrying the repeaterless
     bound, n_max, and regime columns.
 
     Every constraint's whole loss axis goes through rate.rate_curves in one
-    call, which computes each cell as transfer_rate does. A cell is NaN where
-    the constraint exceeds the device fidelity f0 ("infeasible_target") or
-    still holds at rate.ATTEMPT_SEARCH_CAP attempts ("attempt_cap"), counted
-    per reason in metadata["nan_reasons"]; an unbounded cell keeps n_max =
+    call, which computes each cell as transfer_rate does on link_template
+    at that loss, f0 included. A cell is NaN where the constraint exceeds
+    the device fidelity f0 ("infeasible_target") or still holds at
+    rate.ATTEMPT_SEARCH_CAP attempts ("attempt_cap"), counted per reason in
+    metadata["nan_reasons"]; an unbounded cell keeps n_max =
     ATTEMPT_SEARCH_CAP, as transfer_rate reports it. A loss below 0 dB
     (eta_link > 1) is refused with ValidationError. The Monte Carlo columns
     run one simulate_rate per cell with a finite n_max.
     """
     loss_db = loss_axis.values()
     eta = 10.0 ** (-loss_db / 10.0)
-    f0 = transfer_fidelity(pdr, polarizer, cavity, r_cav_h=r_cav_h).f_avg
-    curves = rate_curves(pdr, polarizer, dataclasses.replace(link_template, xi=None),
-                         timing, eta, f0, constraints)
+    f0 = _f0(pdr, polarizer, cavity, link_template, r_cav_h, false_herald_correction)
+    curves = rate_curves(pdr, polarizer, link_template, timing, eta, f0, constraints)
     results: dict[float, SweepResult] = {}
     for i, f_target in enumerate(constraints):
         columns = {"bound": curves.bound, "n_max": curves.n_max[i],
@@ -310,7 +311,7 @@ def _mc_columns(mc: McConfig, n_max: np.ndarray, eta: np.ndarray, pdr: PdrParams
     mc_rate = np.full(eta.size, np.nan)
     mc_se = np.full(eta.size, np.nan)
     for i in np.flatnonzero(np.isfinite(n_max)):
-        link = dataclasses.replace(link_template, eta_link=float(eta[i]), xi=None)
+        link = dataclasses.replace(link_template, eta_link=float(eta[i]))
         est = simulate_rate(attempt_probabilities(pdr, polarizer, link), int(n_max[i]),
                             timing, dataclasses.replace(mc, seed=mc.seed + int(i)))
         mc_rate[i] = est.mean_rate
@@ -333,3 +334,12 @@ def default_coupling_axis() -> SweepAxis:
 
 def default_loss_axis() -> SweepAxis:
     return SweepAxis("loss_db", 0.0, 60.0, 121, spacing="db")
+
+
+# Each sweep kind's default axes, which sweep.axis and sweep.second_axis override.
+SWEEP_KINDS: dict[str, tuple[SweepAxis, ...]] = {
+    "pdr": default_pdr_axes(),
+    "cavity_c": (default_cooperativity_axis(),),
+    "cavity_coupling": (default_coupling_axis(),),
+    "rate_vs_loss": (default_loss_axis(),),
+}

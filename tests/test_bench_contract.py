@@ -1,6 +1,8 @@
 """The benchmark's traced run wraps polspin functions by name
-(benchmarks/tracing.py, TRACED). Every name it lists must still exist, or
-`benchmarks/run.py --trace 1` breaks when the package is refactored."""
+(benchmarks/tracing.py, TRACED), and its workloads call polspin's public
+functions (benchmarks/workloads.py). Every name it lists must still exist,
+and every workload must still run and pass its checks, or `benchmarks/run.py`
+breaks when the package is refactored."""
 
 import importlib
 import importlib.util
@@ -8,7 +10,14 @@ from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "benchmarks" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
+TRACING = BENCH / "tracing.py"
+# the workloads whose checks compare with the mpmath oracle (benchmarks/oracle.py)
+ORACLE_CHECKED = ("rate-curves", "mc-low-loss", "mc-high-loss")
+
+with pytest.MonkeyPatch.context() as mp:  # workloads imports its sibling modules
+    mp.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
 
 
 def _load_tracing():
@@ -43,3 +52,17 @@ def test_tracer_installs_and_restores():
         tracer.uninstall()
     assert rate.transfer_fidelity is original
     assert device.transfer_fidelity is original
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_workload_round(name, tmp_path, monkeypatch):
+    """One round of the workload and its checks, as the benchmark's worker
+    makes them: no problem found and no failed operation."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workload = workloads.WORKLOADS[name](1, tmp_path)
+    workload.observe(0, workload.round(0))
+    if name in ORACLE_CHECKED:
+        pytest.importorskip("mpmath")
+    workload.verdict()
+    assert workload.problems == []
+    assert workload.failed_per_round() == 0

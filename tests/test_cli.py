@@ -159,19 +159,32 @@ class TestMain:
         assert row["loss_balance_residual"] == pytest.approx(0.02473, abs=1e-4)
         assert row["p_e_gap"] == row["p_e_canonical"] - row["p_e_explicit"]
 
-    def test_rate_and_montecarlo_share_n_max(self, tmp_path, capsys):
+    @pytest.mark.parametrize("setting,n_max", [
         # the false-herald correction lowers f0 and with it n_max (1908 -> 1677)
-        sets = ["--set", "link.eta_link=1e-3", "--set", "false_herald_correction=true",
-                "--format", "json"]
+        ("false_herald_correction=true", 1677),
+        # an H photon that seldom reaches the spin raises it (1908 -> 1918)
+        ("link.xi=0.01", 1918),
+    ], ids=["false_herald", "xi"])
+    def test_rate_and_montecarlo_share_n_max(self, tmp_path, capsys, setting, n_max):
+        # rate, montecarlo and the loss sweep at 30 dB share f0 and the link
+        sets = ["--set", setting, "--format", "json"]
         rate_out, mc_out = tmp_path / "rate.json", tmp_path / "mc.json"
-        assert main(["--command", "rate", "--out", str(rate_out)] + sets) == 0
+        assert main(["--command", "rate", "--out", str(rate_out),
+                     "--set", "link.eta_link=1e-3"] + sets) == 0
         assert main(["--command", "montecarlo", "--trials", "2", "--seed", "1",
-                     "--out", str(mc_out)] + sets) == 0
+                     "--out", str(mc_out), "--set", "link.eta_link=1e-3"] + sets) == 0
+        assert main(["--command", "sweep", "--set", "sweep.kind=rate_vs_loss",
+                     "--set", "sweep.axis=[30,31,2]", "--set", "constraints=[0.95]",
+                     "--out", str(tmp_path / "sweep.json")] + sets) == 0
         capsys.readouterr()
         rate = json.loads(rate_out.read_text())
-        n_max = dict(zip(rate["columns"], rate["rows"][0]))["n_max"]
-        assert n_max == 1677
+        row = dict(zip(rate["columns"], rate["rows"][0]))
+        assert row["n_max"] == n_max
         assert json.loads(mc_out.read_text())["metadata"]["n_max"] == n_max
+        curve = json.loads((tmp_path / "sweep_f95.json").read_text())
+        at_30_db = dict(zip(curve["columns"], curve["rows"][0]))
+        assert at_30_db["loss_db"] == 30.0
+        assert (at_30_db["n_max"], at_30_db["rate"]) == (n_max, row["rate"])
 
     def test_sweep_rate_writes_one_file_per_constraint(self, tmp_path, capsys):
         out = tmp_path / "rates.csv"
@@ -211,7 +224,7 @@ class TestMain:
          "--set", "sweep.with_mc=true"],
         *[["--command", "sweep", "--set", f"sweep.kind={kind}",
            "--set", "false_herald_correction=true"]
-          for kind in ("pdr", "cavity_c", "cavity_coupling", "rate_vs_loss")],
+          for kind in ("pdr", "cavity_c", "cavity_coupling")],
         ["--command", "sweep", "--set", "sweep.kind=rate_vs_loss",
          "--set", "sweep.axis=[-3,0,4]"],
         ["--command", "sweep", "--set", "sweep.kind=rate_vs_loss",
@@ -220,7 +233,7 @@ class TestMain:
             "reflection_sign", "second_axis_cavity_c", "second_axis_rate_vs_loss",
             "with_mc_pdr", "with_mc_cavity_coupling", "false_herald_pdr",
             "false_herald_cavity_c", "false_herald_cavity_coupling",
-            "false_herald_rate_vs_loss", "loss_below_0_db", "loss_below_0_db_with_mc"])
+            "loss_below_0_db", "loss_below_0_db_with_mc"])
     def test_validation_exit_code(self, tmp_path, capsys, args):
         code, cap, _ = run_cli(args, tmp_path, capsys)
         assert code == 2
@@ -317,9 +330,9 @@ class TestSweepCsvRoundTrip:
         for i, col in enumerate(columns):
             assert np.array_equal(body[:, i], col, equal_nan=True), header[i]
 
-    def run(self, tmp_path, capsys, sets):
-        out = tmp_path / "out.csv"
-        args = ["--command", "sweep", "--out", str(out)]
+    def run(self, tmp_path, capsys, sets, fmt="csv"):
+        out = tmp_path / f"out.{fmt}"
+        args = ["--command", "sweep", "--out", str(out), "--format", fmt]
         for expr in sets:
             args += ["--set", expr]
         assert main(args) == 0
@@ -363,3 +376,39 @@ class TestSweepCsvRoundTrip:
                        ["loss_db", "rate", "bound", "n_max", "regime"],
                        [res.axes[0][1], res.values, *res.columns.values()],
                        cfg.config_hash)
+
+    @pytest.mark.parametrize("sets,library", [
+        (["sweep.kind=pdr", "sweep.axis=[0.5,1.0,9]", "sweep.second_axis=[0.0,0.6,7]"],
+         lambda cfg: {"": sweep_fidelity_pdr(
+             SweepAxis("pdr.T_V", 0.5, 1.0, 9), SweepAxis("pdr.R_H", 0.0, 0.6, 7),
+             cfg.cavity, cfg.polarizer, r_cav_h=cfg.r_cav_h)}),
+        (["sweep.kind=cavity_c", 'sweep.axis=[-1,20,6,"linear"]'],
+         lambda cfg: {"": sweep_fidelity_cavity(
+             SweepAxis("cavity.cooperativity", -1.0, 20.0, 6), cfg.pdr, cfg.polarizer,
+             cfg.cavity, which="cooperativity", r_cav_h=cfg.r_cav_h)}),
+        (["sweep.kind=cavity_coupling", "sweep.axis=[0.2,1.4,7]"],
+         lambda cfg: {"": sweep_fidelity_cavity(
+             SweepAxis("cavity.coupling_ratio", 0.2, 1.4, 7), cfg.pdr, cfg.polarizer,
+             cfg.cavity, which="coupling", r_cav_h=cfg.r_cav_h)}),
+        (["sweep.kind=rate_vs_loss", "sweep.axis=[0,30,4]", "constraints=[0.95,0.99999]"],
+         lambda cfg: dict(zip(("_f95", "_f100"), sweep_rate_vs_loss(
+             SweepAxis("loss_db", 0.0, 30.0, 4, "db"), cfg.pdr, cfg.polarizer,
+             cfg.cavity, cfg.link, cfg.timing, constraints=cfg.constraints,
+             r_cav_h=cfg.r_cav_h).values()))),
+    ], ids=["pdr", "cavity_c", "cavity_coupling", "rate_vs_loss"])
+    def test_json_rows_equal_csv(self, tmp_path, capsys, sets, library):
+        """A sweep's JSON rows hold its CSV body bit for bit, NaN included,
+        and its metadata counts the NaN cells as the library does."""
+        _, cfg = self.run(tmp_path, capsys, sets)
+        self.run(tmp_path, capsys, sets, fmt="json")
+        nan_cells = 0
+        for suffix, res in library(cfg).items():
+            header, body, _ = self.read(tmp_path / f"out{suffix}.csv")
+            payload = json.loads((tmp_path / f"out{suffix}.json").read_text())
+            assert payload["columns"] == header
+            assert {row[-1] for row in payload["rows"]} == {cfg.config_hash}
+            rows = np.array([row[:-1] for row in payload["rows"]], dtype=float)
+            assert rows.shape == body.shape and rows.tobytes() == body.tobytes()
+            assert payload["metadata"]["nan_reasons"] == res.metadata["nan_reasons"]
+            nan_cells += int(np.isnan(body).sum())
+        assert nan_cells > 0

@@ -260,13 +260,18 @@ class TestExpectedTimes:
         assert closed == pytest.approx(direct, rel=1e-12)
 
     def test_conditional_variant_divides_click_term(self):
-        probs = probs_of(0.01, 0.95)
-        n = 50
-        p_succ = success_probability(n, probs)
-        plain = ps.expected_success_time(n, probs, self.TIMING)
-        cond = ps.expected_success_time(n, probs, self.TIMING, conditional=True)
+        # transfer_rate's t_success is the conditional duration of the
+        # successful sequence: the click term divided by p_success
+        pdr, pol, link = ps.design_pdr(), ps.design_polarizer(), ps.design_link(1e-2)
+        res = ps.transfer_rate(pdr, pol, ps.design_cavity(), link, self.TIMING,
+                               f_target=0.97)
+        probs = ps.attempt_probabilities(pdr, pol, link)
+        p_succ = success_probability(res.n_max, probs)
+        plain = ps.expected_success_time(res.n_max, probs, self.TIMING)
         click = plain - self.TIMING.tau_reset
-        assert cond == pytest.approx(self.TIMING.tau_reset + click / p_succ, rel=1e-12)
+        assert res.p_success == p_succ
+        assert res.t_success == pytest.approx(self.TIMING.tau_reset + click / p_succ,
+                                              rel=1e-12)
 
 
 class TestTransferRate:

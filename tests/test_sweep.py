@@ -424,6 +424,38 @@ class TestRateVsLoss:
                 assert res.columns["bound"][i] == pytest.approx(
                     ps.repeaterless_bound(eta, design["timing"]), rel=1e-15)
 
+    @pytest.mark.parametrize("mc", [None, ps.McConfig(trials=2, seed=5)],
+                             ids=["analytic", "mc"])
+    @pytest.mark.parametrize("xi,correction,n_max_30_db", [
+        (0.01, False, 1918), (None, True, 1677)], ids=["xi", "false_herald"])
+    def test_link_and_correction_as_transfer_rate(self, design, mc, xi, correction,
+                                                  n_max_30_db):
+        """The sweep reads the link as given, xi included, and the
+        false-herald correction, as transfer_rate does at each loss; so do
+        its Monte Carlo columns."""
+        link = dataclasses.replace(ps.design_link(1.0), xi=xi)
+        out = ps.sweep_rate_vs_loss(
+            SweepAxis("loss_db", 10.0, 30.0, 3, spacing="db"),
+            design["pdr"], design["polarizer"], design["cavity"], link,
+            design["timing"], constraints=(0.95, 0.99), mc=mc,
+            false_herald_correction=correction)
+        for f_target, res in out.items():
+            for i, db in enumerate(res.axes[0][1]):
+                at = dataclasses.replace(link, eta_link=float(10.0 ** (-db / 10.0)))
+                scalar = ps.transfer_rate(
+                    design["pdr"], design["polarizer"], design["cavity"], at,
+                    design["timing"], f_target, false_herald_correction=correction)
+                assert res.columns["n_max"][i] == scalar.n_max
+                assert res.values[i] == pytest.approx(scalar.rate, rel=1e-13)
+                if mc is not None:
+                    est = ps.simulate_rate(
+                        ps.attempt_probabilities(design["pdr"], design["polarizer"], at),
+                        scalar.n_max, design["timing"],
+                        dataclasses.replace(mc, seed=mc.seed + i))
+                    assert res.columns["mc_rate"][i] == est.mean_rate
+                    assert res.columns["mc_std_error"][i] == est.std_error
+        assert out[0.95].columns["n_max"][-1] == n_max_30_db
+
     def test_loss_below_0_db_is_refused(self, design):
         # a loss below 0 dB makes eta_link > 1, where p_lost is no probability
         with pytest.raises(ps.ValidationError, match="eta_link out of"):
