@@ -17,7 +17,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -69,56 +69,72 @@ def _plain(value: Any) -> Any:
     return value.item() if isinstance(value, np.generic) else value
 
 
-def _table_of(result: Any, config_hash: str) -> tuple[list[str], Iterator[list[Any]]]:
-    """Flatten a result object into (header, rows) for CSV and JSON. A
-    sweep's rows are produced lazily, a block of cells at a time; any other
-    result is one row."""
-    if isinstance(result, SweepResult):
-        header = ([name for name, _ in result.axes] + [result.quantity]
-                  + list(result.columns) + ["config_hash"])
-        grids = np.meshgrid(*(vals for _, vals in result.axes), indexing="ij")
-        columns = ([g.ravel() for g in grids] + [result.values.ravel()]
-                   + [col.ravel() for col in result.columns.values()])
-        return header, _sweep_rows(columns, config_hash)
+def _row_of(result: Any) -> dict[str, Any]:
+    """A result other than a sweep as its one row, {column: Python value}."""
     if isinstance(result, FidelityReport):
         result = {"f_avg": result.f_avg,
                   **{f"fidelity_{label}": fid for label, fid in result.per_input}}
     elif dataclasses.is_dataclass(result) and not isinstance(result, type):
         result = dataclasses.asdict(result)
     if isinstance(result, dict):
-        header = list(result) + ["config_hash"]
-        return header, iter([[_plain(v) for v in result.values()] + [config_hash]])
+        return {key: _plain(v) for key, v in result.items()}
     raise TypeError(f"cannot tabulate {type(result)!r}")
 
 
-def _sweep_rows(columns: list[np.ndarray], config_hash: str) -> Iterator[list[Any]]:
-    for start in range(0, columns[0].size, _ROW_BLOCK):
-        block = [col[start:start + _ROW_BLOCK].tolist() for col in columns]
-        for row in zip(*block):
-            yield [*row, config_hash]
+def _sweep_blocks(result: SweepResult, cell: Callable[[list], list]) -> Iterator[list[list]]:
+    """A sweep's columns (axes, value, extra columns) a block of _ROW_BLOCK
+    flat cells at a time, each as cell(Python values); every axis value goes
+    through cell once, however many cells share it."""
+    size, shape = result.values.size, result.values.shape
+    axes = [np.array(cell(vals.tolist()), dtype=object) for _, vals in result.axes]
+    columns = [result.values.ravel(), *(col.ravel() for col in result.columns.values())]
+    for start in range(0, size, _ROW_BLOCK):
+        cells = np.unravel_index(np.arange(start, min(start + _ROW_BLOCK, size)), shape)
+        yield ([axis[i].tolist() for axis, i in zip(axes, cells)]
+               + [cell(col[start:start + _ROW_BLOCK].tolist()) for col in columns])
+
+
+def _texts(values: list) -> list[str]:
+    # what csv.writer writes: repr for a float, which str is, and str otherwise
+    return list(map(str, values))
 
 
 def write_table(result: Any, fmt: str, path: str | Path, config_hash: str,
                 metadata: dict[str, Any] | None = None) -> None:
     """Serialize a result to CSV (header row, '.' decimal, newline-terminated
     rows, floats at full precision with NaN as 'nan') or JSON (full
-    metadata block, round-trippable at full precision)."""
+    metadata block, round-trippable at full precision). A sweep is one row
+    per cell, written a block of cells at a time."""
     path = Path(path)
-    header, rows = _table_of(result, config_hash)
+    sweep = isinstance(result, SweepResult)
+    row = None if sweep else _row_of(result)
+    header = ([name for name, _ in result.axes] + [result.quantity] + list(result.columns)
+              if sweep else list(row)) + ["config_hash"]
     if fmt == "csv":
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(rows)
+            if sweep:
+                # a sweep's fields are decimal, nan or inf texts and the hex
+                # config hash: none needs CSV quoting, so rows are joined
+                tail = f",{config_hash}\n"
+                for block in _sweep_blocks(result, _texts):
+                    fh.write(tail.join(map(",".join, zip(*block))) + tail)
+            else:
+                writer.writerow([*row.values(), config_hash])
     elif fmt == "json":
-        if isinstance(result, SweepResult):
+        if sweep:
             metadata = {**result.metadata, **(metadata or {})}
+            rows = [[*fields, config_hash] for block in _sweep_blocks(result, list)
+                    for fields in zip(*block)]
+        else:
+            rows = [[*row.values(), config_hash]]
         # the rows hold Python values already (tolist or _plain made them)
         payload = {
             "config_hash": config_hash,
             "metadata": _jsonable(metadata or {}),
             "columns": header,
-            "rows": list(rows),
+            "rows": rows,
         }
         path.write_text(json.dumps(payload, indent=2) + "\n")
     else:
@@ -187,6 +203,8 @@ def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> None:
             constraints=cfg.constraints,
             mc=McConfig(**cfg.mc) if sweep["with_mc"] else None, r_cav_h=cfg.r_cav_h,
             false_herald_correction=cfg.false_herald_correction)
+        if not out.name:  # Path.with_name raises ValueError on it
+            raise IsADirectoryError(f"output path {str(out)!r} names no file")
         results = {out.with_name(f"{out.stem}_f{round(f * 100):02d}{out.suffix}"): res
                    for f, res in curves.items()}
     else:

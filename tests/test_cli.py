@@ -5,6 +5,7 @@ of seeded runs."""
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,11 @@ import pytest
 import polspin as ps
 from polspin.cli import main, write_table
 from polspin.config import DEFAULTS, ConfigError, load_config
+from polspin.montecarlo import McConfig
+from polspin.rate import ATTEMPT_SEARCH_CAP
 from polspin.sweep import (
     SweepAxis,
+    SweepResult,
     sweep_fidelity_cavity,
     sweep_fidelity_pdr,
     sweep_rate_vs_loss,
@@ -299,6 +303,17 @@ class TestMain:
         assert code == 4
         assert json.loads(cap.err)["error"] == "io"
 
+    @pytest.mark.parametrize("kind", ["pdr", "rate_vs_loss"])
+    @pytest.mark.parametrize("out", [".", "/"])
+    def test_io_exit_code_for_an_out_path_without_a_name(self, tmp_path, capsys,
+                                                        monkeypatch, kind, out):
+        monkeypatch.chdir(tmp_path)
+        code = main(["--command", "sweep", "--set", f"sweep.kind={kind}",
+                     "--set", "sweep.axis=[0,1,2]", "--out", out])
+        assert code == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "io"
+        assert list(tmp_path.iterdir()) == []
+
     def test_numerical_exit_code(self, tmp_path, capsys):
         # detection so rare the attempt cap trips before the first click
         code, cap, _ = run_cli(
@@ -412,3 +427,76 @@ class TestSweepCsvRoundTrip:
             assert payload["metadata"]["nan_reasons"] == res.metadata["nan_reasons"]
             nan_cells += int(np.isnan(body).sum())
         assert nan_cells > 0
+
+
+class TestSweepCsvBytes:
+    """A sweep's CSV is byte for byte what csv.writer makes of its meshgrid
+    rows, for every sweep kind and for values whose text is easy to get
+    wrong."""
+
+    HASH = "1c102c291be3434a"
+
+    def check(self, tmp_path, res):
+        reference = tmp_path / "reference.csv"
+        grids = np.meshgrid(*(vals for _, vals in res.axes), indexing="ij")
+        columns = [col.ravel().tolist()
+                   for col in (*grids, res.values, *res.columns.values())]
+        with reference.open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow([name for name, _ in res.axes] + [res.quantity]
+                            + list(res.columns) + ["config_hash"])
+            writer.writerows([*row, self.HASH] for row in zip(*columns))
+        write_table(res, "csv", tmp_path / "out.csv", self.HASH)
+        assert (tmp_path / "out.csv").read_bytes() == reference.read_bytes()
+
+    def test_non_square_pdr_map(self, tmp_path):
+        cfg = load_config()
+        res = sweep_fidelity_pdr(SweepAxis("pdr.T_V", 0.5, 1.0, 7),
+                                 SweepAxis("pdr.R_H", 0.0, 0.6, 5),
+                                 cfg.cavity, cfg.polarizer, r_cav_h=cfg.r_cav_h)
+        assert np.isnan(res.values).any() and not np.isnan(res.values).all()
+        self.check(tmp_path, res)
+
+    @pytest.mark.parametrize("which,axis", [
+        ("cooperativity", SweepAxis("cavity.cooperativity", 0.5, 20.0, 11, "log")),
+        ("coupling", SweepAxis("cavity.coupling_ratio", 0.05, 1.0, 20)),
+    ])
+    def test_cavity(self, tmp_path, which, axis):
+        cfg = load_config()
+        self.check(tmp_path, sweep_fidelity_cavity(
+            axis, cfg.pdr, cfg.polarizer, cfg.cavity, which=which, r_cav_h=cfg.r_cav_h))
+
+    def test_rate_vs_loss_with_mc(self, tmp_path):
+        cfg = load_config()
+        results = sweep_rate_vs_loss(
+            SweepAxis("loss_db", 0.0, 20.0, 3, "db"), cfg.pdr, cfg.polarizer,
+            cfg.cavity, cfg.link, cfg.timing, constraints=(0.6, 0.95, 0.99999),
+            mc=McConfig(trials=20, seed=3), r_cav_h=cfg.r_cav_h)
+        assert (results[0.6].columns["n_max"] == ATTEMPT_SEARCH_CAP).all()
+        assert np.isnan(results[0.99999].values).all()
+        for res in results.values():
+            assert {"mc_rate", "mc_std_error"} <= set(res.columns)
+            self.check(tmp_path, res)
+
+    def test_awkward_values(self, tmp_path):
+        values = np.array([[np.nan, np.inf], [-np.inf, -0.0], [5e-324, 1e22]])
+        self.check(tmp_path, SweepResult(
+            axes=[("x", np.array([-0.0, 5e-324, 0.1 + 0.2])), ("y", np.array([1e22, -1.5]))],
+            values=values, quantity="q",
+            columns={"k": np.arange(6).reshape(3, 2), "flag": np.isnan(values),
+                     "v": values.T.reshape(3, 2) * (0.1 + 0.2)}))
+
+
+def test_sweep_csv_memory_stays_flat(tmp_path):
+    """The CSV writer holds one block of rows at a time, not the whole map."""
+    cfg = load_config()
+    res = sweep_fidelity_pdr(SweepAxis("pdr.T_V", 0.5, 1.0, 301),
+                             SweepAxis("pdr.R_H", 0.0, 0.6, 301),
+                             cfg.cavity, cfg.polarizer, r_cav_h=cfg.r_cav_h)
+    tracemalloc.start()
+    try:
+        write_table(res, "csv", tmp_path / "map.csv", cfg.config_hash)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
