@@ -203,7 +203,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> None:
             constraints=cfg.constraints,
             mc=McConfig(**cfg.mc) if sweep["with_mc"] else None, r_cav_h=cfg.r_cav_h,
             false_herald_correction=cfg.false_herald_correction)
-        if not out.name:  # Path.with_name raises ValueError on it
+        if out.name in ("", ".."):  # with_name raises on "" and replaces ".."
             raise IsADirectoryError(f"output path {str(out)!r} names no file")
         results = {out.with_name(f"{out.stem}_f{round(f * 100):02d}{out.suffix}"): res
                    for f, res in curves.items()}

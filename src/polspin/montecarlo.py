@@ -1,9 +1,13 @@
 """Stochastic replication of the transfer protocol.
 
-Each trial draws one uniform per attempt to partition the outcome into
-lost-before-spin, lost-after-spin (unheralded error), or detected. A
-sequence ends at detection or after n_max attempts (charging a spin reset
-and starting a new sequence); a trial ends at its first detection.
+Each attempt is lost before the spin, lost after it (an unheralded error),
+or detected. A sequence ends at detection or after n_max attempts (charging
+a spin reset and starting a new sequence); a trial ends at its first
+detection. simulate_rate skips the lost attempts: the gap to the next one
+that is not lost is geometric with p = p_det + p_e, and it clicks with
+probability p_det / (p_det + p_e). That uses only memorylessness, so it is
+exact in distribution, independent of the closed forms, and its cost does
+not grow with loss. simulate_trial is the per-attempt reference sampler.
 """
 
 from __future__ import annotations
@@ -59,7 +63,8 @@ def simulate_trial(
     rng: np.random.Generator,
     attempt_cap: int = DEFAULT_ATTEMPT_CAP,
 ) -> TrialResult:
-    """Run sequences of up to n_max attempts until the first detection.
+    """Run sequences of up to n_max attempts until the first detection: the
+    per-attempt reference sampler, one uniform draw per attempt.
 
     Uniform draws classify each attempt: [0, p_lost) lost before the spin,
     [p_lost, p_lost + p_e) unheralded error, remainder detected. The error
@@ -104,6 +109,38 @@ def simulate_trial(
         f"no detection within {attempt_cap} attempts (p_det = {probs.p_det})")
 
 
+def _skip_trial(probs: AttemptProbabilities, n_max: int, timing: ProtocolTiming,
+                rng: np.random.Generator, attempt_cap: int) -> TrialResult:
+    """One trial of simulate_trial's law, drawn only at the attempts that
+    are not lost; the cap binds once no such attempt falls within it."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if probs.p_det == 0:  # no click ever; stepping through errors to the cap is slow
+        raise NoDetectionError("no detection possible (p_det = 0)")
+    p_hit = min(1.0, probs.p_det + probs.p_e)
+    click_share = probs.p_det / p_hit
+    attempts, sequences = 0, 1  # attempts counts the sequences already ended
+    pos, error_in_seq = 0, False  # the current sequence
+    while True:
+        pos += int(rng.geometric(p_hit))
+        # past n_max, the next event is in a new sequence, at n_max + 1 or later
+        if attempts + min(pos, n_max + 1) > attempt_cap:
+            raise NoDetectionError(
+                f"no detection within {attempt_cap} attempts (p_det = {probs.p_det})")
+        if pos > n_max:  # no click within n_max attempts: reset, start anew
+            attempts, sequences, pos, error_in_seq = attempts + n_max, sequences + 1, 0, False
+        elif rng.random() >= click_share:
+            error_in_seq = True
+        else:
+            attempts += pos
+            return TrialResult(
+                elapsed=sequences * timing.tau_reset + attempts * timing.tau_slot,
+                attempts_used=attempts,
+                sequences_used=sequences,
+                error_occurred=error_in_seq,
+            )
+
+
 def simulate_rate(
     probs: AttemptProbabilities,
     n_max: int,
@@ -112,17 +149,18 @@ def simulate_rate(
 ) -> McRateEstimate:
     """Estimate the average transfer rate from cfg.trials independent trials.
 
-    Per-trial generators are spawned from the master seed, so results do not
-    depend on execution order. The default estimator is 1/mean(elapsed);
-    harmonic_rate=False returns mean(1/elapsed) instead. The standard error
-    is propagated from the spread of the per-trial times (or rates).
+    One generator seeded with cfg.seed draws every trial in turn, skipping
+    the lost attempts (see the module docstring), so a trial's draws depend
+    on the trials before it and the cost per trial does not grow with loss.
+    The default estimator is 1/mean(elapsed); harmonic_rate=False returns
+    mean(1/elapsed) instead. The standard error is propagated from the
+    spread of the per-trial times (or rates).
     """
-    seqs = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    rng = np.random.default_rng(cfg.seed)
     elapsed = np.empty(cfg.trials)
     errors = np.empty(cfg.trials, dtype=bool)
-    for i, ss in enumerate(seqs):
-        res = simulate_trial(probs, n_max, timing,
-                             np.random.default_rng(ss), attempt_cap=cfg.attempt_cap)
+    for i in range(cfg.trials):
+        res = _skip_trial(probs, n_max, timing, rng, cfg.attempt_cap)
         elapsed[i] = res.elapsed
         errors[i] = res.error_occurred
     n = cfg.trials

@@ -304,7 +304,7 @@ class TestMain:
         assert json.loads(cap.err)["error"] == "io"
 
     @pytest.mark.parametrize("kind", ["pdr", "rate_vs_loss"])
-    @pytest.mark.parametrize("out", [".", "/"])
+    @pytest.mark.parametrize("out", [".", "/", ".."])
     def test_io_exit_code_for_an_out_path_without_a_name(self, tmp_path, capsys,
                                                         monkeypatch, kind, out):
         monkeypatch.chdir(tmp_path)

@@ -1,6 +1,7 @@
 """Monte Carlo tests: determinism, degenerate inputs, statistical agreement
-of outcome frequencies with the attempt partition, and rate agreement with
-the analytic model."""
+of outcome frequencies with the attempt partition, of simulate_rate's
+event-skipping sampler with the per-attempt reference sampler, and rate
+agreement with the analytic model."""
 
 import math
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import polspin as ps
-from polspin.montecarlo import McConfig, NoDetectionError
+from polspin.montecarlo import McConfig, NoDetectionError, _skip_trial
 from polspin.rate import success_probability
 
 TIMING = ps.ProtocolTiming(tau_reset=30e-6, tau_pulse=1 / 5.81e6)
@@ -16,6 +17,25 @@ TIMING = ps.ProtocolTiming(tau_reset=30e-6, tau_pulse=1 / 5.81e6)
 
 def probs_of(p_det, p_lost):
     return ps.AttemptProbabilities(p_det=p_det, p_lost=p_lost)
+
+
+def design_point(db):
+    """Partition and analytic rate at F >= 0.95 for a link loss in dB."""
+    link = ps.design_link(10 ** (-db / 10))
+    analytic = ps.transfer_rate(ps.design_pdr(), ps.design_polarizer(),
+                                ps.design_cavity(), link, ps.design_timing(),
+                                f_target=0.95)
+    return ps.attempt_probabilities(ps.design_pdr(), ps.design_polarizer(), link), analytic
+
+
+def ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    empirical distribution functions, taken at every sample value."""
+    a, b = np.sort(a), np.sort(b)
+    x = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, x, side="right") / a.size
+    cdf_b = np.searchsorted(b, x, side="right") / b.size
+    return float(np.max(np.abs(cdf_a - cdf_b)))
 
 
 class TestSimulateTrial:
@@ -123,3 +143,63 @@ class TestSimulateRate:
                                     McConfig(trials=200, seed=5))
         # arithmetic mean of rates dominates the harmonic-style estimate
         assert est.mean_rate >= harmonic.mean_rate
+
+
+class TestEventSkipping:
+    """simulate_rate draws its trials by skipping lost attempts; the law must
+    be the per-attempt reference sampler's, at any loss."""
+
+    @pytest.mark.parametrize("db, n_max, seeds", [(20, 190, (101, 102)),
+                                                  (10, 19, (103, 104))])
+    def test_same_law_as_the_reference_sampler(self, db, n_max, seeds):
+        # at 10 dB most trials span several sequences
+        probs, _ = design_point(db)
+        n = 4000
+        draws = {}
+        for name, sampler, seed in (("ref", ps.simulate_trial, seeds[0]),
+                                    ("skip", _skip_trial, seeds[1])):
+            rng = np.random.default_rng(seed)
+            trials = [sampler(probs, n_max, TIMING, rng, 10**8) for _ in range(n)]
+            draws[name] = {f: np.array([getattr(t, f) for t in trials])
+                           for f in ("attempts_used", "sequences_used", "error_occurred")}
+        ref, skip = draws["ref"], draws["skip"]
+        assert np.mean(ref["sequences_used"]) > 1.2  # several sequences occur
+        # KS at a 0.1% level (conservative for these integer laws)
+        d_crit = math.sqrt(-math.log(0.0005) / 2) * math.sqrt(2 / n)
+        for field in ("attempts_used", "sequences_used"):
+            assert ks_statistic(ref[field], skip[field]) < d_crit, field
+        p1, p2 = ref["error_occurred"].mean(), skip["error_occurred"].mean()
+        pooled = (p1 + p2) / 2
+        assert abs(p1 - p2) <= 4 * math.sqrt(pooled * (1 - pooled) * 2 / n)
+
+    @pytest.mark.parametrize("db, seed", [(60, 160), (90, 190)])
+    def test_agreement_with_analytic_at_high_loss(self, db, seed):
+        # 90 dB expects about 4e9 attempts per trial, past the default cap
+        probs, analytic = design_point(db)
+        est = ps.simulate_rate(probs, analytic.n_max, ps.design_timing(),
+                               McConfig(trials=10_000, seed=seed, attempt_cap=10**13))
+        assert abs(est.mean_rate - analytic.rate) <= 4 * est.std_error
+        expect = (ps.sequence_error_probability(analytic.n_max, probs)
+                  / success_probability(analytic.n_max, probs))
+        pull = abs(est.error_fraction - expect) / math.sqrt(expect * (1 - expect) / est.trials)
+        assert pull <= 4
+
+    @pytest.mark.parametrize("probs, n_max, cap", [
+        # p_e > 0 and no click: stepping through the errors would hang
+        (probs_of(0.0, 0.5), 2**53, 10**15),
+        (probs_of(0.0, 1.0), 10, 1000),
+        # a click too rare to see, one attempt per sequence: the cap must
+        # also bind across sequence resets
+        (probs_of(1e-12, 1.0 - 1e-12), 1, 1000),
+    ], ids=["no-click-with-errors", "all-lost", "rare-click-across-resets"])
+    def test_attempt_cap_through_simulate_rate(self, probs, n_max, cap):
+        with pytest.raises(NoDetectionError):
+            ps.simulate_rate(probs, n_max, TIMING,
+                             McConfig(trials=3, seed=0, attempt_cap=cap))
+
+    def test_attempt_cap_counts_attempts_not_skipped_gaps(self):
+        # one attempt per sequence, about 10^4 to the click: a click within
+        # 10^5 attempts is all but certain, though many skipped gaps overshoot
+        est = ps.simulate_rate(probs_of(1e-4, 1.0 - 1e-4), 1, TIMING,
+                               McConfig(trials=10, seed=0, attempt_cap=10**5))
+        assert est.trials == 10
