@@ -7,7 +7,11 @@ detection. simulate_rate skips the lost attempts: the gap to the next one
 that is not lost is geometric with p = p_det + p_e, and it clicks with
 probability p_det / (p_det + p_e). That uses only memorylessness, so it is
 exact in distribution, independent of the closed forms, and its cost does
-not grow with loss. simulate_trial is the per-attempt reference sampler.
+not grow with loss. It takes the gaps and the click uniforms from one
+generator in blocks of _BLOCK (256) each, refilled as they run out, and
+walks the trials through them in plain Python: a seeded run's draws depend
+on the block size and on the trials before each one, not on those after.
+simulate_trial is the per-attempt reference sampler.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .rate import AttemptProbabilities
 
 DEFAULT_ATTEMPT_CAP = 10**8
 _DRAW_CHUNK = 1 << 16
+_BLOCK = 256  # draws per refill in _walk; fixed, so seeded runs do not depend on trials
 
 
 class NoDetectionError(RuntimeError):
@@ -109,36 +114,62 @@ def simulate_trial(
         f"no detection within {attempt_cap} attempts (p_det = {probs.p_det})")
 
 
-def _skip_trial(probs: AttemptProbabilities, n_max: int, timing: ProtocolTiming,
-                rng: np.random.Generator, attempt_cap: int) -> TrialResult:
-    """One trial of simulate_trial's law, drawn only at the attempts that
-    are not lost; the cap binds once no such attempt falls within it."""
+def _cap_exhausted(attempt_cap: int, probs: AttemptProbabilities) -> NoDetectionError:
+    return NoDetectionError(
+        f"no detection within {attempt_cap} attempts (p_det = {probs.p_det})")
+
+
+def _walk(probs: AttemptProbabilities, n_max: int, trials: int,
+          rng: np.random.Generator, attempt_cap: int
+          ) -> tuple[list[int], list[int], list[bool]]:
+    """Attempts, sequences and error flags of `trials` successive trials of
+    simulate_trial's law, drawn only at the attempts that are not lost.
+
+    Gaps and uniforms come from rng in blocks of _BLOCK, each refilled only
+    when used up, so a trial's draws do not depend on how many trials follow
+    it. The cap binds once no attempt that is not lost falls within it.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if probs.p_det == 0:  # no click ever; stepping through errors to the cap is slow
         raise NoDetectionError("no detection possible (p_det = 0)")
     p_hit = min(1.0, probs.p_det + probs.p_e)
     click_share = probs.p_det / p_hit
-    attempts, sequences = 0, 1  # attempts counts the sequences already ended
-    pos, error_in_seq = 0, False  # the current sequence
-    while True:
-        pos += int(rng.geometric(p_hit))
-        # past n_max, the next event is in a new sequence, at n_max + 1 or later
-        if attempts + min(pos, n_max + 1) > attempt_cap:
-            raise NoDetectionError(
-                f"no detection within {attempt_cap} attempts (p_det = {probs.p_det})")
-        if pos > n_max:  # no click within n_max attempts: reset, start anew
-            attempts, sequences, pos, error_in_seq = attempts + n_max, sequences + 1, 0, False
-        elif rng.random() >= click_share:
+    attempts_out: list[int] = []
+    sequences_out: list[int] = []
+    errors_out: list[bool] = []
+    gaps: list[int] = []
+    uniforms: list[float] = []
+    gi = ui = _BLOCK  # both blocks empty: fill on first use
+    for _ in range(trials):
+        attempts, sequences = 0, 1  # attempts counts the sequences already ended
+        pos, error_in_seq = 0, False  # the current sequence
+        while True:
+            if gi == _BLOCK:
+                gaps, gi = rng.geometric(p_hit, size=_BLOCK).tolist(), 0
+            pos += gaps[gi]
+            gi += 1
+            # the cap rule is attempts + min(pos, n_max + 1) > attempt_cap, split
+            # by branch: past n_max, the next event is in a new sequence, at its
+            # first attempt or later
+            if pos > n_max:  # no click within n_max attempts: reset, start anew
+                attempts, sequences, pos, error_in_seq = attempts + n_max, sequences + 1, 0, False
+                if attempts + 1 > attempt_cap:
+                    raise _cap_exhausted(attempt_cap, probs)
+                continue
+            if attempts + pos > attempt_cap:
+                raise _cap_exhausted(attempt_cap, probs)
+            if ui == _BLOCK:
+                uniforms, ui = rng.random(_BLOCK).tolist(), 0
+            u = uniforms[ui]
+            ui += 1
+            if u < click_share:
+                break
             error_in_seq = True
-        else:
-            attempts += pos
-            return TrialResult(
-                elapsed=sequences * timing.tau_reset + attempts * timing.tau_slot,
-                attempts_used=attempts,
-                sequences_used=sequences,
-                error_occurred=error_in_seq,
-            )
+        attempts_out.append(attempts + pos)
+        sequences_out.append(sequences)
+        errors_out.append(error_in_seq)
+    return attempts_out, sequences_out, errors_out
 
 
 def simulate_rate(
@@ -150,19 +181,19 @@ def simulate_rate(
     """Estimate the average transfer rate from cfg.trials independent trials.
 
     One generator seeded with cfg.seed draws every trial in turn, skipping
-    the lost attempts (see the module docstring), so a trial's draws depend
-    on the trials before it and the cost per trial does not grow with loss.
+    the lost attempts (see the module docstring), and the cost per trial
+    does not grow with loss. Draws are taken in blocks of _BLOCK (256)
+    gaps and 256 uniforms, so a trial's draws depend on the block size and
+    on the trials before it, but not on cfg.trials: a seeded run's first k
+    trials are those of the same seed's k-trial run.
     The default estimator is 1/mean(elapsed); harmonic_rate=False returns
     mean(1/elapsed) instead. The standard error is propagated from the
     spread of the per-trial times (or rates).
     """
-    rng = np.random.default_rng(cfg.seed)
-    elapsed = np.empty(cfg.trials)
-    errors = np.empty(cfg.trials, dtype=bool)
-    for i in range(cfg.trials):
-        res = _skip_trial(probs, n_max, timing, rng, cfg.attempt_cap)
-        elapsed[i] = res.elapsed
-        errors[i] = res.error_occurred
+    attempts, sequences, errors = _walk(probs, n_max, cfg.trials,
+                                        np.random.default_rng(cfg.seed), cfg.attempt_cap)
+    elapsed = (np.array(sequences, dtype=float) * timing.tau_reset
+               + np.array(attempts, dtype=float) * timing.tau_slot)
     n = cfg.trials
     if cfg.harmonic_rate:
         mean_t = float(np.mean(elapsed))

@@ -4,12 +4,13 @@ event-skipping sampler with the per-attempt reference sampler, and rate
 agreement with the analytic model."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import polspin as ps
-from polspin.montecarlo import McConfig, NoDetectionError, _skip_trial
+from polspin.montecarlo import _BLOCK, McConfig, NoDetectionError, _walk
 from polspin.rate import success_probability
 
 TIMING = ps.ProtocolTiming(tau_reset=30e-6, tau_pulse=1 / 5.81e6)
@@ -150,19 +151,19 @@ class TestEventSkipping:
     be the per-attempt reference sampler's, at any loss."""
 
     @pytest.mark.parametrize("db, n_max, seeds", [(20, 190, (101, 102)),
-                                                  (10, 19, (103, 104))])
+                                                  (10, 19, (103, 104)),
+                                                  (10, 1, (105, 106))])
     def test_same_law_as_the_reference_sampler(self, db, n_max, seeds):
-        # at 10 dB most trials span several sequences
+        # at 10 dB most trials span several sequences; with n_max = 1 a trial
+        # averages about 40 gap draws, so trials routinely span a block refill
         probs, _ = design_point(db)
         n = 4000
-        draws = {}
-        for name, sampler, seed in (("ref", ps.simulate_trial, seeds[0]),
-                                    ("skip", _skip_trial, seeds[1])):
-            rng = np.random.default_rng(seed)
-            trials = [sampler(probs, n_max, TIMING, rng, 10**8) for _ in range(n)]
-            draws[name] = {f: np.array([getattr(t, f) for t in trials])
-                           for f in ("attempts_used", "sequences_used", "error_occurred")}
-        ref, skip = draws["ref"], draws["skip"]
+        fields = ("attempts_used", "sequences_used", "error_occurred")
+        rng = np.random.default_rng(seeds[0])
+        trials = [ps.simulate_trial(probs, n_max, TIMING, rng, 10**8) for _ in range(n)]
+        ref = {f: np.array([getattr(t, f) for t in trials]) for f in fields}
+        walk = _walk(probs, n_max, n, np.random.default_rng(seeds[1]), 10**8)
+        skip = dict(zip(fields, map(np.array, walk)))
         assert np.mean(ref["sequences_used"]) > 1.2  # several sequences occur
         # KS at a 0.1% level (conservative for these integer laws)
         d_crit = math.sqrt(-math.log(0.0005) / 2) * math.sqrt(2 / n)
@@ -196,6 +197,30 @@ class TestEventSkipping:
         with pytest.raises(NoDetectionError):
             ps.simulate_rate(probs, n_max, TIMING,
                              McConfig(trials=3, seed=0, attempt_cap=cap))
+
+    def test_attempt_cap_binds_after_a_block_refill(self):
+        # an error about every other attempt and a click too rare to see, in
+        # one unbounded sequence: both blocks run out many times before the cap
+        probs, cap = probs_of(1e-12, 0.5), 10**4
+        assert cap * (probs.p_det + probs.p_e) > 10 * _BLOCK
+        message = f"no detection within {cap} attempts (p_det = {probs.p_det})"
+        with pytest.raises(NoDetectionError, match=re.escape(message)):
+            ps.simulate_rate(probs, 2**53, TIMING,
+                             McConfig(trials=3, seed=0, attempt_cap=cap))
+
+    def test_refuses_n_max_below_one(self):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            ps.simulate_rate(probs_of(0.5, 0.2), 0, TIMING, McConfig(trials=3, seed=0))
+
+    def test_first_trials_do_not_depend_on_the_trial_count(self):
+        # the short walk already spans block refills; a block size that
+        # followed the trial count would change its draws
+        probs, _ = design_point(10)
+        short, long = (_walk(probs, 1, k, np.random.default_rng(11), 10**8)
+                       for k in (50, 2000))
+        assert sum(short[1]) > 2 * _BLOCK  # at least one gap per sequence
+        for a, b in zip(short, long):
+            assert a == b[:50]
 
     def test_attempt_cap_counts_attempts_not_skipped_gaps(self):
         # one attempt per sequence, about 10^4 to the click: a click within
