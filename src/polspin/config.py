@@ -172,7 +172,9 @@ def load_config(
     override are merged the same way, and unknown keys are rejected with
     their full dotted path.
     """
-    raw = json.loads(json.dumps(DEFAULTS))  # deep copy
+    # a copy one container level down is deep: DEFAULTS nests no deeper
+    raw = {key: type(val)(val) if isinstance(val, (dict, list)) else val
+           for key, val in DEFAULTS.items()}
     if path is not None:
         text = Path(path).read_text()
         if text.strip():

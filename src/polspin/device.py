@@ -122,14 +122,24 @@ class JointState:
 class FidelityReport:
     """Average transfer fidelity with per-input and per-outcome breakdown.
 
-    per_input maps a target-state label to its herald-weighted fidelity;
-    per_outcome maps (label, outcome) to (herald probability, conditional
-    fidelity of the corrected spin state).
+    per_input maps a target-state label to its herald-weighted fidelity.
+    herald and overlap are the kernel's per-input (H, V) herald
+    probabilities and their products with the conditional fidelity, in
+    TARGET_STATES order; per_outcome is built from them when read.
     """
 
     f_avg: float
     per_input: list[tuple[str, float]]
-    per_outcome: dict[tuple[str, HeraldOutcome], tuple[float, float]]
+    herald: tuple[tuple[float, float], ...]
+    overlap: tuple[tuple[float, float], ...]
+
+    @property
+    def per_outcome(self) -> dict[tuple[str, HeraldOutcome], tuple[float, float]]:
+        """(label, outcome) -> (herald probability, conditional fidelity of
+        the corrected spin state); (0.0, nan) for an outcome never heralded."""
+        return {(label, outcome): (p, o / p) if p else (0.0, float("nan"))
+                for label, probs, overlaps in zip(_LABELS, self.herald, self.overlap)
+                for outcome, p, o in zip(HeraldOutcome, probs, overlaps)}
 
 
 def _cavity_reflections(kappa, kappa_wg, gamma, g, delta_c, delta_a):
@@ -252,6 +262,7 @@ TARGET_STATES: list[tuple[str, complex, complex]] = [
     ("y+", _S, 1j * _S),
     ("y-", _S, -1j * _S),
 ]
+_LABELS = [label for label, _, _ in TARGET_STATES]
 
 
 # Per target: (alpha, beta, conj(alpha), conj(beta), 1 / (8 |target|^2)). The
@@ -349,16 +360,11 @@ def transfer_fidelity(
     if k.non_passive:
         mag = max(abs(k.r_H), abs(k.r_V_on), abs(k.r_V_off))
         raise ValidationError(f"non-passive etalon: |r_eff| = {mag} exceeds 1")
-    per_input: list[tuple[str, float]] = []
-    per_outcome: dict[tuple[str, HeraldOutcome], tuple[float, float]] = {}
-    for (label, _, _), probs, overlaps, fid in zip(
-            TARGET_STATES, k.herald, k.overlap, k.fidelity):
-        if k.opaque and probs[0] + probs[1] == 0.0:
-            raise OpaqueDeviceError(f"device opaque for input {label}")
-        for outcome, p, o in zip(HeraldOutcome, probs, overlaps):
-            per_outcome[(label, outcome)] = (p, o / p) if p else (0.0, float("nan"))
-        per_input.append((label, fid))
-    return FidelityReport(f_avg=k.f_avg, per_input=per_input, per_outcome=per_outcome)
+    if k.opaque:
+        label = next(label for label, (p_H, p_V) in zip(_LABELS, k.herald)
+                     if p_H + p_V == 0.0)
+        raise OpaqueDeviceError(f"device opaque for input {label}")
+    return FidelityReport(k.f_avg, list(zip(_LABELS, k.fidelity)), k.herald, k.overlap)
 
 
 def loss_balance_residual(eff: EffectiveReflections) -> float:

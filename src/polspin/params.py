@@ -20,9 +20,11 @@ class ValidationError(ValueError):
     """A parameter violates one of its declared invariants."""
 
 
-def _check(cond: bool, msg: str) -> None:
+def _check(cond: bool, fmt: str, *args: Any) -> None:
+    """Raise ValidationError(fmt.format(*args)) unless cond holds. The message
+    is formatted only on failure; "{}".format(x) renders as f"{x}" does."""
     if not cond:
-        raise ValidationError(msg)
+        raise ValidationError(fmt.format(*args))
 
 
 def _finite(z: complex) -> bool:
@@ -45,11 +47,11 @@ class CavityParams:
     delta_a: float = 0.0  # atom detuning (omega_a - omega)
 
     def __post_init__(self) -> None:
-        _check(self.kappa > 0, f"kappa must be > 0, got {self.kappa}")
-        _check(self.gamma > 0, f"gamma must be > 0, got {self.gamma}")
-        _check(self.g >= 0, f"g must be >= 0, got {self.g}")
+        _check(self.kappa > 0, "kappa must be > 0, got {}", self.kappa)
+        _check(self.gamma > 0, "gamma must be > 0, got {}", self.gamma)
+        _check(self.g >= 0, "g must be >= 0, got {}", self.g)
         _check(0 <= self.kappa_wg <= self.kappa,
-               f"kappa_wg must lie in [0, kappa], got {self.kappa_wg}")
+               "kappa_wg must lie in [0, kappa], got {}", self.kappa_wg)
 
     @property
     def cooperativity(self) -> float:
@@ -77,13 +79,13 @@ class PdrParams:
     r_V: complex
 
     def __post_init__(self) -> None:
-        for name in ("t_H", "r_H", "t_V", "r_V"):
-            z = getattr(self, name)
-            _check(_finite(z), f"{name} must be finite")
-        _check(self.T_H + self.R_H <= 1 + POWER_TOL,
-               f"T_H + R_H = {self.T_H + self.R_H} exceeds 1")
-        _check(self.T_V + self.R_V <= 1 + POWER_TOL,
-               f"T_V + R_V = {self.T_V + self.R_V} exceeds 1")
+        t_H, r_H, t_V, r_V = self.t_H, self.r_H, self.t_V, self.r_V
+        for name, z in (("t_H", t_H), ("r_H", r_H), ("t_V", t_V), ("r_V", r_V)):
+            _check(_finite(z), "{} must be finite", name)
+        sum_H = abs(t_H) ** 2 + abs(r_H) ** 2
+        _check(sum_H <= 1 + POWER_TOL, "T_H + R_H = {} exceeds 1", sum_H)
+        sum_V = abs(t_V) ** 2 + abs(r_V) ** 2
+        _check(sum_V <= 1 + POWER_TOL, "T_V + R_V = {} exceeds 1", sum_V)
 
     @property
     def T_H(self) -> float:
@@ -124,8 +126,8 @@ class PdrParams:
         R_V = 1.0 - T_V - zeta_V
         T_H = 1.0 - R_H - zeta_H
         _check(0 <= T_V <= 1 and 0 <= R_H <= 1, "T_V and R_H must lie in [0, 1]")
-        _check(R_V >= -POWER_TOL, f"R_V = 1 - T_V - zeta_V is negative ({R_V})")
-        _check(T_H >= -POWER_TOL, f"T_H = 1 - R_H - zeta_H is negative ({T_H})")
+        _check(R_V >= -POWER_TOL, "R_V = 1 - T_V - zeta_V is negative ({})", R_V)
+        _check(T_H >= -POWER_TOL, "T_H = 1 - R_H - zeta_H is negative ({})", T_H)
         return cls(
             t_H=complex(math.sqrt(max(T_H, 0.0))),
             r_H=complex(reflection_sign * math.sqrt(R_H)),
@@ -142,8 +144,8 @@ class PolarizerParams:
     eta_pol_H: float
 
     def __post_init__(self) -> None:
-        _check(0 <= self.eta_pol_V <= 1, f"eta_pol_V out of [0,1]: {self.eta_pol_V}")
-        _check(0 <= self.eta_pol_H <= 1, f"eta_pol_H out of [0,1]: {self.eta_pol_H}")
+        _check(0 <= self.eta_pol_V <= 1, "eta_pol_V out of [0,1]: {}", self.eta_pol_V)
+        _check(0 <= self.eta_pol_H <= 1, "eta_pol_H out of [0,1]: {}", self.eta_pol_H)
         _check(self.eta_pol_V >= self.eta_pol_H,
                "a V-pass polarizer requires eta_pol_V >= eta_pol_H")
 
@@ -161,13 +163,13 @@ class LinkParams:
     def __post_init__(self) -> None:
         for name in ("eta_link", "eta_det", "r_cav_V_avg", "r_cav_H"):
             v = getattr(self, name)
-            _check(0 <= v <= 1, f"{name} out of [0,1]: {v}")
+            _check(0 <= v <= 1, "{} out of [0,1]: {}", name, v)
         if self.xi is None:
             # worst case: all non-reflected H light reaches the spin
             object.__setattr__(self, "xi", 1.0 - self.r_cav_H)
-        _check(0 <= self.xi <= 1, f"xi out of [0,1]: {self.xi}")
+        _check(0 <= self.xi <= 1, "xi out of [0,1]: {}", self.xi)
         _check(self.xi <= 1 - self.r_cav_H + POWER_TOL,
-               f"xi = {self.xi} exceeds 1 - r_cav_H = {1 - self.r_cav_H}")
+               "xi = {} exceeds 1 - r_cav_H = {}", self.xi, 1 - self.r_cav_H)
 
 
 @dataclass(frozen=True)
@@ -179,10 +181,10 @@ class ProtocolTiming:
     pulse_multiplier: float = 1.0
 
     def __post_init__(self) -> None:
-        _check(self.tau_reset > 0, f"tau_reset must be > 0, got {self.tau_reset}")
-        _check(self.tau_pulse > 0, f"tau_pulse must be > 0, got {self.tau_pulse}")
+        _check(self.tau_reset > 0, "tau_reset must be > 0, got {}", self.tau_reset)
+        _check(self.tau_pulse > 0, "tau_pulse must be > 0, got {}", self.tau_pulse)
         _check(self.pulse_multiplier > 0,
-               f"pulse_multiplier must be > 0, got {self.pulse_multiplier}")
+               "pulse_multiplier must be > 0, got {}", self.pulse_multiplier)
 
     @property
     def tau_slot(self) -> float:

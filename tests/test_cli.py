@@ -2,6 +2,7 @@
 layering, validation messages, exit codes, output formats, and determinism
 of seeded runs."""
 
+import copy
 import csv
 import json
 import math
@@ -88,6 +89,40 @@ class TestLoadConfig:
         assert a.config_hash == b.config_hash
         assert a.config_hash != c.config_hash
         assert len(a.config_hash) == 16
+
+    def test_defaults_nest_at_most_two_levels(self):
+        # load_config copies DEFAULTS one container level down; a container
+        # below that would be shared between runs
+        for key, val in DEFAULTS.items():
+            if isinstance(val, dict):
+                val = list(val.values())
+            for item in val if isinstance(val, list) else []:
+                assert not isinstance(item, (dict, list, tuple, set)), key
+
+    def test_mutating_a_resolved_config_leaves_defaults_alone(self):
+        before = copy.deepcopy(DEFAULTS)
+        raw = load_config().raw
+        try:
+            for val in raw.values():
+                if isinstance(val, dict):
+                    for key in val:
+                        val[key] = "mutated"
+                    val["extra"] = 1
+                elif isinstance(val, list):
+                    val[:] = ["mutated"]
+                    val.append(2)
+            assert DEFAULTS == before
+            fresh = load_config()
+            assert fresh.raw == before
+            assert fresh.config_hash == "1c102c291be3434a"
+        finally:
+            # on failure, put DEFAULTS back in place for the tests that follow
+            for key, val in before.items():
+                if isinstance(val, dict):
+                    DEFAULTS[key].clear()
+                    DEFAULTS[key].update(val)
+                elif isinstance(val, list):
+                    DEFAULTS[key][:] = val
 
     def test_echo_contains_every_preset_key(self):
         echoed = json.loads(load_config().echo_json())

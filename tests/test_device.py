@@ -222,6 +222,41 @@ class TestTransferFidelity:
             assert weighted_fidelity(a * phased, b * phased) == pytest.approx(
                 weighted_fidelity(a, b), abs=1e-12), label
 
+    @pytest.mark.parametrize("pdr,cav", [
+        (dict(T_V=0.99, R_H=0.15), dict(coupling_ratio=0.73, cooperativity=4.0)),
+        (dict(T_V=0.7, R_H=0.4, zeta_V=0.1), dict(coupling_ratio=0.5, cooperativity=1.5)),
+        (dict(T_V=0.9, R_H=0.25, zeta_H=0.2), dict(coupling_ratio=0.6, cooperativity=12.0)),
+    ])
+    def test_per_outcome_matches_the_state_path(self, pdr, cav):
+        pdr = ps.PdrParams.from_power(**pdr)
+        pol, cav = ps.design_polarizer(), ps.CavityParams.from_ratios(**cav)
+        per_outcome = ps.transfer_fidelity(pdr, pol, cav).per_outcome
+        eff = ps.effective_reflections(pdr, pol, cav)
+        assert len(per_outcome) == 2 * len(TARGET_STATES)
+        for label, a, b in TARGET_STATES:
+            joint = ps.evolve_joint_state(ps.PhotonQubit(a, b), eff)
+            for outcome in HeraldOutcome:
+                p, spin = ps.herald_spin_state(joint, outcome)
+                got_p, got_f = per_outcome[(label, outcome)]
+                assert got_p == pytest.approx(p, abs=1e-12), (label, outcome)
+                assert got_f == pytest.approx(spin.fidelity(ps.SpinState(a, b)),
+                                              abs=1e-12), (label, outcome)
+
+    def test_zero_amplitude_outcome_reads_zero_and_nan(self):
+        # both polarizations reflect at -1 off the reflector with no
+        # transmission, so nothing depends on the spin: x+ never reaches the
+        # H detector and x- never reaches the V detector
+        pdr = ps.PdrParams.from_power(T_V=0.0, R_H=1.0)
+        report = ps.transfer_fidelity(pdr, ps.design_polarizer(), ps.design_cavity())
+        per_outcome = report.per_outcome
+        for label, outcome in (("x+", HeraldOutcome.H_AFTER_HWP),
+                               ("x-", HeraldOutcome.V_AFTER_HWP)):
+            p, f = per_outcome[(label, outcome)]
+            assert p == 0.0 and math.isnan(f), label
+        assert per_outcome[("x+", HeraldOutcome.V_AFTER_HWP)][0] == pytest.approx(1.0)
+        assert all(p > 0 for (label, _), (p, _) in per_outcome.items()
+                   if label in ("y+", "y-"))
+
     def test_scattering_only_degrades(self):
         # grow V scattering at fixed R_V: fidelity strictly decreases
         pol, cav = ps.design_polarizer(), ps.design_cavity()

@@ -1,0 +1,92 @@
+"""Every check of the parameter types, triggered once: each must raise
+ValidationError with exactly the message pinned here."""
+
+import math
+
+import pytest
+
+import polspin as ps
+from polspin.params import ValidationError
+
+NAN = float("nan")
+INF = float("inf")
+
+
+def _cavity(**kw):
+    return ps.CavityParams(**{"kappa": 1.0, "kappa_wg": 0.5, "gamma": 1.0, "g": 1.0, **kw})
+
+
+def _pdr(**kw):
+    return ps.PdrParams(**{"t_H": 0.5, "r_H": -0.5, "t_V": 0.5, "r_V": -0.5, **kw})
+
+
+def _link(**kw):
+    return ps.LinkParams(**{"eta_link": 0.5, "eta_det": 0.5, "r_cav_V_avg": 0.5,
+                            "r_cav_H": 0.75, **kw})
+
+
+def _timing(**kw):
+    return ps.ProtocolTiming(**{"tau_reset": 1e-5, "tau_pulse": 1e-7, **kw})
+
+
+CASES = [
+    # CavityParams
+    (lambda: _cavity(kappa=0.0), "kappa must be > 0, got 0.0"),
+    (lambda: _cavity(kappa=NAN), "kappa must be > 0, got nan"),
+    (lambda: _cavity(gamma=-0.5), "gamma must be > 0, got -0.5"),
+    (lambda: _cavity(g=-1.0), "g must be >= 0, got -1.0"),
+    (lambda: _cavity(kappa_wg=1.5), "kappa_wg must lie in [0, kappa], got 1.5"),
+    (lambda: _cavity(kappa_wg=-0.25), "kappa_wg must lie in [0, kappa], got -0.25"),
+    # CavityParams.from_ratios
+    (lambda: ps.CavityParams.from_ratios(0.5, -1.0), "cooperativity must be >= 0"),
+    # PdrParams
+    (lambda: _pdr(t_H=complex(NAN, 0.0)), "t_H must be finite"),
+    (lambda: _pdr(r_H=complex(0.0, INF)), "r_H must be finite"),
+    (lambda: _pdr(t_V=-INF), "t_V must be finite"),
+    (lambda: _pdr(r_V=NAN), "r_V must be finite"),
+    (lambda: _pdr(t_H=1.0, r_H=0.5), "T_H + R_H = 1.25 exceeds 1"),
+    (lambda: _pdr(t_V=0.5j, r_V=-1.0), "T_V + R_V = 1.25 exceeds 1"),
+    # PdrParams.from_power
+    (lambda: ps.PdrParams.from_power(0.5, 0.5, reflection_sign=0.5),
+     "reflection_sign must be +1 or -1, got 0.5"),
+    (lambda: ps.PdrParams.from_power(1.5, 0.5), "T_V and R_H must lie in [0, 1]"),
+    (lambda: ps.PdrParams.from_power(0.5, -0.5), "T_V and R_H must lie in [0, 1]"),
+    (lambda: ps.PdrParams.from_power(0.75, 0.5, zeta_V=0.5),
+     "R_V = 1 - T_V - zeta_V is negative (-0.25)"),
+    (lambda: ps.PdrParams.from_power(0.5, 0.5, zeta_H=0.75),
+     "T_H = 1 - R_H - zeta_H is negative (-0.25)"),
+    # PolarizerParams
+    (lambda: ps.PolarizerParams(eta_pol_V=1.5, eta_pol_H=0.5), "eta_pol_V out of [0,1]: 1.5"),
+    (lambda: ps.PolarizerParams(eta_pol_V=0.5, eta_pol_H=-0.5), "eta_pol_H out of [0,1]: -0.5"),
+    (lambda: ps.PolarizerParams(eta_pol_V=0.25, eta_pol_H=0.5),
+     "a V-pass polarizer requires eta_pol_V >= eta_pol_H"),
+    # LinkParams
+    (lambda: _link(eta_link=1.5), "eta_link out of [0,1]: 1.5"),
+    (lambda: _link(eta_det=-0.5), "eta_det out of [0,1]: -0.5"),
+    (lambda: _link(r_cav_V_avg=2), "r_cav_V_avg out of [0,1]: 2"),
+    (lambda: _link(r_cav_H=NAN), "r_cav_H out of [0,1]: nan"),
+    (lambda: _link(xi=1.5), "xi out of [0,1]: 1.5"),
+    (lambda: _link(xi=0.5), "xi = 0.5 exceeds 1 - r_cav_H = 0.25"),
+    # ProtocolTiming
+    (lambda: _timing(tau_reset=0.0), "tau_reset must be > 0, got 0.0"),
+    (lambda: _timing(tau_pulse=-1e-6), "tau_pulse must be > 0, got -1e-06"),
+    (lambda: _timing(pulse_multiplier=0), "pulse_multiplier must be > 0, got 0"),
+]
+
+
+@pytest.mark.parametrize("build,message", CASES, ids=[m for _, m in CASES])
+def test_each_check_raises_its_message(build, message):
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_valid_inputs_pass_every_check():
+    _cavity(), _pdr(), _link(), _timing()
+    ps.CavityParams.from_ratios(0.5, 0.0)
+    ps.PdrParams.from_power(0.5, 0.5, zeta_V=0.5, zeta_H=0.5, reflection_sign=1)
+    ps.PolarizerParams(eta_pol_V=0.5, eta_pol_H=0.5)
+    assert _link().xi == 0.25
+    # a power sum within POWER_TOL of 1 passes
+    pdr = _pdr(t_H=math.sqrt(0.5), r_H=math.sqrt(0.5))
+    assert pdr.zeta_H == pytest.approx(0.0, abs=1e-15)

@@ -193,7 +193,7 @@ def test_opaque_device_raises_in_sweep_and_scalar_path():
     pdr = ps.PdrParams.from_power(T_V=1.0, R_H=0.0)
     pol = ps.PolarizerParams(eta_pol_V=1.0, eta_pol_H=0.0)
     cav = ps.CavityParams(kappa=1.0, kappa_wg=0.5, gamma=1.0, g=0.0)
-    with pytest.raises(ps.OpaqueDeviceError):
+    with pytest.raises(ps.OpaqueDeviceError, match=r"^device opaque for input x\+$"):
         ps.transfer_fidelity(pdr, pol, cav)
     with pytest.raises(ps.OpaqueDeviceError):
         ps.sweep_fidelity_cavity(SweepAxis("cavity.cooperativity", 0.0, 1.0, 2),
