@@ -4,6 +4,7 @@ validation, and the resolved-config echo used for provenance."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
@@ -143,6 +144,8 @@ def _build(raw: dict[str, Any]) -> RunConfig:
     re_im = raw["r_cav_h"]
     if not (isinstance(re_im, list) and len(re_im) == 2):
         raise ConfigError("r_cav_h must be a [re, im] pair")
+    if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in re_im):
+        raise ConfigError(f"r_cav_h must hold two finite numbers, got {re_im!r}")
     kind = raw["sweep"]["kind"]
     if not (isinstance(kind, str) and kind in SWEEP_KINDS):
         raise ConfigError(f"unknown sweep kind: {kind}")

@@ -52,6 +52,8 @@ class CavityParams:
         _check(self.g >= 0, "g must be >= 0, got {}", self.g)
         _check(0 <= self.kappa_wg <= self.kappa,
                "kappa_wg must lie in [0, kappa], got {}", self.kappa_wg)
+        _check(math.isfinite(self.delta_c), "delta_c must be finite, got {}", self.delta_c)
+        _check(math.isfinite(self.delta_a), "delta_a must be finite, got {}", self.delta_a)
 
     @property
     def cooperativity(self) -> float:

@@ -82,6 +82,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"\[0,\s*1\]"):
             load_config(overrides=["link.eta_link=1.5"])
 
+    @pytest.mark.parametrize("setting,message", [
+        ("r_cav_h=[NaN,0]", "r_cav_h must hold two finite numbers, got [nan, 0]"),
+        ("r_cav_h=[0,-Infinity]", "r_cav_h must hold two finite numbers, got [0, -inf]"),
+        ('r_cav_h=["a",0]', "r_cav_h must hold two finite numbers, got ['a', 0]"),
+        ("cavity.delta_c=NaN", "delta_c must be finite, got nan"),
+    ], ids=["nan", "inf", "text", "delta_c"])
+    def test_non_finite_device_setting_is_named(self, setting, message):
+        with pytest.raises(ConfigError) as exc:
+            load_config(overrides=[setting])
+        assert str(exc.value) == message
+
     def test_hash_stable_and_sensitive(self):
         a = load_config()
         b = load_config()
@@ -307,6 +318,20 @@ class TestMain:
                                tmp_path, capsys)
         assert code == 2
         assert json.loads(cap.err)["error"] == "validation"
+
+    @pytest.mark.parametrize("setting,field", [
+        ("cavity.delta_c=NaN", "delta_c"), ("cavity.delta_a=Infinity", "delta_a"),
+        ("r_cav_h=[NaN,0]", "r_cav_h"), ('r_cav_h=["a",0]', "r_cav_h"),
+    ])
+    def test_non_finite_device_setting_exit_code(self, tmp_path, capsys, setting, field):
+        # refused before any output, where it once gave nan or a traceback
+        code, cap, _ = run_cli(["--command", "fidelity", "--set", setting],
+                               tmp_path, capsys)
+        assert code == 2
+        err = json.loads(cap.err)
+        assert err["error"] == "validation"
+        assert err["detail"].startswith(f"{field} must ")
+        assert cap.out == "" and list(tmp_path.iterdir()) == []
 
     def test_rate_at_90_db(self, tmp_path, capsys):
         # n_max from the 60-digit oracle (see test_rate.ORACLE_N_MAX_AND_RATE)

@@ -37,6 +37,9 @@ CASES = [
     (lambda: _cavity(g=-1.0), "g must be >= 0, got -1.0"),
     (lambda: _cavity(kappa_wg=1.5), "kappa_wg must lie in [0, kappa], got 1.5"),
     (lambda: _cavity(kappa_wg=-0.25), "kappa_wg must lie in [0, kappa], got -0.25"),
+    (lambda: _cavity(delta_c=NAN), "delta_c must be finite, got nan"),
+    (lambda: _cavity(delta_c=-INF), "delta_c must be finite, got -inf"),
+    (lambda: _cavity(delta_a=INF), "delta_a must be finite, got inf"),
     # CavityParams.from_ratios
     (lambda: ps.CavityParams.from_ratios(0.5, -1.0), "cooperativity must be >= 0"),
     # PdrParams
@@ -83,6 +86,7 @@ def test_each_check_raises_its_message(build, message):
 
 def test_valid_inputs_pass_every_check():
     _cavity(), _pdr(), _link(), _timing()
+    _cavity(delta_c=-2.5, delta_a=1e300)
     ps.CavityParams.from_ratios(0.5, 0.0)
     ps.PdrParams.from_power(0.5, 0.5, zeta_V=0.5, zeta_H=0.5, reflection_sign=1)
     ps.PolarizerParams(eta_pol_V=0.5, eta_pol_H=0.5)

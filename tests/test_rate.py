@@ -9,11 +9,13 @@ evaluation of the published constants.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polspin as ps
+from polspin import rate
 from polspin.rate import (
     ATTEMPT_SEARCH_CAP,
     explicit_error_probability,
@@ -30,9 +32,9 @@ ORACLE_P_E_EXPLICIT = 0.00032148811738000007
 F0_DESIGN = 0.999845005849864
 
 # 60-digit values from the mpmath oracle in benchmarks/oracle.py (design
-# point, eta_link = 10^(-dB/10)), written out since mpmath is not a
-# dependency. P_ERR maps (dB, n) to p_err(n); N_MAX_AND_RATE maps dB to the
-# exact n_max and the rate there at F >= 0.95 with the program's f0.
+# point, eta_link = 10^(-dB/10)), written out so that these tests run without
+# mpmath. P_ERR maps (dB, n) to p_err(n); N_MAX_AND_RATE maps dB to the exact
+# n_max and the rate there at F >= 0.95 with the program's f0.
 ORACLE_P_E_120DB = 3.8425290773668318385e-13
 ORACLE_PLOB_120DB = 8.3820581875690686876e-6
 ORACLE_P_ERR = {
@@ -370,6 +372,93 @@ class TestLossExactKernel:
         assert not bounded.unbounded and not bounded.cap_reached
         assert ps.protocol_fidelity(bounded.n, probs, 0.9) >= 0.71
         assert ps.protocol_fidelity(bounded.n + 1, probs, 0.9) < 0.71
+
+
+def floor_divide_walk(n, p_det, p_e, xp):
+    """_error_terms with n's leading digits taken by // on either path: the
+    reference the kernel's digit arithmetic must match bit for bit."""
+    exp, expm1 = xp.exp, xp.expm1
+    lq, lr = xp.log1p(-p_det), rate._log_ratio(p_det, p_e, xp)
+    inv_s = 1.0 / (p_det + p_e)
+    top = math.frexp(xp.max(n))[1] - 1
+    m, total = n // 2.0**top, 0.0
+    for k in range(top - 1, -1, -1):
+        a, b = m * lq, m * lr
+        q_m, one_less_r_m = exp(a), -expm1(b)
+        step = q_m * one_less_r_m
+        half = n // 2.0**k
+        total = (total * (1.0 + q_m) - step * expm1(a + b) * inv_s
+                 + (half - 2.0 * m) * (step * q_m * (2.0 - one_less_r_m)))
+        m = half
+    return p_det * total, -p_det * exp(n * lq) * expm1(n * lr)
+
+
+def log_uniform(rng, lo, hi, size):
+    return np.exp(rng.uniform(math.log(lo), math.log(hi), size))
+
+
+def walk_inputs(seed, draws):
+    """n = 1, 2, 2**k - 1, 2**k + 1 and 2**53, then log-uniform whole n up to
+    2**53; p_det and p_e log-uniform over [1e-16, 0.9]."""
+    rng = np.random.default_rng(seed)
+    edges = ([1.0, 2.0, 2.0**53] + [2.0**k - 1 for k in range(2, 54)]
+             + [2.0**k + 1 for k in range(1, 53)])
+    n = np.concatenate([edges, np.floor(log_uniform(rng, 1.0, 2.0**53, draws))])
+    return n, log_uniform(rng, 1e-16, 0.9, n.size), log_uniform(rng, 1e-16, 0.9, n.size)
+
+
+class TestDigitWalk:
+    """p_err's walk reads n's binary digits as floor(n 2**-k) on arrays and
+    as n // 2**k on Python floats; both must give what // gives, bit for
+    bit, and the n_max search must land on the same n on both paths."""
+
+    def test_array_walk_matches_floor_division(self):
+        n, p_det, p_e = walk_inputs(1, 4000)
+        got, want = rate._error_terms(n, p_det, p_e, np), floor_divide_walk(n, p_det, p_e, np)
+        for g, w in zip(got, want):
+            assert np.isfinite(w).all()
+            assert np.array_equal(g, w)
+
+    def test_array_walk_matches_floor_division_per_magnitude(self):
+        # one array per n: the top digit follows each n, not the largest
+        n, p_det, p_e = walk_inputs(2, 200)
+        for i in range(n.size):
+            args = n[i:i + 1], p_det[i:i + 1], p_e[i:i + 1]
+            got, want = rate._error_terms(*args, np), floor_divide_walk(*args, np)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_float_walk_matches_floor_division(self):
+        n, p_det, p_e = walk_inputs(3, 300)
+        for i in range(n.size):
+            pd, pe = float(p_det[i]), float(p_e[i])
+            for whole in (float(n[i]), int(n[i])):
+                assert rate._error_terms(whole, pd, pe, rate._PyMath) \
+                    == floor_divide_walk(whole, pd, pe, rate._PyMath)
+
+    @pytest.mark.parametrize("guess_steps", [0, rate._GUESS_STEPS])
+    def test_bisection_matches_the_scalar_search(self, monkeypatch, guess_steps):
+        # With no Newton step past the first candidate, every later one is
+        # the bracket's midpoint, on arrays and on floats alike. Up to 120 dB
+        # the fidelity test separates n_max from n_max + 1 in double
+        # precision, so every path must land on the scalar search's n_max.
+        cases = [(design_probs(db), f) for db in range(0, 121, 5)
+                 for f in (0.95, 0.99, 0.9998)]
+        rng = np.random.default_rng(4)
+        for _ in range(60):
+            p_det, p_e = map(float, log_uniform(rng, 1e-8, 0.3, 2))
+            probs = ps.AttemptProbabilities(p_det=p_det, p_lost=1.0 - p_det - p_e, p_e=p_e)
+            cases.append((probs, F0_DESIGN - float(log_uniform(rng, 1e-6, 0.4, 1)[0])))
+        want = [ps.max_attempts(probs, F0_DESIGN, f) for probs, f in cases]
+        monkeypatch.setattr(rate, "_NEWTON_STEPS", 0)
+        monkeypatch.setattr(rate, "_GUESS_STEPS", guess_steps)
+        assert [ps.max_attempts(probs, F0_DESIGN, f) for probs, f in cases] == want
+        p_det, p_e, f_target = (np.array(v) for v in zip(
+            *((probs.p_det, probs.p_e, f) for probs, f in cases)))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            n, unbounded, cap_reached = rate._attempt_limit(p_det, p_e, F0_DESIGN, f_target, np)
+        assert [ps.MaxAttempts(n=int(n[i]), unbounded=bool(unbounded[i]),
+                               cap_reached=bool(cap_reached[i]))
+                for i in range(len(cases))] == want
 
 
 class TestRepeaterlessBound:
