@@ -144,7 +144,8 @@ def _build(raw: dict[str, Any]) -> RunConfig:
     re_im = raw["r_cav_h"]
     if not (isinstance(re_im, list) and len(re_im) == 2):
         raise ConfigError("r_cav_h must be a [re, im] pair")
-    if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in re_im):
+    if not all(not isinstance(v, bool) and isinstance(v, (int, float))
+               and math.isfinite(v) for v in re_im):
         raise ConfigError(f"r_cav_h must hold two finite numbers, got {re_im!r}")
     kind = raw["sweep"]["kind"]
     if not (isinstance(kind, str) and kind in SWEEP_KINDS):

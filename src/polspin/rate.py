@@ -226,23 +226,22 @@ def _error_terms(n, p_det, p_e, xp):
     needs 0 < p_det + p_e and p_det < 1.
 
     The walk reads n's leading digits m = n // 2**k, k from the top digit
-    down. On Python floats that is //. On arrays it is floor(n 2**-k):
-    numpy's float floor division costs over ten multiplies, and since
-    multiplying a whole number below 2**53 by a power of two is exact, the
-    floor is the same whole number, so the result is unchanged bit for bit.
+    down, as floor(n 2**-k): numpy's float floor division costs over ten
+    multiplies, and since multiplying a whole number below 2**53 by a power
+    of two is exact, the floor is the same whole number, so the result is
+    unchanged bit for bit.
     """
     exp, expm1 = xp.exp, xp.expm1
     lq, lr = xp.log1p(-p_det), _log_ratio(p_det, p_e, xp)
     inv_s = 1.0 / (p_det + p_e)
     top = math.frexp(xp.max(n))[1] - 1
-    on_floats = xp is _PyMath  # chosen once: a call per digit slows floats
-    m = n // 2.0**top if on_floats else xp.floor(n * 2.0**-top)
+    m = xp.floor(n * 2.0**-top)
     total = 0.0  # S(0) = S(1) = 0
     for k in range(top - 1, -1, -1):
         a, b = m * lq, m * lr
         q_m, one_less_r_m = exp(a), -expm1(b)
         step = q_m * one_less_r_m
-        half = n // 2.0**k if on_floats else xp.floor(n * 2.0**-k)
+        half = xp.floor(n * 2.0**-k)
         # S(2m), plus q^2m (1 - r^2m) = q_m^2 (1 - r^m)(1 + r^m) if the digit is 1
         total = (total * (1.0 + q_m) - step * expm1(a + b) * inv_s
                  + (half - 2.0 * m) * (step * q_m * (2.0 - one_less_r_m)))
@@ -311,13 +310,12 @@ def _search(lo, p_det, p_e, f0, f_target, xp):
     """
     hi = ATTEMPT_SEARCH_CAP + 2.0 + 0.0 * lo
     budget = (f0 - f_target) / (f0 - 0.5)
-    on_floats = xp is _PyMath
 
     def candidate(t, newton):
         near = (lo - 1 < t) & (t < hi + 1) & newton
-        # (hi - lo) // 2; arrays floor the exact half, as _error_terms does
-        half = (hi - lo) // 2 if on_floats else xp.floor((hi - lo) * 0.5)
-        t = xp.floor(xp.where(near, t, lo + half))
+        # lo + (hi - lo) // 2 without float floor division: hi - lo is whole,
+        # so its half is exact, and the inner floor keeps the sum exact above 2**52
+        t = xp.floor(xp.where(near, t, lo + xp.floor((hi - lo) * 0.5)))
         return xp.minimum(xp.maximum(t, lo), hi - 1)
 
     if isinstance(lo, np.ndarray):

@@ -86,8 +86,9 @@ class TestLoadConfig:
         ("r_cav_h=[NaN,0]", "r_cav_h must hold two finite numbers, got [nan, 0]"),
         ("r_cav_h=[0,-Infinity]", "r_cav_h must hold two finite numbers, got [0, -inf]"),
         ('r_cav_h=["a",0]', "r_cav_h must hold two finite numbers, got ['a', 0]"),
+        ("r_cav_h=[true,0]", "r_cav_h must hold two finite numbers, got [True, 0]"),
         ("cavity.delta_c=NaN", "delta_c must be finite, got nan"),
-    ], ids=["nan", "inf", "text", "delta_c"])
+    ], ids=["nan", "inf", "text", "bool", "delta_c"])
     def test_non_finite_device_setting_is_named(self, setting, message):
         with pytest.raises(ConfigError) as exc:
             load_config(overrides=[setting])

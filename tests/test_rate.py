@@ -409,8 +409,8 @@ def walk_inputs(seed, draws):
 
 class TestDigitWalk:
     """p_err's walk reads n's binary digits as floor(n 2**-k) on arrays and
-    as n // 2**k on Python floats; both must give what // gives, bit for
-    bit, and the n_max search must land on the same n on both paths."""
+    on Python floats; both must give what // gives, bit for bit, and the
+    n_max search must land on the same n on both paths."""
 
     def test_array_walk_matches_floor_division(self):
         n, p_det, p_e = walk_inputs(1, 4000)
