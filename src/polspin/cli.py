@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 validation, 3 infeasible constraint, 4 IO,
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -29,7 +28,7 @@ from .device import (
     loss_balance_residual,
     transfer_fidelity,
 )
-from .montecarlo import McConfig, NoDetectionError, simulate_rate
+from .montecarlo import NoDetectionError, simulate_rate
 from .params import ValidationError
 from .rate import (
     ATTEMPT_SEARCH_CAP,
@@ -81,10 +80,13 @@ def _row_of(result: Any) -> dict[str, Any]:
     raise TypeError(f"cannot tabulate {type(result)!r}")
 
 
-def _sweep_blocks(result: SweepResult, cell: Callable[[list], list]) -> Iterator[list[list]]:
+def _blocks(result: SweepResult | dict, cell: Callable[[list], list]) -> Iterator[list[list]]:
     """A sweep's columns (axes, value, extra columns) a block of _ROW_BLOCK
     flat cells at a time, each as cell(Python values); every axis value goes
-    through cell once, however many cells share it."""
+    through cell once, however many cells share it. A row is one block."""
+    if isinstance(result, dict):
+        yield [[v] for v in cell(list(result.values()))]
+        return
     size, shape = result.values.size, result.values.shape
     axes = [np.array(cell(vals.tolist()), dtype=object) for _, vals in result.axes]
     columns = [result.values.ravel(), *(col.ravel() for col in result.columns.values())]
@@ -104,37 +106,31 @@ def write_table(result: Any, fmt: str, path: str | Path, config_hash: str,
     """Serialize a result to CSV (header row, '.' decimal, newline-terminated
     rows, floats at full precision with NaN as 'nan') or JSON (full
     metadata block, round-trippable at full precision). A sweep is one row
-    per cell, written a block of cells at a time."""
+    per cell, written a block of cells at a time; any other result one row."""
     path = Path(path)
-    sweep = isinstance(result, SweepResult)
-    row = None if sweep else _row_of(result)
-    header = ([name for name, _ in result.axes] + [result.quantity] + list(result.columns)
-              if sweep else list(row)) + ["config_hash"]
+    if isinstance(result, SweepResult):
+        header = [name for name, _ in result.axes] + [result.quantity] + list(result.columns)
+        metadata = {**result.metadata, **(metadata or {})}
+    else:
+        result = _row_of(result)
+        header = list(result)
+    header.append("config_hash")
     if fmt == "csv":
+        # no field (a column name, a decimal, nan or inf text, True, False or
+        # the hex config hash) needs CSV quoting, so rows are joined
+        tail = f",{config_hash}\n"
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            if sweep:
-                # a sweep's fields are decimal, nan or inf texts and the hex
-                # config hash: none needs CSV quoting, so rows are joined
-                tail = f",{config_hash}\n"
-                for block in _sweep_blocks(result, _texts):
-                    fh.write(tail.join(map(",".join, zip(*block))) + tail)
-            else:
-                writer.writerow([*row.values(), config_hash])
+            fh.write(",".join(header) + "\n")
+            for block in _blocks(result, _texts):
+                fh.write(tail.join(map(",".join, zip(*block))) + tail)
     elif fmt == "json":
-        if sweep:
-            metadata = {**result.metadata, **(metadata or {})}
-            rows = [[*fields, config_hash] for block in _sweep_blocks(result, list)
-                    for fields in zip(*block)]
-        else:
-            rows = [[*row.values(), config_hash]]
         # the rows hold Python values already (tolist or _plain made them)
         payload = {
             "config_hash": config_hash,
             "metadata": _jsonable(metadata or {}),
             "columns": header,
-            "rows": rows,
+            "rows": [[*fields, config_hash] for block in _blocks(result, list)
+                     for fields in zip(*block)],
         }
         path.write_text(json.dumps(payload, indent=2) + "\n")
     else:
@@ -201,7 +197,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> None:
         curves = sweep_rate_vs_loss(
             *axes, cfg.pdr, cfg.polarizer, cfg.cavity, cfg.link, cfg.timing,
             constraints=cfg.constraints,
-            mc=McConfig(**cfg.mc) if sweep["with_mc"] else None, r_cav_h=cfg.r_cav_h,
+            mc=cfg.mc if sweep["with_mc"] else None, r_cav_h=cfg.r_cav_h,
             false_herald_correction=cfg.false_herald_correction)
         if out.name in ("", ".."):  # with_name raises on "" and replaces ".."
             raise IsADirectoryError(f"output path {str(out)!r} names no file")
@@ -218,7 +214,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> None:
 def _cmd_montecarlo(cfg: RunConfig, out: Path, fmt: str) -> None:
     res = _rate(cfg)
     probs = attempt_probabilities(cfg.pdr, cfg.polarizer, cfg.link)
-    est = simulate_rate(probs, res.n_max, cfg.timing, McConfig(**cfg.mc))
+    est = simulate_rate(probs, res.n_max, cfg.timing, cfg.mc)
     write_table(est, fmt, out, cfg.config_hash,
                 metadata={"n_max": res.n_max, "unbounded": res.unbounded})
 

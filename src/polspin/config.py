@@ -32,6 +32,10 @@ except ImportError:
         from hashlib import sha256
 
 
+# The types of a JSON number; type(True) is bool, so a bool is not among them.
+_NUMBERS = frozenset((int, float))
+
+
 class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
 
@@ -101,7 +105,7 @@ class RunConfig:
     f_target: float
     constraints: tuple[float, ...]
     false_herald_correction: bool
-    mc: dict[str, Any]
+    mc: McConfig
     sweep: dict[str, Any]
 
     @property
@@ -113,39 +117,35 @@ class RunConfig:
                           indent=2, sort_keys=True)
 
 
-def _check_mc(mc: dict[str, Any]) -> None:
-    """The mc section holds the types McConfig and the sampler need, so a bad
-    value fails every command alike, not only those that simulate."""
-    for key, least in (("trials", 1), ("seed", 0), ("attempt_cap", 1)):
-        v = mc[key]
-        if isinstance(v, bool) or not isinstance(v, int) or v < least:
-            raise ConfigError(f"mc.{key} must be an integer >= {least}, got {v!r}")
-    if not isinstance(mc["harmonic_rate"], bool):
-        raise ConfigError(f"mc.harmonic_rate must be true or false, "
-                          f"got {mc['harmonic_rate']!r}")
-
-
 def _build(raw: dict[str, Any]) -> RunConfig:
     try:
+        # a text would fail below with a bare TypeError, a bool pass as 0 or 1
+        for section in ("cavity", "pdr", "polarizer", "link", "timing"):
+            for key, v in raw[section].items():
+                if type(v) not in _NUMBERS and not (v is None and key == "xi"):  # link.xi
+                    raise ConfigError(f"{section}.{key} must be a number, got {v!r}")
         cavity = CavityParams(**raw["cavity"])
         pdr = PdrParams.from_power(**raw["pdr"])
         polarizer = PolarizerParams(**raw["polarizer"])
         link = LinkParams(**raw["link"])
         timing = ProtocolTiming(**raw["timing"])
         f_target = raw["f_target"]
-        if not 0 <= f_target <= 1:
-            raise ConfigError(f"f_target out of [0,1]: {f_target}")
-        for c in raw["constraints"]:
-            if not 0 <= c <= 1:
-                raise ConfigError(f"constraint out of [0,1]: {c}")
-        _check_mc(raw["mc"])
+        for name, v in (("f_target", f_target), *(("constraint", c) for c in raw["constraints"])):
+            if type(v) not in _NUMBERS:
+                raise ConfigError(f"{name} must be a number, got {v!r}")
+            if not 0 <= v <= 1:
+                raise ConfigError(f"{name} out of [0,1]: {v}")
+        mc = McConfig(**raw["mc"])
     except (ValidationError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
+    for name, v in (("false_herald_correction", raw["false_herald_correction"]),
+                    ("sweep.with_mc", raw["sweep"]["with_mc"])):
+        if not isinstance(v, bool):
+            raise ConfigError(f"{name} must be true or false, got {v!r}")
     re_im = raw["r_cav_h"]
     if not (isinstance(re_im, list) and len(re_im) == 2):
         raise ConfigError("r_cav_h must be a [re, im] pair")
-    if not all(not isinstance(v, bool) and isinstance(v, (int, float))
-               and math.isfinite(v) for v in re_im):
+    if not all(type(v) in _NUMBERS and math.isfinite(v) for v in re_im):
         raise ConfigError(f"r_cav_h must hold two finite numbers, got {re_im!r}")
     kind = raw["sweep"]["kind"]
     if not (isinstance(kind, str) and kind in SWEEP_KINDS):
@@ -160,8 +160,8 @@ def _build(raw: dict[str, Any]) -> RunConfig:
         r_cav_h=complex(re_im[0], re_im[1]),
         f_target=f_target,
         constraints=tuple(raw["constraints"]),
-        false_herald_correction=bool(raw["false_herald_correction"]),
-        mc=dict(raw["mc"]),
+        false_herald_correction=raw["false_herald_correction"],
+        mc=mc,
         sweep=dict(raw["sweep"]),
     )
 

@@ -11,13 +11,15 @@ not grow with loss. It takes the gaps and the click uniforms from one
 generator in blocks of _BLOCK (256) each, refilled as they run out, and
 walks the trials through them in plain Python: a seeded run's draws depend
 on the block size and on the trials before each one, not on those after.
-simulate_trial is the per-attempt reference sampler.
+simulate_trial is the per-attempt reference sampler, one draw per attempt;
+both raise NoDetectionError rather than return a click past attempt_cap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -25,7 +27,6 @@ from .params import ProtocolTiming, ValidationError
 from .rate import AttemptProbabilities
 
 DEFAULT_ATTEMPT_CAP = 10**8
-_DRAW_CHUNK = 1 << 16
 _BLOCK = 256  # draws per refill in _walk; fixed, so seeded runs do not depend on trials
 
 
@@ -41,8 +42,15 @@ class McConfig:
     harmonic_rate: bool = True  # 1/mean(elapsed); False averages per-trial rates
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        # the one place the mc rules are written; config builds its mc section here
+        for key, least in (("trials", 1), ("seed", 0), ("attempt_cap", 1)):
+            v = getattr(self, key)
+            # int before Integral: a plain int then skips the slower ABC check
+            if isinstance(v, bool) or not isinstance(v, (int, Integral)) or v < least:
+                raise ValidationError(f"mc.{key} must be an integer >= {least}, got {v!r}")
+        if not isinstance(self.harmonic_rate, bool):
+            raise ValidationError(f"mc.harmonic_rate must be true or false, "
+                                  f"got {self.harmonic_rate!r}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,11 @@ class McRateEstimate:
     trials: int
 
 
+def _cap_exhausted(attempt_cap: int, probs: AttemptProbabilities) -> NoDetectionError:
+    return NoDetectionError(
+        f"no detection within {attempt_cap} attempts (p_det = {probs.p_det})")
+
+
 def simulate_trial(
     probs: AttemptProbabilities,
     n_max: int,
@@ -69,54 +82,30 @@ def simulate_trial(
     attempt_cap: int = DEFAULT_ATTEMPT_CAP,
 ) -> TrialResult:
     """Run sequences of up to n_max attempts until the first detection: the
-    per-attempt reference sampler, one uniform draw per attempt.
+    per-attempt reference sampler, a plain loop with one rng.random() per
+    attempt, so its cost grows with the attempts it simulates.
 
-    Uniform draws classify each attempt: [0, p_lost) lost before the spin,
-    [p_lost, p_lost + p_e) unheralded error, remainder detected. The error
-    flag reports whether any error preceded the detecting attempt within
-    its own sequence (earlier sequences end in a reset and cannot matter).
-    Elapsed time charges a reset at the start of every sequence. Raises
-    NoDetectionError once about attempt_cap attempts pass without a click,
-    within a sequence too (an unbounded constraint gives n_max = 2**53).
+    A draw u < p_lost is an attempt lost before the spin, u < p_lost + p_e
+    an unheralded error, anything else a click. The error flag reports
+    whether any error preceded the click within its own sequence (earlier
+    sequences end in a reset and cannot matter). Elapsed time charges a
+    reset at the start of every sequence. Raises NoDetectionError once
+    attempt_cap attempts pass without a click, within a sequence too (an
+    unbounded constraint gives n_max = 2**53).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    p_lost = probs.p_lost
-    err_edge = probs.p_lost + probs.p_e
-    attempts = 0
-    sequences = 0
+    p_lost, err_edge = probs.p_lost, probs.p_lost + probs.p_e
+    attempts, sequences, pos, error_in_seq = 0, 1, 0, False  # pos: in this sequence
     while attempts < attempt_cap:
-        sequences += 1
-        done = 0
-        error_in_seq = False
-        while done < n_max and attempts + done < attempt_cap:
-            block = min(n_max - done, _DRAW_CHUNK)
-            draws = rng.random(block)
-            clicks = np.flatnonzero(draws >= err_edge)
-            if clicks.size:
-                m = int(clicks[0])
-                # draws before the click are all below err_edge, so a draw
-                # at or above p_lost is an unheralded error
-                error_in_seq = error_in_seq or bool(np.any(draws[:m] >= p_lost))
-                attempts += done + m + 1
-                elapsed = (sequences * timing.tau_reset
-                           + attempts * timing.tau_slot)
-                return TrialResult(
-                    elapsed=elapsed,
-                    attempts_used=attempts,
-                    sequences_used=sequences,
-                    error_occurred=error_in_seq,
-                )
-            error_in_seq = error_in_seq or bool(np.any(draws >= p_lost))
-            done += block
-        attempts += done
-    raise NoDetectionError(
-        f"no detection within {attempt_cap} attempts (p_det = {probs.p_det})")
-
-
-def _cap_exhausted(attempt_cap: int, probs: AttemptProbabilities) -> NoDetectionError:
-    return NoDetectionError(
-        f"no detection within {attempt_cap} attempts (p_det = {probs.p_det})")
+        if pos == n_max:  # no click within n_max attempts: reset, start anew
+            sequences, pos, error_in_seq = sequences + 1, 0, False
+        attempts, pos, u = attempts + 1, pos + 1, rng.random()
+        if u >= err_edge:
+            return TrialResult(sequences * timing.tau_reset + attempts * timing.tau_slot,
+                               attempts, sequences, error_in_seq)
+        error_in_seq = error_in_seq or u >= p_lost
+    raise _cap_exhausted(attempt_cap, probs)
 
 
 def _walk(probs: AttemptProbabilities, n_max: int, trials: int,
@@ -181,11 +170,9 @@ def simulate_rate(
     """Estimate the average transfer rate from cfg.trials independent trials.
 
     One generator seeded with cfg.seed draws every trial in turn, skipping
-    the lost attempts (see the module docstring), and the cost per trial
-    does not grow with loss. Draws are taken in blocks of _BLOCK (256)
-    gaps and 256 uniforms, so a trial's draws depend on the block size and
-    on the trials before it, but not on cfg.trials: a seeded run's first k
-    trials are those of the same seed's k-trial run.
+    the lost attempts in blocks of draws (see the module docstring), and the
+    cost per trial does not grow with loss. A seeded run's first k trials
+    are those of the same seed's k-trial run.
     The default estimator is 1/mean(elapsed); harmonic_rate=False returns
     mean(1/elapsed) instead. The standard error is propagated from the
     spread of the per-trial times (or rates).

@@ -281,6 +281,10 @@ def sweep_rate_vs_loss(
     eta = 10.0 ** (-loss_db / 10.0)
     f0 = _f0(pdr, polarizer, cavity, link_template, r_cav_h, false_herald_correction)
     curves = rate_curves(pdr, polarizer, link_template, timing, eta, f0, constraints)
+    # the metadata all constraints share, converted once, in the JSON's key order
+    head = _jsonable(dict(pdr=pdr, polarizer=polarizer, cavity=cavity,
+                          link=link_template, timing=timing))
+    tail = _jsonable(dict(f0=f0, mc=mc, r_cav_h=r_cav_h))
     results: dict[float, SweepResult] = {}
     for i, f_target in enumerate(constraints):
         columns = {"bound": curves.bound, "n_max": curves.n_max[i],
@@ -294,10 +298,7 @@ def sweep_rate_vs_loss(
             axes=[(loss_axis.path, loss_db)],
             values=curves.rate[i],
             quantity="rate",
-            metadata=_jsonable(dict(
-                pdr=pdr, polarizer=polarizer, cavity=cavity, link=link_template,
-                timing=timing, f_target=f_target, f0=f0, mc=mc, r_cav_h=r_cav_h,
-                nan_reasons=reasons)),
+            metadata={**head, "f_target": _jsonable(f_target), **tail, "nan_reasons": reasons},
             columns=columns,
         )
     return results

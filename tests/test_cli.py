@@ -4,6 +4,7 @@ of seeded runs."""
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -15,7 +16,7 @@ import polspin as ps
 from polspin.cli import main, write_table
 from polspin.config import DEFAULTS, ConfigError, load_config
 from polspin.montecarlo import McConfig
-from polspin.rate import ATTEMPT_SEARCH_CAP
+from polspin.rate import ATTEMPT_SEARCH_CAP, explicit_error_probability
 from polspin.sweep import (
     SweepAxis,
     SweepResult,
@@ -56,7 +57,7 @@ class TestLoadConfig:
         p.write_text(json.dumps({"f_target": 0.9, "mc": {"trials": 7}}))
         cfg = load_config(p, overrides=["f_target=0.98"])
         assert cfg.f_target == 0.98
-        assert cfg.mc["trials"] == 7
+        assert cfg.mc.trials == 7
 
     def test_unknown_key_reports_dotted_path(self, tmp_path):
         p = tmp_path / "run.json"
@@ -88,11 +89,29 @@ class TestLoadConfig:
         ('r_cav_h=["a",0]', "r_cav_h must hold two finite numbers, got ['a', 0]"),
         ("r_cav_h=[true,0]", "r_cav_h must hold two finite numbers, got [True, 0]"),
         ("cavity.delta_c=NaN", "delta_c must be finite, got nan"),
-    ], ids=["nan", "inf", "text", "bool", "delta_c"])
+        ('cavity.kappa="x"', "cavity.kappa must be a number, got 'x'"),
+        ("cavity.kappa=true", "cavity.kappa must be a number, got True"),
+        ("pdr.reflection_sign=true", "pdr.reflection_sign must be a number, got True"),
+        ('link.xi="0.01"', "link.xi must be a number, got '0.01'"),
+        ('f_target="a"', "f_target must be a number, got 'a'"),
+        ('constraints=[0.9,"x"]', "constraint must be a number, got 'x'"),
+        ("false_herald_correction=False", "false_herald_correction must be true or false, "
+                                          "got 'False'"),
+        ("false_herald_correction=1", "false_herald_correction must be true or false, got 1"),
+        ("sweep.with_mc=off", "sweep.with_mc must be true or false, got 'off'"),
+    ], ids=["nan", "inf", "text", "bool", "delta_c", "kappa_text", "kappa_bool", "sign_bool",
+            "xi_text", "f_target_text", "constraint_text", "flag_text", "flag_number",
+            "with_mc_text"])
     def test_non_finite_device_setting_is_named(self, setting, message):
         with pytest.raises(ConfigError) as exc:
             load_config(overrides=[setting])
         assert str(exc.value) == message
+
+    def test_null_xi_is_the_only_null_device_setting(self):
+        # null, the default, takes xi from r_cav_H
+        assert load_config(overrides=["link.xi=null"]).link == load_config().link
+        with pytest.raises(ConfigError, match=r"^link\.eta_det must be a number, got None$"):
+            load_config(overrides=["link.eta_det=null"])
 
     def test_hash_stable_and_sensitive(self):
         a = load_config()
@@ -296,8 +315,12 @@ class TestMain:
         {"f_target": {"x": 1}},
         ["--set", "mc=5"],
         ["--set", "sweep=5"],
+        ["--set", "false_herald_correction=False"],
+        ["--set", "false_herald_correction=1"],
+        ["--set", "sweep.with_mc=off"],
     ], ids=["f_target_text", "constraints_scalar", "file_f_target_mapping",
-            "mc_scalar", "sweep_scalar"])
+            "mc_scalar", "sweep_scalar", "false_herald_text", "false_herald_number",
+            "with_mc_text"])
     def test_bad_setting_type_exit_code(self, tmp_path, capsys, setting):
         if isinstance(setting, dict):
             path = tmp_path / "run.json"
@@ -323,6 +346,8 @@ class TestMain:
     @pytest.mark.parametrize("setting,field", [
         ("cavity.delta_c=NaN", "delta_c"), ("cavity.delta_a=Infinity", "delta_a"),
         ("r_cav_h=[NaN,0]", "r_cav_h"), ('r_cav_h=["a",0]', "r_cav_h"),
+        ('cavity.kappa="x"', "cavity.kappa"),
+        ("pdr.reflection_sign=true", "pdr.reflection_sign"),
     ])
     def test_non_finite_device_setting_exit_code(self, tmp_path, capsys, setting, field):
         # refused before any output, where it once gave nan or a traceback
@@ -497,16 +522,21 @@ class TestSweepCsvBytes:
 
     HASH = "1c102c291be3434a"
 
-    def check(self, tmp_path, res):
+    def check(self, tmp_path, res, row=None):
+        """row: the {column: value} of a result that is not a sweep."""
         reference = tmp_path / "reference.csv"
-        grids = np.meshgrid(*(vals for _, vals in res.axes), indexing="ij")
-        columns = [col.ravel().tolist()
-                   for col in (*grids, res.values, *res.columns.values())]
+        if row is None:
+            grids = np.meshgrid(*(vals for _, vals in res.axes), indexing="ij")
+            columns = [col.ravel().tolist()
+                       for col in (*grids, res.values, *res.columns.values())]
+            header = [name for name, _ in res.axes] + [res.quantity] + list(res.columns)
+            rows = zip(*columns)
+        else:
+            header, rows = list(row), [row.values()]
         with reference.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow([name for name, _ in res.axes] + [res.quantity]
-                            + list(res.columns) + ["config_hash"])
-            writer.writerows([*row, self.HASH] for row in zip(*columns))
+            writer.writerow(header + ["config_hash"])
+            writer.writerows([*fields, self.HASH] for fields in rows)
         write_table(res, "csv", tmp_path / "out.csv", self.HASH)
         assert (tmp_path / "out.csv").read_bytes() == reference.read_bytes()
 
@@ -538,6 +568,31 @@ class TestSweepCsvBytes:
         for res in results.values():
             assert {"mc_rate", "mc_std_error"} <= set(res.columns)
             self.check(tmp_path, res)
+
+    def test_fidelity_report(self, tmp_path):
+        cfg = load_config()
+        report = ps.transfer_fidelity(cfg.pdr, cfg.polarizer, cfg.cavity, r_cav_h=cfg.r_cav_h)
+        self.check(tmp_path, report, {"f_avg": report.f_avg, **{
+            f"fidelity_{label}": fid for label, fid in report.per_input}})
+
+    @pytest.mark.parametrize("f_target", [0.95, 0.5], ids=["bounded", "unbounded"])
+    def test_rate_result(self, tmp_path, f_target):
+        cfg = load_config()
+        res = ps.transfer_rate(cfg.pdr, cfg.polarizer, cfg.cavity, cfg.link, cfg.timing,
+                               f_target, r_cav_h=cfg.r_cav_h)
+        assert res.unbounded == (f_target == 0.5)
+        self.check(tmp_path, res, dataclasses.asdict(res))
+
+    def test_diagnose_row(self, tmp_path):
+        # the row the diagnose command writes
+        cfg = load_config()
+        probs = ps.attempt_probabilities(cfg.pdr, cfg.polarizer, cfg.link)
+        explicit = explicit_error_probability(cfg.pdr, cfg.polarizer, cfg.link)
+        eff = ps.effective_reflections(cfg.pdr, cfg.polarizer, cfg.cavity, r_cav_h=cfg.r_cav_h)
+        row = {"loss_balance_residual": ps.loss_balance_residual(eff), "p_det": probs.p_det,
+               "p_lost": probs.p_lost, "p_e_canonical": probs.p_e, "p_e_explicit": explicit,
+               "p_e_gap": probs.p_e - explicit}
+        self.check(tmp_path, row, row)
 
     def test_awkward_values(self, tmp_path):
         values = np.array([[np.nan, np.inf], [-np.inf, -0.0], [5e-324, 1e22]])

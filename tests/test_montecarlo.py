@@ -1,7 +1,8 @@
-"""Monte Carlo tests: determinism, degenerate inputs, statistical agreement
-of outcome frequencies with the attempt partition, of simulate_rate's
-event-skipping sampler with the per-attempt reference sampler, and rate
-agreement with the analytic model."""
+"""Monte Carlo tests: determinism, degenerate inputs, the reference
+sampler's attempt rules and cap on scripted draws, McConfig's checks,
+statistical agreement of outcome frequencies with the attempt partition, of
+simulate_rate's event-skipping sampler with the per-attempt reference
+sampler, and rate agreement with the analytic model."""
 
 import math
 import re
@@ -11,6 +12,7 @@ import pytest
 
 import polspin as ps
 from polspin.montecarlo import _BLOCK, McConfig, NoDetectionError, _walk
+from polspin.params import ValidationError
 from polspin.rate import success_probability
 
 TIMING = ps.ProtocolTiming(tau_reset=30e-6, tau_pulse=1 / 5.81e6)
@@ -27,6 +29,22 @@ def design_point(db):
                                 ps.design_cavity(), link, ps.design_timing(),
                                 f_target=0.95)
     return ps.attempt_probabilities(ps.design_pdr(), ps.design_polarizer(), link), analytic
+
+
+class ScriptedRng:
+    """Uniform draws read in turn from a fixed list, as numpy's generator reads
+    its stream: random() takes the next one (IndexError past the end) and
+    random(size) up to size more."""
+
+    def __init__(self, draws):
+        self.draws, self.used = list(draws), 0
+
+    def random(self, size=None):
+        if size is None:
+            self.used += 1
+            return self.draws[self.used - 1]
+        start, self.used = self.used, min(self.used + size, len(self.draws))
+        return np.array(self.draws[start:self.used])
 
 
 def ks_statistic(a, b):
@@ -69,6 +87,31 @@ class TestSimulateTrial:
                       + res.attempts_used * TIMING.tau_slot)
             assert res.elapsed == pytest.approx(expect, rel=1e-12)
             assert res.attempts_used > (res.sequences_used - 1) * 13
+
+    # p_det = 0.2, p_lost = 0.5, p_e = 0.3: u < 0.5 lost, u < 0.8 error, else a click
+    @pytest.mark.parametrize("draws, expect", [
+        # an error in a sequence that ends without a click is reset away
+        ([0.6, 0.1, 0.9], (3, 2, False)),
+        # an error in the clicking sequence flags the trial
+        ([0.1, 0.6, 0.6, 0.9], (4, 2, True)),
+    ], ids=["error-reset", "error-in-clicking-sequence"])
+    def test_scripted_trial(self, draws, expect):
+        rng = ScriptedRng(draws)
+        res = ps.simulate_trial(probs_of(0.2, 0.5), 2, TIMING, rng)
+        assert (res.attempts_used, res.sequences_used, res.error_occurred) == expect
+        assert rng.used == len(draws)
+        assert res.elapsed == pytest.approx(
+            2 * TIMING.tau_reset + expect[0] * TIMING.tau_slot, rel=1e-12)
+
+    def test_no_click_counted_past_the_attempt_cap(self):
+        # five lost attempts use up the cap; the click that would follow in
+        # the third sequence is never drawn
+        rng = ScriptedRng([0.1] * 5 + [0.9])
+        probs = probs_of(0.2, 0.5)
+        message = f"no detection within 5 attempts (p_det = {probs.p_det})"
+        with pytest.raises(NoDetectionError, match=re.escape(message)):
+            ps.simulate_trial(probs, 2, TIMING, rng, attempt_cap=5)
+        assert rng.used == 5
 
     def test_seeded_regression(self):
         # golden master from the first verified run at the 20 dB preset
@@ -144,6 +187,23 @@ class TestSimulateRate:
                                     McConfig(trials=200, seed=5))
         # arithmetic mean of rates dominates the harmonic-style estimate
         assert est.mean_rate >= harmonic.mean_rate
+
+
+class TestMcConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"trials": 2.5}, "mc.trials must be an integer >= 1, got 2.5"),
+        ({"trials": True}, "mc.trials must be an integer >= 1, got True"),
+        ({"seed": -1}, "mc.seed must be an integer >= 0, got -1"),
+        ({"attempt_cap": 0}, "mc.attempt_cap must be an integer >= 1, got 0"),
+        ({"harmonic_rate": 1}, "mc.harmonic_rate must be true or false, got 1"),
+    ], ids=["trials-float", "trials-bool", "seed-negative", "cap-zero", "harmonic-int"])
+    def test_refuses(self, kwargs, message):
+        with pytest.raises(ValidationError) as exc:
+            McConfig(**kwargs)
+        assert str(exc.value) == message
+
+    def test_accepts_a_numpy_integer(self):
+        assert McConfig(seed=np.int64(3)).seed == 3
 
 
 class TestEventSkipping:

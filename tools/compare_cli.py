@@ -1,0 +1,99 @@
+"""Run a fixed list of polspin CLI commands against two source trees and
+report every difference in stdout, stderr, exit code or output file.
+
+Usage: python tools/compare_cli.py OLD_TREE NEW_TREE
+
+Each tree is a checkout holding src/polspin. Every command runs in CSV and
+in JSON, as a fresh `python -m polspin.cli` process with PYTHONPATH set to
+the tree's src, inside one temporary directory per tree that is emptied
+between commands. Exits 0 when every run is byte-identical, 1 otherwise.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+MC_SETTINGS = ['mc.trials="x"', "mc.trials=0", "mc.trials=true", "mc.trials=2.5",
+               'mc.seed="x"', "mc.seed=-1", 'mc.attempt_cap="x"', "mc.attempt_cap=0",
+               "mc.harmonic_rate=1"]
+
+# (command, --set overrides, other flags)
+COMMANDS: list[tuple[str, list[str], list[str]]] = [
+    ("fidelity", [], []),
+    ("rate", [], []),
+    ("rate", ["link.eta_link=1e-9", "f_target=0.99"], []),
+    ("rate", ["link.xi=0.01", "false_herald_correction=true"], []),
+    ("diagnose", [], []),
+    ("montecarlo", [], ["--trials", "2000", "--seed", "7"]),
+    ("montecarlo", ["link.eta_link=1e-6"], ["--trials", "300", "--seed", "7"]),
+    ("sweep", ["sweep.kind=pdr"], []),
+    ("sweep", ["sweep.kind=cavity_c"], []),
+    ("sweep", ["sweep.kind=cavity_coupling"], []),
+    ("sweep", ["sweep.kind=rate_vs_loss"], []),
+    ("sweep", ["sweep.kind=rate_vs_loss", "sweep.with_mc=true", "sweep.axis=[0,150,31]",
+               "constraints=[0.95,0.99,0.999,0.9998]", "mc.attempt_cap=1000000000000000000"],
+     []),
+    *(("fidelity", [setting], []) for setting in MC_SETTINGS),
+]
+
+
+def run(tree: Path, workdir: Path, argv: list[str]) -> dict[str, object]:
+    """One CLI run in an emptied workdir: its streams, exit code and files."""
+    for path in workdir.iterdir():
+        path.unlink()
+    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
+    proc = subprocess.run([sys.executable, "-m", "polspin.cli", *argv], cwd=workdir,
+                          env=env, capture_output=True)
+    files = {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
+    return {"stdout": proc.stdout, "stderr": proc.stderr, "exit code": proc.returncode,
+            "files": files}
+
+
+def differences(old: dict[str, object], new: dict[str, object]) -> list[str]:
+    out = [f"{key}: {old[key]!r} != {new[key]!r}" if key == "exit code"
+           else f"{key} differs" for key in ("stdout", "stderr", "exit code")
+           if old[key] != new[key]]
+    old_files, new_files = old["files"], new["files"]
+    for name in sorted(set(old_files) | set(new_files)):
+        if name not in old_files or name not in new_files:
+            out.append(f"file {name} only in {'new' if name in new_files else 'old'}")
+        elif old_files[name] != new_files[name]:
+            out.append(f"file {name} differs")
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    trees = [Path(arg) for arg in argv]
+    for tree in trees:
+        if not (tree / "src" / "polspin").is_dir():
+            print(f"{tree}: no src/polspin", file=sys.stderr)
+            return 2
+    failures = runs = 0
+    with tempfile.TemporaryDirectory() as old_dir, tempfile.TemporaryDirectory() as new_dir:
+        workdirs = [Path(old_dir), Path(new_dir)]
+        for command, sets, flags in COMMANDS:
+            for fmt, out in (("csv", "result.csv"), ("json", "result.json")):
+                argv = ["--command", command, *flags, "--out", out, "--format", fmt,
+                        *(arg for s in sets for arg in ("--set", s))]
+                old, new = (run(tree, workdir, argv) for tree, workdir in zip(trees, workdirs))
+                runs += 1
+                found = differences(old, new)
+                if found:
+                    failures += 1
+                    print(" ".join(argv))
+                    for line in found:
+                        print(f"  {line}")
+    print(f"{runs - failures} of {runs} runs identical")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
