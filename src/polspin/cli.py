@@ -35,7 +35,6 @@ from .rate import (
     InfeasibleConstraintError,
     RateResult,
     attempt_probabilities,
-    explicit_error_probability,
     transfer_rate,
 )
 from .sweep import (
@@ -147,8 +146,8 @@ def _axis_from(spec: list | None, default: SweepAxis) -> SweepAxis:
     start, stop, num, *rest = spec
     spacing = rest[0] if rest else default.spacing
     try:
-        return SweepAxis(default.path, start, stop, int(num), spacing)
-    except (TypeError, ValueError) as exc:  # ValidationError included
+        return SweepAxis(default.path, start, stop, num, spacing)
+    except ValidationError as exc:
         raise ConfigError(f"sweep axis {spec!r}: {exc}") from exc
 
 
@@ -194,6 +193,10 @@ def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> None:
             zeta_V=cfg.pdr.zeta_V, zeta_H=cfg.pdr.zeta_H, r_cav_h=cfg.r_cav_h,
             reflection_sign=cfg.raw["pdr"]["reflection_sign"])}
     elif kind == "rate_vs_loss":
+        names = [f"{out.stem}_f{round(f * 100):02d}{out.suffix}" for f in cfg.constraints]
+        if len(set(names)) < len(names):  # refuse before a later file overwrites one
+            raise ConfigError(f"constraints {list(cfg.constraints)} would share output "
+                              f"files: {', '.join(names)}")
         curves = sweep_rate_vs_loss(
             *axes, cfg.pdr, cfg.polarizer, cfg.cavity, cfg.link, cfg.timing,
             constraints=cfg.constraints,
@@ -201,8 +204,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> None:
             false_herald_correction=cfg.false_herald_correction)
         if out.name in ("", ".."):  # with_name raises on "" and replaces ".."
             raise IsADirectoryError(f"output path {str(out)!r} names no file")
-        results = {out.with_name(f"{out.stem}_f{round(f * 100):02d}{out.suffix}"): res
-                   for f, res in curves.items()}
+        results = {out.with_name(name): res for name, res in zip(names, curves.values())}
     else:
         which = "cooperativity" if kind == "cavity_c" else "coupling"
         results = {out: sweep_fidelity_cavity(*axes, cfg.pdr, cfg.polarizer, cfg.cavity,
@@ -223,14 +225,11 @@ def _cmd_diagnose(cfg: RunConfig, out: Path, fmt: str) -> None:
     eff = effective_reflections(cfg.pdr, cfg.polarizer, cfg.cavity,
                                 r_cav_h=cfg.r_cav_h)
     probs = attempt_probabilities(cfg.pdr, cfg.polarizer, cfg.link)
-    explicit = explicit_error_probability(cfg.pdr, cfg.polarizer, cfg.link)
     row = {
         "loss_balance_residual": loss_balance_residual(eff),
         "p_det": probs.p_det,
         "p_lost": probs.p_lost,
         "p_e_canonical": probs.p_e,
-        "p_e_explicit": explicit,
-        "p_e_gap": probs.p_e - explicit,
     }
     write_table(row, fmt, out, cfg.config_hash)
 

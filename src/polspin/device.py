@@ -170,22 +170,6 @@ def _etalon(r_pdr, t_sq, r_cav):
     return r_pdr + r_cav * t_sq / (denom + degenerate), degenerate
 
 
-def _reflections(t_H, r_H, t_V, r_V, eta_pol_V, eta_pol_H,
-                 kappa, kappa_wg, gamma, g, delta_c, delta_a, r_cav_h):
-    """Cavity reflections, the three etalon coefficients and the degenerate
-    mask. The transmitted path crosses the polarizer, so each t_i^2 in the
-    etalon numerator is scaled by eta_pol_i. Only the V mode couples to the
-    spin; the H mode sees a fixed cavity reflection r_cav_h in both spin
-    states (its transition is never resonant)."""
-    r_on, r_off = _cavity_reflections(kappa, kappa_wg, gamma, g, delta_c, delta_a)
-    t_sq_V = t_V**2 * eta_pol_V
-    r_H_eff, degenerate_H = _etalon(r_H, t_H**2 * eta_pol_H, r_cav_h)
-    r_V_on, degenerate_on = _etalon(r_V, t_sq_V, r_on)
-    r_V_off, degenerate_off = _etalon(r_V, t_sq_V, r_off)
-    return (r_on, r_off, r_H_eff, r_V_on, r_V_off,
-            degenerate_H | degenerate_on | degenerate_off)
-
-
 def _scalar_inputs(pdr: PdrParams, polarizer: PolarizerParams,
                    cavity: CavityParams, r_cav_h: complex) -> tuple:
     return (pdr.t_H, pdr.r_H, pdr.t_V, pdr.r_V,
@@ -200,13 +184,13 @@ def effective_reflections(
     cavity: CavityParams,
     r_cav_h: complex = DESIGN_R_CAV_H,
 ) -> EffectiveReflections:
-    """Round-trip coefficients of the reflector-cavity etalon; raises
-    ValidationError for a degenerate or non-passive etalon."""
-    *_, r_H, r_V_on, r_V_off, degenerate = _reflections(
-        *_scalar_inputs(pdr, polarizer, cavity, r_cav_h))
-    if degenerate:
+    """Round-trip coefficients of the reflector-cavity etalon, as
+    fidelity_kernel computes them; raises ValidationError for a degenerate
+    or non-passive etalon."""
+    k = fidelity_kernel(*_scalar_inputs(pdr, polarizer, cavity, r_cav_h))
+    if k.degenerate:
         raise ValidationError(_DEGENERATE_MSG)
-    return EffectiveReflections(r_H_on=r_H, r_H_off=r_H, r_V_on=r_V_on, r_V_off=r_V_off)
+    return EffectiveReflections(k.r_H, k.r_H, k.r_V_on, k.r_V_off)
 
 
 def evolve_joint_state(photon: PhotonQubit, eff: EffectiveReflections) -> JointState:
@@ -278,8 +262,6 @@ class DeviceKernel(NamedTuple):
     array of the broadcast input shape; herald, overlap and fidelity hold
     one entry per TARGET_STATES input, in that order."""
 
-    r_on: Any                          # V cavity reflection, spin coupled
-    r_off: Any                         # V cavity reflection, spin uncoupled
     r_H: Any                           # H etalon coefficient, both spin states
     r_V_on: Any                        # V etalon coefficients
     r_V_off: Any
@@ -295,7 +277,7 @@ class DeviceKernel(NamedTuple):
 def fidelity_kernel(t_H, r_H, t_V, r_V, eta_pol_V, eta_pol_H,
                     kappa, kappa_wg, gamma, g, delta_c, delta_a,
                     r_cav_h) -> DeviceKernel:
-    """Reflections, herald probabilities and average transfer fidelity.
+    """Etalon coefficients, herald probabilities and average transfer fidelity.
 
     Written with arithmetic operators, abs() and .conjugate() only, so the
     same code runs on Python scalars (transfer_fidelity) and on broadcast
@@ -311,9 +293,16 @@ def fidelity_kernel(t_H, r_H, t_V, r_V, eta_pol_V, eta_pol_H,
     pi phase flip for the V outcome, then overlapped with the target
     alpha|down> + beta|up>. Loss only removes amplitude.
     """
-    r_on, r_off, r_H_eff, r_V_on, r_V_off, degenerate = _reflections(
-        t_H, r_H, t_V, r_V, eta_pol_V, eta_pol_H,
-        kappa, kappa_wg, gamma, g, delta_c, delta_a, r_cav_h)
+    # The transmitted path crosses the polarizer, so each t_i^2 in the
+    # etalon numerator is scaled by eta_pol_i. Only the V mode couples to the
+    # spin; the H mode sees a fixed cavity reflection r_cav_h in both spin
+    # states (its transition is never resonant).
+    r_on, r_off = _cavity_reflections(kappa, kappa_wg, gamma, g, delta_c, delta_a)
+    t_sq_V = t_V**2 * eta_pol_V
+    r_H_eff, degenerate_H = _etalon(r_H, t_H**2 * eta_pol_H, r_cav_h)
+    r_V_on, degenerate_on = _etalon(r_V, t_sq_V, r_on)
+    r_V_off, degenerate_off = _etalon(r_V, t_sq_V, r_off)
+    degenerate = degenerate_H | degenerate_on | degenerate_off
     limit = 1.0 + _PASSIVITY_TOL
     non_passive = (abs(r_H_eff) > limit) | (abs(r_V_on) > limit) | (abs(r_V_off) > limit)
     herald, overlap, fidelity = [], [], []
@@ -334,7 +323,7 @@ def fidelity_kernel(t_H, r_H, t_V, r_V, eta_pol_V, eta_pol_H,
         overlap.append((o_H, o_V))
         fidelity.append((o_H + o_V) / (total + never))
     f_avg = (fidelity[0] + fidelity[1] + fidelity[2] + fidelity[3]) / 4.0
-    return DeviceKernel(r_on, r_off, r_H_eff, r_V_on, r_V_off, tuple(herald),
+    return DeviceKernel(r_H_eff, r_V_on, r_V_off, tuple(herald),
                         tuple(overlap), tuple(fidelity), f_avg,
                         degenerate, non_passive, opaque)
 

@@ -180,21 +180,6 @@ def attempt_probabilities(
         p_e=link.eta_link * max(0.0, 1.0 - unit_det - unit_lost))
 
 
-def explicit_error_probability(
-    pdr: PdrParams, polarizer: PolarizerParams, link: LinkParams
-) -> float:
-    """The long-form unheralded-error expression: V photons lost after the
-    cavity interaction plus H photons leaking onto the spin. Diagnostic only;
-    the canonical p_e is attempt_probabilities' and the two need not agree
-    when detector inefficiency is attributed differently."""
-    ev, eh = polarizer.eta_pol_V, polarizer.eta_pol_H
-    rv = link.r_cav_V_avg
-    return (link.eta_link / 2.0) * (
-        pdr.T_V * ev * (1.0 - rv + rv * (1.0 - ev) + rv * ev * pdr.zeta_V)
-        + pdr.T_H * eh * link.xi
-    )
-
-
 def _log_ratio(p_det, p_e, xp):
     """log r, r = p_lost / (1 - p_det) the chance that a clickless attempt
     is clean, from the error side so that r close to 1 keeps its digits."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Any, Callable
 
 import numpy as np
@@ -57,6 +58,12 @@ class SweepAxis:
     spacing: str = "linear"  # linear | log | db
 
     def __post_init__(self) -> None:
+        # the one place the axis rules are written; the CLI builds its axes here
+        if any(isinstance(v, bool) or not isinstance(v, Real) for v in (self.start, self.stop)):
+            raise ValidationError(f"axis {self.path}: start and stop must be numbers, "
+                                  f"got {self.start!r} and {self.stop!r}")
+        if isinstance(self.num, bool) or not isinstance(self.num, Integral):
+            raise ValidationError(f"axis {self.path}: num must be an integer, got {self.num!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValidationError(f"axis {self.path}: start and stop must be finite")
         if self.num < 2:

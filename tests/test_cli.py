@@ -16,7 +16,7 @@ import polspin as ps
 from polspin.cli import main, write_table
 from polspin.config import DEFAULTS, ConfigError, load_config
 from polspin.montecarlo import McConfig
-from polspin.rate import ATTEMPT_SEARCH_CAP, explicit_error_probability
+from polspin.rate import ATTEMPT_SEARCH_CAP
 from polspin.sweep import (
     SweepAxis,
     SweepResult,
@@ -227,7 +227,6 @@ class TestMain:
                    if k != "config_hash"}
         assert row["p_det"] == pytest.approx(2.397e-4, rel=1e-3)
         assert row["loss_balance_residual"] == pytest.approx(0.02473, abs=1e-4)
-        assert row["p_e_gap"] == row["p_e_canonical"] - row["p_e_explicit"]
 
     @pytest.mark.parametrize("setting,n_max", [
         # the false-herald correction lowers f0 and with it n_max (1908 -> 1677)
@@ -268,6 +267,23 @@ class TestMain:
         assert (tmp_path / "rates_f95.csv").exists()
         assert (tmp_path / "rates_f99.csv").exists()
 
+    @pytest.mark.parametrize("constraints,named", [
+        ("[0.95,0.99,0.999,0.9998]",
+         "[0.95, 0.99, 0.999, 0.9998] would share output files: "
+         "rates_f95.csv, rates_f99.csv, rates_f100.csv, rates_f100.csv"),
+        ("[0.95,0.95]", "[0.95, 0.95] would share output files: rates_f95.csv, rates_f95.csv"),
+    ], ids=["round_alike", "repeated"])
+    def test_sweep_rate_refuses_constraints_that_share_a_file(self, tmp_path, capsys,
+                                                               constraints, named):
+        code = main(["--command", "sweep", "--set", "sweep.kind=rate_vs_loss",
+                     "--set", "sweep.axis=[10,30,3]", "--set", f"constraints={constraints}",
+                     "--out", str(tmp_path / "rates.csv")])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["error"] == "validation"
+        assert named in err["detail"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_montecarlo_deterministic(self, tmp_path, capsys):
         args = ["--command", "montecarlo", "--seed", "3", "--trials", "40",
                 "--set", "link.eta_link=0.01"]
@@ -299,11 +315,15 @@ class TestMain:
          "--set", "sweep.axis=[-3,0,4]"],
         ["--command", "sweep", "--set", "sweep.kind=rate_vs_loss",
          "--set", "sweep.axis=[-3,0,4]", "--set", "sweep.with_mc=true"],
+        ["--command", "sweep", "--set", "sweep.kind=cavity_coupling",
+         "--set", "sweep.axis=[0,1,2.7]"],
+        ["--command", "sweep", "--set", "sweep.kind=cavity_coupling",
+         "--set", "sweep.axis=[true,2,3]"],
     ], ids=["eta_det", "nan_axis", "log_axis_from_zero", "two_entry_axis",
             "reflection_sign", "second_axis_cavity_c", "second_axis_rate_vs_loss",
             "with_mc_pdr", "with_mc_cavity_coupling", "false_herald_pdr",
             "false_herald_cavity_c", "false_herald_cavity_coupling",
-            "loss_below_0_db", "loss_below_0_db_with_mc"])
+            "loss_below_0_db", "loss_below_0_db_with_mc", "fractional_num", "bool_start"])
     def test_validation_exit_code(self, tmp_path, capsys, args):
         code, cap, _ = run_cli(args, tmp_path, capsys)
         assert code == 2
@@ -587,11 +607,9 @@ class TestSweepCsvBytes:
         # the row the diagnose command writes
         cfg = load_config()
         probs = ps.attempt_probabilities(cfg.pdr, cfg.polarizer, cfg.link)
-        explicit = explicit_error_probability(cfg.pdr, cfg.polarizer, cfg.link)
         eff = ps.effective_reflections(cfg.pdr, cfg.polarizer, cfg.cavity, r_cav_h=cfg.r_cav_h)
         row = {"loss_balance_residual": ps.loss_balance_residual(eff), "p_det": probs.p_det,
-               "p_lost": probs.p_lost, "p_e_canonical": probs.p_e, "p_e_explicit": explicit,
-               "p_e_gap": probs.p_e - explicit}
+               "p_lost": probs.p_lost, "p_e_canonical": probs.p_e}
         self.check(tmp_path, row, row)
 
     def test_awkward_values(self, tmp_path):

@@ -14,7 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polspin as ps
-from polspin.device import IDEAL_REFLECTIONS, TARGET_STATES, HeraldOutcome
+from polspin.device import (
+    IDEAL_REFLECTIONS,
+    TARGET_STATES,
+    HeraldOutcome,
+    _scalar_inputs,
+    fidelity_kernel,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -118,6 +124,20 @@ class TestEffectiveReflections:
         cav = ps.CavityParams(kappa=1.0, kappa_wg=1.0, gamma=1.0, g=0.0)
         with pytest.raises(ps.ValidationError, match="degenerate"):
             ps.effective_reflections(pdr, pol, cav, r_cav_h=1.0)
+
+    def test_non_passive_etalon_rejected(self, design):
+        # a polarizer that passes H as well as V: the H etalon gains (|r_H| 1.04)
+        pdr, _, cav = design
+        pol = ps.PolarizerParams(eta_pol_V=0.989, eta_pol_H=0.5)
+        with pytest.raises(ps.ValidationError, match=r"\|r_H_on\| = .* exceeds 1"):
+            ps.effective_reflections(pdr, pol, cav)
+
+    def test_are_the_kernel_coefficients(self, design):
+        pdr, pol, cav = design
+        eff = ps.effective_reflections(pdr, pol, cav)
+        k = fidelity_kernel(*_scalar_inputs(pdr, pol, cav, ps.params.DESIGN_R_CAV_H))
+        assert (eff.r_H_on, eff.r_H_off, eff.r_V_on, eff.r_V_off) \
+            == (k.r_H, k.r_H, k.r_V_on, k.r_V_off)
 
 
 class TestJointStateAndHerald:

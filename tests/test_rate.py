@@ -16,17 +16,13 @@ from hypothesis import strategies as st
 
 import polspin as ps
 from polspin import rate
-from polspin.rate import (
-    ATTEMPT_SEARCH_CAP,
-    explicit_error_probability,
-    success_probability,
-)
+from polspin.params import DESIGN
+from polspin.rate import ATTEMPT_SEARCH_CAP, success_probability
 
 # frozen oracle values, paper presets at eta_link = 1e-3
 ORACLE_P_DET = 0.00023970209226331678
 ORACLE_P_LOST = 0.999376045
 ORACLE_P_E = 0.00038425290773669296
-ORACLE_P_E_EXPLICIT = 0.00032148811738000007
 
 # frozen independent value of the device fidelity (see test_device oracle)
 F0_DESIGN = 0.999845005849864
@@ -84,12 +80,6 @@ class TestAttemptProbabilities:
         assert probs.p_lost == pytest.approx(ORACLE_P_LOST, rel=1e-12)
         assert probs.p_e == pytest.approx(ORACLE_P_E, rel=1e-9)
 
-    def test_explicit_error_expression(self):
-        pdr, pol = ps.design_pdr(), ps.design_polarizer()
-        link = ps.design_link(1e-3)
-        explicit = explicit_error_probability(pdr, pol, link)
-        assert explicit == pytest.approx(ORACLE_P_E_EXPLICIT, rel=1e-12)
-
     @given(st.floats(1e-4, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=500)
     def test_partition_sums_to_one(self, eta_link, det_frac):
@@ -98,6 +88,34 @@ class TestAttemptProbabilities:
         probs = ps.attempt_probabilities(
             ps.design_pdr(), ps.design_polarizer(), link)
         assert probs.p_det + probs.p_lost + probs.p_e == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("pdr_set,link_set", [
+        ({}, {}),
+        ({}, {"xi": 0.01}),
+        ({"zeta_V": 0.005, "zeta_H": 0.01}, {}),
+        ({}, {"eta_det": 0.5}),
+    ], ids=["design", "xi", "zeta", "eta_det"])
+    def test_error_channels(self, pdr_set, link_set):
+        # p_e per unit link transmissivity is the sum of these named channels,
+        # each halved for the two input polarizations
+        pdr = ps.PdrParams.from_power(**{**DESIGN["pdr"], **pdr_set})
+        pol = ps.design_polarizer()
+        link = ps.LinkParams(**{**DESIGN["link"], **link_set})
+        T_V, T_H, ev, eh = pdr.T_V, pdr.T_H, pol.eta_pol_V, pol.eta_pol_H
+        rv, rh = link.r_cav_V_avg, link.r_cav_H
+        bracket = T_V**2 * ev**2 * rv + pdr.R_V + T_H**2 * eh**2 * rh + pdr.R_H
+        channels = {
+            "V lost in the cavity": T_V * ev * (1 - rv),
+            "V absorbed on its way back": T_V * ev * rv * (1 - ev),
+            "V not transmitted on the way out": T_V * ev**2 * rv * (1 - T_V),
+            "H leakage onto the spin": T_H * eh * link.xi,
+            "H absorbed on its way back": T_H * eh * rh * (1 - eh),
+            "H not transmitted on the way out": T_H * eh**2 * rh * (1 - T_H),
+            "detector miss": (1 - link.eta_det) * bracket,
+        }
+        probs = ps.attempt_probabilities(pdr, pol, link)
+        assert probs.p_e / link.eta_link == pytest.approx(
+            sum(channels.values()) / 2, abs=1e-15)
 
     def test_single_polarization_form_recovered(self):
         # with both polarizations identical and no direct reflection,

@@ -56,6 +56,13 @@ class TestSweepAxis:
                                      (0.0, 20.0, "log"), (-1.0, 20.0, "log")]:
             with pytest.raises(ps.ValidationError):
                 SweepAxis("x", start, stop, 3, spacing=spacing)
+        for start, num in [(0.0, 2.7), (0.0, True), (True, 3)]:
+            with pytest.raises(ps.ValidationError):
+                SweepAxis("x", start, 2.0, num)
+
+    def test_accepts_numpy_numbers(self):
+        ax = SweepAxis("x", np.float64(0.0), np.int64(2), np.int64(3))
+        assert ax.values().tolist() == [0.0, 1.0, 2.0]
 
     def test_result_shape_validation(self):
         with pytest.raises(ps.ValidationError):

@@ -36,8 +36,13 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     ("sweep", ["sweep.kind=cavity_coupling"], []),
     ("sweep", ["sweep.kind=rate_vs_loss"], []),
     ("sweep", ["sweep.kind=rate_vs_loss", "sweep.with_mc=true", "sweep.axis=[0,150,31]",
-               "constraints=[0.95,0.99,0.999,0.9998]", "mc.attempt_cap=1000000000000000000"],
+               "constraints=[0.95,0.97,0.99,0.9998]", "mc.attempt_cap=1000000000000000000"],
      []),
+    # refused: a fractional or bool axis entry, constraints that share an output name
+    ("sweep", ["sweep.kind=cavity_coupling", "sweep.axis=[0,1,2.7]"], []),
+    ("sweep", ["sweep.kind=cavity_coupling", "sweep.axis=[true,2,3]"], []),
+    ("sweep", ["sweep.kind=rate_vs_loss", "constraints=[0.95,0.99,0.999,0.9998]"], []),
+    ("sweep", ["sweep.kind=rate_vs_loss", "constraints=[0.95,0.95]"], []),
     *(("fidelity", [setting], []) for setting in MC_SETTINGS),
 ]
 
