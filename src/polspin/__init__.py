@@ -42,7 +42,6 @@ from .rate import (
     RateResult,
     attempt_probabilities,
     classify_regime,
-    error_probability_given_click,
     expected_failure_time,
     expected_success_time,
     max_attempts,

@@ -11,8 +11,9 @@ not grow with loss. It takes the gaps and the click uniforms from one
 generator in blocks of _BLOCK (256) each, refilled as they run out, and
 walks the trials through them in plain Python: a seeded run's draws depend
 on the block size and on the trials before each one, not on those after.
-simulate_trial is the per-attempt reference sampler, one draw per attempt;
-both raise NoDetectionError rather than return a click past attempt_cap.
+simulate_trial is the per-attempt reference sampler, one draw per attempt.
+Both raise NoDetectionError once a trial has taken draw_cap draws without a
+click: a cap on the sampler's work, not on the attempts a trial simulates.
 """
 
 from __future__ import annotations
@@ -26,31 +27,27 @@ import numpy as np
 from .params import ProtocolTiming, ValidationError
 from .rate import AttemptProbabilities
 
-DEFAULT_ATTEMPT_CAP = 10**8
+DEFAULT_DRAW_CAP = 10**8
 _BLOCK = 256  # draws per refill in _walk; fixed, so seeded runs do not depend on trials
 
 
 class NoDetectionError(RuntimeError):
-    """The attempt cap was exhausted without a detector click."""
+    """The draw cap was exhausted without a detector click."""
 
 
 @dataclass(frozen=True)
 class McConfig:
     trials: int = 100
     seed: int = 0
-    attempt_cap: int = DEFAULT_ATTEMPT_CAP
-    harmonic_rate: bool = True  # 1/mean(elapsed); False averages per-trial rates
+    draw_cap: int = DEFAULT_DRAW_CAP
 
     def __post_init__(self) -> None:
         # the one place the mc rules are written; config builds its mc section here
-        for key, least in (("trials", 1), ("seed", 0), ("attempt_cap", 1)):
+        for key, least in (("trials", 1), ("seed", 0), ("draw_cap", 1)):
             v = getattr(self, key)
             # int before Integral: a plain int then skips the slower ABC check
             if isinstance(v, bool) or not isinstance(v, (int, Integral)) or v < least:
                 raise ValidationError(f"mc.{key} must be an integer >= {least}, got {v!r}")
-        if not isinstance(self.harmonic_rate, bool):
-            raise ValidationError(f"mc.harmonic_rate must be true or false, "
-                                  f"got {self.harmonic_rate!r}")
 
 
 @dataclass(frozen=True)
@@ -69,9 +66,8 @@ class McRateEstimate:
     trials: int
 
 
-def _cap_exhausted(attempt_cap: int, probs: AttemptProbabilities) -> NoDetectionError:
-    return NoDetectionError(
-        f"no detection within {attempt_cap} attempts (p_det = {probs.p_det})")
+def _cap_exhausted(draw_cap: int, probs: AttemptProbabilities) -> NoDetectionError:
+    return NoDetectionError(f"no detection within {draw_cap} draws (p_det = {probs.p_det})")
 
 
 def simulate_trial(
@@ -79,7 +75,7 @@ def simulate_trial(
     n_max: int,
     timing: ProtocolTiming,
     rng: np.random.Generator,
-    attempt_cap: int = DEFAULT_ATTEMPT_CAP,
+    draw_cap: int = DEFAULT_DRAW_CAP,
 ) -> TrialResult:
     """Run sequences of up to n_max attempts until the first detection: the
     per-attempt reference sampler, a plain loop with one rng.random() per
@@ -90,14 +86,14 @@ def simulate_trial(
     whether any error preceded the click within its own sequence (earlier
     sequences end in a reset and cannot matter). Elapsed time charges a
     reset at the start of every sequence. Raises NoDetectionError once
-    attempt_cap attempts pass without a click, within a sequence too (an
-    unbounded constraint gives n_max = 2**53).
+    draw_cap draws, one per attempt, pass without a click, within a
+    sequence too (an unbounded constraint gives n_max = 2**53).
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     p_lost, err_edge = probs.p_lost, probs.p_lost + probs.p_e
     attempts, sequences, pos, error_in_seq = 0, 1, 0, False  # pos: in this sequence
-    while attempts < attempt_cap:
+    while attempts < draw_cap:
         if pos == n_max:  # no click within n_max attempts: reset, start anew
             sequences, pos, error_in_seq = sequences + 1, 0, False
         attempts, pos, u = attempts + 1, pos + 1, rng.random()
@@ -105,18 +101,19 @@ def simulate_trial(
             return TrialResult(sequences * timing.tau_reset + attempts * timing.tau_slot,
                                attempts, sequences, error_in_seq)
         error_in_seq = error_in_seq or u >= p_lost
-    raise _cap_exhausted(attempt_cap, probs)
+    raise _cap_exhausted(draw_cap, probs)
 
 
 def _walk(probs: AttemptProbabilities, n_max: int, trials: int,
-          rng: np.random.Generator, attempt_cap: int
+          rng: np.random.Generator, draw_cap: int
           ) -> tuple[list[int], list[int], list[bool]]:
     """Attempts, sequences and error flags of `trials` successive trials of
     simulate_trial's law, drawn only at the attempts that are not lost.
 
     Gaps and uniforms come from rng in blocks of _BLOCK, each refilled only
     when used up, so a trial's draws do not depend on how many trials follow
-    it. The cap binds once no attempt that is not lost falls within it.
+    it. A trial may take draw_cap gaps, one per attempt that is not lost or
+    per sequence that ends without a click, however many attempts they span.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -133,21 +130,17 @@ def _walk(probs: AttemptProbabilities, n_max: int, trials: int,
     for _ in range(trials):
         attempts, sequences = 0, 1  # attempts counts the sequences already ended
         pos, error_in_seq = 0, False  # the current sequence
+        stop = gi + draw_cap  # gi at which this trial's draws run out, block-relative
         while True:
             if gi == _BLOCK:
-                gaps, gi = rng.geometric(p_hit, size=_BLOCK).tolist(), 0
+                gaps, gi, stop = rng.geometric(p_hit, size=_BLOCK).tolist(), 0, stop - _BLOCK
+            if gi == stop:
+                raise _cap_exhausted(draw_cap, probs)
             pos += gaps[gi]
             gi += 1
-            # the cap rule is attempts + min(pos, n_max + 1) > attempt_cap, split
-            # by branch: past n_max, the next event is in a new sequence, at its
-            # first attempt or later
             if pos > n_max:  # no click within n_max attempts: reset, start anew
                 attempts, sequences, pos, error_in_seq = attempts + n_max, sequences + 1, 0, False
-                if attempts + 1 > attempt_cap:
-                    raise _cap_exhausted(attempt_cap, probs)
                 continue
-            if attempts + pos > attempt_cap:
-                raise _cap_exhausted(attempt_cap, probs)
             if ui == _BLOCK:
                 uniforms, ui = rng.random(_BLOCK).tolist(), 0
             u = uniforms[ui]
@@ -173,27 +166,19 @@ def simulate_rate(
     the lost attempts in blocks of draws (see the module docstring), and the
     cost per trial does not grow with loss. A seeded run's first k trials
     are those of the same seed's k-trial run.
-    The default estimator is 1/mean(elapsed); harmonic_rate=False returns
-    mean(1/elapsed) instead. The standard error is propagated from the
-    spread of the per-trial times (or rates).
+    The estimate is 1/mean(elapsed), the rate the analytic model computes;
+    its standard error is propagated from the spread of the per-trial times.
     """
     attempts, sequences, errors = _walk(probs, n_max, cfg.trials,
-                                        np.random.default_rng(cfg.seed), cfg.attempt_cap)
+                                        np.random.default_rng(cfg.seed), cfg.draw_cap)
     elapsed = (np.array(sequences, dtype=float) * timing.tau_reset
                + np.array(attempts, dtype=float) * timing.tau_slot)
     n = cfg.trials
-    if cfg.harmonic_rate:
-        mean_t = float(np.mean(elapsed))
-        mean_rate = 1.0 / mean_t
-        se_t = float(np.std(elapsed, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-        std_error = se_t / mean_t**2  # delta method through 1/x
-    else:
-        rates = 1.0 / elapsed
-        mean_rate = float(np.mean(rates))
-        std_error = float(np.std(rates, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    mean_t = float(np.mean(elapsed))
+    se_t = float(np.std(elapsed, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
     return McRateEstimate(
-        mean_rate=mean_rate,
-        std_error=std_error,
+        mean_rate=1.0 / mean_t,
+        std_error=se_t / mean_t**2,  # delta method through 1/x
         error_fraction=float(np.mean(errors)),
         trials=n,
     )

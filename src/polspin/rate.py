@@ -186,16 +186,6 @@ def _log_ratio(p_det, p_e, xp):
     return xp.log1p(-xp.minimum(p_e / (1.0 - p_det), _BELOW_ONE))
 
 
-def error_probability_given_click(m: int, probs: AttemptProbabilities) -> float:
-    """Probability that at least one unheralded error preceded a detector
-    click on the m-th attempt of a sequence: 1 - r^(m-1)."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if probs.p_det >= 1.0:
-        return 0.0
-    return -math.expm1((m - 1) * _log_ratio(probs.p_det, probs.p_e, _PyMath))
-
-
 def _error_terms(n, p_det, p_e, xp):
     """p_err(n), the unheralded-error probability of an n-attempt sequence,
     and the increment p_err(n + 1) - p_err(n), from positive terms only.

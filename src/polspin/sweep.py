@@ -282,7 +282,8 @@ def sweep_rate_vs_loss(
     metadata["nan_reasons"]; an unbounded cell keeps n_max =
     ATTEMPT_SEARCH_CAP, as transfer_rate reports it. A loss below 0 dB
     (eta_link > 1) is refused with ValidationError. The Monte Carlo columns
-    run one simulate_rate per cell with a finite n_max.
+    run one simulate_rate per cell with a finite n_max. The metadata
+    carries f0 next to the false_herald_correction setting that gave it.
     """
     loss_db = loss_axis.values()
     eta = 10.0 ** (-loss_db / 10.0)
@@ -291,7 +292,8 @@ def sweep_rate_vs_loss(
     # the metadata all constraints share, converted once, in the JSON's key order
     head = _jsonable(dict(pdr=pdr, polarizer=polarizer, cavity=cavity,
                           link=link_template, timing=timing))
-    tail = _jsonable(dict(f0=f0, mc=mc, r_cav_h=r_cav_h))
+    tail = _jsonable(dict(f0=f0, false_herald_correction=false_herald_correction,
+                          mc=mc, r_cav_h=r_cav_h))
     results: dict[float, SweepResult] = {}
     for i, f_target in enumerate(constraints):
         columns = {"bound": curves.bound, "n_max": curves.n_max[i],

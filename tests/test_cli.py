@@ -16,7 +16,7 @@ import polspin as ps
 from polspin.cli import main, write_table
 from polspin.config import DEFAULTS, ConfigError, load_config
 from polspin.montecarlo import McConfig
-from polspin.rate import ATTEMPT_SEARCH_CAP
+from polspin.rate import ATTEMPT_SEARCH_CAP, _f0
 from polspin.sweep import (
     SweepAxis,
     SweepResult,
@@ -43,7 +43,7 @@ class TestLoadConfig:
         assert cfg.link == ps.design_link()
         assert cfg.timing == ps.design_timing()
         assert cfg.r_cav_h == ps.params.DESIGN_R_CAV_H
-        assert cfg.config_hash == "1c102c291be3434a"
+        assert cfg.config_hash == "b2f23caf3111179c"
 
     def test_override_layering(self):
         cfg = load_config(overrides=["link.eta_link=0.01", "f_target=0.97"])
@@ -145,7 +145,7 @@ class TestLoadConfig:
             assert DEFAULTS == before
             fresh = load_config()
             assert fresh.raw == before
-            assert fresh.config_hash == "1c102c291be3434a"
+            assert fresh.config_hash == "b2f23caf3111179c"
         finally:
             # on failure, put DEFAULTS back in place for the tests that follow
             for key, val in before.items():
@@ -353,8 +353,9 @@ class TestMain:
     @pytest.mark.parametrize("command", ["fidelity", "rate", "montecarlo", "diagnose"])
     @pytest.mark.parametrize("setting", [
         'mc.trials="x"', "mc.trials=0", "mc.trials=true", "mc.trials=2.5",
-        'mc.seed="x"', "mc.seed=-1", 'mc.attempt_cap="x"', "mc.attempt_cap=0",
-        "mc.harmonic_rate=1",
+        'mc.seed="x"', "mc.seed=-1", 'mc.draw_cap="x"', "mc.draw_cap=0",
+        # removed keys: an unknown key, whatever its value
+        'mc.attempt_cap="x"', "mc.attempt_cap=0", "mc.harmonic_rate=1",
     ])
     def test_bad_mc_setting_exit_code(self, tmp_path, capsys, command, setting):
         # every command checks the mc section, not only those that simulate
@@ -421,15 +422,45 @@ class TestMain:
         assert list(tmp_path.iterdir()) == []
 
     def test_numerical_exit_code(self, tmp_path, capsys):
-        # detection so rare the attempt cap trips before the first click
+        # a click so much rarer than an error that the draws run out first
         code, cap, _ = run_cli(
             ["--command", "montecarlo", "--trials", "1",
-             "--set", "link.eta_link=1e-9",
-             "--set", "mc.attempt_cap=1000",
-             "--set", "f_target=0.5"],
+             "--set", "link.eta_det=1e-9",
+             "--set", "mc.draw_cap=1000"],
             tmp_path, capsys)
         assert code == 5
-        assert json.loads(cap.err)["error"] == "numerical"
+        err = json.loads(cap.err)
+        assert err["error"] == "numerical"
+        assert err["detail"].startswith("no detection within 1000 draws")
+
+    def test_montecarlo_at_90_db_within_a_small_draw_cap(self, tmp_path, capsys):
+        # about 4e9 attempts per trial, but only a few draws: the cap bounds
+        # the sampler's work, not the attempts a trial simulates
+        code, _, out = run_cli(
+            ["--command", "montecarlo", "--trials", "1",
+             "--set", "link.eta_link=1e-9",
+             "--set", "mc.draw_cap=1000",
+             "--set", "f_target=0.5"],
+            tmp_path, capsys)
+        assert code == 0
+        with out.open() as fh:
+            row = next(csv.DictReader(fh))
+        assert float(row["mean_rate"]) > 0 and row["trials"] == "1"
+
+    @pytest.mark.parametrize("correction", [False, True])
+    def test_rate_vs_loss_metadata_names_the_correction(self, tmp_path, capsys,
+                                                        correction):
+        setting = f"false_herald_correction={json.dumps(correction)}"
+        cfg = load_config(overrides=[setting])
+        assert main(["--command", "sweep", "--set", "sweep.kind=rate_vs_loss",
+                     "--set", "sweep.axis=[0,10,2]", "--set", "constraints=[0.95]",
+                     "--set", setting,
+                     "--format", "json", "--out", str(tmp_path / "rates.json")]) == 0
+        capsys.readouterr()
+        meta = json.loads((tmp_path / "rates_f95.json").read_text())["metadata"]
+        assert meta["false_herald_correction"] is correction
+        assert meta["f0"] == _f0(cfg.pdr, cfg.polarizer, cfg.cavity, cfg.link,
+                                 cfg.r_cav_h, correction)
 
 
 class TestSweepCsvRoundTrip:
@@ -540,7 +571,7 @@ class TestSweepCsvBytes:
     rows, for every sweep kind and for values whose text is easy to get
     wrong."""
 
-    HASH = "1c102c291be3434a"
+    HASH = "b2f23caf3111179c"
 
     def check(self, tmp_path, res, row=None):
         """row: the {column: value} of a result that is not a sweep."""

@@ -69,14 +69,14 @@ class TestSimulateTrial:
     def test_all_lost_hits_attempt_cap(self):
         rng = np.random.default_rng(0)
         with pytest.raises(NoDetectionError):
-            ps.simulate_trial(probs_of(0.0, 1.0), 10, TIMING, rng, attempt_cap=1000)
+            ps.simulate_trial(probs_of(0.0, 1.0), 10, TIMING, rng, draw_cap=1000)
 
     def test_attempt_cap_binds_inside_a_sequence(self):
         # an unbounded constraint gives n_max = 2**53: the cap must still end
         # a sequence that never clicks
         rng = np.random.default_rng(0)
         with pytest.raises(NoDetectionError):
-            ps.simulate_trial(probs_of(0.0, 1.0), 2**53, TIMING, rng, attempt_cap=1000)
+            ps.simulate_trial(probs_of(0.0, 1.0), 2**53, TIMING, rng, draw_cap=1000)
 
     def test_elapsed_reconstructible_from_counts(self):
         rng = np.random.default_rng(7)
@@ -104,13 +104,13 @@ class TestSimulateTrial:
             2 * TIMING.tau_reset + expect[0] * TIMING.tau_slot, rel=1e-12)
 
     def test_no_click_counted_past_the_attempt_cap(self):
-        # five lost attempts use up the cap; the click that would follow in
+        # five lost attempts, one draw each, use up the cap; the click that would follow in
         # the third sequence is never drawn
         rng = ScriptedRng([0.1] * 5 + [0.9])
         probs = probs_of(0.2, 0.5)
-        message = f"no detection within 5 attempts (p_det = {probs.p_det})"
+        message = f"no detection within 5 draws (p_det = {probs.p_det})"
         with pytest.raises(NoDetectionError, match=re.escape(message)):
-            ps.simulate_trial(probs, 2, TIMING, rng, attempt_cap=5)
+            ps.simulate_trial(probs, 2, TIMING, rng, draw_cap=5)
         assert rng.used == 5
 
     def test_seeded_regression(self):
@@ -179,24 +179,14 @@ class TestSimulateRate:
         sigma = math.sqrt(expect * (1 - expect) / est.trials)
         assert abs(est.error_fraction - expect) <= 3 * sigma
 
-    def test_mean_inverse_estimator_option(self):
-        probs = probs_of(0.3, 0.5)
-        cfg = McConfig(trials=200, seed=5, harmonic_rate=False)
-        est = ps.simulate_rate(probs, 10, TIMING, cfg)
-        harmonic = ps.simulate_rate(probs, 10, TIMING,
-                                    McConfig(trials=200, seed=5))
-        # arithmetic mean of rates dominates the harmonic-style estimate
-        assert est.mean_rate >= harmonic.mean_rate
-
 
 class TestMcConfig:
     @pytest.mark.parametrize("kwargs, message", [
         ({"trials": 2.5}, "mc.trials must be an integer >= 1, got 2.5"),
         ({"trials": True}, "mc.trials must be an integer >= 1, got True"),
         ({"seed": -1}, "mc.seed must be an integer >= 0, got -1"),
-        ({"attempt_cap": 0}, "mc.attempt_cap must be an integer >= 1, got 0"),
-        ({"harmonic_rate": 1}, "mc.harmonic_rate must be true or false, got 1"),
-    ], ids=["trials-float", "trials-bool", "seed-negative", "cap-zero", "harmonic-int"])
+        ({"draw_cap": 0}, "mc.draw_cap must be an integer >= 1, got 0"),
+    ], ids=["trials-float", "trials-bool", "seed-negative", "cap-zero"])
     def test_refuses(self, kwargs, message):
         with pytest.raises(ValidationError) as exc:
             McConfig(**kwargs)
@@ -235,10 +225,11 @@ class TestEventSkipping:
 
     @pytest.mark.parametrize("db, seed", [(60, 160), (90, 190)])
     def test_agreement_with_analytic_at_high_loss(self, db, seed):
-        # 90 dB expects about 4e9 attempts per trial, past the default cap
+        # 90 dB expects about 4e9 attempts per trial in a few draws, well
+        # within the default draw cap
         probs, analytic = design_point(db)
         est = ps.simulate_rate(probs, analytic.n_max, ps.design_timing(),
-                               McConfig(trials=10_000, seed=seed, attempt_cap=10**13))
+                               McConfig(trials=10_000, seed=seed))
         assert abs(est.mean_rate - analytic.rate) <= 4 * est.std_error
         expect = (ps.sequence_error_probability(analytic.n_max, probs)
                   / success_probability(analytic.n_max, probs))
@@ -256,17 +247,17 @@ class TestEventSkipping:
     def test_attempt_cap_through_simulate_rate(self, probs, n_max, cap):
         with pytest.raises(NoDetectionError):
             ps.simulate_rate(probs, n_max, TIMING,
-                             McConfig(trials=3, seed=0, attempt_cap=cap))
+                             McConfig(trials=3, seed=0, draw_cap=cap))
 
     def test_attempt_cap_binds_after_a_block_refill(self):
         # an error about every other attempt and a click too rare to see, in
         # one unbounded sequence: both blocks run out many times before the cap
         probs, cap = probs_of(1e-12, 0.5), 10**4
-        assert cap * (probs.p_det + probs.p_e) > 10 * _BLOCK
-        message = f"no detection within {cap} attempts (p_det = {probs.p_det})"
+        assert cap > 10 * _BLOCK
+        message = f"no detection within {cap} draws (p_det = {probs.p_det})"
         with pytest.raises(NoDetectionError, match=re.escape(message)):
             ps.simulate_rate(probs, 2**53, TIMING,
-                             McConfig(trials=3, seed=0, attempt_cap=cap))
+                             McConfig(trials=3, seed=0, draw_cap=cap))
 
     def test_refuses_n_max_below_one(self):
         with pytest.raises(ValueError, match="n_max must be >= 1"):
@@ -282,9 +273,28 @@ class TestEventSkipping:
         for a, b in zip(short, long):
             assert a == b[:50]
 
-    def test_attempt_cap_counts_attempts_not_skipped_gaps(self):
-        # one attempt per sequence, about 10^4 to the click: a click within
-        # 10^5 attempts is all but certain, though many skipped gaps overshoot
+    def test_draw_cap_counts_an_overshooting_gap_once(self):
+        # one attempt per sequence, about 10^4 sequences to the click: a click
+        # within 10^5 draws is all but certain, though a gap that overshoots
+        # n_max spans about 10^4 attempts
         est = ps.simulate_rate(probs_of(1e-4, 1.0 - 1e-4), 1, TIMING,
-                               McConfig(trials=10, seed=0, attempt_cap=10**5))
+                               McConfig(trials=10, seed=0, draw_cap=10**5))
         assert est.trials == 10
+
+    def test_draw_cap_binds_at_the_draw_past_it(self):
+        # no error channel and n_max = 1: every gap ends a sequence, so a
+        # trial takes exactly as many draws as it uses sequences
+        probs = probs_of(1e-2, 1.0 - 1e-2)
+        draws = _walk(probs, 1, 1, np.random.default_rng(4), 10**8)[1][0]
+        assert draws > 1
+        assert _walk(probs, 1, 1, np.random.default_rng(4), draws)[1] == [draws]
+        message = f"no detection within {draws - 1} draws (p_det = {probs.p_det})"
+        with pytest.raises(NoDetectionError, match=re.escape(message)):
+            _walk(probs, 1, 1, np.random.default_rng(4), draws - 1)
+
+    def test_draw_cap_does_not_bound_attempts(self):
+        # each trial is one draw: a gap of about 10^9 attempts, then a click
+        attempts, sequences, _ = _walk(probs_of(1e-9, 1.0 - 1e-9), 2**53, 20,
+                                       np.random.default_rng(0), 1)
+        assert sequences == [1] * 20
+        assert min(attempts) > 1 and sum(attempts) > 20 * 10**8

@@ -130,28 +130,12 @@ class TestAttemptProbabilities:
             eta_link * T**2 * eta_pol**2 * r_cav * eta_det, rel=1e-12)
 
 
-class TestErrorProbability:
-    def test_first_attempt_is_clean(self):
-        assert ps.error_probability_given_click(1, probs_of(0.1, 0.8)) == 0.0
-
-    def test_no_error_channel(self):
-        probs = probs_of(0.1, 0.9)
-        for m in (1, 2, 10, 100):
-            assert ps.error_probability_given_click(m, probs) == pytest.approx(0.0)
-
-    def test_arithmetic_example(self):
-        assert ps.error_probability_given_click(3, probs_of(0.1, 0.8)) \
-            == pytest.approx(1 - (8 / 9) ** 2, abs=1e-12)
-
-    def test_rejects_m_below_one(self):
-        with pytest.raises(ValueError):
-            ps.error_probability_given_click(0, probs_of(0.1, 0.8))
-
-
 def brute_force_sequence_error(n, probs):
+    """Term-by-term sum over the click position m of its probability times
+    the chance that an error preceded it, 1 - (p_lost / (1 - p_det))^(m - 1)."""
     pd = probs.p_det
-    return sum(ps.error_probability_given_click(m, probs) * (1 - pd) ** (m - 1) * pd
-               for m in range(1, n + 1))
+    r = probs.p_lost / (1 - pd)
+    return sum((1 - r ** (m - 1)) * (1 - pd) ** (m - 1) * pd for m in range(1, n + 1))
 
 
 class TestSequenceError:

@@ -19,8 +19,7 @@ import tempfile
 from pathlib import Path
 
 MC_SETTINGS = ['mc.trials="x"', "mc.trials=0", "mc.trials=true", "mc.trials=2.5",
-               'mc.seed="x"', "mc.seed=-1", 'mc.attempt_cap="x"', "mc.attempt_cap=0",
-               "mc.harmonic_rate=1"]
+               'mc.seed="x"', "mc.seed=-1", 'mc.draw_cap="x"', "mc.draw_cap=0"]
 
 # (command, --set overrides, other flags)
 COMMANDS: list[tuple[str, list[str], list[str]]] = [
@@ -31,12 +30,13 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     ("diagnose", [], []),
     ("montecarlo", [], ["--trials", "2000", "--seed", "7"]),
     ("montecarlo", ["link.eta_link=1e-6"], ["--trials", "300", "--seed", "7"]),
+    ("montecarlo", ["link.eta_link=1e-9"], ["--trials", "300", "--seed", "7"]),
     ("sweep", ["sweep.kind=pdr"], []),
     ("sweep", ["sweep.kind=cavity_c"], []),
     ("sweep", ["sweep.kind=cavity_coupling"], []),
     ("sweep", ["sweep.kind=rate_vs_loss"], []),
     ("sweep", ["sweep.kind=rate_vs_loss", "sweep.with_mc=true", "sweep.axis=[0,150,31]",
-               "constraints=[0.95,0.97,0.99,0.9998]", "mc.attempt_cap=1000000000000000000"],
+               "constraints=[0.95,0.97,0.99,0.9998]"],
      []),
     # refused: a fractional or bool axis entry, constraints that share an output name
     ("sweep", ["sweep.kind=cavity_coupling", "sweep.axis=[0,1,2.7]"], []),
