@@ -122,16 +122,20 @@ class JointState:
 class FidelityReport:
     """Average transfer fidelity with per-input and per-outcome breakdown.
 
-    per_input maps a target-state label to its herald-weighted fidelity.
-    herald and overlap are the kernel's per-input (H, V) herald
-    probabilities and their products with the conditional fidelity, in
-    TARGET_STATES order; per_outcome is built from them when read.
+    fidelity, herald and overlap are the kernel's tuples, in TARGET_STATES
+    order: each input's herald-weighted fidelity, its (H, V) herald
+    probabilities and their products with the conditional fidelity.
+    per_input and per_outcome are built from them when read.
     """
 
     f_avg: float
-    per_input: list[tuple[str, float]]
+    fidelity: tuple[float, ...]
     herald: tuple[tuple[float, float], ...]
     overlap: tuple[tuple[float, float], ...]
+
+    @property
+    def per_input(self) -> list[tuple[str, float]]:
+        return list(zip(_LABELS, self.fidelity))
 
     @property
     def per_outcome(self) -> dict[tuple[str, HeraldOutcome], tuple[float, float]]:
@@ -249,12 +253,12 @@ TARGET_STATES: list[tuple[str, complex, complex]] = [
 _LABELS = [label for label, _, _ in TARGET_STATES]
 
 
-# Per target: (alpha, beta, conj(alpha), conj(beta), 1 / (8 |target|^2)). The
-# kernel's branch amplitudes carry twice the physical amplitude and the
-# Hadamard a further 1/sqrt2, so |overlap|^2 is 8 times too large.
-_TARGETS = [(a, b, complex(a).conjugate(), complex(b).conjugate(),
-             1.0 / (8.0 * (abs(a) ** 2 + abs(b) ** 2)))
-            for _, a, b in TARGET_STATES]
+# x+ and y+ as (alpha, beta, conj(alpha), conj(beta), 1 / (8 |target|^2));
+# x- and y- are them with beta negated. Branch amplitudes carry twice the
+# physical amplitude and the Hadamard a further 1/sqrt2: |overlap|^2 is 8x.
+_PLUS_TARGETS = [(a, b, complex(a).conjugate(), complex(b).conjugate(),
+                  1.0 / (8.0 * (abs(a) ** 2 + abs(b) ** 2)))
+                 for _, a, b in TARGET_STATES[::2]]
 
 
 class DeviceKernel(NamedTuple):
@@ -292,6 +296,10 @@ def fidelity_kernel(t_H, r_H, t_V, r_V, eta_pol_V, eta_pol_H,
     corrected by a Hadamard for the H outcome and a Hadamard followed by a
     pi phase flip for the V outcome, then overlapped with the target
     alpha|down> + beta|up>. Loss only removes amplitude.
+
+    Negating beta swaps the two outcomes exactly in IEEE arithmetic (a - (-b)
+    is a + b), so x- and y- are computed as x+ and y+ with their (H, V)
+    herald and overlap pairs swapped and the same fidelity, bit for bit.
     """
     # The transmitted path crosses the polarizer, so each t_i^2 in the
     # etalon numerator is scaled by eta_pol_i. Only the V mode couples to the
@@ -307,7 +315,7 @@ def fidelity_kernel(t_H, r_H, t_V, r_V, eta_pol_V, eta_pol_H,
     non_passive = (abs(r_H_eff) > limit) | (abs(r_V_on) > limit) | (abs(r_V_off) > limit)
     herald, overlap, fidelity = [], [], []
     opaque = False
-    for a, b, ca, cb, scale in _TARGETS:
+    for a, b, ca, cb, scale in _PLUS_TARGETS:
         ah, b_on, b_off = a * r_H_eff, b * r_V_on, b * r_V_off
         # twice the branch amplitudes on (spin down, spin up) per outcome
         hd, hu = ah - b_on, ah - b_off
@@ -319,9 +327,9 @@ def fidelity_kernel(t_H, r_H, t_V, r_V, eta_pol_V, eta_pol_H,
         total = p_H + p_V
         never = total == 0.0
         opaque = opaque | never
-        herald.append((p_H, p_V))
-        overlap.append((o_H, o_V))
-        fidelity.append((o_H + o_V) / (total + never))
+        herald += [(p_H, p_V), (p_V, p_H)]
+        overlap += [(o_H, o_V), (o_V, o_H)]
+        fidelity += [(o_H + o_V) / (total + never)] * 2
     f_avg = (fidelity[0] + fidelity[1] + fidelity[2] + fidelity[3]) / 4.0
     return DeviceKernel(r_H_eff, r_V_on, r_V_off, tuple(herald),
                         tuple(overlap), tuple(fidelity), f_avg,
@@ -353,7 +361,7 @@ def transfer_fidelity(
         label = next(label for label, (p_H, p_V) in zip(_LABELS, k.herald)
                      if p_H + p_V == 0.0)
         raise OpaqueDeviceError(f"device opaque for input {label}")
-    return FidelityReport(k.f_avg, list(zip(_LABELS, k.fidelity)), k.herald, k.overlap)
+    return FidelityReport(k.f_avg, k.fidelity, k.herald, k.overlap)
 
 
 def loss_balance_residual(eff: EffectiveReflections) -> float:

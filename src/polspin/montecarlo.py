@@ -167,18 +167,19 @@ def simulate_rate(
     cost per trial does not grow with loss. A seeded run's first k trials
     are those of the same seed's k-trial run.
     The estimate is 1/mean(elapsed), the rate the analytic model computes;
-    its standard error is propagated from the spread of the per-trial times.
+    its standard error is propagated from the trial times' spread, nan for one trial.
     """
     attempts, sequences, errors = _walk(probs, n_max, cfg.trials,
                                         np.random.default_rng(cfg.seed), cfg.draw_cap)
     elapsed = (np.array(sequences, dtype=float) * timing.tau_reset
                + np.array(attempts, dtype=float) * timing.tau_slot)
     n = cfg.trials
-    mean_t = float(np.mean(elapsed))
-    se_t = float(np.std(elapsed, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    mean_t = float(np.add.reduce(elapsed) / n)  # np.mean's arithmetic, without its overhead
+    d = elapsed - mean_t  # and np.std(ddof=1)'s
+    se_t = math.sqrt(np.add.reduce(d * d) / (n - 1)) / math.sqrt(n) if n > 1 else math.nan
     return McRateEstimate(
         mean_rate=1.0 / mean_t,
         std_error=se_t / mean_t**2,  # delta method through 1/x
-        error_fraction=float(np.mean(errors)),
+        error_fraction=sum(errors) / n,
         trials=n,
     )

@@ -47,6 +47,10 @@ class CavityParams:
     delta_a: float = 0.0  # atom detuning (omega_a - omega)
 
     def __post_init__(self) -> None:
+        # the checks below, in their order, as one test; they run only if it fails
+        if (self.kappa > 0 and self.gamma > 0 and self.g >= 0 and 0 <= self.kappa_wg <= self.kappa
+                and math.isfinite(self.delta_c) and math.isfinite(self.delta_a)):
+            return
         _check(self.kappa > 0, "kappa must be > 0, got {}", self.kappa)
         _check(self.gamma > 0, "gamma must be > 0, got {}", self.gamma)
         _check(self.g >= 0, "g must be >= 0, got {}", self.g)
@@ -82,6 +86,12 @@ class PdrParams:
 
     def __post_init__(self) -> None:
         t_H, r_H, t_V, r_V = self.t_H, self.r_H, self.t_V, self.r_V
+        try:  # accept first: both power sums in bounds imply finite coefficients
+            if (abs(t_H) ** 2 + abs(r_H) ** 2 <= 1 + POWER_TOL
+                    and abs(t_V) ** 2 + abs(r_V) ** 2 <= 1 + POWER_TOL):
+                return
+        except (OverflowError, TypeError):  # the ordered checks raise as before
+            pass
         for name, z in (("t_H", t_H), ("r_H", r_H), ("t_V", t_V), ("r_V", r_V)):
             _check(_finite(z), "{} must be finite", name)
         sum_H = abs(t_H) ** 2 + abs(r_H) ** 2
@@ -127,9 +137,10 @@ class PdrParams:
             raise ValidationError(f"reflection_sign must be +1 or -1, got {reflection_sign}")
         R_V = 1.0 - T_V - zeta_V
         T_H = 1.0 - R_H - zeta_H
-        _check(0 <= T_V <= 1 and 0 <= R_H <= 1, "T_V and R_H must lie in [0, 1]")
-        _check(R_V >= -POWER_TOL, "R_V = 1 - T_V - zeta_V is negative ({})", R_V)
-        _check(T_H >= -POWER_TOL, "T_H = 1 - R_H - zeta_H is negative ({})", T_H)
+        if not (0 <= T_V <= 1 and 0 <= R_H <= 1 and R_V >= -POWER_TOL and T_H >= -POWER_TOL):
+            _check(0 <= T_V <= 1 and 0 <= R_H <= 1, "T_V and R_H must lie in [0, 1]")
+            _check(R_V >= -POWER_TOL, "R_V = 1 - T_V - zeta_V is negative ({})", R_V)
+            _check(T_H >= -POWER_TOL, "T_H = 1 - R_H - zeta_H is negative ({})", T_H)
         return cls(
             t_H=complex(math.sqrt(max(T_H, 0.0))),
             r_H=complex(reflection_sign * math.sqrt(R_H)),

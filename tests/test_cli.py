@@ -446,6 +446,7 @@ class TestMain:
         with out.open() as fh:
             row = next(csv.DictReader(fh))
         assert float(row["mean_rate"]) > 0 and row["trials"] == "1"
+        assert row["std_error"] == "nan"  # one trial has no spread
 
     @pytest.mark.parametrize("correction", [False, True])
     def test_rate_vs_loss_metadata_names_the_correction(self, tmp_path, capsys,

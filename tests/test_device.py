@@ -286,6 +286,61 @@ class TestTransferFidelity:
         assert all(a > b for a, b in zip(fs, fs[1:]))
 
 
+def _four_targets(r_H, r_V_on, r_V_off):
+    """(p_H, p_V) and (o_H, o_V) of every TARGET_STATES input, each evaluated
+    on its own with the kernel's arithmetic, beta sign and all."""
+    herald, overlap = [], []
+    for _, a, b in TARGET_STATES:
+        ca, cb = complex(a).conjugate(), complex(b).conjugate()
+        scale = 1.0 / (8.0 * (abs(a) ** 2 + abs(b) ** 2))
+        ah, b_on, b_off = a * r_H, b * r_V_on, b * r_V_off
+        hd, hu, vd, vu = ah - b_on, ah - b_off, ah + b_on, ah + b_off
+        herald.append(((abs(hd) ** 2 + abs(hu) ** 2) / 4.0,
+                       (abs(vd) ** 2 + abs(vu) ** 2) / 4.0))
+        overlap.append((abs(ca * (hd + hu) + cb * (hd - hu)) ** 2 * scale,
+                        abs(ca * (vd + vu) - cb * (vd - vu)) ** 2 * scale))
+    return herald, overlap
+
+
+def _random_devices(rng, shape):
+    """Kernel inputs with random complex reflector coefficients (non-passive
+    ones included), detunings and a complex r_cav_h; shape () gives scalars."""
+    def real(lo, hi):
+        v = rng.uniform(lo, hi, shape)
+        return float(v) if shape == () else v
+
+    def cplx():
+        return real(-0.8, 0.8) + 1j * real(-0.8, 0.8)
+
+    kappa = real(0.1, 2.0)
+    return (cplx(), cplx(), cplx(), cplx(), real(0.0, 1.0), real(0.0, 1.0),
+            kappa, kappa * real(0.0, 1.0), real(0.1, 2.0), real(0.0, 3.0),
+            real(-1.0, 1.0), real(-1.0, 1.0), cplx())
+
+
+def _bits(x):
+    return np.asarray(x).tobytes()
+
+
+class TestBetaSymmetry:
+    """x- and y- are x+ and y+ with beta negated, which swaps the two detector
+    outcomes exactly; the kernel evaluates only x+ and y+ and relies on it."""
+
+    @pytest.mark.parametrize("shape", [(), (30, 30)])
+    def test_minus_inputs_are_plus_inputs_swapped_bit_for_bit(self, shape):
+        rng = np.random.default_rng(17)
+        for _ in range(200 if shape == () else 3):
+            k = fidelity_kernel(*_random_devices(rng, shape))
+            herald, overlap = _four_targets(k.r_H, k.r_V_on, k.r_V_off)
+            for plus, minus in ((0, 1), (2, 3)):
+                for pairs in (herald, overlap):
+                    assert list(map(_bits, pairs[minus])) == list(map(_bits, pairs[plus][::-1]))
+                assert _bits(k.fidelity[minus]) == _bits(k.fidelity[plus])
+            for got, direct in ((k.herald, herald), (k.overlap, overlap)):
+                assert [list(map(_bits, pair)) for pair in got] \
+                    == [list(map(_bits, pair)) for pair in direct]
+
+
 class TestLossBalance:
     def test_ideal_coefficients_balance(self):
         assert ps.loss_balance_residual(IDEAL_REFLECTIONS) == pytest.approx(0.0)

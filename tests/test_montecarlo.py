@@ -140,6 +140,26 @@ class TestSimulateRate:
         assert est.std_error <= 1e-9  # float roundoff on identical samples
         assert est.error_fraction == 0.0
 
+    def test_one_trial_has_no_standard_error(self):
+        # a single time has no spread: the error is unknown, not zero
+        est = ps.simulate_rate(probs_of(0.02, 0.93), 40, TIMING, McConfig(trials=1, seed=5))
+        assert math.isnan(est.std_error)
+        assert est.mean_rate > 0 and est.error_fraction in (0.0, 1.0)
+
+    @pytest.mark.parametrize("trials", [2, 10, 200])
+    def test_estimate_is_numpys_mean_and_std_bit_for_bit(self, trials):
+        probs = probs_of(0.01, 0.9)
+        est = ps.simulate_rate(probs, 60, TIMING, McConfig(trials=trials, seed=trials))
+        attempts, sequences, errors = _walk(probs, 60, trials,
+                                            np.random.default_rng(trials), 10**8)
+        elapsed = (np.array(sequences, dtype=float) * TIMING.tau_reset
+                   + np.array(attempts, dtype=float) * TIMING.tau_slot)
+        mean_t = float(np.mean(elapsed))
+        se_t = float(np.std(elapsed, ddof=1)) / math.sqrt(trials)
+        assert est.mean_rate == 1.0 / mean_t
+        assert est.std_error == se_t / mean_t**2
+        assert est.error_fraction == float(np.mean(errors))
+
     def test_outcome_frequencies_match_partition(self):
         # tally raw attempt outcomes with the same classification rule
         probs = probs_of(0.2, 0.5)

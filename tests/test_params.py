@@ -77,7 +77,29 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("build,message", CASES, ids=[m for _, m in CASES])
+# Two checks broken at once: the accepting test fails on the later one, and
+# the message must still be the first check's, in the order above.
+TWO_FAULTS = [
+    (lambda: _cavity(kappa=-1.0, kappa_wg=0.5), "kappa must be > 0, got -1.0"),
+    (lambda: _cavity(gamma=NAN, g=-1.0), "gamma must be > 0, got nan"),
+    (lambda: _cavity(g=NAN, kappa_wg=2.0), "g must be >= 0, got nan"),
+    (lambda: _cavity(kappa_wg=NAN, delta_c=NAN), "kappa_wg must lie in [0, kappa], got nan"),
+    (lambda: _cavity(delta_c=INF, delta_a=NAN), "delta_c must be finite, got inf"),
+    (lambda: _pdr(t_H=1.0, r_H=0.5, r_V=NAN), "r_V must be finite"),
+    (lambda: _pdr(t_H=INF, r_V=complex(NAN, INF)), "t_H must be finite"),
+    (lambda: _pdr(t_H=1e200, r_H=NAN), "r_H must be finite"),  # T_H would overflow
+    (lambda: _pdr(t_H=1.0, r_H=0.75, t_V=1.0, r_V=1.0), "T_H + R_H = 1.5625 exceeds 1"),
+    (lambda: ps.PdrParams.from_power(NAN, 0.5, reflection_sign=NAN),
+     "reflection_sign must be +1 or -1, got nan"),
+    (lambda: ps.PdrParams.from_power(NAN, 0.5, zeta_V=2.0), "T_V and R_H must lie in [0, 1]"),
+    (lambda: ps.PdrParams.from_power(0.5, 0.5, zeta_V=1.0, zeta_H=0.75),
+     "R_V = 1 - T_V - zeta_V is negative (-0.5)"),
+]
+
+
+@pytest.mark.parametrize(
+    "build,message", CASES + TWO_FAULTS,
+    ids=[m for _, m in CASES] + [f"{m} (two faults)" for _, m in TWO_FAULTS])
 def test_each_check_raises_its_message(build, message):
     with pytest.raises(ValidationError) as exc:
         build()

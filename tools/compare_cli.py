@@ -6,13 +6,18 @@ Usage: python tools/compare_cli.py OLD_TREE NEW_TREE
 Each tree is a checkout holding src/polspin. Every command runs in CSV and
 in JSON, as a fresh `python -m polspin.cli` process with PYTHONPATH set to
 the tree's src, inside one temporary directory per tree that is emptied
-between commands. Exits 0 when every run is byte-identical, 1 otherwise.
+between commands. A run that is not byte-identical is reported as
+identical apart from the config hash when it matches once each side's hash,
+read from its config echo, is swapped for a placeholder in its streams and
+files: the echo, the CSV row tails and the JSON. Exits 0 when every run is
+byte-identical, 1 otherwise.
 Standard library only.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -29,6 +34,7 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     ("rate", ["link.xi=0.01", "false_herald_correction=true"], []),
     ("diagnose", [], []),
     ("montecarlo", [], ["--trials", "2000", "--seed", "7"]),
+    ("montecarlo", [], ["--trials", "1", "--seed", "7"]),
     ("montecarlo", ["link.eta_link=1e-6"], ["--trials", "300", "--seed", "7"]),
     ("montecarlo", ["link.eta_link=1e-9"], ["--trials", "300", "--seed", "7"]),
     ("sweep", ["sweep.kind=pdr"], []),
@@ -59,6 +65,23 @@ def run(tree: Path, workdir: Path, argv: list[str]) -> dict[str, object]:
             "files": files}
 
 
+_ECHOED_HASH = re.compile(rb'"config_hash": "([0-9a-f]{16})"')
+
+
+def without_hash(result: dict[str, object]) -> dict[str, object]:
+    """The run with its config hash, as its config echo shows it, swapped for
+    a placeholder in the streams and every file; unchanged without an echo."""
+    echoed = _ECHOED_HASH.search(result["stdout"])
+    if echoed is None:
+        return result
+
+    def blank(data: bytes) -> bytes:
+        return data.replace(echoed.group(1), b"<config_hash>")
+
+    return {**result, "stdout": blank(result["stdout"]), "stderr": blank(result["stderr"]),
+            "files": {name: blank(data) for name, data in result["files"].items()}}
+
+
 def differences(old: dict[str, object], new: dict[str, object]) -> list[str]:
     out = [f"{key}: {old[key]!r} != {new[key]!r}" if key == "exit code"
            else f"{key} differs" for key in ("stdout", "stderr", "exit code")
@@ -81,7 +104,7 @@ def main(argv: list[str]) -> int:
         if not (tree / "src" / "polspin").is_dir():
             print(f"{tree}: no src/polspin", file=sys.stderr)
             return 2
-    failures = runs = 0
+    runs = identical = hash_only = 0
     with tempfile.TemporaryDirectory() as old_dir, tempfile.TemporaryDirectory() as new_dir:
         workdirs = [Path(old_dir), Path(new_dir)]
         for command, sets, flags in COMMANDS:
@@ -90,14 +113,19 @@ def main(argv: list[str]) -> int:
                         *(arg for s in sets for arg in ("--set", s))]
                 old, new = (run(tree, workdir, argv) for tree, workdir in zip(trees, workdirs))
                 runs += 1
-                found = differences(old, new)
-                if found:
-                    failures += 1
-                    print(" ".join(argv))
-                    for line in found:
-                        print(f"  {line}")
-    print(f"{runs - failures} of {runs} runs identical")
-    return 1 if failures else 0
+                if not differences(old, new):
+                    identical += 1
+                    continue
+                print(" ".join(argv))
+                found = differences(without_hash(old), without_hash(new))
+                if not found:
+                    hash_only += 1
+                    print("  identical apart from the config hash")
+                for line in found:
+                    print(f"  {line}")
+    print(f"{identical} of {runs} runs identical, {hash_only} identical apart from the "
+          f"config hash, {runs - identical - hash_only} different")
+    return 0 if identical == runs else 1
 
 
 if __name__ == "__main__":
