@@ -3,6 +3,8 @@ state transfer through an imperfect nanophotonic device: device fidelity
 from cavity and reflector physics, and the rate-fidelity trade-off over a
 lossy link, with analytic closed forms cross-validated by Monte Carlo."""
 
+from importlib import import_module
+
 from .device import (
     IDEAL_REFLECTIONS,
     TARGET_STATES,
@@ -21,13 +23,15 @@ from .device import (
     loss_balance_residual,
     transfer_fidelity,
 )
-from .montecarlo import McConfig, McRateEstimate, NoDetectionError, TrialResult, simulate_rate, simulate_trial
 from .params import (
     CavityParams,
     LinkParams,
+    McConfig,
+    NoDetectionError,
     PdrParams,
     PolarizerParams,
     ProtocolTiming,
+    SweepAxis,
     ValidationError,
     design_cavity,
     design_link,
@@ -35,27 +39,30 @@ from .params import (
     design_polarizer,
     design_timing,
 )
-from .rate import (
-    AttemptProbabilities,
-    InfeasibleConstraintError,
-    MaxAttempts,
-    RateResult,
-    attempt_probabilities,
-    classify_regime,
-    expected_failure_time,
-    expected_success_time,
-    max_attempts,
-    protocol_fidelity,
-    repeaterless_bound,
-    sequence_error_probability,
-    transfer_rate,
-)
-from .sweep import (
-    SweepAxis,
-    SweepResult,
-    sweep_fidelity_cavity,
-    sweep_fidelity_pdr,
-    sweep_rate_vs_loss,
-)
 
 __version__ = "0.1.0"
+
+# rate, montecarlo and sweep and their names load on first use (PEP 562), so
+# `import polspin` and `from polspin import config` load no numpy.
+_LAZY = {
+    "rate": ("AttemptProbabilities", "InfeasibleConstraintError", "MaxAttempts", "RateResult",
+             "attempt_probabilities", "classify_regime", "expected_failure_time",
+             "expected_success_time", "max_attempts", "protocol_fidelity",
+             "repeaterless_bound", "sequence_error_probability", "transfer_rate"),
+    "montecarlo": ("McRateEstimate", "TrialResult", "simulate_rate", "simulate_trial"),
+    "sweep": ("SweepResult", "sweep_fidelity_cavity", "sweep_fidelity_pdr",
+              "sweep_rate_vs_loss"),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = name if name in _LAZY else _MODULE_OF.get(name)  # polspin.sweep too
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = import_module(f".{module}", __name__)
+    return loaded if module == name else getattr(loaded, name)
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_MODULE_OF])

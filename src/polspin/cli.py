@@ -7,20 +7,19 @@ echoed to stdout so no default stays silent.
 
 Exit codes: 0 success, 2 validation, 3 infeasible constraint, 4 IO,
 5 numerical failure (search cap reached, opaque device, no detection).
+
+numpy, montecarlo and sweep load only in the commands that need arrays.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-import numpy as np
-
-from .config import ConfigError, RunConfig, load_config
+from .config import SWEEP_KINDS, ConfigError, RunConfig, _jsonable, load_config
 from .device import (
     FidelityReport,
     OpaqueDeviceError,
@@ -28,8 +27,7 @@ from .device import (
     loss_balance_residual,
     transfer_fidelity,
 )
-from .montecarlo import NoDetectionError, simulate_rate
-from .params import ValidationError
+from .params import NoDetectionError, SweepAxis, ValidationError
 from .rate import (
     ATTEMPT_SEARCH_CAP,
     InfeasibleConstraintError,
@@ -37,15 +35,9 @@ from .rate import (
     attempt_probabilities,
     transfer_rate,
 )
-from .sweep import (
-    SWEEP_KINDS,
-    SweepAxis,
-    SweepResult,
-    _jsonable,
-    sweep_fidelity_cavity,
-    sweep_fidelity_pdr,
-    sweep_rate_vs_loss,
-)
+
+if TYPE_CHECKING:
+    from .sweep import SweepResult
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -61,21 +53,16 @@ class NumericalFailure(RuntimeError):
     pass
 
 
-def _plain(value: Any) -> Any:
-    """A numpy scalar as the Python value it holds: under numpy 2 its repr
-    is 'np.float64(0.5)', which no CSV reader parses back."""
-    return value.item() if isinstance(value, np.generic) else value
-
-
 def _row_of(result: Any) -> dict[str, Any]:
-    """A result other than a sweep as its one row, {column: Python value}."""
+    """A result other than a sweep as its one row, {column: Python value}: a
+    numpy scalar's repr under numpy 2, 'np.float64(0.5)', no CSV reader
+    parses back."""
     if isinstance(result, FidelityReport):
         result = {"f_avg": result.f_avg,
                   **{f"fidelity_{label}": fid for label, fid in result.per_input}}
-    elif dataclasses.is_dataclass(result) and not isinstance(result, type):
-        result = dataclasses.asdict(result)
-    if isinstance(result, dict):
-        return {key: _plain(v) for key, v in result.items()}
+    row = _jsonable(result)
+    if isinstance(row, dict):
+        return row
     raise TypeError(f"cannot tabulate {type(result)!r}")
 
 
@@ -86,6 +73,8 @@ def _blocks(result: SweepResult | dict, cell: Callable[[list], list]) -> Iterato
     if isinstance(result, dict):
         yield [[v] for v in cell(list(result.values()))]
         return
+    import numpy as np
+
     size, shape = result.values.size, result.values.shape
     axes = [np.array(cell(vals.tolist()), dtype=object) for _, vals in result.axes]
     columns = [result.values.ravel(), *(col.ravel() for col in result.columns.values())]
@@ -107,7 +96,8 @@ def write_table(result: Any, fmt: str, path: str | Path, config_hash: str,
     metadata block, round-trippable at full precision). A sweep is one row
     per cell, written a block of cells at a time; any other result one row."""
     path = Path(path)
-    if isinstance(result, SweepResult):
+    sweep = sys.modules.get("polspin.sweep")  # a SweepResult exists only once it loads
+    if sweep is not None and isinstance(result, sweep.SweepResult):
         header = [name for name, _ in result.axes] + [result.quantity] + list(result.columns)
         metadata = {**result.metadata, **(metadata or {})}
     else:
@@ -123,7 +113,7 @@ def write_table(result: Any, fmt: str, path: str | Path, config_hash: str,
             for block in _blocks(result, _texts):
                 fh.write(tail.join(map(",".join, zip(*block))) + tail)
     elif fmt == "json":
-        # the rows hold Python values already (tolist or _plain made them)
+        # the rows hold Python values already (tolist or _jsonable made them)
         payload = {
             "config_hash": config_hash,
             "metadata": _jsonable(metadata or {}),
@@ -176,6 +166,8 @@ def _cmd_rate(cfg: RunConfig, out: Path, fmt: str) -> None:
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> None:
+    from .sweep import sweep_fidelity_cavity, sweep_fidelity_pdr, sweep_rate_vs_loss
+
     kind, sweep = cfg.sweep["kind"], cfg.sweep
     defaults = SWEEP_KINDS[kind]
     # refuse settings this kind would not read, which still change the hash
@@ -214,6 +206,8 @@ def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> None:
 
 
 def _cmd_montecarlo(cfg: RunConfig, out: Path, fmt: str) -> None:
+    from .montecarlo import simulate_rate
+
     res = _rate(cfg)
     probs = attempt_probabilities(cfg.pdr, cfg.polarizer, cfg.link)
     est = simulate_rate(probs, res.n_max, cfg.timing, cfg.mc)

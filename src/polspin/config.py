@@ -1,25 +1,28 @@
 """Run configuration: the defaults, JSON loading, dotted-path overrides,
-validation, and the resolved-config echo used for provenance."""
+validation, and the resolved-config echo used for provenance. It holds the
+sweeps' default axes and constraints, and loads no numpy."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
-from .montecarlo import McConfig
 from .params import (
     DESIGN,
     CavityParams,
     LinkParams,
+    McConfig,
     PdrParams,
     PolarizerParams,
     ProtocolTiming,
+    SweepAxis,
     ValidationError,
 )
-from .sweep import DEFAULT_CONSTRAINTS, SWEEP_KINDS
 
 # hashlib loads OpenSSL, several MB of resident memory, for one digest; the
 # interpreter's own sha256 module gives the same digest without it.
@@ -38,6 +41,53 @@ _NUMBERS = frozenset((int, float))
 
 class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
+
+
+DEFAULT_CONSTRAINTS = (0.95, 0.97, 0.98, 0.99)
+
+
+def default_pdr_axes() -> tuple[SweepAxis, SweepAxis]:
+    return (SweepAxis("pdr.T_V", 0.5, 1.0, 101),
+            SweepAxis("pdr.R_H", 0.0, 0.6, 101))
+
+
+def default_cooperativity_axis() -> SweepAxis:
+    return SweepAxis("cavity.cooperativity", 0.5, 20.0, 101, spacing="log")
+
+
+def default_coupling_axis() -> SweepAxis:
+    return SweepAxis("cavity.coupling_ratio", 0.05, 1.0, 96)
+
+
+def default_loss_axis() -> SweepAxis:
+    return SweepAxis("loss_db", 0.0, 60.0, 121, spacing="db")
+
+
+# Each sweep kind's default axes, which sweep.axis and sweep.second_axis override.
+SWEEP_KINDS: dict[str, tuple[SweepAxis, ...]] = {
+    "pdr": default_pdr_axes(),
+    "cavity_c": (default_cooperativity_axis(),),
+    "cavity_coupling": (default_coupling_axis(),),
+    "rate_vs_loss": (default_loss_axis(),),
+}
+
+
+def _jsonable(value: Any) -> Any:
+    """value as plain JSON types: dataclasses as dicts of their fields,
+    complex numbers as [re, im] pairs, numpy values as Python values."""
+    np = sys.modules.get("numpy")  # no numpy value exists before numpy is loaded
+    if np is not None and isinstance(value, (np.generic, np.ndarray)):
+        value = value.tolist()  # a Python scalar, or nested lists of them
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _jsonable(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    return value
 
 
 # Fully-resolved defaults: the paper design point plus the run settings.

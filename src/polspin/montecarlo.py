@@ -20,34 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .params import ProtocolTiming, ValidationError
+# re-exported: McConfig and NoDetectionError live in params, which loads no numpy
+from .params import DEFAULT_DRAW_CAP, McConfig, NoDetectionError, ProtocolTiming
 from .rate import AttemptProbabilities
 
-DEFAULT_DRAW_CAP = 10**8
 _BLOCK = 256  # draws per refill in _walk; fixed, so seeded runs do not depend on trials
-
-
-class NoDetectionError(RuntimeError):
-    """The draw cap was exhausted without a detector click."""
-
-
-@dataclass(frozen=True)
-class McConfig:
-    trials: int = 100
-    seed: int = 0
-    draw_cap: int = DEFAULT_DRAW_CAP
-
-    def __post_init__(self) -> None:
-        # the one place the mc rules are written; config builds its mc section here
-        for key, least in (("trials", 1), ("seed", 0), ("draw_cap", 1)):
-            v = getattr(self, key)
-            # int before Integral: a plain int then skips the slower ABC check
-            if isinstance(v, bool) or not isinstance(v, (int, Integral)) or v < least:
-                raise ValidationError(f"mc.{key} must be an integer >= {least}, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Parameter types for the photon-to-spin transfer model.
+"""Parameter types for the photon-to-spin transfer model and its runs.
 
 All types are immutable value objects validated at construction. Field
 amplitudes are plain Python complex numbers; power quantities (transmissivity,
@@ -9,7 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from numbers import Integral, Real
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # Tolerance on power sums above 1 and on negative power complements.
@@ -29,6 +33,14 @@ def _check(cond: bool, fmt: str, *args: Any) -> None:
 
 def _finite(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
+
+
+def _power_sum(a: complex, b: complex) -> float:
+    """|a|^2 + |b|^2 of finite coefficients, inf where it overflows."""
+    try:
+        return abs(a) ** 2 + abs(b) ** 2
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -94,9 +106,9 @@ class PdrParams:
             pass
         for name, z in (("t_H", t_H), ("r_H", r_H), ("t_V", t_V), ("r_V", r_V)):
             _check(_finite(z), "{} must be finite", name)
-        sum_H = abs(t_H) ** 2 + abs(r_H) ** 2
+        sum_H = _power_sum(t_H, r_H)
         _check(sum_H <= 1 + POWER_TOL, "T_H + R_H = {} exceeds 1", sum_H)
-        sum_V = abs(t_V) ** 2 + abs(r_V) ** 2
+        sum_V = _power_sum(t_V, r_V)
         _check(sum_V <= 1 + POWER_TOL, "T_V + R_V = {} exceeds 1", sum_V)
 
     @property
@@ -202,6 +214,68 @@ class ProtocolTiming:
     @property
     def tau_slot(self) -> float:
         return self.pulse_multiplier * self.tau_pulse
+
+
+DEFAULT_DRAW_CAP = 10**8
+
+
+class NoDetectionError(RuntimeError):
+    """The draw cap was exhausted without a detector click."""
+
+
+@dataclass(frozen=True)
+class McConfig:
+    trials: int = 100
+    seed: int = 0
+    draw_cap: int = DEFAULT_DRAW_CAP
+
+    def __post_init__(self) -> None:
+        # the one place the mc rules are written; config builds its mc section here
+        for key, least in (("trials", 1), ("seed", 0), ("draw_cap", 1)):
+            v = getattr(self, key)
+            # int before Integral: a plain int then skips the slower ABC check
+            if isinstance(v, bool) or not isinstance(v, (int, Integral)) or v < least:
+                raise ValidationError(f"mc.{key} must be an integer >= {least}, got {v!r}")
+
+
+@dataclass(frozen=True)
+class SweepAxis:
+    """One sweep dimension: a parameter path and its grid."""
+
+    path: str
+    start: float
+    stop: float
+    num: int
+    spacing: str = "linear"  # linear | log | db
+
+    def __post_init__(self) -> None:
+        # the one place the axis rules are written; the CLI builds its axes here
+        if any(isinstance(v, bool) or not isinstance(v, Real) for v in (self.start, self.stop)):
+            raise ValidationError(f"axis {self.path}: start and stop must be numbers, "
+                                  f"got {self.start!r} and {self.stop!r}")
+        if isinstance(self.num, bool) or not isinstance(self.num, Integral):
+            raise ValidationError(f"axis {self.path}: num must be an integer, got {self.num!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValidationError(f"axis {self.path}: start and stop must be finite")
+        if self.num < 2:
+            raise ValidationError(f"axis {self.path}: need >= 2 points")
+        if self.start >= self.stop:
+            raise ValidationError(f"axis {self.path}: start must be < stop")
+        if self.spacing not in ("linear", "log", "db"):
+            raise ValidationError(f"axis {self.path}: unknown spacing {self.spacing}")
+        if self.spacing == "log" and self.start <= 0:
+            raise ValidationError(f"axis {self.path}: a log axis needs start > 0")
+        if self.spacing == "db" and self.path != "loss_db":
+            raise ValidationError(f"axis {self.path}: db spacing applies only to loss_db")
+
+    def values(self) -> np.ndarray:
+        import numpy as np  # only here: the scalar paths never load numpy
+
+        if self.spacing == "log":
+            return np.logspace(math.log10(self.start), math.log10(self.stop), self.num)
+        # db axes are linear in dB; conversion to transmissivity is the
+        # consumer's job (loss_db -> eta_link = 10**(-loss_db/10))
+        return np.linspace(self.start, self.stop, self.num)
 
 
 # Reference design point, in the format of a run config's device sections;

@@ -8,9 +8,10 @@ classification, and the repeaterless bound.
 The error probability, the n_max search and the timing form one rate kernel
 written against a few numpy function names (exp, expm1, log1p, where, ...),
 so the same code runs on Python floats (transfer_rate, through _PyMath) and
-on numpy arrays (sweep.sweep_rate_vs_loss). It keeps its accuracy at any
-link loss: p_det and p_e are each an exact product of eta_link and a
-device-only fraction, and the error probability is a sum of positive terms.
+on numpy arrays (rate_curves, the one function that imports numpy). It
+keeps its accuracy at any link loss: p_det and p_e are each an exact product
+of eta_link and a device-only fraction, and the error probability is a sum
+of positive terms.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .device import transfer_fidelity
 from .params import (
@@ -31,6 +31,9 @@ from .params import (
     ProtocolTiming,
     ValidationError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The largest n_max a float column holds exactly; a constraint that still
 # holds there is reported as cap_reached.
@@ -293,12 +296,12 @@ def _search(lo, p_det, p_e, f0, f_target, xp):
         t = xp.floor(xp.where(near, t, lo + xp.floor((hi - lo) * 0.5)))
         return xp.minimum(xp.maximum(t, lo), hi - 1)
 
-    if isinstance(lo, np.ndarray):
-        found, at = np.empty_like(lo), np.arange(lo.size)
+    if xp is not _PyMath:
+        found, at = xp.empty_like(lo), xp.arange(lo.size)
     c, steps = 0.0 * lo, 0
     while True:
         active = (hi - lo > 1) & (lo < ATTEMPT_SEARCH_CAP)
-        if isinstance(active, np.ndarray):  # set the finished points aside
+        if xp is not _PyMath:  # set the finished points aside
             found[at] = lo
             at, lo, hi, c, p_det, p_e, f_target, budget = (
                 a[active] for a in (at, lo, hi, c, p_det, p_e, f_target, budget))
@@ -509,6 +512,8 @@ def rate_curves(
     read). eta must lie in [0, 1]. The device is checked once, at eta_link
     = 1, where its losses are largest. An unbounded cell has n_max =
     ATTEMPT_SEARCH_CAP, as in transfer_rate."""
+    import numpy as np
+
     eta = np.asarray(eta, dtype=float)
     outside = ~((eta >= 0.0) & (eta <= 1.0))
     if outside.any():

@@ -14,28 +14,29 @@ order.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 from typing import Any, Callable
 
 import numpy as np
 
+# re-exported: the axis type and defaults live in params and config, which load no numpy
+from .config import (DEFAULT_CONSTRAINTS, SWEEP_KINDS, _jsonable, default_cooperativity_axis,
+                     default_coupling_axis, default_loss_axis, default_pdr_axes)
 from .device import OpaqueDeviceError, fidelity_kernel
-from .montecarlo import McConfig, simulate_rate
+from .montecarlo import simulate_rate
 from .params import (
     DESIGN_R_CAV_H,
     POWER_TOL,
     CavityParams,
     LinkParams,
+    McConfig,
     PdrParams,
     PolarizerParams,
     ProtocolTiming,
+    SweepAxis,
     ValidationError,
 )
 from .rate import _f0, attempt_probabilities, rate_curves
-
-DEFAULT_CONSTRAINTS = (0.95, 0.97, 0.98, 0.99)
 
 # Cells per device-kernel evaluation in the fidelity sweeps: whole-grid
 # temporaries would grow peak memory with the grid, blocks keep it flat.
@@ -45,42 +46,6 @@ _BLOCK_CELLS = 4096
 # the cells per reason.
 NAN_REASONS = ("pdr_range", "pdr_complement", "pdr_power_sum", "cavity_range",
                "degenerate_etalon", "non_passive_etalon")
-
-
-@dataclass(frozen=True)
-class SweepAxis:
-    """One sweep dimension: a parameter path and its grid."""
-
-    path: str
-    start: float
-    stop: float
-    num: int
-    spacing: str = "linear"  # linear | log | db
-
-    def __post_init__(self) -> None:
-        # the one place the axis rules are written; the CLI builds its axes here
-        if any(isinstance(v, bool) or not isinstance(v, Real) for v in (self.start, self.stop)):
-            raise ValidationError(f"axis {self.path}: start and stop must be numbers, "
-                                  f"got {self.start!r} and {self.stop!r}")
-        if isinstance(self.num, bool) or not isinstance(self.num, Integral):
-            raise ValidationError(f"axis {self.path}: num must be an integer, got {self.num!r}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValidationError(f"axis {self.path}: start and stop must be finite")
-        if self.num < 2:
-            raise ValidationError(f"axis {self.path}: need >= 2 points")
-        if self.start >= self.stop:
-            raise ValidationError(f"axis {self.path}: start must be < stop")
-        if self.spacing not in ("linear", "log", "db"):
-            raise ValidationError(f"axis {self.path}: unknown spacing {self.spacing}")
-        if self.spacing == "log" and self.start <= 0:
-            raise ValidationError(f"axis {self.path}: a log axis needs start > 0")
-
-    def values(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.logspace(math.log10(self.start), math.log10(self.stop), self.num)
-        # db axes are linear in dB; conversion to transmissivity is the
-        # consumer's job (loss_db -> eta_link = 10**(-loss_db/10))
-        return np.linspace(self.start, self.stop, self.num)
 
 
 @dataclass
@@ -106,25 +71,6 @@ class SweepResult:
         for name, col in self.columns.items():
             if col.shape != shape:
                 raise ValidationError(f"column {name} shape mismatch")
-
-
-def _jsonable(value: Any) -> Any:
-    """value as plain JSON types: dataclasses as dicts of their fields,
-    complex numbers as [re, im] pairs, numpy values as Python values."""
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
 
 
 def _fidelity_cells(n: int, cell_inputs: Callable) -> tuple[np.ndarray, dict[str, int]]:
@@ -327,29 +273,3 @@ def _mc_columns(mc: McConfig, n_max: np.ndarray, eta: np.ndarray, pdr: PdrParams
         mc_rate[i] = est.mean_rate
         mc_se[i] = est.std_error
     return mc_rate, mc_se
-
-
-def default_pdr_axes() -> tuple[SweepAxis, SweepAxis]:
-    return (SweepAxis("pdr.T_V", 0.5, 1.0, 101),
-            SweepAxis("pdr.R_H", 0.0, 0.6, 101))
-
-
-def default_cooperativity_axis() -> SweepAxis:
-    return SweepAxis("cavity.cooperativity", 0.5, 20.0, 101, spacing="log")
-
-
-def default_coupling_axis() -> SweepAxis:
-    return SweepAxis("cavity.coupling_ratio", 0.05, 1.0, 96)
-
-
-def default_loss_axis() -> SweepAxis:
-    return SweepAxis("loss_db", 0.0, 60.0, 121, spacing="db")
-
-
-# Each sweep kind's default axes, which sweep.axis and sweep.second_axis override.
-SWEEP_KINDS: dict[str, tuple[SweepAxis, ...]] = {
-    "pdr": default_pdr_axes(),
-    "cavity_c": (default_cooperativity_axis(),),
-    "cavity_coupling": (default_coupling_axis(),),
-    "rate_vs_loss": (default_loss_axis(),),
-}

@@ -329,6 +329,19 @@ class TestMain:
         assert code == 2
         assert json.loads(cap.err)["error"] == "validation"
 
+    @pytest.mark.parametrize("kind,setting,named", [
+        ("cavity_c", 'sweep.axis=[0.5,20,11,"db"]', "axis cavity.cooperativity"),
+        ("pdr", 'sweep.second_axis=[0,0.6,5,"db"]', "axis pdr.R_H"),
+    ], ids=["cavity_c_axis", "pdr_second_axis"])
+    def test_sweep_refuses_db_spacing_off_the_loss_axis(self, tmp_path, capsys, kind,
+                                                         setting, named):
+        code, cap, out = run_cli(["--command", "sweep", "--set", f"sweep.kind={kind}",
+                                  "--set", setting], tmp_path, capsys)
+        err = json.loads(cap.err)
+        assert (code, err["error"]) == (2, "validation")
+        assert f"{named}: db spacing applies only to loss_db" in err["detail"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("setting", [
         ["--set", 'f_target="a"'],
         ["--set", "constraints=5"],

@@ -1,0 +1,102 @@
+"""The package loads numpy only on the array paths: `import polspin`, the
+config and the scalar CLI commands run without it, and the names of the
+array modules resolve on first use."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import polspin
+
+# Every name the package exports, by the module that defines it.
+EXPORTS = {
+    "device": ["IDEAL_REFLECTIONS", "TARGET_STATES", "EffectiveReflections", "FidelityReport",
+               "HeraldOutcome", "JointState", "OpaqueDeviceError", "PhotonQubit", "SpinState",
+               "UnheraldableOutcomeError", "cavity_reflection", "effective_reflections",
+               "evolve_joint_state", "herald_spin_state", "loss_balance_residual",
+               "transfer_fidelity"],
+    "params": ["CavityParams", "LinkParams", "McConfig", "NoDetectionError", "PdrParams",
+               "PolarizerParams", "ProtocolTiming", "SweepAxis", "ValidationError",
+               "design_cavity", "design_link", "design_pdr", "design_polarizer",
+               "design_timing"],
+    "rate": ["AttemptProbabilities", "InfeasibleConstraintError", "MaxAttempts", "RateResult",
+             "attempt_probabilities", "classify_regime", "expected_failure_time",
+             "expected_success_time", "max_attempts", "protocol_fidelity",
+             "repeaterless_bound", "sequence_error_probability", "transfer_rate"],
+    "montecarlo": ["McRateEstimate", "TrialResult", "simulate_rate", "simulate_trial"],
+    "sweep": ["SweepResult", "sweep_fidelity_cavity", "sweep_fidelity_pdr",
+              "sweep_rate_vs_loss"],
+}
+
+# Run in a fresh interpreter: after each step, whether numpy is loaded.
+_STEPS = """
+import json, os, sys
+steps = []
+import polspin
+steps.append(["import polspin", "numpy" in sys.modules])
+from polspin import config
+config.load_config()
+steps.append(["load_config", "numpy" in sys.modules])
+from polspin import cli
+for command in ("fidelity", "rate", "diagnose"):
+    for fmt in ("csv", "json"):
+        out = os.path.join(sys.argv[1], f"{command}.{fmt}")
+        code = cli.main(["--command", command, "--format", fmt, "--out", out])
+        steps.append([f"{command} {fmt} (exit {code})", "numpy" in sys.modules])
+montecarlo = polspin.montecarlo  # a lazy module loads on first use, and numpy
+steps.append(["polspin.montecarlo",
+              montecarlo is sys.modules["polspin.montecarlo"] and "numpy" in sys.modules])
+sweep = polspin.sweep_fidelity_pdr  # and so does a lazy name's module
+steps.append(["polspin.sweep_fidelity_pdr",
+              sweep is sys.modules["polspin.sweep"].sweep_fidelity_pdr])
+print(json.dumps(steps), file=sys.stderr)
+"""
+
+
+def test_scalar_paths_do_not_load_numpy(tmp_path):
+    src = str(Path(polspin.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", _STEPS, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stderr.strip().splitlines()[-1])
+    loaded = {step: numpy for step, numpy in steps}
+    assert loaded == {
+        "import polspin": False,
+        "load_config": False,
+        **{f"{command} {fmt} (exit 0)": False
+           for command in ("fidelity", "rate", "diagnose") for fmt in ("csv", "json")},
+        "polspin.montecarlo": True,
+        "polspin.sweep_fidelity_pdr": True,
+    }
+
+
+@pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items() for n in names])
+def test_exported_name_is_the_defining_modules_object(module, name):
+    assert getattr(polspin, name) is getattr(importlib.import_module(f"polspin.{module}"), name)
+    assert name in dir(polspin)
+
+
+def test_moved_names_stay_importable_from_their_old_modules():
+    from polspin import config, montecarlo, params, sweep
+
+    for old, new, names in [
+        (montecarlo, params, ["McConfig", "NoDetectionError", "DEFAULT_DRAW_CAP"]),
+        (sweep, params, ["SweepAxis"]),
+        (sweep, config, ["DEFAULT_CONSTRAINTS", "SWEEP_KINDS", "_jsonable", "default_pdr_axes",
+                         "default_cooperativity_axis", "default_coupling_axis",
+                         "default_loss_axis"]),
+    ]:
+        for name in names:
+            assert getattr(old, name) is getattr(new, name), name
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        polspin.no_such_name

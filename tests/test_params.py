@@ -49,6 +49,10 @@ CASES = [
     (lambda: _pdr(r_V=NAN), "r_V must be finite"),
     (lambda: _pdr(t_H=1.0, r_H=0.5), "T_H + R_H = 1.25 exceeds 1"),
     (lambda: _pdr(t_V=0.5j, r_V=-1.0), "T_V + R_V = 1.25 exceeds 1"),
+    # finite coefficients whose power overflows: the sum is inf, not an OverflowError
+    (lambda: _pdr(t_H=1e200, r_H=0, t_V=0, r_V=0), "T_H + R_H = inf exceeds 1"),
+    (lambda: _pdr(t_H=complex(1.5e308, 1.5e308)), "T_H + R_H = inf exceeds 1"),
+    (lambda: _pdr(r_V=1e200), "T_V + R_V = inf exceeds 1"),
     # PdrParams.from_power
     (lambda: ps.PdrParams.from_power(0.5, 0.5, reflection_sign=0.5),
      "reflection_sign must be +1 or -1, got 0.5"),

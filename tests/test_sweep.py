@@ -59,6 +59,11 @@ class TestSweepAxis:
         for start, num in [(0.0, 2.7), (0.0, True), (True, 3)]:
             with pytest.raises(ps.ValidationError):
                 SweepAxis("x", start, 2.0, num)
+        # a linear grid in dB is the loss axis's alone
+        with pytest.raises(ps.ValidationError, match="axis cavity.g: db spacing applies"):
+            SweepAxis("cavity.g", 0.5, 20.0, 5, spacing="db")
+        assert SweepAxis("loss_db", 0.0, 20.0, 3, spacing="db").values().tolist() == [
+            0.0, 10.0, 20.0]
 
     def test_accepts_numpy_numbers(self):
         ax = SweepAxis("x", np.float64(0.0), np.int64(2), np.int64(3))

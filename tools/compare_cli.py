@@ -1,7 +1,7 @@
 """Run a fixed list of polspin CLI commands against two source trees and
 report every difference in stdout, stderr, exit code or output file.
 
-Usage: python tools/compare_cli.py OLD_TREE NEW_TREE
+Usage: python tools/compare_cli.py [--repeat N] OLD_TREE NEW_TREE
 
 Each tree is a checkout holding src/polspin. Every command runs in CSV and
 in JSON, as a fresh `python -m polspin.cli` process with PYTHONPATH set to
@@ -11,16 +11,25 @@ identical apart from the config hash when it matches once each side's hash,
 read from its config echo, is swapped for a placeholder in its streams and
 files: the echo, the CSV row tails and the JSON. Exits 0 when every run is
 byte-identical, 1 otherwise.
+
+With --repeat N (N > 1) each command runs N times per tree, the old tree
+first on odd repeats and the new tree first on even ones, and a table of
+each command's median wall time per tree, with the old tree's quartiles,
+follows the comparison; the first run of each tree is the one compared.
+The wall time counts the whole process: interpreter start, imports and work.
 Standard library only.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 MC_SETTINGS = ['mc.trials="x"', "mc.trials=0", "mc.trials=true", "mc.trials=2.5",
@@ -44,25 +53,45 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     ("sweep", ["sweep.kind=rate_vs_loss", "sweep.with_mc=true", "sweep.axis=[0,150,31]",
                "constraints=[0.95,0.97,0.99,0.9998]"],
      []),
-    # refused: a fractional or bool axis entry, constraints that share an output name
+    # refused: a fractional or bool axis entry, db spacing off the loss axis,
+    # constraints that share an output name
     ("sweep", ["sweep.kind=cavity_coupling", "sweep.axis=[0,1,2.7]"], []),
     ("sweep", ["sweep.kind=cavity_coupling", "sweep.axis=[true,2,3]"], []),
+    ("sweep", ["sweep.kind=cavity_c", 'sweep.axis=[0.5,20,11,"db"]'], []),
+    ("sweep", ["sweep.kind=pdr", 'sweep.second_axis=[0,0.6,5,"db"]'], []),
     ("sweep", ["sweep.kind=rate_vs_loss", "constraints=[0.95,0.99,0.999,0.9998]"], []),
     ("sweep", ["sweep.kind=rate_vs_loss", "constraints=[0.95,0.95]"], []),
     *(("fidelity", [setting], []) for setting in MC_SETTINGS),
 ]
 
 
-def run(tree: Path, workdir: Path, argv: list[str]) -> dict[str, object]:
-    """One CLI run in an emptied workdir: its streams, exit code and files."""
+def run(tree: Path, workdir: Path, argv: list[str]) -> tuple[dict[str, object], float]:
+    """One CLI run in an emptied workdir: its streams, exit code and files,
+    and the process's wall time in seconds."""
     for path in workdir.iterdir():
         path.unlink()
     env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
+    start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "polspin.cli", *argv], cwd=workdir,
                           env=env, capture_output=True)
+    seconds = time.perf_counter() - start
     files = {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
-    return {"stdout": proc.stdout, "stderr": proc.stderr, "exit code": proc.returncode,
-            "files": files}
+    return ({"stdout": proc.stdout, "stderr": proc.stderr, "exit code": proc.returncode,
+             "files": files}, seconds)
+
+
+def timed_pair(trees: list[Path], workdirs: list[Path], argv: list[str], repeat: int
+               ) -> tuple[list[dict[str, object]], list[list[float]]]:
+    """Each tree's first run of argv, and the wall times of its `repeat`
+    runs, the two trees alternating which goes first."""
+    first: list[dict[str, object]] = [{}, {}]
+    seconds: list[list[float]] = [[], []]
+    for k in range(repeat):
+        for side in ((0, 1) if k % 2 == 0 else (1, 0)):
+            result, t = run(trees[side], workdirs[side], argv)
+            first[side] = first[side] or result
+            seconds[side].append(t)
+    return first, seconds
 
 
 _ECHOED_HASH = re.compile(rb'"config_hash": "([0-9a-f]{16})"')
@@ -96,22 +125,28 @@ def differences(old: dict[str, object], new: dict[str, object]) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    trees = [Path(arg) for arg in argv]
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="runs per tree and command, alternating; times them when > 1")
+    parser.add_argument("trees", nargs=2, type=Path, metavar="TREE", help="OLD_TREE NEW_TREE")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
+    trees = args.trees
     for tree in trees:
         if not (tree / "src" / "polspin").is_dir():
             print(f"{tree}: no src/polspin", file=sys.stderr)
             return 2
     runs = identical = hash_only = 0
+    timings: list[tuple[str, list[float], list[float]]] = []
     with tempfile.TemporaryDirectory() as old_dir, tempfile.TemporaryDirectory() as new_dir:
         workdirs = [Path(old_dir), Path(new_dir)]
         for command, sets, flags in COMMANDS:
             for fmt, out in (("csv", "result.csv"), ("json", "result.json")):
                 argv = ["--command", command, *flags, "--out", out, "--format", fmt,
                         *(arg for s in sets for arg in ("--set", s))]
-                old, new = (run(tree, workdir, argv) for tree, workdir in zip(trees, workdirs))
+                (old, new), seconds = timed_pair(trees, workdirs, argv, args.repeat)
+                timings.append((" ".join(argv), *seconds))
                 runs += 1
                 if not differences(old, new):
                     identical += 1
@@ -125,6 +160,13 @@ def main(argv: list[str]) -> int:
                     print(f"  {line}")
     print(f"{identical} of {runs} runs identical, {hash_only} identical apart from the "
           f"config hash, {runs - identical - hash_only} different")
+    if args.repeat > 1:
+        print(f"median wall time of {args.repeat} alternating runs per tree, in s: "
+              f"old [old quartiles] new old/new command")
+        for text, old_s, new_s in timings:
+            q1, _, q3 = statistics.quantiles(old_s, n=4)
+            old_m, new_m = statistics.median(old_s), statistics.median(new_s)
+            print(f"  {old_m:.4f} [{q1:.4f} {q3:.4f}] {new_m:.4f} {old_m / new_m:.2f}x  {text}")
     return 0 if identical == runs else 1
 
 
