@@ -59,8 +59,10 @@ class CavityParams:
     delta_a: float = 0.0  # atom detuning (omega_a - omega)
 
     def __post_init__(self) -> None:
-        # the checks below, in their order, as one test; they run only if it fails
-        if (self.kappa > 0 and self.gamma > 0 and self.g >= 0 and 0 <= self.kappa_wg <= self.kappa
+        # one test that implies every check below, which run, in their order,
+        # only if it fails: rates in (1e-50, 1e50) keep the cooperativity below 4e200
+        if (1e-50 < self.kappa < 1e50 and 1e-50 < self.gamma < 1e50 and 0 <= self.g < 1e50
+                and 0 <= self.kappa_wg <= self.kappa
                 and math.isfinite(self.delta_c) and math.isfinite(self.delta_a)):
             return
         _check(self.kappa > 0, "kappa must be > 0, got {}", self.kappa)
@@ -70,10 +72,21 @@ class CavityParams:
                "kappa_wg must lie in [0, kappa], got {}", self.kappa_wg)
         _check(math.isfinite(self.delta_c), "delta_c must be finite, got {}", self.delta_c)
         _check(math.isfinite(self.delta_a), "delta_a must be finite, got {}", self.delta_a)
+        for name in ("kappa", "gamma", "g"):
+            v = getattr(self, name)
+            _check(v < math.inf, "{} must be finite, got {}", name, v)
+        _check(self.cooperativity < math.inf,
+               "g, kappa and gamma must give a finite cooperativity 4 g^2 / (kappa gamma), "
+               "got g = {}, kappa = {}, gamma = {}", self.g, self.kappa, self.gamma)
 
     @property
     def cooperativity(self) -> float:
-        return 4 * self.g**2 / (self.kappa * self.gamma)
+        """4 g^2 / (kappa gamma), as 4 r r with r = g / (sqrt(kappa)
+        sqrt(gamma)): g**2 raises OverflowError past the largest double and
+        kappa gamma can round to 0, but this form is inf only where the
+        cooperativity does not fit a double, and its divisor is never 0."""
+        r = self.g / (math.sqrt(self.kappa) * math.sqrt(self.gamma))
+        return 4.0 * r * r
 
     @classmethod
     def from_ratios(cls, coupling_ratio: float, cooperativity: float) -> "CavityParams":

@@ -8,8 +8,11 @@ classification, and the repeaterless bound.
 The error probability, the n_max search and the timing form one rate kernel
 written against a few numpy function names (exp, expm1, log1p, where, ...),
 so the same code runs on Python floats (transfer_rate, through _PyMath) and
-on numpy arrays (rate_curves, the one function that imports numpy). It
-keeps its accuracy at any link loss: p_det and p_e are each an exact product
+on numpy arrays (rate_curves). One step has an array form of its own: on
+arrays the error probability's digit walk is _array_walk, the same
+recurrence op for op in reused buffers, each point taking only its own
+digits, with the same bits. rate_curves and _array_walk are the only
+functions that import numpy. The kernel keeps its accuracy at any link loss: p_det and p_e are each an exact product
 of eta_link and a device-only fraction, and the error probability is a sum
 of positive terms.
 """
@@ -47,6 +50,9 @@ _NEWTON_STEPS = 16
 # Newton steps on the closed form of p_err that place the search's first
 # candidate.
 _GUESS_STEPS = 5
+# How many digits early a point joins _array_walk's tail: each join costs a
+# few slices, each early digit a few element operations.
+_JOIN_DIGITS = 4
 
 
 class _PyMath:
@@ -207,8 +213,12 @@ def _error_terms(n, p_det, p_e, xp):
     down, as floor(n 2**-k): numpy's float floor division costs over ten
     multiplies, and since multiplying a whole number below 2**53 by a power
     of two is exact, the floor is the same whole number, so the result is
-    unchanged bit for bit.
+    unchanged bit for bit. Python floats take the loop below; numpy arrays
+    take _array_walk, the same recurrence op for op in reused buffers, where
+    each point takes only its own digits.
     """
+    if xp is not _PyMath:
+        return _array_walk(n, p_det, p_e)
     exp, expm1 = xp.exp, xp.expm1
     lq, lr = xp.log1p(-p_det), _log_ratio(p_det, p_e, xp)
     inv_s = 1.0 / (p_det + p_e)
@@ -225,6 +235,72 @@ def _error_terms(n, p_det, p_e, xp):
                  + (half - 2.0 * m) * (step * q_m * (2.0 - one_less_r_m)))
         m = half
     return p_det * total, -p_det * exp(n * lq) * expm1(n * lr)
+
+
+def _array_walk(n, p_det, p_e):
+    """_error_terms on flat numpy arrays of one size: the loop above, op for
+    op and bit for bit, with every step written into buffers made once.
+
+    -step and the products built from it are kept negated, which only flips
+    signs, so every rounding is the loop's. The points are walked in order
+    of n, and digit k touches only a tail that holds those with n >= 2**(k
+    + 1), the points whose m is not 0. A digit with m = 0 leaves S = +0.0
+    exactly while log q, log r and 1 / (p_det + p_e) are finite, so a point
+    may join the tail at any earlier digit; it joins with m = n // 2**(k +
+    1) up to _JOIN_DIGITS digits early, which makes the tail grow in fewer
+    steps. Where one of the three is not finite every point walks every
+    digit, as in the loop."""
+    import numpy as np
+
+    multiply, add, subtract, exp, expm1, floor = (
+        np.multiply, np.add, np.subtract, np.exp, np.expm1, np.floor)
+    lq, lr = np.log1p(-p_det), _log_ratio(p_det, p_e, np)
+    inv_s = 1.0 / (p_det + p_e)
+    size, order = n.size, np.argsort(n)
+    ns, lq_s, lr_s, inv_s_s = n[order], lq[order], lr[order], inv_s[order]
+    top = math.frexp(ns[-1])[1] - 1  # a NaN sorts last, as np.max returns it
+    # not finite where one of the three is not; an overflow only costs the ordering
+    if math.isfinite(lq.sum() + lr.sum() + inv_s.sum()):
+        # digit k needs the tail from start[k], where ns >= 2**(k + 1)
+        start = np.searchsorted(ns, 2.0 ** np.arange(1, top + 1)).tolist()
+    else:
+        start = [0] * top
+    # S, m, the next m and four scratch rows; S(0) = S(1) = 0
+    full = [*np.zeros((7, size)), ns, lq_s, lr_s, inv_s_s]
+    at = size
+    for k in range(top - 1, -1, -1):
+        if start[k] < at:
+            # take in the points whose m leaves 0 within _JOIN_DIGITS digits
+            j = start[max(k - _JOIN_DIGITS, 0)]
+            joining = full[1][j:at]
+            floor(multiply(ns[j:at], 2.0**(-k - 1), joining), joining)
+            at = j
+            t, m, half, a, b, q_m, c, nk, lqk, lrk, ik = (v[at:] for v in full)
+        multiply(m, lqk, a)
+        multiply(m, lrk, b)
+        exp(a, q_m)
+        add(a, b, a)
+        expm1(a, a)
+        expm1(b, b)            # -(1 - r^m)
+        multiply(q_m, b, c)    # -step
+        multiply(c, a, a)
+        multiply(a, ik, a)     # -step expm1(a + b) / (p_det + p_e)
+        multiply(c, q_m, c)    # -step q^m
+        add(q_m, 1.0, q_m)
+        multiply(t, q_m, t)
+        add(t, a, t)
+        add(b, 2.0, b)         # 2 - (1 - r^m)
+        multiply(c, b, c)
+        floor(multiply(nk, 2.0**-k, half), half)
+        multiply(m, 2.0, m)
+        subtract(half, m, m)   # the digit
+        multiply(m, c, c)
+        subtract(t, c, t)
+        m, half = half, m      # the next digit's m
+        full[1], full[2] = full[2], full[1]
+    walked = np.empty(size)
+    walked[order] = full[0]
+    return p_det * walked, -p_det * exp(n * lq) * expm1(n * lr)
 
 
 def sequence_error_probability(n: int, probs: AttemptProbabilities) -> float:
@@ -247,13 +323,11 @@ def protocol_fidelity(n: int, probs: AttemptProbabilities, f0: float) -> float:
     return (1.0 - p_err) * f0 + p_err * 0.5
 
 
-def _smooth_error(x, p_det, p_e, xp):
+def _smooth_error(x, lq, ls, w, xp):
     """The closed form p_err(x) = 1 - q^x - p_det (1 - p_lost^x) / (p_det +
-    p_e) at real x, and its slope. Its two terms cancel where x (p_det +
-    p_e) is small, so it only guides the search."""
-    lq = xp.log1p(-p_det)
-    ls = lq + _log_ratio(p_det, p_e, xp)
-    w = p_det / (p_det + p_e)
+    p_e) at real x, and its slope, from lq = log q, ls = log p_lost and w =
+    p_det / (p_det + p_e). Its two terms cancel where x (p_det + p_e) is
+    small, so it only guides the search."""
     return (w * xp.expm1(x * ls) - xp.expm1(x * lq),
             w * ls * xp.exp(x * ls) - lq * xp.exp(x * lq))
 
@@ -311,8 +385,10 @@ def _search(lo, p_det, p_e, f0, f_target, xp):
             return lo
         if steps == 0:
             x = xp.sqrt(2.0 * budget / p_det / p_e)
+            lq = xp.log1p(-p_det)
+            ls, w = lq + _log_ratio(p_det, p_e, xp), p_det / (p_det + p_e)
             for _ in range(_GUESS_STEPS):
-                g, slope = _smooth_error(x, p_det, p_e, xp)
+                g, slope = _smooth_error(x, lq, ls, w, xp)
                 x = xp.minimum(
                     xp.maximum(x - (g - budget) / xp.maximum(slope, 5e-324), 1.0),
                     float(ATTEMPT_SEARCH_CAP))

@@ -89,6 +89,9 @@ class TestLoadConfig:
         ('r_cav_h=["a",0]', "r_cav_h must hold two finite numbers, got ['a', 0]"),
         ("r_cav_h=[true,0]", "r_cav_h must hold two finite numbers, got [True, 0]"),
         ("cavity.delta_c=NaN", "delta_c must be finite, got nan"),
+        ("cavity.kappa=1e400", "kappa must be finite, got inf"),
+        ("cavity.g=1e200", "g, kappa and gamma must give a finite cooperativity "
+                           "4 g^2 / (kappa gamma), got g = 1e+200, kappa = 1.0, gamma = 1.0"),
         ('cavity.kappa="x"', "cavity.kappa must be a number, got 'x'"),
         ("cavity.kappa=true", "cavity.kappa must be a number, got True"),
         ("pdr.reflection_sign=true", "pdr.reflection_sign must be a number, got True"),
@@ -99,7 +102,7 @@ class TestLoadConfig:
                                           "got 'False'"),
         ("false_herald_correction=1", "false_herald_correction must be true or false, got 1"),
         ("sweep.with_mc=off", "sweep.with_mc must be true or false, got 'off'"),
-    ], ids=["nan", "inf", "text", "bool", "delta_c", "kappa_text", "kappa_bool", "sign_bool",
+    ], ids=["nan", "inf", "text", "bool", "delta_c", "kappa_inf", "g_overflow", "kappa_text", "kappa_bool", "sign_bool",
             "xi_text", "f_target_text", "constraint_text", "flag_text", "flag_number",
             "with_mc_text"])
     def test_non_finite_device_setting_is_named(self, setting, message):
@@ -382,6 +385,13 @@ class TestMain:
         ("r_cav_h=[NaN,0]", "r_cav_h"), ('r_cav_h=["a",0]', "r_cav_h"),
         ('cavity.kappa="x"', "cavity.kappa"),
         ("pdr.reflection_sign=true", "pdr.reflection_sign"),
+        # JSON reads 1e400 as inf
+        ("cavity.g=1e400", "g"), ("cavity.gamma=1e400", "gamma"),
+        ("cavity.kappa=1e400", "kappa"),
+        # a cooperativity past the largest double: an OverflowError traceback
+        # from g**2, or all-NaN fidelities from a subnormal rate
+        ("cavity.g=1e200", "g, kappa and gamma"), ("cavity.g=1e155", "g, kappa and gamma"),
+        ("cavity.gamma=1e-310", "g, kappa and gamma"),
     ])
     def test_non_finite_device_setting_exit_code(self, tmp_path, capsys, setting, field):
         # refused before any output, where it once gave nan or a traceback

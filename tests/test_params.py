@@ -40,8 +40,20 @@ CASES = [
     (lambda: _cavity(delta_c=NAN), "delta_c must be finite, got nan"),
     (lambda: _cavity(delta_c=-INF), "delta_c must be finite, got -inf"),
     (lambda: _cavity(delta_a=INF), "delta_a must be finite, got inf"),
+    (lambda: _cavity(kappa=INF), "kappa must be finite, got inf"),
+    (lambda: _cavity(gamma=INF), "gamma must be finite, got inf"),
+    # 4 g^2 / (kappa gamma) past the largest double: g**2 would overflow, or
+    # a subnormal rate would give NaN reflections
+    (lambda: _cavity(g=1e200), "g, kappa and gamma must give a finite cooperativity "
+                               "4 g^2 / (kappa gamma), got g = 1e+200, kappa = 1.0, gamma = 1.0"),
+    (lambda: _cavity(g=1e155), "g, kappa and gamma must give a finite cooperativity "
+                               "4 g^2 / (kappa gamma), got g = 1e+155, kappa = 1.0, gamma = 1.0"),
+    (lambda: _cavity(gamma=1e-310), "g, kappa and gamma must give a finite cooperativity "
+                                    "4 g^2 / (kappa gamma), got g = 1.0, kappa = 1.0, "
+                                    "gamma = 1e-310"),
     # CavityParams.from_ratios
     (lambda: ps.CavityParams.from_ratios(0.5, -1.0), "cooperativity must be >= 0"),
+    (lambda: ps.CavityParams.from_ratios(0.5, 1e320), "g must be finite, got inf"),
     # PdrParams
     (lambda: _pdr(t_H=complex(NAN, 0.0)), "t_H must be finite"),
     (lambda: _pdr(r_H=complex(0.0, INF)), "r_H must be finite"),
@@ -89,6 +101,9 @@ TWO_FAULTS = [
     (lambda: _cavity(g=NAN, kappa_wg=2.0), "g must be >= 0, got nan"),
     (lambda: _cavity(kappa_wg=NAN, delta_c=NAN), "kappa_wg must lie in [0, kappa], got nan"),
     (lambda: _cavity(delta_c=INF, delta_a=NAN), "delta_c must be finite, got inf"),
+    (lambda: _cavity(delta_a=NAN, g=INF), "delta_a must be finite, got nan"),
+    (lambda: _cavity(kappa=INF, gamma=INF), "kappa must be finite, got inf"),
+    (lambda: _cavity(g=INF, gamma=1e-310), "g must be finite, got inf"),
     (lambda: _pdr(t_H=1.0, r_H=0.5, r_V=NAN), "r_V must be finite"),
     (lambda: _pdr(t_H=INF, r_V=complex(NAN, INF)), "t_H must be finite"),
     (lambda: _pdr(t_H=1e200, r_H=NAN), "r_H must be finite"),  # T_H would overflow
@@ -113,6 +128,9 @@ def test_each_check_raises_its_message(build, message):
 def test_valid_inputs_pass_every_check():
     _cavity(), _pdr(), _link(), _timing()
     _cavity(delta_c=-2.5, delta_a=1e300)
+    # a cooperativity that fits a double, though g**2 or kappa gamma would not
+    assert _cavity(kappa=1e300, kappa_wg=0.5, gamma=1e300, g=1e300).cooperativity == pytest.approx(4.0, rel=1e-15)
+    assert _cavity(kappa=1e-300, kappa_wg=0.0, gamma=1e-300, g=1e-300).cooperativity == pytest.approx(4.0, rel=1e-15)
     ps.CavityParams.from_ratios(0.5, 0.0)
     ps.PdrParams.from_power(0.5, 0.5, zeta_V=0.5, zeta_H=0.5, reflection_sign=1)
     ps.PolarizerParams(eta_pol_V=0.5, eta_pol_H=0.5)

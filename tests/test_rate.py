@@ -429,6 +429,36 @@ class TestDigitWalk:
             got, want = rate._error_terms(*args, np), floor_divide_walk(*args, np)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("shape", ["ones", "unsorted_repeats", "strided_view",
+                                       "infinite_inverse"])
+    def test_array_walk_in_its_own_order(self, shape):
+        # the array walk orders the points by n, starts each at its own top
+        # digit and reuses its buffers: its inputs must come back untouched,
+        # and neither all-ones n (no digit to walk), n's order, repeats, a
+        # strided view nor a point whose 1 / (p_det + p_e) is inf (NaN in the
+        # reference: every point must then walk every digit) may change a bit
+        n, p_det, p_e = walk_inputs(6, 300)
+        if shape == "ones":
+            n = np.ones(n.size)
+        elif shape == "unsorted_repeats":
+            n = np.random.default_rng(5).permutation(np.repeat(n[::2], 2)[:n.size])
+        elif shape == "strided_view":
+            n = np.repeat(n, 2)[::2]
+            assert not n.flags.c_contiguous
+        else:
+            p_det[:3] = p_e[:3] = 1e-310
+        kept = n.copy(), p_det.copy(), p_e.copy()
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            got = rate._error_terms(n, p_det, p_e, np)
+            want = floor_divide_walk(*kept, np)
+        for now, before in zip((n, p_det, p_e), kept):
+            assert np.array_equal(now, before)
+        assert np.isnan(want[0]).any() == (shape == "infinite_inverse")
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)
+        if shape == "ones":
+            assert not got[0].any()
+
     def test_float_walk_matches_floor_division(self):
         n, p_det, p_e = walk_inputs(3, 300)
         for i in range(n.size):

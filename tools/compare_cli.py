@@ -53,6 +53,9 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     ("sweep", ["sweep.kind=rate_vs_loss", "sweep.with_mc=true", "sweep.axis=[0,150,31]",
                "constraints=[0.95,0.97,0.99,0.9998]"],
      []),
+    # 0.25 dB steps up to the n_max search cap: the deepest digit walks
+    ("sweep", ["sweep.kind=rate_vs_loss", "sweep.axis=[0,157,629]",
+               "constraints=[0.95,0.97,0.99,0.9998]"], []),
     # refused: a fractional or bool axis entry, db spacing off the loss axis,
     # constraints that share an output name
     ("sweep", ["sweep.kind=cavity_coupling", "sweep.axis=[0,1,2.7]"], []),
@@ -61,6 +64,9 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     ("sweep", ["sweep.kind=pdr", 'sweep.second_axis=[0,0.6,5,"db"]'], []),
     ("sweep", ["sweep.kind=rate_vs_loss", "constraints=[0.95,0.99,0.999,0.9998]"], []),
     ("sweep", ["sweep.kind=rate_vs_loss", "constraints=[0.95,0.95]"], []),
+    # refused: a cooperativity 4 g^2 / (kappa gamma) past the largest double
+    ("fidelity", ["cavity.g=1e200"], []),
+    ("fidelity", ["cavity.gamma=1e-310"], []),
     *(("fidelity", [setting], []) for setting in MC_SETTINGS),
 ]
 
