@@ -150,10 +150,20 @@ def _cavity_reflections(kappa, kappa_wg, gamma, g, delta_c, delta_a):
     """(r_on, r_off) of the single-sided cavity from input-output theory:
     r = 1 - kappa_wg / (dc (1 + g^2 / (dc da))) with dc = kappa/2 + i delta_c
     and da = gamma/2 + i delta_a. The uncoupled spin state sees g = 0, a bare
-    cavity; a resonant, critically out-coupled one reflects with a -1 phase."""
+    cavity; a resonant, critically out-coupled one reflects with a -1 phase.
+
+    CavityParams accepts any cavity whose cooperativity fits a double, but
+    on Python scalars g**2 can still overflow and dc da round to 0; such a
+    cavity is refused here, where the error is raised, so the accepted
+    path pays nothing."""
     dc = 1j * delta_c + kappa / 2.0
     da = 1j * delta_a + gamma / 2.0
-    return 1.0 - kappa_wg / (dc * (1.0 + g**2 / (dc * da))), 1.0 - kappa_wg / dc
+    try:
+        return 1.0 - kappa_wg / (dc * (1.0 + g**2 / (dc * da))), 1.0 - kappa_wg / dc
+    except (OverflowError, ZeroDivisionError):
+        raise ValidationError(
+            f"g, kappa and gamma must keep g^2 and (kappa/2 + i delta_c)(gamma/2 + i delta_a)"
+            f" within a double, got g = {g}, kappa = {kappa}, gamma = {gamma}") from None
 
 
 def cavity_reflection(cavity: CavityParams, coupled: bool = True) -> complex:

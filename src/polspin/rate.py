@@ -8,13 +8,20 @@ classification, and the repeaterless bound.
 The error probability, the n_max search and the timing form one rate kernel
 written against a few numpy function names (exp, expm1, log1p, where, ...),
 so the same code runs on Python floats (transfer_rate, through _PyMath) and
-on numpy arrays (rate_curves). One step has an array form of its own: on
-arrays the error probability's digit walk is _array_walk, the same
+on numpy arrays (rate_curves). The error probability's digit walk has a
+form per path: a plain loop on floats, and on arrays _array_walk, the same
 recurrence op for op in reused buffers, each point taking only its own
 digits, with the same bits. rate_curves and _array_walk are the only
-functions that import numpy. The kernel keeps its accuracy at any link loss: p_det and p_e are each an exact product
-of eta_link and a device-only fraction, and the error probability is a sum
-of positive terms.
+functions that import numpy. The kernel keeps its accuracy at any link
+loss: p_det and p_e are each an exact product of eta_link and a device-only
+fraction, and the error probability is a sum of positive terms.
+
+n_max is decided on the error budget alone: the largest n with p_err(n) <=
+B = (f0 - f_target) / (f0 - 1/2), a test monotone in p_err. It matches the
+60-digit oracle exactly to about 145 dB at the design point; further out one
+attempt moves p_err by a few ulp of B, and n_max may be one or two attempts
+off. The rounded fidelity (1 - p_err) f0 + p_err / 2 is only reported, by
+protocol_fidelity.
 """
 
 from __future__ import annotations
@@ -64,7 +71,6 @@ class _PyMath:
     floor = staticmethod(math.floor)
     minimum = staticmethod(min)
     maximum = staticmethod(max)
-    max = staticmethod(float)
     logical_not = staticmethod(operator.not_)
 
     @staticmethod
@@ -219,17 +225,17 @@ def _error_terms(n, p_det, p_e, xp):
     """
     if xp is not _PyMath:
         return _array_walk(n, p_det, p_e)
-    exp, expm1 = xp.exp, xp.expm1
+    exp, expm1, floor = math.exp, math.expm1, math.floor
     lq, lr = xp.log1p(-p_det), _log_ratio(p_det, p_e, xp)
     inv_s = 1.0 / (p_det + p_e)
-    top = math.frexp(xp.max(n))[1] - 1
-    m = xp.floor(n * 2.0**-top)
+    top = math.frexp(n)[1] - 1
+    m = floor(n * 2.0**-top)
     total = 0.0  # S(0) = S(1) = 0
     for k in range(top - 1, -1, -1):
         a, b = m * lq, m * lr
         q_m, one_less_r_m = exp(a), -expm1(b)
         step = q_m * one_less_r_m
-        half = xp.floor(n * 2.0**-k)
+        half = floor(n * 2.0**-k)
         # S(2m), plus q^2m (1 - r^2m) = q_m^2 (1 - r^m)(1 + r^m) if the digit is 1
         total = (total * (1.0 + q_m) - step * expm1(a + b) * inv_s
                  + (half - 2.0 * m) * (step * q_m * (2.0 - one_less_r_m)))
@@ -339,29 +345,27 @@ def _unbounded(p_det, p_e, f0, f_target):
     return p_e * (f0 - 0.5) <= (f0 - f_target) * (p_det + p_e)
 
 
-def _search(lo, p_det, p_e, f0, f_target, xp):
-    """Largest n in [lo, ATTEMPT_SEARCH_CAP] whose protocol fidelity meets
-    f_target, given that lo meets it; a result of ATTEMPT_SEARCH_CAP or
-    more means the cap meets it too.
+def _search(lo, p_det, p_e, budget, xp):
+    """Largest n in [lo, ATTEMPT_SEARCH_CAP] whose error probability p_err(n)
+    fits the error budget, given that lo fits it; a result of
+    ATTEMPT_SEARCH_CAP or more means the cap fits it too.
 
     The bracket [lo, hi) holds the answer; hi starts past the cap, at
     ATTEMPT_SEARCH_CAP + 2 (a float holds it exactly). Each step evaluates
     the exact p_err at a candidate c and, through the increment, at c + 1,
-    with the test protocol_fidelity makes, and so either ends the search (c
-    meets the target and c + 1 does not) or shrinks the bracket. The first
-    candidate solves p_err(n) = B, B = (f0 - f_target) / (f0 - 1/2), on the
-    closed form of p_err by _GUESS_STEPS Newton steps from the small-n root
-    sqrt(2 B / (p_det p_e)); it usually ends the search. Later candidates
-    are Newton steps on the exact p_err with the increment as slope. One
-    outside the bracket by more than a step, or any after _NEWTON_STEPS
-    steps, is replaced by the bracket's midpoint. Needs
-    0 < p_det < 1, p_e > 0 and f0 > 1/2 wherever lo is below the cap;
-    points with lo at the cap are done from the start. On numpy, lo,
-    p_det, p_e and f_target are flat arrays of one size, f0 is a float,
-    and each step walks only the points still searching.
+    tests p_err <= budget at both, and so either ends the search (c fits
+    and c + 1 does not) or shrinks the bracket. The first candidate solves
+    p_err(n) = budget on the closed form of p_err by _GUESS_STEPS Newton
+    steps from the small-n root sqrt(2 budget / (p_det p_e)); it usually
+    ends the search. Later candidates are Newton steps on the exact p_err
+    with the increment as slope. One outside the bracket by more than a
+    step, or any after _NEWTON_STEPS steps, is replaced by the bracket's
+    midpoint. Needs 0 < p_det < 1, p_e > 0 and budget >= 0 wherever lo is
+    below the cap; points with lo at the cap are done from the start. On
+    numpy, lo, p_det, p_e and budget are flat arrays of one size, and each
+    step walks only the points still searching.
     """
     hi = ATTEMPT_SEARCH_CAP + 2.0 + 0.0 * lo
-    budget = (f0 - f_target) / (f0 - 0.5)
 
     def candidate(t, newton):
         near = (lo - 1 < t) & (t < hi + 1) & newton
@@ -377,8 +381,8 @@ def _search(lo, p_det, p_e, f0, f_target, xp):
         active = (hi - lo > 1) & (lo < ATTEMPT_SEARCH_CAP)
         if xp is not _PyMath:  # set the finished points aside
             found[at] = lo
-            at, lo, hi, c, p_det, p_e, f_target, budget = (
-                a[active] for a in (at, lo, hi, c, p_det, p_e, f_target, budget))
+            at, lo, hi, c, p_det, p_e, budget = (
+                a[active] for a in (at, lo, hi, c, p_det, p_e, budget))
             if at.size == 0:
                 return found
         elif not active:
@@ -394,11 +398,10 @@ def _search(lo, p_det, p_e, f0, f_target, xp):
                     float(ATTEMPT_SEARCH_CAP))
             c = candidate(x, True)
         p, dp = _error_terms(c, p_det, p_e, xp)
-        meets = (1.0 - p) * f0 + p * 0.5 >= f_target
-        next_meets = (1.0 - (p + dp)) * f0 + (p + dp) * 0.5 >= f_target
+        fits, next_fits = p <= budget, p + dp <= budget
         # the bracket becomes [c + 1, hi), [c, c + 1) or [lo, c)
-        lo, hi = (xp.where(next_meets, c + 1, xp.where(meets, c, lo)),
-                  xp.where(next_meets, hi, xp.where(meets, c + 1, c)))
+        lo, hi = (xp.where(next_fits, c + 1, xp.where(fits, c, lo)),
+                  xp.where(next_fits, hi, xp.where(fits, c + 1, c)))
         steps += 1
         c = candidate(c + (budget - p) / xp.maximum(dp, 5e-324),
                       steps < _NEWTON_STEPS)
@@ -406,15 +409,28 @@ def _search(lo, p_det, p_e, f0, f_target, xp):
 
 def _attempt_limit(p_det, p_e, f0, f_target, xp):
     """max_attempts' decision, point by point: n_max, unbounded (n_max =
-    ATTEMPT_SEARCH_CAP) and cap_reached. A point whose f_target exceeds f0
-    is not searched and carries n_max = ATTEMPT_SEARCH_CAP with neither
-    flag; max_attempts refuses such a target before it gets here."""
-    infeasible = f_target > f0
-    unbounded = _unbounded(p_det, p_e, f0, f_target)
-    # with p_det = 0 nothing clicks, so no sequence carries an error
-    skip = unbounded | infeasible | (p_det == 0.0)
+    ATTEMPT_SEARCH_CAP) and cap_reached. n_max is the largest n with
+    p_err(n) <= B, B = (f0 - f_target) / (f0 - 1/2), which is
+    protocol_fidelity(n) >= f_target solved for p_err. Unlike the rounded
+    fidelity, which is not monotone in p_err, this test leaves the search's
+    path no say in n_max, save where one attempt moves p_err by only a few
+    ulp of B (from about 146 dB at the design point): there the double
+    leaves n_max one or two attempts from the exact boundary. A point whose
+    f_target exceeds f0 is not searched and carries n_max =
+    ATTEMPT_SEARCH_CAP with neither flag; max_attempts refuses such a
+    target before it gets here."""
+    infeasible, unbounded = f_target > f0, _unbounded(p_det, p_e, f0, f_target)
+    # B only matters where f0 > 1/2: below, every feasible point is unbounded
+    budget = (f0 - f_target) / (f0 - 0.5) if f0 > 0.5 else 0.0 * f_target
+    # with p_det = 0 nothing clicks, so no sequence carries an error. Past
+    # about 3080 dB 1 / (p_det + p_e) overflows and p_err's walk is NaN, but
+    # wherever p_det + p_e < 2**-1022, p_err(n) <= n^2 p_det p_e is below
+    # 2**-1900 at the cap: any B > 0 still holds there, so such points are
+    # decided as reaching the cap rather than searched.
+    skip = (unbounded | infeasible | (p_det == 0.0)
+            | ((p_det + p_e < 2.0**-1022) & (budget > 0.0)))
     cap = float(ATTEMPT_SEARCH_CAP)
-    n = xp.minimum(_search(xp.where(skip, cap, 1.0), p_det, p_e, f0, f_target, xp), cap)
+    n = xp.minimum(_search(xp.where(skip, cap, 1.0), p_det, p_e, budget, xp), cap)
     return n, unbounded, (n == cap) & xp.logical_not(unbounded | infeasible)
 
 
@@ -602,7 +618,8 @@ def rate_curves(
         for a in (_detected_and_lost(pdr, polarizer, link, eta)[0], eta * unit.p_e, target))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         n, _, cap_reached = _attempt_limit(p_det, p_e, f0, f_target, np)
-        rate = _rate_terms(n, p_det, timing, np)[3]
+        # nothing clicks where p_det = 0 (eta = 0): rate 0, as in transfer_rate
+        rate = np.where(p_det == 0.0, 0.0, _rate_terms(n, p_det, timing, np)[3])
         bound = _plob(eta, timing.tau_slot, np)
     infeasible = f_target > f0
     nan = infeasible | cap_reached

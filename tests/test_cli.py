@@ -419,6 +419,34 @@ class TestMain:
         assert code == 5
         assert json.loads(cap.err)["error"] == "numerical"
 
+    def test_rate_past_3080_db_exit_code(self, tmp_path, capsys):
+        # 1 / (p_det + p_e) overflows there, and 2**53 attempts still meet
+        # the target: the attempt cap, as at 170 dB
+        code, cap, out = run_cli(["--command", "rate", "--set", "link.eta_link=1e-310"],
+                                 tmp_path, capsys)
+        assert code == 5
+        assert json.loads(cap.err)["error"] == "numerical"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("settings,got", [
+        (["cavity.kappa=1e10", "cavity.gamma=1e10", "cavity.g=1e155"],
+         "got g = 1e+155, kappa = 10000000000.0, gamma = 10000000000.0"),
+        (["cavity.kappa=1e-300", "cavity.gamma=1e-300", "cavity.g=1e-300",
+          "cavity.kappa_wg=1e-300"], "got g = 1e-300, kappa = 1e-300, gamma = 1e-300"),
+    ], ids=["g_squared_overflows", "dc_da_underflows"])
+    def test_cavity_reflection_past_a_double_exit_code(self, tmp_path, capsys, settings, got):
+        # the cooperativity fits a double, but g**2 or dc da in the
+        # reflection does not
+        code, cap, out = run_cli(["--command", "fidelity",
+                                  *(arg for s in settings for arg in ("--set", s))],
+                                 tmp_path, capsys)
+        assert code == 2
+        err = json.loads(cap.err)
+        assert err["error"] == "validation"
+        assert err["detail"].startswith("g, kappa and gamma must ")
+        assert err["detail"].endswith(got)
+        assert not out.exists()
+
     def test_infeasible_exit_code(self, tmp_path, capsys):
         code, cap, _ = run_cli(
             ["--command", "rate", "--set", "f_target=0.99999"],

@@ -51,6 +51,15 @@ CASES = [
     (lambda: _cavity(gamma=1e-310), "g, kappa and gamma must give a finite cooperativity "
                                     "4 g^2 / (kappa gamma), got g = 1.0, kappa = 1.0, "
                                     "gamma = 1e-310"),
+    # a cooperativity that fits a double, with g**2 past the largest double
+    # or dc da rounding to 0: refused where the reflection is computed
+    (lambda: ps.cavity_reflection(_cavity(kappa=1e10, gamma=1e10, g=1e155)),
+     "g, kappa and gamma must keep g^2 and (kappa/2 + i delta_c)(gamma/2 + i delta_a) "
+     "within a double, got g = 1e+155, kappa = 10000000000.0, gamma = 10000000000.0"),
+    (lambda: ps.cavity_reflection(
+        _cavity(kappa=1e-300, gamma=1e-300, g=1e-300, kappa_wg=1e-300)),
+     "g, kappa and gamma must keep g^2 and (kappa/2 + i delta_c)(gamma/2 + i delta_a) "
+     "within a double, got g = 1e-300, kappa = 1e-300, gamma = 1e-300"),
     # CavityParams.from_ratios
     (lambda: ps.CavityParams.from_ratios(0.5, -1.0), "cooperativity must be >= 0"),
     (lambda: ps.CavityParams.from_ratios(0.5, 1e320), "g must be finite, got inf"),

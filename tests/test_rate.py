@@ -43,6 +43,47 @@ ORACLE_N_MAX_AND_RATE = {
     90: (1908407501, 0.0013926689975503602007),
     120: (1908407501620, 1.3926691558913711365e-6),
 }
+# oracle.max_attempts(F, partition(eta_link), f0, hi=2**54) with the
+# program's f0, per dB for each F in ORACLE_TARGETS
+ORACLE_TARGETS = (0.95, 0.97, 0.99, 0.9998)
+ORACLE_N_MAX_PAST_120DB = {
+    121: (2402542699848, 1734447747731, 911809881302, 56022908366),
+    122: (3024622057759, 2183540345048, 1147900630296, 70528662985),
+    123: (3807773569587, 2748914428058, 1445121273695, 88790326092),
+    124: (4793702909111, 3460678228330, 1819299894578, 111780397838),
+    125: (6034914408871, 4356735763688, 2290362868959, 140723183379),
+    126: (7597507107331, 5484805365379, 2883396017963, 177159991585),
+    127: (9564694763706, 6904960853221, 3629980519279, 223031215359),
+    128: (12041237294084, 8692830685564, 4569874720039, 280779664639),
+    129: (15159019618966, 10943625450481, 5753131413772, 353480654929),
+    130: (19084075016203, 13777208176767, 7242763334189, 445005779068),
+    131: (24025426998484, 17344477477311, 9118098813022, 560229083664),
+    132: (30246220577597, 21835403450478, 11479006302964, 705286629851),
+    133: (38077735695869, 27489144280586, 14451212736947, 887903260918),
+    134: (47937029091111, 34606782283305, 18192998945786, 1117803978385),
+    135: (60349144088717, 43567357636881, 22903628689594, 1407231833793),
+    136: (75975071073313, 54848053653795, 28833960179628, 1771599915848),
+    137: (95646947637062, 69049608532212, 36299805192795, 2230312153593),
+    138: (120412372940844, 86928306855642, 45698747200388, 2807796646392),
+    139: (151590196189664, 109436254504808, 57531314137726, 3534806549294),
+    140: (190840750162032, 137772081767677, 72427633341896, 4450057790682),
+    141: (240254269984843, 173444774773112, 91180988130224, 5602290836642),
+    142: (302462205775976, 218354034504787, 114790063029641, 7052866298511),
+    143: (380777356958694, 274891442805858, 144512127369469, 8879032609182),
+    144: (479370290911118, 346067822833057, 181929989457860, 11178039783848),
+    145: (603491440887169, 435673576368817, 229036286895945, 14072318337932),
+    146: (759750710733134, 548480536537950, 288339601796284, 17715999158480),
+    147: (956469476370621, 690496085322124, 362998051927953, 22303121535935),
+    148: (1204123729408439, 869283068556419, 456987472003881, 28077966463922),
+    149: (1515901961896647, 1094362545048086, 575313141377260, 35348065492936),
+    150: (1908407501620320, 1377720817676773, 724276333418963, 44500577906821),
+    151: (2402542699848438, 1734447747731127, 911809881302237, 56022908366423),
+    152: (3024622057759763, 2183540345047874, 1147900630296408, 70528662985106),
+    153: (3807773569586943, 2748914428058581, 1445121273694695, 88790326091817),
+    154: (4793702909111184, 3460678228330574, 1819299894578603, 111780397838479),
+    155: (6034914408871690, 4356735763688174, 2290362868959451, 140723183379323),
+    156: (7597507107331340, 5484805365379506, 2883396017962845, 177159991584800),
+}
 
 
 def probs_of(p_det, p_lost):
@@ -222,8 +263,25 @@ class TestMaxAttempts:
         result = ps.max_attempts(probs, f0, f_target)
         if result.cap_reached or result.unbounded:
             return
-        assert ps.protocol_fidelity(result.n, probs, f0) >= f_target - 1e-12
-        assert ps.protocol_fidelity(result.n + 1, probs, f0) < f_target
+        # protocol_fidelity(n) >= f_target solved for p_err, the form the
+        # search decides on; the rounded fidelity at n + 1 can round back
+        # to f_target where p_err(n + 1) exceeds the budget
+        budget = (f0 - f_target) / (f0 - 0.5)
+        assert ps.sequence_error_probability(result.n, probs) <= budget
+        assert ps.sequence_error_probability(result.n + 1, probs) > budget
+
+    def test_budget_decides_where_the_rounded_fidelity_ties(self):
+        # f_target = f0 leaves no budget: p_err(2) = p_det p_e > 0 fails it,
+        # though (1 - p_err) f0 + p_err / 2 rounds back to f0
+        probs = ps.AttemptProbabilities(p_det=0.5, p_lost=0.5 - 2.0**-54, p_e=2.0**-54)
+        assert ps.protocol_fidelity(2, probs, 0.9375) == 0.9375
+        assert ps.max_attempts(probs, 0.9375, 0.9375).n == 1
+
+    def test_f0_of_one_half_is_unbounded(self):
+        # every feasible target is met by any sequence; B, which would
+        # divide by f0 - 1/2 = 0, is not formed
+        assert ps.max_attempts(probs_of(0.1, 0.8), 0.5, 0.4) \
+            == ps.MaxAttempts(n=ATTEMPT_SEARCH_CAP, unbounded=True)
 
 
 class TestExpectedTimes:
@@ -354,6 +412,25 @@ class TestLossExactKernel:
         assert (res.n_max, res.cap_reached, res.unbounded) == (n_max, False, False)
         assert res.rate == pytest.approx(rate, rel=1e-12)
 
+    def test_n_max_matches_oracle_past_120_db(self):
+        # Up to 145 dB the double orders p_err(n) and p_err(n + 1) against
+        # the budget B, so both paths give the oracle's n_max exactly. From
+        # 146 dB one attempt moves p_err by a few ulp of B (about 7e-17
+        # against B near 0.1 at 150 dB), below p_err's own rounding, and
+        # n_max may land up to 2 attempts off; every point is still checked.
+        f0 = ps.transfer_fidelity(ps.design_pdr(), ps.design_polarizer(),
+                                  ps.design_cavity()).f_avg
+        dbs = sorted(ORACLE_N_MAX_PAST_120DB)
+        probs = [design_probs(db) for db in dbs]
+        p_det, p_e = (np.array([getattr(p, name) for p in probs]) for name in ("p_det", "p_e"))
+        for j, f_target in enumerate(ORACLE_TARGETS):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                on_arrays = rate._attempt_limit(p_det, p_e, f0, np.full(len(dbs), f_target), np)[0]
+            for db, pr, n in zip(dbs, probs, on_arrays):
+                want, slack = ORACLE_N_MAX_PAST_120DB[db][j], 0 if db <= 145 else 2
+                for got in (ps.max_attempts(pr, f0, f_target).n, int(n)):
+                    assert abs(got - want) <= slack, (db, f_target, got, want)
+
     def test_bound_keeps_its_digits(self):
         assert ps.repeaterless_bound(1e-12, ps.design_timing()) \
             == pytest.approx(ORACLE_PLOB_120DB, rel=1e-14)
@@ -382,7 +459,7 @@ def floor_divide_walk(n, p_det, p_e, xp):
     exp, expm1 = xp.exp, xp.expm1
     lq, lr = xp.log1p(-p_det), rate._log_ratio(p_det, p_e, xp)
     inv_s = 1.0 / (p_det + p_e)
-    top = math.frexp(xp.max(n))[1] - 1
+    top = math.frexp(float(np.max(n)))[1] - 1
     m, total = n // 2.0**top, 0.0
     for k in range(top - 1, -1, -1):
         a, b = m * lq, m * lr
@@ -470,27 +547,34 @@ class TestDigitWalk:
     @pytest.mark.parametrize("guess_steps", [0, rate._GUESS_STEPS])
     def test_bisection_matches_the_scalar_search(self, monkeypatch, guess_steps):
         # With no Newton step past the first candidate, every later one is
-        # the bracket's midpoint, on arrays and on floats alike. Up to 120 dB
-        # the fidelity test separates n_max from n_max + 1 in double
-        # precision, so every path must land on the scalar search's n_max.
-        cases = [(design_probs(db), f) for db in range(0, 121, 5)
+        # the bracket's midpoint, on arrays and on floats alike. The search
+        # tests p_err <= B, which is monotone in p_err, so every path must
+        # land on the scalar search's n_max wherever the double orders
+        # p_err(n_max) and p_err(n_max + 1) against B: to 145 dB at the
+        # design point. From 146 dB one attempt moves p_err by a few ulp of
+        # B, and the paths may land one attempt apart.
+        cases = [(db, design_probs(db), f) for db in [*range(0, 121, 5), *range(121, 157)]
                  for f in (0.95, 0.99, 0.9998)]
         rng = np.random.default_rng(4)
         for _ in range(60):
             p_det, p_e = map(float, log_uniform(rng, 1e-8, 0.3, 2))
             probs = ps.AttemptProbabilities(p_det=p_det, p_lost=1.0 - p_det - p_e, p_e=p_e)
-            cases.append((probs, F0_DESIGN - float(log_uniform(rng, 1e-6, 0.4, 1)[0])))
-        want = [ps.max_attempts(probs, F0_DESIGN, f) for probs, f in cases]
+            cases.append((0, probs, F0_DESIGN - float(log_uniform(rng, 1e-6, 0.4, 1)[0])))
+        want = [ps.max_attempts(probs, F0_DESIGN, f) for _, probs, f in cases]
         monkeypatch.setattr(rate, "_NEWTON_STEPS", 0)
         monkeypatch.setattr(rate, "_GUESS_STEPS", guess_steps)
-        assert [ps.max_attempts(probs, F0_DESIGN, f) for probs, f in cases] == want
+        on_floats = [ps.max_attempts(probs, F0_DESIGN, f) for _, probs, f in cases]
         p_det, p_e, f_target = (np.array(v) for v in zip(
-            *((probs.p_det, probs.p_e, f) for probs, f in cases)))
+            *((probs.p_det, probs.p_e, f) for _, probs, f in cases)))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             n, unbounded, cap_reached = rate._attempt_limit(p_det, p_e, F0_DESIGN, f_target, np)
-        assert [ps.MaxAttempts(n=int(n[i]), unbounded=bool(unbounded[i]),
-                               cap_reached=bool(cap_reached[i]))
-                for i in range(len(cases))] == want
+        on_arrays = [ps.MaxAttempts(n=int(n[i]), unbounded=bool(unbounded[i]),
+                                    cap_reached=bool(cap_reached[i]))
+                     for i in range(len(cases))]
+        for got in (on_floats, on_arrays):
+            for (db, _, _), g, w in zip(cases, got, want):
+                assert (g.unbounded, g.cap_reached) == (w.unbounded, w.cap_reached)
+                assert abs(g.n - w.n) <= (db >= 146), (db, g, w)
 
 
 class TestRepeaterlessBound:

@@ -400,6 +400,38 @@ class TestRateVsLoss:
                     ps.design_link(10 ** (-db / 10)), design["timing"], f_target)
                 assert scalar.cap_reached == cap
 
+    def test_every_nan_cell_past_3000_db_is_counted(self, design):
+        # past about 3080 dB 1 / (p_det + p_e) overflows, yet 2**53 attempts
+        # still meet every target; at 3300 dB eta_link rounds to 0, where
+        # nothing clicks: rate 0 and an unbounded n_max, as in transfer_rate
+        out = ps.sweep_rate_vs_loss(
+            SweepAxis("loss_db", 3000.0, 3300.0, 4, spacing="db"),
+            design["pdr"], design["polarizer"], design["cavity"],
+            ps.design_link(1.0), design["timing"])
+        for f_target, res in out.items():
+            assert np.isnan(res.values).tolist() == [True, True, True, False]
+            assert sum(res.metadata["nan_reasons"].values()) == 3
+            assert res.metadata["nan_reasons"]["attempt_cap"] == 3
+            assert (res.values[-1], res.columns["n_max"][-1]) == (0.0, 2.0**53)
+            for db, capped in zip(res.axes[0][1], np.isnan(res.values)):
+                scalar = ps.transfer_rate(
+                    design["pdr"], design["polarizer"], design["cavity"],
+                    ps.design_link(float(10.0 ** (-db / 10.0))), design["timing"], f_target)
+                assert scalar.cap_reached == capped
+
+    def test_dark_link_cell_matches_transfer_rate(self, design):
+        f0 = ps.transfer_fidelity(design["pdr"], design["polarizer"], design["cavity"]).f_avg
+        curves = rate_curves(design["pdr"], design["polarizer"], ps.design_link(1.0),
+                             design["timing"], np.array([0.0]), f0, (0.95, 0.99))
+        for i, f_target in enumerate((0.95, 0.99)):
+            scalar = ps.transfer_rate(design["pdr"], design["polarizer"], design["cavity"],
+                                      ps.design_link(0.0), design["timing"], f_target)
+            assert scalar.unbounded
+            assert (curves.n_max[i, 0], curves.rate[i, 0], curves.regime[i, 0]) \
+                == (scalar.n_max, scalar.rate, scalar.regime)
+            assert (curves.cap_reached[i, 0], curves.infeasible[i, 0]) \
+                == (scalar.cap_reached, False)
+
     def test_unbounded_cells_keep_the_cap(self, design):
         # F <= 1/2 never binds: every sequence length meets it
         res = ps.sweep_rate_vs_loss(
@@ -415,8 +447,9 @@ class TestRateVsLoss:
     def test_columns_equal_per_point_transfer_rate(self, design):
         """One rate kernel serves both paths. numpy's exp and log differ from
         the C library's in the last bit now and then; above 120 dB, where
-        the double-precision fidelity test no longer separates n from n + 1
-        at n near 10**14 and up, n_max may differ in the 15th digit."""
+        the double no longer orders p_err(n) and p_err(n + 1) against the
+        error budget at n near 10**14 and up, n_max may differ in the 15th
+        digit."""
         out = ps.sweep_rate_vs_loss(
             SweepAxis("loss_db", 0.0, 150.0, 301, spacing="db"),
             design["pdr"], design["polarizer"], design["cavity"],

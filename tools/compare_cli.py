@@ -64,9 +64,20 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     ("sweep", ["sweep.kind=pdr", 'sweep.second_axis=[0,0.6,5,"db"]'], []),
     ("sweep", ["sweep.kind=rate_vs_loss", "constraints=[0.95,0.99,0.999,0.9998]"], []),
     ("sweep", ["sweep.kind=rate_vs_loss", "constraints=[0.95,0.95]"], []),
+    # 1 dB steps where one attempt moves p_err by a few ulp of the error budget
+    ("sweep", ["sweep.kind=rate_vs_loss", "sweep.axis=[121,156,36]",
+               "constraints=[0.95,0.97,0.99,0.9998]"], []),
+    # past about 3080 dB 1 / (p_det + p_e) overflows; eta_link = 0 is a dark link
+    ("rate", ["link.eta_link=1e-310"], []),
+    ("rate", ["link.eta_link=0"], []),
+    ("sweep", ["sweep.kind=rate_vs_loss", "sweep.axis=[3000,3300,4]"], []),
     # refused: a cooperativity 4 g^2 / (kappa gamma) past the largest double
     ("fidelity", ["cavity.g=1e200"], []),
     ("fidelity", ["cavity.gamma=1e-310"], []),
+    # refused: a cooperativity that fits, with g**2 or dc da past a double
+    ("fidelity", ["cavity.kappa=1e10", "cavity.gamma=1e10", "cavity.g=1e155"], []),
+    ("fidelity", ["cavity.kappa=1e-300", "cavity.gamma=1e-300", "cavity.g=1e-300",
+                  "cavity.kappa_wg=1e-300"], []),
     *(("fidelity", [setting], []) for setting in MC_SETTINGS),
 ]
 
