@@ -4,11 +4,9 @@ sweeps' default axes and constraints, and loads no numpy."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
@@ -22,6 +20,7 @@ from .params import (
     ProtocolTiming,
     SweepAxis,
     ValidationError,
+    Value,
 )
 
 # hashlib loads OpenSSL, several MB of resident memory, for one digest; the
@@ -73,16 +72,16 @@ SWEEP_KINDS: dict[str, tuple[SweepAxis, ...]] = {
 
 
 def _jsonable(value: Any) -> Any:
-    """value as plain JSON types: dataclasses as dicts of their fields,
-    complex numbers as [re, im] pairs, numpy values as Python values."""
+    """value as plain JSON types: value types (params.Value) as dicts of
+    their fields in field order, complex numbers as [re, im] pairs, numpy
+    values as Python values."""
     np = sys.modules.get("numpy")  # no numpy value exists before numpy is loaded
     if np is not None and isinstance(value, (np.generic, np.ndarray)):
         value = value.tolist()  # a Python scalar, or nested lists of them
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: _jsonable(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
+    if isinstance(value, Value):
+        return {name: _jsonable(getattr(value, name)) for name in value._fields}
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -98,7 +97,7 @@ DEFAULTS: dict[str, Any] = {
     "f_target": 0.95,
     "constraints": list(DEFAULT_CONSTRAINTS),
     "false_herald_correction": False,
-    "mc": asdict(McConfig()),
+    "mc": _jsonable(McConfig()),
     "sweep": {
         "kind": "pdr",
         "axis": None,       # optional [start, stop, num, spacing] override
@@ -141,22 +140,22 @@ def _parse_override(expr: str) -> dict[str, Any]:
     return val
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated, fully-resolved configuration for one CLI run."""
+class RunConfig(Value):
+    """Validated, fully-resolved configuration for one CLI run. It holds
+    dicts, so it cannot be hashed."""
 
-    raw: dict[str, Any]
-    cavity: CavityParams
-    pdr: PdrParams
-    polarizer: PolarizerParams
-    link: LinkParams
-    timing: ProtocolTiming
-    r_cav_h: complex
-    f_target: float
-    constraints: tuple[float, ...]
-    false_herald_correction: bool
-    mc: McConfig
-    sweep: dict[str, Any]
+    _fields = ("raw", "cavity", "pdr", "polarizer", "link", "timing", "r_cav_h", "f_target",
+               "constraints", "false_herald_correction", "mc", "sweep")
+
+    def __init__(self, raw: dict[str, Any], cavity: CavityParams, pdr: PdrParams,
+                 polarizer: PolarizerParams, link: LinkParams, timing: ProtocolTiming,
+                 r_cav_h: complex, f_target: float, constraints: tuple[float, ...],
+                 false_herald_correction: bool, mc: McConfig, sweep: dict[str, Any]) -> None:
+        self.__dict__.update(raw=raw, cavity=cavity, pdr=pdr, polarizer=polarizer, link=link,
+                             timing=timing, r_cav_h=r_cav_h, f_target=f_target,
+                             constraints=constraints,
+                             false_herald_correction=false_herald_correction, mc=mc,
+                             sweep=sweep)
 
     @property
     def config_hash(self) -> str:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from .params import (
@@ -25,6 +24,7 @@ from .params import (
     PdrParams,
     PolarizerParams,
     ValidationError,
+    Value,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -46,21 +46,20 @@ class HeraldOutcome(enum.Enum):
     V_AFTER_HWP = "V"
 
 
-@dataclass(frozen=True)
-class EffectiveReflections:
+class EffectiveReflections(Value):
     """Round-trip field coefficients seen by each polarization for each
     spin state (on = spin couples to the cavity, off = it does not)."""
 
-    r_H_on: complex
-    r_H_off: complex
-    r_V_on: complex
-    r_V_off: complex
+    _fields = ("r_H_on", "r_H_off", "r_V_on", "r_V_off")
 
-    def __post_init__(self) -> None:
-        for name in ("r_H_on", "r_H_off", "r_V_on", "r_V_off"):
-            mag = abs(getattr(self, name))
+    def __init__(self, r_H_on: complex, r_H_off: complex, r_V_on: complex,
+                 r_V_off: complex) -> None:
+        for name, r in (("r_H_on", r_H_on), ("r_H_off", r_H_off),
+                        ("r_V_on", r_V_on), ("r_V_off", r_V_off)):
+            mag = abs(r)
             if mag > 1 + _PASSIVITY_TOL:
                 raise ValidationError(f"|{name}| = {mag} exceeds 1")
+        self.__dict__.update(r_H_on=r_H_on, r_H_off=r_H_off, r_V_on=r_V_on, r_V_off=r_V_off)
 
 
 IDEAL_REFLECTIONS = EffectiveReflections(
@@ -68,25 +67,25 @@ IDEAL_REFLECTIONS = EffectiveReflections(
 )
 
 
-@dataclass(frozen=True)
-class PhotonQubit:
+class PhotonQubit(Value):
     """Polarization qubit alpha|H> + beta|V>, normalized."""
 
-    alpha: complex
-    beta: complex
+    _fields = ("alpha", "beta")
 
-    def __post_init__(self) -> None:
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
+    def __init__(self, alpha: complex, beta: complex) -> None:
+        norm = abs(alpha) ** 2 + abs(beta) ** 2
         if abs(norm - 1.0) > 1e-12:
             raise ValidationError(f"photon qubit norm {norm} != 1")
+        self.__dict__.update(alpha=alpha, beta=beta)
 
 
-@dataclass(frozen=True)
-class SpinState:
+class SpinState(Value):
     """Spin amplitudes on (|down>, |up>); possibly unnormalized."""
 
-    amp_down: complex
-    amp_up: complex
+    _fields = ("amp_down", "amp_up")
+
+    def __init__(self, amp_down: complex, amp_up: complex) -> None:
+        self.__dict__.update(amp_down=amp_down, amp_up=amp_up)
 
     @property
     def norm_sq(self) -> float:
@@ -102,15 +101,15 @@ class SpinState:
         return abs(ovl) ** 2 / (n1 * n2)
 
 
-@dataclass(frozen=True)
-class JointState:
+class JointState(Value):
     """Unnormalized photon (H/V after the half-wave plate) x spin amplitudes.
     Loss only removes amplitude, so the total squared norm is <= 1."""
 
-    h_down: complex
-    h_up: complex
-    v_down: complex
-    v_up: complex
+    _fields = ("h_down", "h_up", "v_down", "v_up")
+
+    def __init__(self, h_down: complex, h_up: complex, v_down: complex,
+                 v_up: complex) -> None:
+        self.__dict__.update(h_down=h_down, h_up=h_up, v_down=v_down, v_up=v_up)
 
     @property
     def norm_sq(self) -> float:
@@ -118,8 +117,7 @@ class JointState:
                 + abs(self.v_down) ** 2 + abs(self.v_up) ** 2)
 
 
-@dataclass(frozen=True)
-class FidelityReport:
+class FidelityReport(Value):
     """Average transfer fidelity with per-input and per-outcome breakdown.
 
     fidelity, herald and overlap are the kernel's tuples, in TARGET_STATES
@@ -128,10 +126,12 @@ class FidelityReport:
     per_input and per_outcome are built from them when read.
     """
 
-    f_avg: float
-    fidelity: tuple[float, ...]
-    herald: tuple[tuple[float, float], ...]
-    overlap: tuple[tuple[float, float], ...]
+    _fields = ("f_avg", "fidelity", "herald", "overlap")
+
+    def __init__(self, f_avg: float, fidelity: tuple[float, ...],
+                 herald: tuple[tuple[float, float], ...],
+                 overlap: tuple[tuple[float, float], ...]) -> None:
+        self.__dict__.update(f_avg=f_avg, fidelity=fidelity, herald=herald, overlap=overlap)
 
     @property
     def per_input(self) -> list[tuple[str, float]]:

@@ -19,31 +19,32 @@ click: a cap on the sampler's work, not on the attempts a trial simulates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 # re-exported: McConfig and NoDetectionError live in params, which loads no numpy
-from .params import DEFAULT_DRAW_CAP, McConfig, NoDetectionError, ProtocolTiming
+from .params import DEFAULT_DRAW_CAP, McConfig, NoDetectionError, ProtocolTiming, Value
 from .rate import AttemptProbabilities
 
 _BLOCK = 256  # draws per refill in _walk; fixed, so seeded runs do not depend on trials
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    elapsed: float
-    attempts_used: int
-    sequences_used: int
-    error_occurred: bool
+class TrialResult(Value):
+    _fields = ("elapsed", "attempts_used", "sequences_used", "error_occurred")
+
+    def __init__(self, elapsed: float, attempts_used: int, sequences_used: int,
+                 error_occurred: bool) -> None:
+        self.__dict__.update(elapsed=elapsed, attempts_used=attempts_used,
+                             sequences_used=sequences_used, error_occurred=error_occurred)
 
 
-@dataclass(frozen=True)
-class McRateEstimate:
-    mean_rate: float
-    std_error: float
-    error_fraction: float
-    trials: int
+class McRateEstimate(Value):
+    _fields = ("mean_rate", "std_error", "error_fraction", "trials")
+
+    def __init__(self, mean_rate: float, std_error: float, error_fraction: float,
+                 trials: int) -> None:
+        self.__dict__.update(mean_rate=mean_rate, std_error=std_error,
+                             error_fraction=error_fraction, trials=trials)
 
 
 def _cap_exhausted(draw_cap: int, probs: AttemptProbabilities) -> NoDetectionError:

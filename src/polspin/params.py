@@ -3,12 +3,12 @@
 All types are immutable value objects validated at construction. Field
 amplitudes are plain Python complex numbers; power quantities (transmissivity,
 reflectivity, efficiencies) are dimensionless probabilities in [0, 1].
+Value, the base of every value type in the package, lives here too.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import TYPE_CHECKING, Any
 
@@ -31,6 +31,49 @@ def _check(cond: bool, fmt: str, *args: Any) -> None:
         raise ValidationError(fmt.format(*args))
 
 
+class Value:
+    """Base of the immutable value types. A subclass names its fields in
+    _fields, in constructor order, and its own __init__ validates the
+    arguments and writes them into self.__dict__. Value gives it the repr of
+    a dataclass, equality within one class, a hash of the field values
+    (a field that cannot be hashed makes the object unhashable), no
+    assignment or deletion, and replace.
+
+    There are no __slots__: copy and pickle then restore an object's
+    __dict__ without calling __setattr__.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _field_values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[name] for name in self._fields])
+
+    def __repr__(self) -> str:
+        d = self.__dict__
+        return f"{type(self).__qualname__}({', '.join(f'{f}={d[f]!r}' for f in self._fields)})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._field_values() == other._field_values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._field_values())
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes: Any) -> Any:
+        """A copy with the given fields changed, built through the
+        constructor, so that its checks run again."""
+        d = self.__dict__
+        return type(self)(**{**{name: d[name] for name in self._fields}, **changes})
+
+
 def _finite(z: complex) -> bool:
     return math.isfinite(z.real) and math.isfinite(z.imag)
 
@@ -43,41 +86,39 @@ def _power_sum(a: complex, b: complex) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class CavityParams:
+class CavityParams(Value):
     """Atom-cavity rates defining the spin-dependent reflection.
 
     Rates are angular frequencies in consistent (arbitrary) units; only
-    ratios enter the reflection coefficient at zero detuning.
+    ratios enter the reflection coefficient at zero detuning: kappa is the
+    total cavity decay, kappa_wg the decay into the waveguide, gamma the atom
+    relaxation, g the atom-cavity coupling, delta_c the cavity detuning
+    (omega_c - omega) and delta_a the atom detuning (omega_a - omega).
     """
 
-    kappa: float          # total cavity decay
-    kappa_wg: float       # decay into the waveguide
-    gamma: float          # atom relaxation
-    g: float              # atom-cavity coupling
-    delta_c: float = 0.0  # cavity detuning (omega_c - omega)
-    delta_a: float = 0.0  # atom detuning (omega_a - omega)
+    _fields = ("kappa", "kappa_wg", "gamma", "g", "delta_c", "delta_a")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kappa: float, kappa_wg: float, gamma: float, g: float,
+                 delta_c: float = 0.0, delta_a: float = 0.0) -> None:
+        self.__dict__.update(kappa=kappa, kappa_wg=kappa_wg, gamma=gamma, g=g,
+                             delta_c=delta_c, delta_a=delta_a)
         # one test that implies every check below, which run, in their order,
         # only if it fails: rates in (1e-50, 1e50) keep the cooperativity below 4e200
-        if (1e-50 < self.kappa < 1e50 and 1e-50 < self.gamma < 1e50 and 0 <= self.g < 1e50
-                and 0 <= self.kappa_wg <= self.kappa
-                and math.isfinite(self.delta_c) and math.isfinite(self.delta_a)):
+        if (1e-50 < kappa < 1e50 and 1e-50 < gamma < 1e50 and 0 <= g < 1e50
+                and 0 <= kappa_wg <= kappa
+                and math.isfinite(delta_c) and math.isfinite(delta_a)):
             return
-        _check(self.kappa > 0, "kappa must be > 0, got {}", self.kappa)
-        _check(self.gamma > 0, "gamma must be > 0, got {}", self.gamma)
-        _check(self.g >= 0, "g must be >= 0, got {}", self.g)
-        _check(0 <= self.kappa_wg <= self.kappa,
-               "kappa_wg must lie in [0, kappa], got {}", self.kappa_wg)
-        _check(math.isfinite(self.delta_c), "delta_c must be finite, got {}", self.delta_c)
-        _check(math.isfinite(self.delta_a), "delta_a must be finite, got {}", self.delta_a)
-        for name in ("kappa", "gamma", "g"):
-            v = getattr(self, name)
+        _check(kappa > 0, "kappa must be > 0, got {}", kappa)
+        _check(gamma > 0, "gamma must be > 0, got {}", gamma)
+        _check(g >= 0, "g must be >= 0, got {}", g)
+        _check(0 <= kappa_wg <= kappa, "kappa_wg must lie in [0, kappa], got {}", kappa_wg)
+        _check(math.isfinite(delta_c), "delta_c must be finite, got {}", delta_c)
+        _check(math.isfinite(delta_a), "delta_a must be finite, got {}", delta_a)
+        for name, v in (("kappa", kappa), ("gamma", gamma), ("g", g)):
             _check(v < math.inf, "{} must be finite, got {}", name, v)
         _check(self.cooperativity < math.inf,
                "g, kappa and gamma must give a finite cooperativity 4 g^2 / (kappa gamma), "
-               "got g = {}, kappa = {}, gamma = {}", self.g, self.kappa, self.gamma)
+               "got g = {}, kappa = {}, gamma = {}", g, kappa, gamma)
 
     @property
     def cooperativity(self) -> float:
@@ -96,21 +137,17 @@ class CavityParams:
                    g=math.sqrt(cooperativity / 4))
 
 
-@dataclass(frozen=True)
-class PdrParams:
+class PdrParams(Value):
     """Complex field coefficients of the polarization-dependent reflector.
 
     Per polarization i, power transmissivity T_i = |t_i|^2 and reflectivity
     R_i = |r_i|^2 must satisfy T_i + R_i <= 1; the deficit is scattering loss.
     """
 
-    t_H: complex
-    r_H: complex
-    t_V: complex
-    r_V: complex
+    _fields = ("t_H", "r_H", "t_V", "r_V")
 
-    def __post_init__(self) -> None:
-        t_H, r_H, t_V, r_V = self.t_H, self.r_H, self.t_V, self.r_V
+    def __init__(self, t_H: complex, r_H: complex, t_V: complex, r_V: complex) -> None:
+        self.__dict__.update(t_H=t_H, r_H=r_H, t_V=t_V, r_V=r_V)
         try:  # accept first: both power sums in bounds imply finite coefficients
             if (abs(t_H) ** 2 + abs(r_H) ** 2 <= 1 + POWER_TOL
                     and abs(t_V) ** 2 + abs(r_V) ** 2 <= 1 + POWER_TOL):
@@ -166,63 +203,59 @@ class PdrParams:
             _check(0 <= T_V <= 1 and 0 <= R_H <= 1, "T_V and R_H must lie in [0, 1]")
             _check(R_V >= -POWER_TOL, "R_V = 1 - T_V - zeta_V is negative ({})", R_V)
             _check(T_H >= -POWER_TOL, "T_H = 1 - R_H - zeta_H is negative ({})", T_H)
-        return cls(
-            t_H=complex(math.sqrt(max(T_H, 0.0))),
-            r_H=complex(reflection_sign * math.sqrt(R_H)),
-            t_V=complex(math.sqrt(T_V)),
-            r_V=complex(reflection_sign * math.sqrt(max(R_V, 0.0))),
-        )
+        return cls(complex(math.sqrt(max(T_H, 0.0))),
+                   complex(reflection_sign * math.sqrt(R_H)),
+                   complex(math.sqrt(T_V)),
+                   complex(reflection_sign * math.sqrt(max(R_V, 0.0))))
 
 
-@dataclass(frozen=True)
-class PolarizerParams:
+class PolarizerParams(Value):
     """Pass efficiencies of the V-pass polarizer, per polarization."""
 
-    eta_pol_V: float
-    eta_pol_H: float
+    _fields = ("eta_pol_V", "eta_pol_H")
 
-    def __post_init__(self) -> None:
-        _check(0 <= self.eta_pol_V <= 1, "eta_pol_V out of [0,1]: {}", self.eta_pol_V)
-        _check(0 <= self.eta_pol_H <= 1, "eta_pol_H out of [0,1]: {}", self.eta_pol_H)
-        _check(self.eta_pol_V >= self.eta_pol_H,
-               "a V-pass polarizer requires eta_pol_V >= eta_pol_H")
+    def __init__(self, eta_pol_V: float, eta_pol_H: float) -> None:
+        _check(0 <= eta_pol_V <= 1, "eta_pol_V out of [0,1]: {}", eta_pol_V)
+        _check(0 <= eta_pol_H <= 1, "eta_pol_H out of [0,1]: {}", eta_pol_H)
+        _check(eta_pol_V >= eta_pol_H, "a V-pass polarizer requires eta_pol_V >= eta_pol_H")
+        self.__dict__.update(eta_pol_V=eta_pol_V, eta_pol_H=eta_pol_H)
 
 
-@dataclass(frozen=True)
-class LinkParams:
-    """Link and detection-path efficiencies for the rate model."""
+class LinkParams(Value):
+    """Link and detection-path efficiencies for the rate model: the link
+    transmissivity eta_link, the detection-path efficiency eta_det, the
+    average V cavity power reflectivity r_cav_V_avg (spin on and off), the
+    H cavity power reflectivity r_cav_H, and the probability xi of the H
+    photon reaching the spin."""
 
-    eta_link: float       # link transmissivity
-    eta_det: float        # detection-path efficiency
-    r_cav_V_avg: float    # average V cavity power reflectivity (on/off)
-    r_cav_H: float        # H cavity power reflectivity
-    xi: float | None = None  # probability of the H photon reaching the spin
+    _fields = ("eta_link", "eta_det", "r_cav_V_avg", "r_cav_H", "xi")
 
-    def __post_init__(self) -> None:
-        for name in ("eta_link", "eta_det", "r_cav_V_avg", "r_cav_H"):
-            v = getattr(self, name)
+    def __init__(self, eta_link: float, eta_det: float, r_cav_V_avg: float,
+                 r_cav_H: float, xi: float | None = None) -> None:
+        for name, v in (("eta_link", eta_link), ("eta_det", eta_det),
+                        ("r_cav_V_avg", r_cav_V_avg), ("r_cav_H", r_cav_H)):
             _check(0 <= v <= 1, "{} out of [0,1]: {}", name, v)
-        if self.xi is None:
+        if xi is None:
             # worst case: all non-reflected H light reaches the spin
-            object.__setattr__(self, "xi", 1.0 - self.r_cav_H)
-        _check(0 <= self.xi <= 1, "xi out of [0,1]: {}", self.xi)
-        _check(self.xi <= 1 - self.r_cav_H + POWER_TOL,
-               "xi = {} exceeds 1 - r_cav_H = {}", self.xi, 1 - self.r_cav_H)
+            xi = 1.0 - r_cav_H
+        _check(0 <= xi <= 1, "xi out of [0,1]: {}", xi)
+        _check(xi <= 1 - r_cav_H + POWER_TOL, "xi = {} exceeds 1 - r_cav_H = {}", xi, 1 - r_cav_H)
+        self.__dict__.update(eta_link=eta_link, eta_det=eta_det, r_cav_V_avg=r_cav_V_avg,
+                             r_cav_H=r_cav_H, xi=xi)
 
 
-@dataclass(frozen=True)
-class ProtocolTiming:
+class ProtocolTiming(Value):
     """Per-attempt slot and spin re-initialization times, in seconds."""
 
-    tau_reset: float
-    tau_pulse: float
-    pulse_multiplier: float = 1.0
+    _fields = ("tau_reset", "tau_pulse", "pulse_multiplier")
 
-    def __post_init__(self) -> None:
-        _check(self.tau_reset > 0, "tau_reset must be > 0, got {}", self.tau_reset)
-        _check(self.tau_pulse > 0, "tau_pulse must be > 0, got {}", self.tau_pulse)
-        _check(self.pulse_multiplier > 0,
-               "pulse_multiplier must be > 0, got {}", self.pulse_multiplier)
+    def __init__(self, tau_reset: float, tau_pulse: float,
+                 pulse_multiplier: float = 1.0) -> None:
+        _check(tau_reset > 0, "tau_reset must be > 0, got {}", tau_reset)
+        _check(tau_pulse > 0, "tau_pulse must be > 0, got {}", tau_pulse)
+        _check(pulse_multiplier > 0, "pulse_multiplier must be > 0, got {}", pulse_multiplier)
+        self.__dict__.update(tau_reset=tau_reset, tau_pulse=tau_pulse,
+                             pulse_multiplier=pulse_multiplier)
 
     @property
     def tau_slot(self) -> float:
@@ -236,50 +269,46 @@ class NoDetectionError(RuntimeError):
     """The draw cap was exhausted without a detector click."""
 
 
-@dataclass(frozen=True)
-class McConfig:
-    trials: int = 100
-    seed: int = 0
-    draw_cap: int = DEFAULT_DRAW_CAP
+class McConfig(Value):
+    _fields = ("trials", "seed", "draw_cap")
 
-    def __post_init__(self) -> None:
+    def __init__(self, trials: int = 100, seed: int = 0,
+                 draw_cap: int = DEFAULT_DRAW_CAP) -> None:
         # the one place the mc rules are written; config builds its mc section here
-        for key, least in (("trials", 1), ("seed", 0), ("draw_cap", 1)):
-            v = getattr(self, key)
+        for key, v, least in (("trials", trials, 1), ("seed", seed, 0), ("draw_cap", draw_cap, 1)):
             # int before Integral: a plain int then skips the slower ABC check
             if isinstance(v, bool) or not isinstance(v, (int, Integral)) or v < least:
                 raise ValidationError(f"mc.{key} must be an integer >= {least}, got {v!r}")
+        self.__dict__.update(trials=trials, seed=seed, draw_cap=draw_cap)
 
 
-@dataclass(frozen=True)
-class SweepAxis:
-    """One sweep dimension: a parameter path and its grid."""
+class SweepAxis(Value):
+    """One sweep dimension: a parameter path and its grid, with spacing
+    linear, log or db."""
 
-    path: str
-    start: float
-    stop: float
-    num: int
-    spacing: str = "linear"  # linear | log | db
+    _fields = ("path", "start", "stop", "num", "spacing")
 
-    def __post_init__(self) -> None:
+    def __init__(self, path: str, start: float, stop: float, num: int,
+                 spacing: str = "linear") -> None:
         # the one place the axis rules are written; the CLI builds its axes here
-        if any(isinstance(v, bool) or not isinstance(v, Real) for v in (self.start, self.stop)):
-            raise ValidationError(f"axis {self.path}: start and stop must be numbers, "
-                                  f"got {self.start!r} and {self.stop!r}")
-        if isinstance(self.num, bool) or not isinstance(self.num, Integral):
-            raise ValidationError(f"axis {self.path}: num must be an integer, got {self.num!r}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ValidationError(f"axis {self.path}: start and stop must be finite")
-        if self.num < 2:
-            raise ValidationError(f"axis {self.path}: need >= 2 points")
-        if self.start >= self.stop:
-            raise ValidationError(f"axis {self.path}: start must be < stop")
-        if self.spacing not in ("linear", "log", "db"):
-            raise ValidationError(f"axis {self.path}: unknown spacing {self.spacing}")
-        if self.spacing == "log" and self.start <= 0:
-            raise ValidationError(f"axis {self.path}: a log axis needs start > 0")
-        if self.spacing == "db" and self.path != "loss_db":
-            raise ValidationError(f"axis {self.path}: db spacing applies only to loss_db")
+        if any(isinstance(v, bool) or not isinstance(v, Real) for v in (start, stop)):
+            raise ValidationError(f"axis {path}: start and stop must be numbers, "
+                                  f"got {start!r} and {stop!r}")
+        if isinstance(num, bool) or not isinstance(num, Integral):
+            raise ValidationError(f"axis {path}: num must be an integer, got {num!r}")
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValidationError(f"axis {path}: start and stop must be finite")
+        if num < 2:
+            raise ValidationError(f"axis {path}: need >= 2 points")
+        if start >= stop:
+            raise ValidationError(f"axis {path}: start must be < stop")
+        if spacing not in ("linear", "log", "db"):
+            raise ValidationError(f"axis {path}: unknown spacing {spacing}")
+        if spacing == "log" and start <= 0:
+            raise ValidationError(f"axis {path}: a log axis needs start > 0")
+        if spacing == "db" and path != "loss_db":
+            raise ValidationError(f"axis {path}: db spacing applies only to loss_db")
+        self.__dict__.update(path=path, start=start, stop=stop, num=num, spacing=spacing)
 
     def values(self) -> np.ndarray:
         import numpy as np  # only here: the scalar paths never load numpy

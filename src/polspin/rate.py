@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .device import transfer_fidelity
@@ -40,6 +39,7 @@ from .params import (
     PolarizerParams,
     ProtocolTiming,
     ValidationError,
+    Value,
 )
 
 if TYPE_CHECKING:
@@ -87,56 +87,49 @@ class InfeasibleConstraintError(ValueError):
     """The fidelity target exceeds what a single attempt can deliver."""
 
 
-@dataclass(frozen=True)
-class AttemptProbabilities:
+class AttemptProbabilities(Value):
     """Partition of a single transmission attempt: detected, lost without
     touching the spin, or lost after the spin interaction (unheralded error).
     p_e defaults to 1 - p_det - p_lost; attempt_probabilities supplies it
     exactly, since that difference cancels when p_lost is close to 1."""
 
-    p_det: float
-    p_lost: float
-    p_e: float | None = None
+    _fields = ("p_det", "p_lost", "p_e")
 
-    def __post_init__(self) -> None:
-        for name in ("p_det", "p_lost"):
-            v = getattr(self, name)
+    def __init__(self, p_det: float, p_lost: float, p_e: float | None = None) -> None:
+        for name, v in (("p_det", p_det), ("p_lost", p_lost)):
             if not 0 <= v <= 1:
                 raise ValidationError(f"{name} out of [0,1]: {v}")
-        if self.p_det + self.p_lost > 1 + 1e-12:
+        if p_det + p_lost > 1 + 1e-12:
+            raise ValidationError(f"p_det + p_lost = {p_det + p_lost} exceeds 1")
+        if p_e is None:
+            p_e = max(0.0, 1.0 - p_det - p_lost)
+        elif not (0 <= p_e <= 1 and abs(p_det + p_lost + p_e - 1.0) <= 1e-12):
             raise ValidationError(
-                f"p_det + p_lost = {self.p_det + self.p_lost} exceeds 1")
-        if self.p_e is None:
-            object.__setattr__(self, "p_e", max(0.0, 1.0 - self.p_det - self.p_lost))
-        elif not (0 <= self.p_e <= 1
-                  and abs(self.p_det + self.p_lost + self.p_e - 1.0) <= 1e-12):
-            raise ValidationError(
-                f"p_e = {self.p_e} does not complete p_det = {self.p_det} "
-                f"and p_lost = {self.p_lost} to 1")
+                f"p_e = {p_e} does not complete p_det = {p_det} and p_lost = {p_lost} to 1")
+        self.__dict__.update(p_det=p_det, p_lost=p_lost, p_e=p_e)
 
 
-@dataclass(frozen=True)
-class MaxAttempts:
+class MaxAttempts(Value):
     """Fidelity-constrained sequence length. unbounded means the constraint
     never binds (the error probability's limit p_e / (p_det + p_e) meets
     it); cap_reached means it still holds at ATTEMPT_SEARCH_CAP."""
 
-    n: int
-    unbounded: bool = False
-    cap_reached: bool = False
+    _fields = ("n", "unbounded", "cap_reached")
+
+    def __init__(self, n: int, unbounded: bool = False, cap_reached: bool = False) -> None:
+        self.__dict__.update(n=n, unbounded=unbounded, cap_reached=cap_reached)
 
 
-@dataclass(frozen=True)
-class RateResult:
-    n_max: int
-    p_error: float
-    p_success: float
-    t_failures: float
-    t_success: float
-    rate: float
-    regime: int
-    unbounded: bool = False
-    cap_reached: bool = False
+class RateResult(Value):
+    _fields = ("n_max", "p_error", "p_success", "t_failures", "t_success", "rate", "regime",
+               "unbounded", "cap_reached")
+
+    def __init__(self, n_max: int, p_error: float, p_success: float, t_failures: float,
+                 t_success: float, rate: float, regime: int, unbounded: bool = False,
+                 cap_reached: bool = False) -> None:
+        self.__dict__.update(n_max=n_max, p_error=p_error, p_success=p_success,
+                             t_failures=t_failures, t_success=t_success, rate=rate,
+                             regime=regime, unbounded=unbounded, cap_reached=cap_reached)
 
 
 def _detection_bracket(pdr: PdrParams, polarizer: PolarizerParams, link: LinkParams):
@@ -314,7 +307,8 @@ def sequence_error_probability(n: int, probs: AttemptProbabilities) -> float:
     click positions weighted by the click-position distribution."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if probs.p_det == 0.0 or probs.p_e == 0.0:  # nothing clicks, or no error
+    # nothing clicks, no error, or the first attempt always clicks
+    if probs.p_det == 0.0 or probs.p_e == 0.0 or probs.p_det == 1.0:
         return 0.0
     return _error_terms(n, probs.p_det, probs.p_e, _PyMath)[0]
 
@@ -422,15 +416,22 @@ def _attempt_limit(p_det, p_e, f0, f_target, xp):
     infeasible, unbounded = f_target > f0, _unbounded(p_det, p_e, f0, f_target)
     # B only matters where f0 > 1/2: below, every feasible point is unbounded
     budget = (f0 - f_target) / (f0 - 0.5) if f0 > 0.5 else 0.0 * f_target
-    # with p_det = 0 nothing clicks, so no sequence carries an error. Past
-    # about 3080 dB 1 / (p_det + p_e) overflows and p_err's walk is NaN, but
-    # wherever p_det + p_e < 2**-1022, p_err(n) <= n^2 p_det p_e is below
-    # 2**-1900 at the cap: any B > 0 still holds there, so such points are
-    # decided as reaching the cap rather than searched.
-    skip = (unbounded | infeasible | (p_det == 0.0)
+    # with p_det = 0 nothing clicks, and with p_det = 1 the first attempt
+    # does, so no sequence carries an error. Past about 3080 dB 1 / (p_det +
+    # p_e) overflows and p_err's walk is NaN, but wherever p_det + p_e <
+    # 2**-1022, p_err(n) <= n^2 p_det p_e is below 2**-1900 at the cap: any
+    # B > 0 still holds there, so such points are decided as reaching the
+    # cap rather than searched.
+    errorless = (p_det == 0.0) | (p_det == 1.0)
+    # B = 0 (f_target = f0) fits only n = 1, as p_err(1) = 0 < p_err(2) =
+    # p_det p_e: decided here, since past about 1600 dB at the design point
+    # p_det p_e underflows and the search would read p_err = 0 as fitting.
+    one = (budget == 0.0) & (p_e > 0.0) & xp.logical_not(unbounded | infeasible | errorless)
+    skip = (unbounded | infeasible | errorless | one
             | ((p_det + p_e < 2.0**-1022) & (budget > 0.0)))
     cap = float(ATTEMPT_SEARCH_CAP)
-    n = xp.minimum(_search(xp.where(skip, cap, 1.0), p_det, p_e, budget, xp), cap)
+    n = xp.where(one, 1.0,
+                 xp.minimum(_search(xp.where(skip, cap, 1.0), p_det, p_e, budget, xp), cap))
     return n, unbounded, (n == cap) & xp.logical_not(unbounded | infeasible)
 
 
@@ -573,19 +574,18 @@ def transfer_rate(
     )
 
 
-@dataclass(frozen=True)
-class RateCurves:
+class RateCurves(Value):
     """transfer_rate's n_max, rate and regime on a grid of constraints (rows)
     and link transmissivities (columns), NaN where the constraint exceeds f0
     (infeasible) or still holds at ATTEMPT_SEARCH_CAP (cap_reached), and the
     repeaterless bound per transmissivity."""
 
-    n_max: np.ndarray
-    rate: np.ndarray
-    regime: np.ndarray
-    bound: np.ndarray
-    infeasible: np.ndarray
-    cap_reached: np.ndarray
+    _fields = ("n_max", "rate", "regime", "bound", "infeasible", "cap_reached")
+
+    def __init__(self, n_max: np.ndarray, rate: np.ndarray, regime: np.ndarray,
+                 bound: np.ndarray, infeasible: np.ndarray, cap_reached: np.ndarray) -> None:
+        self.__dict__.update(n_max=n_max, rate=rate, regime=regime, bound=bound,
+                             infeasible=infeasible, cap_reached=cap_reached)
 
 
 def rate_curves(
@@ -610,7 +610,7 @@ def rate_curves(
     outside = ~((eta >= 0.0) & (eta <= 1.0))
     if outside.any():
         raise ValidationError(f"eta_link out of [0,1]: {eta[outside][0]}")
-    unit = attempt_probabilities(pdr, polarizer, replace(link, eta_link=1.0))
+    unit = attempt_probabilities(pdr, polarizer, link.replace(eta_link=1.0))
     target = np.asarray(f_targets, dtype=float).reshape(-1, 1)
     shape = (target.size, eta.size)
     p_det, p_e, f_target = (

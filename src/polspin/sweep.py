@@ -13,8 +13,6 @@ order.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -35,6 +33,7 @@ from .params import (
     ProtocolTiming,
     SweepAxis,
     ValidationError,
+    Value,
 )
 from .rate import _f0, attempt_probabilities, rate_curves
 
@@ -48,29 +47,30 @@ NAN_REASONS = ("pdr_range", "pdr_complement", "pdr_power_sum", "cavity_range",
                "degenerate_etalon", "non_passive_etalon")
 
 
-@dataclass
-class SweepResult:
+class SweepResult(Value):
     """Axis grids, a value matrix, and full provenance metadata.
 
     values has shape (len(axes[0]), ...) matching the axis order; NaN marks
     infeasible cells. Extra per-cell quantities live in columns, keyed by
-    name with the same shape as values.
+    name with the same shape as values. metadata and columns default to
+    new empty dicts.
     """
 
-    axes: list[tuple[str, np.ndarray]]
-    values: np.ndarray
-    quantity: str
-    metadata: dict[str, Any] = field(default_factory=dict)
-    columns: dict[str, np.ndarray] = field(default_factory=dict)
+    _fields = ("axes", "values", "quantity", "metadata", "columns")
 
-    def __post_init__(self) -> None:
-        shape = tuple(len(v) for _, v in self.axes)
-        if self.values.shape != shape:
-            raise ValidationError(
-                f"values shape {self.values.shape} does not match axes {shape}")
-        for name, col in self.columns.items():
+    def __init__(self, axes: list[tuple[str, np.ndarray]], values: np.ndarray, quantity: str,
+                 metadata: dict[str, Any] | None = None,
+                 columns: dict[str, np.ndarray] | None = None) -> None:
+        metadata = {} if metadata is None else metadata
+        columns = {} if columns is None else columns
+        shape = tuple(len(v) for _, v in axes)
+        if values.shape != shape:
+            raise ValidationError(f"values shape {values.shape} does not match axes {shape}")
+        for name, col in columns.items():
             if col.shape != shape:
                 raise ValidationError(f"column {name} shape mismatch")
+        self.__dict__.update(axes=axes, values=values, quantity=quantity, metadata=metadata,
+                             columns=columns)
 
 
 def _fidelity_cells(n: int, cell_inputs: Callable) -> tuple[np.ndarray, dict[str, int]]:
@@ -267,9 +267,9 @@ def _mc_columns(mc: McConfig, n_max: np.ndarray, eta: np.ndarray, pdr: PdrParams
     mc_rate = np.full(eta.size, np.nan)
     mc_se = np.full(eta.size, np.nan)
     for i in np.flatnonzero(np.isfinite(n_max)):
-        link = dataclasses.replace(link_template, eta_link=float(eta[i]))
+        link = link_template.replace(eta_link=float(eta[i]))
         est = simulate_rate(attempt_probabilities(pdr, polarizer, link), int(n_max[i]),
-                            timing, dataclasses.replace(mc, seed=mc.seed + int(i)))
+                            timing, mc.replace(seed=mc.seed + int(i)))
         mc_rate[i] = est.mean_rate
         mc_se[i] = est.std_error
     return mc_rate, mc_se

@@ -1,6 +1,7 @@
 """The package loads numpy only on the array paths: `import polspin`, the
-config and the scalar CLI commands run without it, and the names of the
-array modules resolve on first use."""
+config and the scalar CLI commands run without it, and without the
+standard dataclasses module, and the names of the array modules resolve on
+first use."""
 
 import importlib
 import json
@@ -33,29 +34,38 @@ EXPORTS = {
               "sweep_rate_vs_loss"],
 }
 
-# Run in a fresh interpreter: after each step, whether numpy is loaded.
+# Run in a fresh interpreter: after each step, whether numpy is loaded and
+# whether dataclasses is.
 _STEPS = """
 import json, os, sys
 steps = []
+def loaded():
+    return "dataclasses" in sys.modules
 import polspin
-steps.append(["import polspin", "numpy" in sys.modules])
+steps.append(["import polspin", "numpy" in sys.modules, loaded()])
 from polspin import config
 config.load_config()
-steps.append(["load_config", "numpy" in sys.modules])
+steps.append(["load_config", "numpy" in sys.modules, loaded()])
 from polspin import cli
 for command in ("fidelity", "rate", "diagnose"):
     for fmt in ("csv", "json"):
         out = os.path.join(sys.argv[1], f"{command}.{fmt}")
         code = cli.main(["--command", command, "--format", fmt, "--out", out])
-        steps.append([f"{command} {fmt} (exit {code})", "numpy" in sys.modules])
+        steps.append([f"{command} {fmt} (exit {code})", "numpy" in sys.modules, loaded()])
 montecarlo = polspin.montecarlo  # a lazy module loads on first use, and numpy
 steps.append(["polspin.montecarlo",
-              montecarlo is sys.modules["polspin.montecarlo"] and "numpy" in sys.modules])
+              montecarlo is sys.modules["polspin.montecarlo"] and "numpy" in sys.modules,
+              loaded()])
 sweep = polspin.sweep_fidelity_pdr  # and so does a lazy name's module
 steps.append(["polspin.sweep_fidelity_pdr",
-              sweep is sys.modules["polspin.sweep"].sweep_fidelity_pdr])
+              sweep is sys.modules["polspin.sweep"].sweep_fidelity_pdr, loaded()])
 print(json.dumps(steps), file=sys.stderr)
 """
+
+# The steps that load neither numpy nor dataclasses.
+_SCALAR_STEPS = ["import polspin", "load_config",
+                 *(f"{command} {fmt} (exit 0)"
+                   for command in ("fidelity", "rate", "diagnose") for fmt in ("csv", "json"))]
 
 
 def test_scalar_paths_do_not_load_numpy(tmp_path):
@@ -66,7 +76,7 @@ def test_scalar_paths_do_not_load_numpy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stderr.strip().splitlines()[-1])
-    loaded = {step: numpy for step, numpy in steps}
+    loaded = {step: numpy for step, numpy, _ in steps}
     assert loaded == {
         "import polspin": False,
         "load_config": False,
@@ -75,6 +85,9 @@ def test_scalar_paths_do_not_load_numpy(tmp_path):
         "polspin.montecarlo": True,
         "polspin.sweep_fidelity_pdr": True,
     }
+    # no value type builds on dataclasses, whose import pulls in inspect
+    dataclasses_loaded = {step: dc for step, _, dc in steps if step in _SCALAR_STEPS}
+    assert dataclasses_loaded == dict.fromkeys(_SCALAR_STEPS, False)
 
 
 @pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items() for n in names])

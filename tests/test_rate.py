@@ -197,6 +197,14 @@ class TestSequenceError:
     def test_all_lost_limit(self):
         assert ps.sequence_error_probability(10, probs_of(0.0, 1.0)) == 0.0
 
+    @pytest.mark.parametrize("n", [1, 2, 10])
+    def test_certain_click_carries_no_error(self, n):
+        # p_e = 1e-13 completes p_det = 1 within the partition's tolerance,
+        # but the first attempt always clicks, so no error precedes a click
+        probs = ps.AttemptProbabilities(p_det=1.0, p_lost=0.0, p_e=1e-13)
+        assert ps.sequence_error_probability(n, probs) == 0.0
+        assert ps.protocol_fidelity(n, probs, 0.99) == 0.99
+
     @given(probability_triples(), st.integers(1, 10_000))
     @settings(max_examples=60, deadline=None)
     def test_closed_form_matches_summation(self, probs, n):
@@ -276,6 +284,29 @@ class TestMaxAttempts:
         probs = ps.AttemptProbabilities(p_det=0.5, p_lost=0.5 - 2.0**-54, p_e=2.0**-54)
         assert ps.protocol_fidelity(2, probs, 0.9375) == 0.9375
         assert ps.max_attempts(probs, 0.9375, 0.9375).n == 1
+
+    @pytest.mark.parametrize("eta_link", [1e-200, 1e-310])
+    def test_target_equals_f0_where_p_det_p_e_underflows(self, eta_link):
+        # no budget fits only n = 1, though p_err(2) = p_det p_e rounds to 0
+        pdr, pol, link, timing = (ps.design_pdr(), ps.design_polarizer(),
+                                  ps.design_link(eta_link), ps.design_timing())
+        f0 = ps.transfer_fidelity(pdr, pol, ps.design_cavity()).f_avg
+        probs = ps.attempt_probabilities(pdr, pol, link)
+        assert probs.p_det > 0.0 and probs.p_e > 0.0 and probs.p_det * probs.p_e == 0.0
+        assert ps.max_attempts(probs, f0, f0) == ps.MaxAttempts(n=1)
+        curves = rate.rate_curves(pdr, pol, link, timing, np.array([eta_link]), f0, (f0,))
+        assert curves.n_max.tolist() == [[1.0]]
+        assert not curves.cap_reached.any() and not curves.infeasible.any()
+        res = ps.transfer_rate(pdr, pol, ps.design_cavity(), link, timing, f0)
+        assert (res.n_max, res.cap_reached) == (1, False)
+        assert curves.rate[0, 0] == res.rate
+
+    def test_certain_click_is_decided_without_a_search(self):
+        # p_err is 0 at every n, so every sequence length fits any budget
+        probs = ps.AttemptProbabilities(p_det=1.0, p_lost=0.0, p_e=1e-13)
+        for f_target in (0.99, 0.99 - 1e-15):
+            assert ps.max_attempts(probs, 0.99, f_target) \
+                == ps.MaxAttempts(n=ATTEMPT_SEARCH_CAP, cap_reached=True)
 
     def test_f0_of_one_half_is_unbounded(self):
         # every feasible target is met by any sequence; B, which would

@@ -2,7 +2,6 @@
 argmax locations on the default grids, constraint ordering, and regime
 structure of the rate-versus-loss curves."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -164,7 +163,7 @@ class TestCavitySweepKeepsBaseCavity:
         assert abs(res.values[0] - direct) <= 1e-12
 
     def test_atom_detuning_is_not_dropped(self, design):
-        base = dataclasses.replace(design["cavity"], delta_a=0.5)
+        base = design["cavity"].replace(delta_a=0.5)
         res = ps.sweep_fidelity_cavity(SweepAxis("cavity.cooperativity", 4.0, 8.0, 2),
                                        design["pdr"], design["polarizer"], base)
         direct = ps.transfer_fidelity(design["pdr"], design["polarizer"], base).f_avg
@@ -284,7 +283,7 @@ class TestKernelMatchesScalarPath:
             if not c >= 0:
                 raise ps.ValidationError("cooperativity must be >= 0")
             g = math.sqrt(c * cav.kappa * cav.gamma / 4.0)
-            return pdr, pol, dataclasses.replace(cav, g=g), r_cav_h
+            return pdr, pol, cav.replace(g=g), r_cav_h
 
         _assert_sweep_matches_scalar(
             lambda: ps.sweep_fidelity_cavity(axis, pdr, pol, cav, "cooperativity", r_cav_h),
@@ -298,7 +297,7 @@ class TestKernelMatchesScalarPath:
         pdr = ps.PdrParams.from_power(tv, rh, reflection_sign=sign)
         _assert_sweep_matches_scalar(
             lambda: ps.sweep_fidelity_cavity(axis, pdr, pol, cav, "coupling", r_cav_h),
-            lambda x: (pdr, pol, dataclasses.replace(cav, kappa_wg=x * cav.kappa), r_cav_h),
+            lambda x: (pdr, pol, cav.replace(kappa_wg=x * cav.kappa), r_cav_h),
             axis.values())
 
 
@@ -478,7 +477,7 @@ class TestRateVsLoss:
         """The sweep reads the link as given, xi included, and the
         false-herald correction, as transfer_rate does at each loss; so do
         its Monte Carlo columns."""
-        link = dataclasses.replace(ps.design_link(1.0), xi=xi)
+        link = ps.design_link(1.0).replace(xi=xi)
         out = ps.sweep_rate_vs_loss(
             SweepAxis("loss_db", 10.0, 30.0, 3, spacing="db"),
             design["pdr"], design["polarizer"], design["cavity"], link,
@@ -486,7 +485,7 @@ class TestRateVsLoss:
             false_herald_correction=correction)
         for f_target, res in out.items():
             for i, db in enumerate(res.axes[0][1]):
-                at = dataclasses.replace(link, eta_link=float(10.0 ** (-db / 10.0)))
+                at = link.replace(eta_link=float(10.0 ** (-db / 10.0)))
                 scalar = ps.transfer_rate(
                     design["pdr"], design["polarizer"], design["cavity"], at,
                     design["timing"], f_target, false_herald_correction=correction)
@@ -496,7 +495,7 @@ class TestRateVsLoss:
                     est = ps.simulate_rate(
                         ps.attempt_probabilities(design["pdr"], design["polarizer"], at),
                         scalar.n_max, design["timing"],
-                        dataclasses.replace(mc, seed=mc.seed + i))
+                        mc.replace(seed=mc.seed + i))
                     assert res.columns["mc_rate"][i] == est.mean_rate
                     assert res.columns["mc_std_error"][i] == est.std_error
         assert out[0.95].columns["n_max"][-1] == n_max_30_db
