@@ -9,12 +9,21 @@ The error probability, the n_max search and the timing form one rate kernel
 written against a few numpy function names (exp, expm1, log1p, where, ...),
 so the same code runs on Python floats (transfer_rate, through _PyMath) and
 on numpy arrays (rate_curves). The error probability's digit walk has a
-form per path: a plain loop on floats, and on arrays _array_walk, the same
-recurrence op for op in reused buffers, each point taking only its own
-digits, with the same bits. rate_curves and _array_walk are the only
+form per path. On floats a plain loop reads the binary digits of int(n)
+and adds a digit's term only where the digit is 1; on arrays _array_walk
+reads them as floor(n 2**-k) and multiplies the term by the digit, in
+reused buffers, each point taking only its own digits. Each form gives the
+bits of the same recurrence with the digits taken by floor division on its
+own path; the two paths differ only where numpy's exp, expm1 or log1p
+rounds differently from math's. rate_curves and _array_walk are the only
 functions that import numpy. The kernel keeps its accuracy at any link
 loss: p_det and p_e are each an exact product of eta_link and a device-only
 fraction, and the error probability is a sum of positive terms.
+
+transfer_rate does each piece of work once: one pass over the device's
+powers gives the partition at eta_link and at eta_link = 1, and the n_max
+search reports p_err(n_max) from its own walk, so p_err is walked again
+only where the search did not walk n_max itself.
 
 n_max is decided on the error budget alone: the largest n with p_err(n) <=
 B = (f0 - f_target) / (f0 - 1/2), a test monotone in p_err. It matches the
@@ -48,6 +57,7 @@ if TYPE_CHECKING:
 # The largest n_max a float column holds exactly; a constraint that still
 # holds there is reported as cap_reached.
 ATTEMPT_SEARCH_CAP = 2**53
+_CAP = float(ATTEMPT_SEARCH_CAP)
 DEFAULT_REGIME1_THRESHOLD = 3
 # The largest double below 1: log1p(-x) of a ratio clipped to it is finite.
 _BELOW_ONE = 1.0 - 2.0**-53
@@ -69,9 +79,17 @@ class _PyMath:
     expm1 = staticmethod(math.expm1)
     sqrt = staticmethod(math.sqrt)
     floor = staticmethod(math.floor)
-    minimum = staticmethod(min)
-    maximum = staticmethod(max)
     logical_not = staticmethod(operator.not_)
+
+    # min and max of two, each returning a where neither argument is
+    # smaller or larger, as the builtins do at over twice the cost
+    @staticmethod
+    def minimum(a, b):
+        return b if b < a else a
+
+    @staticmethod
+    def maximum(a, b):
+        return b if b > a else a
 
     @staticmethod
     def log1p(x):
@@ -132,25 +150,26 @@ class RateResult(Value):
                              regime=regime, unbounded=unbounded, cap_reached=cap_reached)
 
 
-def _detection_bracket(pdr: PdrParams, polarizer: PolarizerParams, link: LinkParams):
-    """T_V^2 eta_V^2 r_cav_V_avg + R_V + T_H^2 eta_H^2 r_cav_H + R_H, twice
-    p_det on a lossless link with a perfect detector."""
+def _partition_terms(pdr: PdrParams, polarizer: PolarizerParams, link: LinkParams):
+    """The device-only sums of the partition, each power of the reflector
+    read once: the detection bracket T_V^2 eta_V^2 r_cav_V_avg + R_V + T_H^2
+    eta_H^2 r_cav_H + R_H, twice p_det on a lossless link with a perfect
+    detector, and the loss sum, twice the loss without error on a lossless
+    link."""
     ev, eh = polarizer.eta_pol_V, polarizer.eta_pol_H
-    return (pdr.T_V**2 * ev**2 * link.r_cav_V_avg + pdr.R_V
-            + pdr.T_H**2 * eh**2 * link.r_cav_H + pdr.R_H)
+    T_H, R_H, T_V, R_V = pdr.T_H, pdr.R_H, pdr.T_V, pdr.R_V
+    bracket = T_V**2 * ev**2 * link.r_cav_V_avg + R_V + T_H**2 * eh**2 * link.r_cav_H + R_H
+    # zeta_V + zeta_H, as PdrParams computes them
+    loss = (max(0.0, 1.0 - T_V - R_V) + max(0.0, 1.0 - T_H - R_H)
+            + T_V * (1.0 - ev) + T_H * (1.0 - eh)
+            + T_H * eh * (1.0 - link.r_cav_H - link.xi))
+    return bracket, loss
 
 
-def _detected_and_lost(pdr: PdrParams, polarizer: PolarizerParams,
-                       link: LinkParams, eta):
-    """p_det and p_lost at link transmissivity eta, a float or an array."""
-    ev, eh = polarizer.eta_pol_V, polarizer.eta_pol_H
-    p_det = (eta / 2.0) * _detection_bracket(pdr, polarizer, link) * link.eta_det
-    p_lost = (1.0 - eta) + (eta / 2.0) * (
-        pdr.zeta_V + pdr.zeta_H
-        + pdr.T_V * (1.0 - ev) + pdr.T_H * (1.0 - eh)
-        + pdr.T_H * eh * (1.0 - link.r_cav_H - link.xi)
-    )
-    return p_det, p_lost
+def _detected_and_lost(bracket, loss, link: LinkParams, eta):
+    """p_det and p_lost at link transmissivity eta, a float or an array,
+    from _partition_terms' sums."""
+    return (eta / 2.0) * bracket * link.eta_det, (1.0 - eta) + (eta / 2.0) * loss
 
 
 def _f0(pdr: PdrParams, polarizer: PolarizerParams, cavity: CavityParams,
@@ -161,7 +180,7 @@ def _f0(pdr: PdrParams, polarizer: PolarizerParams, cavity: CavityParams,
     without touching the cavity."""
     f0 = transfer_fidelity(pdr, polarizer, cavity, r_cav_h=r_cav_h).f_avg
     if false_herald_correction:
-        p_false = pdr.R_V / _detection_bracket(pdr, polarizer, link)
+        p_false = pdr.R_V / _partition_terms(pdr, polarizer, link)[0]
         f0 = (1.0 - p_false) * f0 + p_false * 0.5
     return f0
 
@@ -178,11 +197,12 @@ def attempt_probabilities(
     eta_link times the device-only fraction 1 - p_det - p_lost at
     eta_link = 1, an exact product at any link loss.
     """
-    p_det, p_lost = _detected_and_lost(pdr, polarizer, link, link.eta_link)
+    terms = _partition_terms(pdr, polarizer, link)
+    p_det, p_lost = _detected_and_lost(*terms, link, link.eta_link)
     if not (0 <= p_det <= 1 and 0 <= p_lost <= 1 and p_det + p_lost <= 1 + 1e-12):
         raise ValidationError(
             f"inconsistent device parameters: p_det={p_det}, p_lost={p_lost}")
-    unit_det, unit_lost = _detected_and_lost(pdr, polarizer, link, 1.0)
+    unit_det, unit_lost = _detected_and_lost(*terms, link, 1.0)
     return AttemptProbabilities(
         p_det=p_det, p_lost=min(p_lost, 1.0 - p_det),
         p_e=link.eta_link * max(0.0, 1.0 - unit_det - unit_lost))
@@ -208,47 +228,50 @@ def _error_terms(n, p_det, p_e, xp):
     whole numbers up to ATTEMPT_SEARCH_CAP (ints, floats or a float array);
     needs 0 < p_det + p_e and p_det < 1.
 
-    The walk reads n's leading digits m = n // 2**k, k from the top digit
-    down, as floor(n 2**-k): numpy's float floor division costs over ten
-    multiplies, and since multiplying a whole number below 2**53 by a power
-    of two is exact, the floor is the same whole number, so the result is
-    unchanged bit for bit. Python floats take the loop below; numpy arrays
-    take _array_walk, the same recurrence op for op in reused buffers, where
-    each point takes only its own digits.
+    Each digit of n below the top one takes m, the digits above it, to 2m
+    plus the digit, and adds the digit times q^2m (1 - r^2m) to S(2m). On
+    Python floats the loop below reads the digits from int(n) and keeps
+    m a float, which doubling and adding 1 leave exact below 2**53; it adds
+    the term only where the digit is 1, since elsewhere the term is +0.0 and
+    S(2m) is never -0.0, so adding it would change no bit. numpy arrays take
+    _array_walk.
     """
     if xp is not _PyMath:
         return _array_walk(n, p_det, p_e)
-    exp, expm1, floor = math.exp, math.expm1, math.floor
+    exp, expm1 = math.exp, math.expm1
     lq, lr = xp.log1p(-p_det), _log_ratio(p_det, p_e, xp)
     inv_s = 1.0 / (p_det + p_e)
-    top = math.frexp(n)[1] - 1
-    m = floor(n * 2.0**-top)
-    total = 0.0  # S(0) = S(1) = 0
-    for k in range(top - 1, -1, -1):
+    m, total = 1.0, 0.0  # the top digit; S(0) = S(1) = 0
+    for digit in bin(int(n))[3:]:
         a, b = m * lq, m * lr
         q_m, one_less_r_m = exp(a), -expm1(b)
         step = q_m * one_less_r_m
-        half = floor(n * 2.0**-k)
-        # S(2m), plus q^2m (1 - r^2m) = q_m^2 (1 - r^m)(1 + r^m) if the digit is 1
-        total = (total * (1.0 + q_m) - step * expm1(a + b) * inv_s
-                 + (half - 2.0 * m) * (step * q_m * (2.0 - one_less_r_m)))
-        m = half
+        total = total * (1.0 + q_m) - step * expm1(a + b) * inv_s
+        m += m
+        if digit == "1":  # q^2m (1 - r^2m) = q_m^2 (1 - r^m)(1 + r^m)
+            total += step * q_m * (2.0 - one_less_r_m)
+            m += 1.0
     return p_det * total, -p_det * exp(n * lq) * expm1(n * lr)
 
 
 def _array_walk(n, p_det, p_e):
-    """_error_terms on flat numpy arrays of one size: the loop above, op for
-    op and bit for bit, with every step written into buffers made once.
+    """_error_terms on flat numpy arrays of one size, every step written
+    into buffers made once. It reads n's leading digits as m = floor(n
+    2**-k): numpy's float floor division costs over ten multiplies, and
+    since multiplying a whole number below 2**53 by a power of two is exact,
+    the floor is the same whole number as n // 2**k. The digit, half - 2m,
+    multiplies the digit's term, which is exact for a digit of 0.0 or 1.0.
 
     -step and the products built from it are kept negated, which only flips
-    signs, so every rounding is the loop's. The points are walked in order
+    signs, so every rounding is that of the recurrence as _error_terms
+    writes it, on numpy's functions. The points are walked in order
     of n, and digit k touches only a tail that holds those with n >= 2**(k
     + 1), the points whose m is not 0. A digit with m = 0 leaves S = +0.0
     exactly while log q, log r and 1 / (p_det + p_e) are finite, so a point
     may join the tail at any earlier digit; it joins with m = n // 2**(k +
     1) up to _JOIN_DIGITS digits early, which makes the tail grow in fewer
     steps. Where one of the three is not finite every point walks every
-    digit, as in the loop."""
+    digit below the largest n's top digit."""
     import numpy as np
 
     multiply, add, subtract, exp, expm1, floor = (
@@ -302,11 +325,17 @@ def _array_walk(n, p_det, p_e):
     return p_det * walked, -p_det * exp(n * lq) * expm1(n * lr)
 
 
+def _check_length(n) -> None:
+    """Refuse a sequence length that is not a finite whole number >= 1;
+    2.0 and numpy integers are accepted."""
+    if not (1 <= n < math.inf and n % 1 == 0):
+        raise ValueError(f"n must be a whole number >= 1, got {n}")
+
+
 def sequence_error_probability(n: int, probs: AttemptProbabilities) -> float:
     """Unheralded-error probability of an n-attempt sequence, summed over all
     click positions weighted by the click-position distribution."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_length(n)
     # nothing clicks, no error, or the first attempt always clicks
     if probs.p_det == 0.0 or probs.p_e == 0.0 or probs.p_det == 1.0:
         return 0.0
@@ -323,13 +352,22 @@ def protocol_fidelity(n: int, probs: AttemptProbabilities, f0: float) -> float:
     return (1.0 - p_err) * f0 + p_err * 0.5
 
 
-def _smooth_error(x, lq, ls, w, xp):
-    """The closed form p_err(x) = 1 - q^x - p_det (1 - p_lost^x) / (p_det +
-    p_e) at real x, and its slope, from lq = log q, ls = log p_lost and w =
-    p_det / (p_det + p_e). Its two terms cancel where x (p_det + p_e) is
-    small, so it only guides the search."""
-    return (w * xp.expm1(x * ls) - xp.expm1(x * lq),
-            w * ls * xp.exp(x * ls) - lq * xp.exp(x * lq))
+def _first_guess(p_det, p_e, budget, xp):
+    """The search's first candidate before rounding: p_err(x) = budget
+    solved by _GUESS_STEPS Newton steps from the small-n root sqrt(2 budget
+    / (p_det p_e)) on the closed form p_err(x) = 1 - q^x - w (1 - p_lost^x),
+    w = p_det / (p_det + p_e). The form's two terms cancel where x (p_det +
+    p_e) is small, so it only guides the search."""
+    exp, expm1, minimum, maximum = xp.exp, xp.expm1, xp.minimum, xp.maximum
+    x = xp.sqrt(2.0 * budget / p_det / p_e)
+    lq = xp.log1p(-p_det)
+    ls, w = lq + _log_ratio(p_det, p_e, xp), p_det / (p_det + p_e)
+    w_ls = w * ls
+    for _ in range(_GUESS_STEPS):
+        a, b = x * ls, x * lq
+        g, slope = w * expm1(a) - expm1(b), w_ls * exp(a) - lq * exp(b)
+        x = minimum(maximum(x - (g - budget) / maximum(slope, 5e-324), 1.0), _CAP)
+    return x
 
 
 def _unbounded(p_det, p_e, f0, f_target):
@@ -341,70 +379,71 @@ def _unbounded(p_det, p_e, f0, f_target):
 
 def _search(lo, p_det, p_e, budget, xp):
     """Largest n in [lo, ATTEMPT_SEARCH_CAP] whose error probability p_err(n)
-    fits the error budget, given that lo fits it; a result of
-    ATTEMPT_SEARCH_CAP or more means the cap fits it too.
+    fits the error budget, given that lo fits it, and p_err(n) where the
+    search walked it at n, NaN elsewhere; an n of ATTEMPT_SEARCH_CAP or
+    more means the cap fits it too.
 
     The bracket [lo, hi) holds the answer; hi starts past the cap, at
-    ATTEMPT_SEARCH_CAP + 2 (a float holds it exactly). Each step evaluates
-    the exact p_err at a candidate c and, through the increment, at c + 1,
-    tests p_err <= budget at both, and so either ends the search (c fits
-    and c + 1 does not) or shrinks the bracket. The first candidate solves
-    p_err(n) = budget on the closed form of p_err by _GUESS_STEPS Newton
-    steps from the small-n root sqrt(2 budget / (p_det p_e)); it usually
-    ends the search. Later candidates are Newton steps on the exact p_err
-    with the increment as slope. One outside the bracket by more than a
-    step, or any after _NEWTON_STEPS steps, is replaced by the bracket's
-    midpoint. Needs 0 < p_det < 1, p_e > 0 and budget >= 0 wherever lo is
-    below the cap; points with lo at the cap are done from the start. On
-    numpy, lo, p_det, p_e and budget are flat arrays of one size, and each
-    step walks only the points still searching.
+    ATTEMPT_SEARCH_CAP + 2 (a float holds it exactly). Each step walks the
+    exact p_err at a candidate c, which gives p_err at c + 1 through the
+    increment, tests p_err <= budget at both, and so either ends the search
+    (c fits and c + 1 does not: the answer c was walked) or shrinks the
+    bracket. An answer reached as c + 1 carries the walk at hi where c + 1
+    is hi, and NaN elsewhere: p_err(c) plus the increment need not be the
+    walk at c + 1 to the bit. The first candidate comes from _first_guess
+    and usually ends the search. Later candidates are Newton steps on the
+    exact p_err with the increment as slope. One outside the bracket by
+    more than a step, or any after _NEWTON_STEPS steps, is replaced by the
+    bracket's midpoint. Needs 0 < p_det < 1, p_e > 0 and budget >= 0
+    wherever lo is below the cap; points with lo at the cap are done from
+    the start. On numpy, lo, p_det, p_e and budget are flat arrays of one
+    size, and each step walks only the points still searching.
     """
-    hi = ATTEMPT_SEARCH_CAP + 2.0 + 0.0 * lo
-
-    def candidate(t, newton):
-        near = (lo - 1 < t) & (t < hi + 1) & newton
-        # lo + (hi - lo) // 2 without float floor division: hi - lo is whole,
-        # so its half is exact, and the inner floor keeps the sum exact above 2**52
-        t = xp.floor(xp.where(near, t, lo + xp.floor((hi - lo) * 0.5)))
-        return xp.minimum(xp.maximum(t, lo), hi - 1)
-
+    floor, where, minimum, maximum = xp.floor, xp.where, xp.minimum, xp.maximum
+    hi = _CAP + 2.0 + 0.0 * lo
+    p_lo = p_hi = math.nan + 0.0 * lo  # p_err at lo and at hi where walked there
     if xp is not _PyMath:
-        found, at = xp.empty_like(lo), xp.arange(lo.size)
-    c, steps = 0.0 * lo, 0
+        found, found_p, at = xp.empty_like(lo), xp.empty_like(lo), xp.arange(lo.size)
+    t, steps = 0.0 * lo, 0
     while True:
         active = (hi - lo > 1) & (lo < ATTEMPT_SEARCH_CAP)
         if xp is not _PyMath:  # set the finished points aside
-            found[at] = lo
-            at, lo, hi, c, p_det, p_e, budget = (
-                a[active] for a in (at, lo, hi, c, p_det, p_e, budget))
+            found[at], found_p[at] = lo, p_lo
+            at, lo, hi, p_lo, p_hi, t, p_det, p_e, budget = (
+                a[active] for a in (at, lo, hi, p_lo, p_hi, t, p_det, p_e, budget))
             if at.size == 0:
-                return found
+                return found, found_p
         elif not active:
-            return lo
+            return lo, p_lo
         if steps == 0:
-            x = xp.sqrt(2.0 * budget / p_det / p_e)
-            lq = xp.log1p(-p_det)
-            ls, w = lq + _log_ratio(p_det, p_e, xp), p_det / (p_det + p_e)
-            for _ in range(_GUESS_STEPS):
-                g, slope = _smooth_error(x, lq, ls, w, xp)
-                x = xp.minimum(
-                    xp.maximum(x - (g - budget) / xp.maximum(slope, 5e-324), 1.0),
-                    float(ATTEMPT_SEARCH_CAP))
-            c = candidate(x, True)
+            t, newton = _first_guess(p_det, p_e, budget, xp), True
+        else:
+            newton = steps < _NEWTON_STEPS
+        # a Newton step near the bracket, else lo + (hi - lo) // 2 without
+        # float floor division: hi - lo is whole, so its half is exact, and
+        # the inner floor keeps the sum exact above 2**52
+        near = (lo - 1 < t) & (t < hi + 1) & newton
+        c = minimum(maximum(floor(where(near, t, lo + floor((hi - lo) * 0.5))), lo), hi - 1)
         p, dp = _error_terms(c, p_det, p_e, xp)
         fits, next_fits = p <= budget, p + dp <= budget
-        # the bracket becomes [c + 1, hi), [c, c + 1) or [lo, c)
-        lo, hi = (xp.where(next_fits, c + 1, xp.where(fits, c, lo)),
-                  xp.where(next_fits, hi, xp.where(fits, c + 1, c)))
+        # the bracket becomes [c + 1, hi), [c, c + 1) or [lo, c). c + 1 was
+        # walked only if it is hi; c = lo does not fit only where lo was
+        # judged by an increment, and [lo, lo) then ends the search at lo.
+        # The middle bracket is closed, so its hi needs no p_err.
+        lo, hi, p_lo, p_hi = (where(next_fits, c + 1, where(fits, c, lo)),
+                              where(next_fits, hi, where(fits, c + 1, c)),
+                              where(next_fits, where(c + 1 == hi, p_hi, math.nan),
+                                    where(fits | (c == lo), p, p_lo)),
+                              where(fits, p_hi, p))
         steps += 1
-        c = candidate(c + (budget - p) / xp.maximum(dp, 5e-324),
-                      steps < _NEWTON_STEPS)
+        t = c + (budget - p) / maximum(dp, 5e-324)
 
 
 def _attempt_limit(p_det, p_e, f0, f_target, xp):
     """max_attempts' decision, point by point: n_max, unbounded (n_max =
-    ATTEMPT_SEARCH_CAP) and cap_reached. n_max is the largest n with
-    p_err(n) <= B, B = (f0 - f_target) / (f0 - 1/2), which is
+    ATTEMPT_SEARCH_CAP), cap_reached, and p_err(n_max) where the search
+    walked it, NaN elsewhere. n_max is the largest n with p_err(n) <= B,
+    B = (f0 - f_target) / (f0 - 1/2), which is
     protocol_fidelity(n) >= f_target solved for p_err. Unlike the rounded
     fidelity, which is not monotone in p_err, this test leaves the search's
     path no say in n_max, save where one attempt moves p_err by only a few
@@ -429,10 +468,27 @@ def _attempt_limit(p_det, p_e, f0, f_target, xp):
     one = (budget == 0.0) & (p_e > 0.0) & xp.logical_not(unbounded | infeasible | errorless)
     skip = (unbounded | infeasible | errorless | one
             | ((p_det + p_e < 2.0**-1022) & (budget > 0.0)))
-    cap = float(ATTEMPT_SEARCH_CAP)
-    n = xp.where(one, 1.0,
-                 xp.minimum(_search(xp.where(skip, cap, 1.0), p_det, p_e, budget, xp), cap))
-    return n, unbounded, (n == cap) & xp.logical_not(unbounded | infeasible)
+    n, p_err = _search(xp.where(skip, _CAP, 1.0), p_det, p_e, budget, xp)
+    n = xp.where(one, 1.0, xp.minimum(n, _CAP))
+    return n, unbounded, (n == _CAP) & xp.logical_not(unbounded | infeasible), p_err
+
+
+def _check_feasible(f0: float, f_target: float) -> None:
+    if f_target > f0:
+        raise InfeasibleConstraintError(
+            f"f_target = {f_target} exceeds single-attempt fidelity f0 = {f0}")
+
+
+def _decide_attempts(probs: AttemptProbabilities, f0: float, f_target: float):
+    """max_attempts' result and p_err(n_max), the search's value where it
+    walked n_max and a walk at n_max elsewhere."""
+    _check_feasible(f0, f_target)
+    n, unbounded, cap_reached, p_err = _attempt_limit(probs.p_det, probs.p_e, f0, f_target,
+                                                      _PyMath)
+    n = int(n)
+    if p_err != p_err:  # NaN: the search did not walk n
+        p_err = sequence_error_probability(n, probs)
+    return MaxAttempts(n=n, unbounded=unbounded, cap_reached=cap_reached), p_err
 
 
 def max_attempts(
@@ -447,11 +503,9 @@ def max_attempts(
     is flagged unbounded. Otherwise the rate kernel's search finds the
     boundary up to ATTEMPT_SEARCH_CAP.
     """
-    if f_target > f0:
-        raise InfeasibleConstraintError(
-            f"f_target = {f_target} exceeds single-attempt fidelity f0 = {f0}")
-    n, unbounded, cap_reached = _attempt_limit(probs.p_det, probs.p_e, f0, f_target,
-                                               _PyMath)
+    _check_feasible(f0, f_target)
+    n, unbounded, cap_reached, _ = _attempt_limit(probs.p_det, probs.p_e, f0, f_target,
+                                                  _PyMath)
     return MaxAttempts(n=int(n), unbounded=unbounded, cap_reached=cap_reached)
 
 
@@ -483,6 +537,7 @@ def _rate_terms(n, p_det, timing: ProtocolTiming, xp):
 
 def success_probability(n_max: int, probs: AttemptProbabilities) -> float:
     """Probability that an n_max-attempt sequence yields at least one click."""
+    _check_length(n_max)
     return _clicks(n_max, probs.p_det, _PyMath)[0] if probs.p_det > 0.0 else 0.0
 
 
@@ -491,6 +546,7 @@ def expected_failure_time(
 ) -> float:
     """Mean time spent on clickless sequences (each costs a full sequence
     plus a reset) before the first successful sequence."""
+    _check_length(n_max)
     if probs.p_det <= 0.0:
         return math.inf
     return _sequence_timing(n_max, probs.p_det, timing, _PyMath)[1]
@@ -505,6 +561,7 @@ def expected_success_time(
     time summed over the unconditional click-position distribution (closed
     form of the direct sum). transfer_rate's t_success, the true expected
     duration, divides the click term by the sequence success probability."""
+    _check_length(n_max)
     if probs.p_det == 0.0:
         return math.inf
     return timing.tau_reset + _sequence_timing(n_max, probs.p_det, timing, _PyMath)[2]
@@ -556,14 +613,14 @@ def transfer_rate(
     expected time per transferred qubit."""
     f0 = _f0(pdr, polarizer, cavity, link, r_cav_h, false_herald_correction)
     probs = attempt_probabilities(pdr, polarizer, link)
-    nm = max_attempts(probs, f0, f_target)
+    nm, p_error = _decide_attempts(probs, f0, f_target)
     if probs.p_det == 0.0:  # nothing clicks: no sequence ever succeeds
         p_succ, t_fail, t_succ, rate = 0.0, math.inf, math.inf, 0.0
     else:
         p_succ, t_fail, t_succ, rate = _rate_terms(nm.n, probs.p_det, timing, _PyMath)
     return RateResult(
         n_max=nm.n,
-        p_error=sequence_error_probability(nm.n, probs),
+        p_error=p_error,
         p_success=p_succ,
         t_failures=t_fail,
         t_success=t_succ,
@@ -615,9 +672,10 @@ def rate_curves(
     shape = (target.size, eta.size)
     p_det, p_e, f_target = (
         np.broadcast_to(a, shape).ravel()
-        for a in (_detected_and_lost(pdr, polarizer, link, eta)[0], eta * unit.p_e, target))
+        for a in (_detected_and_lost(*_partition_terms(pdr, polarizer, link), link, eta)[0],
+                  eta * unit.p_e, target))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        n, _, cap_reached = _attempt_limit(p_det, p_e, f0, f_target, np)
+        n, _, cap_reached, _ = _attempt_limit(p_det, p_e, f0, f_target, np)
         # nothing clicks where p_det = 0 (eta = 0): rate 0, as in transfer_rate
         rate = np.where(p_det == 0.0, 0.0, _rate_terms(n, p_det, timing, np)[3])
         bound = _plob(eta, timing.tau_slot, np)

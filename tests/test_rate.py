@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import polspin as ps
 from polspin import rate
-from polspin.params import DESIGN
+from polspin.params import DESIGN, DESIGN_R_CAV_H
 from polspin.rate import ATTEMPT_SEARCH_CAP, success_probability
 
 # frozen oracle values, paper presets at eta_link = 1e-3
@@ -367,6 +367,43 @@ class TestExpectedTimes:
                                               rel=1e-12)
 
 
+def length_calls(probs, timing):
+    """The functions that take a sequence length, as functions of it."""
+    return {
+        "sequence_error_probability": lambda n: ps.sequence_error_probability(n, probs),
+        "protocol_fidelity": lambda n: ps.protocol_fidelity(n, probs, 0.99),
+        "success_probability": lambda n: success_probability(n, probs),
+        "expected_failure_time": lambda n: ps.expected_failure_time(n, probs, timing),
+        "expected_success_time": lambda n: ps.expected_success_time(n, probs, timing),
+    }
+
+
+class TestSequenceLength:
+    """A sequence length is a whole number >= 1: 2.0 and numpy integers are
+    taken as 2, and a fraction or a non-finite n is refused rather than
+    truncated."""
+
+    TIMING = ps.ProtocolTiming(tau_reset=2e-5, tau_pulse=1e-7)
+    NAMES = sorted(length_calls(None, None))
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("n", [2.5, 0.5, 1e15 + 0.5, np.float64(2.5), math.inf,
+                                   -math.inf, np.inf, math.nan, 0, -1, np.int64(0)])
+    @pytest.mark.parametrize("p_det", [0.1, 0.0])
+    def test_refused(self, name, n, p_det):
+        # p_det = 0 takes the dark-link shortcuts, which must not skip the check
+        call = length_calls(probs_of(p_det, 0.8), self.TIMING)[name]
+        with pytest.raises(ValueError, match="n must be a whole number >= 1"):
+            call(n)
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_whole_floats_and_numpy_integers(self, name):
+        call = length_calls(probs_of(0.1, 0.8), self.TIMING)[name]
+        want = call(2)
+        for n in (2.0, np.int64(2), np.float64(2.0)):
+            assert call(n) == want
+
+
 class TestTransferRate:
     def test_headline_30db(self):
         res = ps.transfer_rate(ps.design_pdr(), ps.design_polarizer(),
@@ -408,6 +445,47 @@ class TestTransferRate:
                 ps.design_pdr(), ps.design_polarizer(), ps.design_cavity(),
                 link, ps.design_timing(), f_target=0.95).rate)
         assert all(a >= b for a, b in zip(rates, rates[1:]))
+
+
+    @pytest.mark.parametrize("f_target", [0.95, 0.99, 0.9998])
+    def test_p_error_is_the_walk_at_n_max(self, f_target):
+        # p_error comes from the n_max search's own walk: it must be the
+        # bits of a fresh walk, out to the search cap, and at the design
+        # point the search walks every n_max itself
+        f0 = rate._f0(ps.design_pdr(), ps.design_polarizer(), ps.design_cavity(),
+                      ps.design_link(1.0), DESIGN_R_CAV_H, False)
+        for db in range(0, 157):
+            link = ps.design_link(10 ** (-db / 10))
+            res = ps.transfer_rate(ps.design_pdr(), ps.design_polarizer(),
+                                   ps.design_cavity(), link, ps.design_timing(),
+                                   f_target=f_target)
+            probs = ps.attempt_probabilities(ps.design_pdr(), ps.design_polarizer(), link)
+            assert res.p_error == ps.sequence_error_probability(res.n_max, probs), db
+            walked = rate._attempt_limit(probs.p_det, probs.p_e, f0, f_target, rate._PyMath)[3]
+            assert walked == res.p_error, db
+
+    @pytest.mark.parametrize("db", [30, 60])
+    def test_one_walk_per_call(self, monkeypatch, db):
+        walks = []
+        walk = rate._error_terms
+        monkeypatch.setattr(rate, "_error_terms",
+                            lambda n, *args: walks.append(n) or walk(n, *args))
+        res = ps.transfer_rate(ps.design_pdr(), ps.design_polarizer(), ps.design_cavity(),
+                               ps.design_link(10 ** (-db / 10)), ps.design_timing(),
+                               f_target=0.95)
+        assert walks == [res.n_max]
+
+    def test_p_error_where_the_search_did_not_walk_n_max(self):
+        # the walk at n - 1 and its increment put n under the budget, and
+        # the walk at n + 1 puts n + 1 over it, so n itself is never walked
+        p_det, p_e = 2.1097193042672393e-16, 0.014198005348750957
+        f0, f_target = 0.9948660569353225, 0.5996288420986686
+        probs = ps.AttemptProbabilities(p_det=p_det, p_lost=1.0 - p_det - p_e, p_e=p_e)
+        n, _, _, walked = rate._attempt_limit(p_det, p_e, f0, f_target, rate._PyMath)
+        assert n == 7597387143805503 and math.isnan(walked)
+        nm, p_err = rate._decide_attempts(probs, f0, f_target)
+        assert nm == ps.max_attempts(probs, f0, f_target)
+        assert nm.n == n and p_err == ps.sequence_error_probability(n, probs)
 
 
 def design_probs(db):
@@ -598,7 +676,7 @@ class TestDigitWalk:
         p_det, p_e, f_target = (np.array(v) for v in zip(
             *((probs.p_det, probs.p_e, f) for _, probs, f in cases)))
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            n, unbounded, cap_reached = rate._attempt_limit(p_det, p_e, F0_DESIGN, f_target, np)
+            n, unbounded, cap_reached, _ = rate._attempt_limit(p_det, p_e, F0_DESIGN, f_target, np)
         on_arrays = [ps.MaxAttempts(n=int(n[i]), unbounded=bool(unbounded[i]),
                                     cap_reached=bool(cap_reached[i]))
                      for i in range(len(cases))]

@@ -67,6 +67,9 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     # 1 dB steps where one attempt moves p_err by a few ulp of the error budget
     ("sweep", ["sweep.kind=rate_vs_loss", "sweep.axis=[121,156,36]",
                "constraints=[0.95,0.97,0.99,0.9998]"], []),
+    # the scalar p_error at 150 and 156 dB, near the n_max search cap
+    *(("rate", [f"link.eta_link={eta}", f"f_target={f}"], [])
+      for eta in ("1e-15", "2.5e-16") for f in ("0.95", "0.9998")),
     # past about 3080 dB 1 / (p_det + p_e) overflows; eta_link = 0 is a dark link
     ("rate", ["link.eta_link=1e-310"], []),
     ("rate", ["link.eta_link=0"], []),
