@@ -5,50 +5,25 @@ lossy link, with analytic closed forms cross-validated by Monte Carlo."""
 
 from importlib import import_module
 
-from .device import (
-    IDEAL_REFLECTIONS,
-    TARGET_STATES,
-    EffectiveReflections,
-    FidelityReport,
-    HeraldOutcome,
-    JointState,
-    OpaqueDeviceError,
-    PhotonQubit,
-    SpinState,
-    UnheraldableOutcomeError,
-    cavity_reflection,
-    effective_reflections,
-    evolve_joint_state,
-    herald_spin_state,
-    loss_balance_residual,
-    transfer_fidelity,
-)
-from .params import (
-    CavityParams,
-    LinkParams,
-    McConfig,
-    NoDetectionError,
-    PdrParams,
-    PolarizerParams,
-    ProtocolTiming,
-    SweepAxis,
-    ValidationError,
-    design_cavity,
-    design_link,
-    design_pdr,
-    design_polarizer,
-    design_timing,
-)
-
 __version__ = "0.1.0"
 
-# rate, montecarlo and sweep and their names load on first use (PEP 562), so
-# `import polspin` and `from polspin import config` load no numpy.
+# Every submodule and its names load on first use (PEP 562), so `import
+# polspin` runs no submodule, `from polspin import config` loads params and
+# config only, and no numpy loads before an array path needs it.
 _LAZY = {
-    "rate": ("AttemptProbabilities", "InfeasibleConstraintError", "MaxAttempts", "RateResult",
-             "attempt_probabilities", "classify_regime", "expected_failure_time",
-             "expected_success_time", "max_attempts", "protocol_fidelity",
-             "repeaterless_bound", "sequence_error_probability", "transfer_rate"),
+    "device": ("IDEAL_REFLECTIONS", "TARGET_STATES", "EffectiveReflections", "FidelityReport",
+               "HeraldOutcome", "JointState", "OpaqueDeviceError", "PhotonQubit", "SpinState",
+               "UnheraldableOutcomeError", "cavity_reflection", "effective_reflections",
+               "evolve_joint_state", "herald_spin_state", "loss_balance_residual",
+               "transfer_fidelity"),
+    "params": ("CavityParams", "InfeasibleConstraintError", "LinkParams", "McConfig",
+               "NoDetectionError", "PdrParams", "PolarizerParams", "ProtocolTiming",
+               "SweepAxis", "ValidationError", "design_cavity", "design_link", "design_pdr",
+               "design_polarizer", "design_timing"),
+    "rate": ("AttemptProbabilities", "MaxAttempts", "RateResult", "attempt_probabilities",
+             "classify_regime", "expected_failure_time", "expected_success_time",
+             "max_attempts", "protocol_fidelity", "repeaterless_bound",
+             "sequence_error_probability", "transfer_rate"),
     "montecarlo": ("McRateEstimate", "TrialResult", "simulate_rate", "simulate_trial"),
     "sweep": ("SweepResult", "sweep_fidelity_cavity", "sweep_fidelity_pdr",
               "sweep_rate_vs_loss"),

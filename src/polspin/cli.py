@@ -8,7 +8,8 @@ echoed to stdout so no default stays silent.
 Exit codes: 0 success, 2 validation, 3 infeasible constraint, 4 IO,
 5 numerical failure (search cap reached, opaque device, no detection).
 
-numpy, montecarlo and sweep load only in the commands that need arrays.
+device and json load with this module; rate only in the commands that
+compute a rate, and numpy, montecarlo and sweep only in those that need arrays.
 """
 
 from __future__ import annotations
@@ -27,16 +28,10 @@ from .device import (
     loss_balance_residual,
     transfer_fidelity,
 )
-from .params import NoDetectionError, SweepAxis, ValidationError
-from .rate import (
-    ATTEMPT_SEARCH_CAP,
-    InfeasibleConstraintError,
-    RateResult,
-    attempt_probabilities,
-    transfer_rate,
-)
+from .params import InfeasibleConstraintError, NoDetectionError, SweepAxis, ValidationError
 
 if TYPE_CHECKING:
+    from .rate import RateResult
     from .sweep import SweepResult
 
 EXIT_OK = 0
@@ -152,6 +147,8 @@ def _rate(cfg: RunConfig) -> RateResult:
     the rate and montecarlo commands; a constraint that still holds at the
     attempt cap (2**53, about 157 dB of loss at the design point) is a
     failure."""
+    from .rate import ATTEMPT_SEARCH_CAP, transfer_rate
+
     res = transfer_rate(cfg.pdr, cfg.polarizer, cfg.cavity, cfg.link,
                         cfg.timing, cfg.f_target, r_cav_h=cfg.r_cav_h,
                         false_herald_correction=cfg.false_herald_correction)
@@ -207,6 +204,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> None:
 
 def _cmd_montecarlo(cfg: RunConfig, out: Path, fmt: str) -> None:
     from .montecarlo import simulate_rate
+    from .rate import attempt_probabilities
 
     res = _rate(cfg)
     probs = attempt_probabilities(cfg.pdr, cfg.polarizer, cfg.link)
@@ -216,6 +214,8 @@ def _cmd_montecarlo(cfg: RunConfig, out: Path, fmt: str) -> None:
 
 
 def _cmd_diagnose(cfg: RunConfig, out: Path, fmt: str) -> None:
+    from .rate import attempt_probabilities
+
     eff = effective_reflections(cfg.pdr, cfg.polarizer, cfg.cavity,
                                 r_cav_h=cfg.r_cav_h)
     probs = attempt_probabilities(cfg.pdr, cfg.polarizer, cfg.link)

@@ -1,10 +1,10 @@
 """Run configuration: the defaults, JSON loading, dotted-path overrides,
 validation, and the resolved-config echo used for provenance. It holds the
-sweeps' default axes and constraints, and loads no numpy."""
+sweeps' default axes and constraints, and loads no numpy; json loads only
+where a value is read or written as JSON."""
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from pathlib import Path
@@ -130,6 +130,8 @@ def _parse_override(expr: str) -> dict[str, Any]:
     """'a.b=v' as {"a": {"b": v}}; v is read as JSON, else kept as text."""
     if "=" not in expr:
         raise ConfigError(f"override must look like key=value, got {expr!r}")
+    import json
+
     key, raw = expr.split("=", 1)
     try:
         val = json.loads(raw)
@@ -159,9 +161,13 @@ class RunConfig(Value):
 
     @property
     def config_hash(self) -> str:
+        import json
+
         return sha256(json.dumps(self.raw, sort_keys=True).encode()).hexdigest()[:16]
 
     def echo_json(self) -> str:
+        import json
+
         return json.dumps({"config": self.raw, "config_hash": self.config_hash},
                           indent=2, sort_keys=True)
 
@@ -178,8 +184,11 @@ def _build(raw: dict[str, Any]) -> RunConfig:
         polarizer = PolarizerParams(**raw["polarizer"])
         link = LinkParams(**raw["link"])
         timing = ProtocolTiming(**raw["timing"])
-        f_target = raw["f_target"]
-        for name, v in (("f_target", f_target), *(("constraint", c) for c in raw["constraints"])):
+        f_target, constraints = raw["f_target"], raw["constraints"]
+        if not (isinstance(constraints, list) and constraints):
+            raise ConfigError(
+                f"constraints must be a non-empty list of numbers, got {constraints!r}")
+        for name, v in (("f_target", f_target), *(("constraint", c) for c in constraints)):
             if type(v) not in _NUMBERS:
                 raise ConfigError(f"{name} must be a number, got {v!r}")
             if not 0 <= v <= 1:
@@ -208,7 +217,7 @@ def _build(raw: dict[str, Any]) -> RunConfig:
         timing=timing,
         r_cav_h=complex(re_im[0], re_im[1]),
         f_target=f_target,
-        constraints=tuple(raw["constraints"]),
+        constraints=tuple(constraints),
         false_herald_correction=raw["false_herald_correction"],
         mc=mc,
         sweep=dict(raw["sweep"]),
@@ -231,6 +240,8 @@ def load_config(
     if path is not None:
         text = Path(path).read_text()
         if text.strip():
+            import json
+
             try:
                 data = json.loads(text)
             except json.JSONDecodeError as exc:

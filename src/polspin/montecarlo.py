@@ -24,7 +24,7 @@ import numpy as np
 
 # re-exported: McConfig and NoDetectionError live in params, which loads no numpy
 from .params import DEFAULT_DRAW_CAP, McConfig, NoDetectionError, ProtocolTiming, Value
-from .rate import AttemptProbabilities
+from .rate import AttemptProbabilities, _check_length
 
 _BLOCK = 256  # draws per refill in _walk; fixed, so seeded runs do not depend on trials
 
@@ -70,8 +70,7 @@ def simulate_trial(
     draw_cap draws, one per attempt, pass without a click, within a
     sequence too (an unbounded constraint gives n_max = 2**53).
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_length(n_max, "n_max")
     p_lost, err_edge = probs.p_lost, probs.p_lost + probs.p_e
     attempts, sequences, pos, error_in_seq = 0, 1, 0, False  # pos: in this sequence
     while attempts < draw_cap:
@@ -96,8 +95,7 @@ def _walk(probs: AttemptProbabilities, n_max: int, trials: int,
     it. A trial may take draw_cap gaps, one per attempt that is not lost or
     per sequence that ends without a click, however many attempts they span.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_length(n_max, "n_max")
     if probs.p_det == 0:  # no click ever; stepping through errors to the cap is slow
         raise NoDetectionError("no detection possible (p_det = 0)")
     p_hit = min(1.0, probs.p_det + probs.p_e)

@@ -269,6 +269,10 @@ class NoDetectionError(RuntimeError):
     """The draw cap was exhausted without a detector click."""
 
 
+class InfeasibleConstraintError(ValueError):
+    """The fidelity target exceeds what a single attempt can deliver."""
+
+
 class McConfig(Value):
     _fields = ("trials", "seed", "draw_cap")
 

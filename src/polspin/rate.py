@@ -40,9 +40,11 @@ import operator
 from typing import TYPE_CHECKING
 
 from .device import transfer_fidelity
+# re-exported: InfeasibleConstraintError lives in params, which the CLI loads without rate
 from .params import (
     DESIGN_R_CAV_H,
     CavityParams,
+    InfeasibleConstraintError,
     LinkParams,
     PdrParams,
     PolarizerParams,
@@ -99,10 +101,6 @@ class _PyMath:
     @staticmethod
     def where(cond, a, b):
         return a if cond else b
-
-
-class InfeasibleConstraintError(ValueError):
-    """The fidelity target exceeds what a single attempt can deliver."""
 
 
 class AttemptProbabilities(Value):
@@ -325,11 +323,11 @@ def _array_walk(n, p_det, p_e):
     return p_det * walked, -p_det * exp(n * lq) * expm1(n * lr)
 
 
-def _check_length(n) -> None:
+def _check_length(n, name: str = "n") -> None:
     """Refuse a sequence length that is not a finite whole number >= 1;
     2.0 and numpy integers are accepted."""
     if not (1 <= n < math.inf and n % 1 == 0):
-        raise ValueError(f"n must be a whole number >= 1, got {n}")
+        raise ValueError(f"{name} must be a whole number >= 1, got {n}")
 
 
 def sequence_error_probability(n: int, probs: AttemptProbabilities) -> float:

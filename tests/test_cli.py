@@ -286,6 +286,20 @@ class TestMain:
         assert named in err["detail"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("constraints,got", [
+        ("[]", "[]"), ("{}", "{}"), ("0.95", "0.95"), ('"abc"', "'abc'"),
+    ], ids=["empty_list", "empty_mapping", "number", "text"])
+    def test_sweep_rate_refuses_constraints_that_are_not_a_list(self, tmp_path, capsys,
+                                                                constraints, got):
+        # an empty list wrote no file with exit 0; a text was read letter by letter
+        code = main(["--command", "sweep", "--set", "sweep.kind=rate_vs_loss",
+                     "--set", f"constraints={constraints}",
+                     "--out", str(tmp_path / "rates.csv")])
+        err = json.loads(capsys.readouterr().err)
+        assert (code, err["error"]) == (2, "validation")
+        assert err["detail"] == f"constraints must be a non-empty list of numbers, got {got}"
+        assert list(tmp_path.iterdir()) == []
+
     def test_montecarlo_deterministic(self, tmp_path, capsys):
         args = ["--command", "montecarlo", "--seed", "3", "--trials", "40",
                 "--set", "link.eta_link=0.01"]

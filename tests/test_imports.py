@@ -1,7 +1,7 @@
 """The package loads numpy only on the array paths: `import polspin`, the
 config and the scalar CLI commands run without it, and without the
-standard dataclasses module, and the names of the array modules resolve on
-first use."""
+standard dataclasses module. Every submodule and its names resolve on first
+use, so the config loads no device, rate or json, and fidelity no rate."""
 
 import importlib
 import json
@@ -14,7 +14,8 @@ import pytest
 
 import polspin
 
-# Every name the package exports, by the module that defines it.
+# Every name the package exports, by the module that defines it (or, for
+# InfeasibleConstraintError, re-exports it from params).
 EXPORTS = {
     "device": ["IDEAL_REFLECTIONS", "TARGET_STATES", "EffectiveReflections", "FidelityReport",
                "HeraldOutcome", "JointState", "OpaqueDeviceError", "PhotonQubit", "SpinState",
@@ -34,31 +35,32 @@ EXPORTS = {
               "sweep_rate_vs_loss"],
 }
 
-# Run in a fresh interpreter: after each step, whether numpy is loaded and
-# whether dataclasses is.
+# Run in a fresh interpreter: after each step, whether numpy is loaded,
+# whether dataclasses is, which polspin submodules are and whether json is.
+# json is read before the script imports it for its own report.
 _STEPS = """
-import json, os, sys
+import os, sys
 steps = []
-def loaded():
-    return "dataclasses" in sys.modules
+def step(name, ok=True):
+    steps.append([name, ok and "numpy" in sys.modules, "dataclasses" in sys.modules,
+                  sorted(m for m in sys.modules if m.startswith("polspin.")),
+                  "json" in sys.modules])
 import polspin
-steps.append(["import polspin", "numpy" in sys.modules, loaded()])
+step("import polspin")
 from polspin import config
 config.load_config()
-steps.append(["load_config", "numpy" in sys.modules, loaded()])
+step("load_config")
 from polspin import cli
 for command in ("fidelity", "rate", "diagnose"):
     for fmt in ("csv", "json"):
         out = os.path.join(sys.argv[1], f"{command}.{fmt}")
         code = cli.main(["--command", command, "--format", fmt, "--out", out])
-        steps.append([f"{command} {fmt} (exit {code})", "numpy" in sys.modules, loaded()])
+        step(f"{command} {fmt} (exit {code})")
 montecarlo = polspin.montecarlo  # a lazy module loads on first use, and numpy
-steps.append(["polspin.montecarlo",
-              montecarlo is sys.modules["polspin.montecarlo"] and "numpy" in sys.modules,
-              loaded()])
+step("polspin.montecarlo", montecarlo is sys.modules["polspin.montecarlo"])
 sweep = polspin.sweep_fidelity_pdr  # and so does a lazy name's module
-steps.append(["polspin.sweep_fidelity_pdr",
-              sweep is sys.modules["polspin.sweep"].sweep_fidelity_pdr, loaded()])
+step("polspin.sweep_fidelity_pdr", sweep is sys.modules["polspin.sweep"].sweep_fidelity_pdr)
+import json
 print(json.dumps(steps), file=sys.stderr)
 """
 
@@ -76,7 +78,7 @@ def test_scalar_paths_do_not_load_numpy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stderr.strip().splitlines()[-1])
-    loaded = {step: numpy for step, numpy, _ in steps}
+    loaded = {step: numpy for step, numpy, *_ in steps}
     assert loaded == {
         "import polspin": False,
         "load_config": False,
@@ -86,8 +88,17 @@ def test_scalar_paths_do_not_load_numpy(tmp_path):
         "polspin.sweep_fidelity_pdr": True,
     }
     # no value type builds on dataclasses, whose import pulls in inspect
-    dataclasses_loaded = {step: dc for step, _, dc in steps if step in _SCALAR_STEPS}
+    dataclasses_loaded = {step: dc for step, _, dc, *_ in steps if step in _SCALAR_STEPS}
     assert dataclasses_loaded == dict.fromkeys(_SCALAR_STEPS, False)
+    # set-up compiles only what it runs: no submodule on import, no device,
+    # rate or json for the config, and no rate for the fidelity command
+    modules = {step: set(names) for step, _, _, names, _ in steps}
+    json_loaded = {step: js for step, *_, js in steps}
+    assert modules["import polspin"] == set()
+    assert modules["load_config"] == {"polspin.config", "polspin.params"}
+    assert not json_loaded["load_config"]
+    for fmt in ("csv", "json"):
+        assert "polspin.rate" not in modules[f"fidelity {fmt} (exit 0)"]
 
 
 @pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items() for n in names])
@@ -97,9 +108,10 @@ def test_exported_name_is_the_defining_modules_object(module, name):
 
 
 def test_moved_names_stay_importable_from_their_old_modules():
-    from polspin import config, montecarlo, params, sweep
+    from polspin import config, montecarlo, params, rate, sweep
 
     for old, new, names in [
+        (rate, params, ["InfeasibleConstraintError"]),
         (montecarlo, params, ["McConfig", "NoDetectionError", "DEFAULT_DRAW_CAP"]),
         (sweep, params, ["SweepAxis"]),
         (sweep, config, ["DEFAULT_CONSTRAINTS", "SWEEP_KINDS", "_jsonable", "default_pdr_axes",

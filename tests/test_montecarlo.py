@@ -280,8 +280,18 @@ class TestEventSkipping:
                              McConfig(trials=3, seed=0, draw_cap=cap))
 
     def test_refuses_n_max_below_one(self):
-        with pytest.raises(ValueError, match="n_max must be >= 1"):
+        with pytest.raises(ValueError, match="n_max must be a whole number >= 1"):
             ps.simulate_rate(probs_of(0.5, 0.2), 0, TIMING, McConfig(trials=3, seed=0))
+
+    @pytest.mark.parametrize("n_max", [2.5, math.inf, math.nan, 0])
+    def test_refuses_n_max_that_is_not_whole(self, n_max):
+        # the rate layer's rule, before any draw: a fraction would give a rate
+        # between its neighbours', and the empty script raises IndexError if drawn
+        message = re.escape(f"n_max must be a whole number >= 1, got {n_max}")
+        with pytest.raises(ValueError, match=message):
+            ps.simulate_trial(probs_of(0.5, 0.2), n_max, TIMING, ScriptedRng([]))
+        with pytest.raises(ValueError, match=message):
+            ps.simulate_rate(probs_of(0.5, 0.2), n_max, TIMING, McConfig(trials=3, seed=0))
 
     def test_first_trials_do_not_depend_on_the_trial_count(self):
         # the short walk already spans block refills; a block size that

@@ -17,6 +17,9 @@ first on odd repeats and the new tree first on even ones, and a table of
 each command's median wall time per tree, with the old tree's quartiles,
 follows the comparison; the first run of each tree is the one compared.
 The wall time counts the whole process: interpreter start, imports and work.
+The table's last row times a bare set-up probe the same way: a fresh
+`python -c "from polspin import config; config.load_config()"`, the set-up
+the benchmark's --setup-only times, with no command run.
 Standard library only.
 """
 
@@ -64,6 +67,9 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     ("sweep", ["sweep.kind=pdr", 'sweep.second_axis=[0,0.6,5,"db"]'], []),
     ("sweep", ["sweep.kind=rate_vs_loss", "constraints=[0.95,0.99,0.999,0.9998]"], []),
     ("sweep", ["sweep.kind=rate_vs_loss", "constraints=[0.95,0.95]"], []),
+    # refused: constraints that are not a non-empty list of numbers
+    *(("sweep", ["sweep.kind=rate_vs_loss", f"constraints={constraints}"], [])
+      for constraints in ("[]", "{}", "0.95", '"abc"')),
     # 1 dB steps where one attempt moves p_err by a few ulp of the error budget
     ("sweep", ["sweep.kind=rate_vs_loss", "sweep.axis=[121,156,36]",
                "constraints=[0.95,0.97,0.99,0.9998]"], []),
@@ -84,15 +90,18 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     *(("fidelity", [setting], []) for setting in MC_SETTINGS),
 ]
 
+# The benchmark's set-up: import polspin and resolve the default config.
+SETUP_PROBE = "from polspin import config; config.load_config()"
+
 
 def run(tree: Path, workdir: Path, argv: list[str]) -> tuple[dict[str, object], float]:
-    """One CLI run in an emptied workdir: its streams, exit code and files,
-    and the process's wall time in seconds."""
+    """One `python *argv` run in an emptied workdir: its streams, exit code
+    and files, and the process's wall time in seconds."""
     for path in workdir.iterdir():
         path.unlink()
     env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "polspin.cli", *argv], cwd=workdir,
+    proc = subprocess.run([sys.executable, *argv], cwd=workdir,
                           env=env, capture_output=True)
     seconds = time.perf_counter() - start
     files = {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
@@ -102,8 +111,8 @@ def run(tree: Path, workdir: Path, argv: list[str]) -> tuple[dict[str, object], 
 
 def timed_pair(trees: list[Path], workdirs: list[Path], argv: list[str], repeat: int
                ) -> tuple[list[dict[str, object]], list[list[float]]]:
-    """Each tree's first run of argv, and the wall times of its `repeat`
-    runs, the two trees alternating which goes first."""
+    """Each tree's first `python *argv` run, and the wall times of its
+    `repeat` runs, the two trees alternating which goes first."""
     first: list[dict[str, object]] = [{}, {}]
     seconds: list[list[float]] = [[], []]
     for k in range(repeat):
@@ -165,7 +174,8 @@ def main(argv: list[str]) -> int:
             for fmt, out in (("csv", "result.csv"), ("json", "result.json")):
                 argv = ["--command", command, *flags, "--out", out, "--format", fmt,
                         *(arg for s in sets for arg in ("--set", s))]
-                (old, new), seconds = timed_pair(trees, workdirs, argv, args.repeat)
+                (old, new), seconds = timed_pair(trees, workdirs, ["-m", "polspin.cli", *argv],
+                                                 args.repeat)
                 timings.append((" ".join(argv), *seconds))
                 runs += 1
                 if not differences(old, new):
@@ -178,6 +188,9 @@ def main(argv: list[str]) -> int:
                     print("  identical apart from the config hash")
                 for line in found:
                     print(f"  {line}")
+        if args.repeat > 1:
+            _, seconds = timed_pair(trees, workdirs, ["-c", SETUP_PROBE], args.repeat)
+            timings.append((f'set-up: python -c "{SETUP_PROBE}"', *seconds))
     print(f"{identical} of {runs} runs identical, {hash_only} identical apart from the "
           f"config hash, {runs - identical - hash_only} different")
     if args.repeat > 1:
