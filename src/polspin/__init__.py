@@ -9,7 +9,8 @@ __version__ = "0.1.0"
 
 # Every submodule and its names load on first use (PEP 562), so `import
 # polspin` runs no submodule, `from polspin import config` loads params and
-# config only, and no numpy loads before an array path needs it.
+# config only (no device or rate), and no numpy loads before an array path
+# needs it.
 _LAZY = {
     "device": ("IDEAL_REFLECTIONS", "TARGET_STATES", "EffectiveReflections", "FidelityReport",
                "HeraldOutcome", "JointState", "OpaqueDeviceError", "PhotonQubit", "SpinState",

@@ -19,7 +19,10 @@ follows the comparison; the first run of each tree is the one compared.
 The wall time counts the whole process: interpreter start, imports and work.
 The table's last row times a bare set-up probe the same way: a fresh
 `python -c "from polspin import config; config.load_config()"`, the set-up
-the benchmark's --setup-only times, with no command run.
+the benchmark's --setup-only times, with no command run. Unlike the
+benchmark's worker, which has imported json before it times set-up, the
+probe starts without json, so it also counts json's import where config
+loads it.
 Standard library only.
 """
 
