@@ -24,14 +24,15 @@ from .params import (
 )
 
 # hashlib loads OpenSSL, several MB of resident memory, for one digest; the
-# interpreter's own sha256 module gives the same digest without it.
+# interpreter's own sha256 module gives the same digest without it. It is
+# chosen by version, since a failed import scans sys.path on every set-up.
 try:
-    from _sha2 import sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256  # Python 3.11 and earlier
-    except ImportError:
-        from hashlib import sha256
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
+        from _sha256 import sha256
+except ImportError:  # an interpreter built without it
+    from hashlib import sha256
 
 
 # The types of a JSON number; type(True) is bool, so a bool is not among them.

@@ -3,17 +3,22 @@
 Each attempt is lost before the spin, lost after it (an unheralded error),
 or detected. A sequence ends at detection or after n_max attempts (charging
 a spin reset and starting a new sequence); a trial ends at its first
-detection. simulate_rate skips the lost attempts: the gap to the next one
-that is not lost is geometric with p = p_det + p_e, and it clicks with
-probability p_det / (p_det + p_e). That uses only memorylessness, so it is
-exact in distribution, independent of the closed forms, and its cost does
-not grow with loss. It takes the gaps and the click uniforms from one
-generator in blocks of _BLOCK (256) each, refilled as they run out, and
-walks the trials through them in plain Python: a seeded run's draws depend
-on the block size and on the trials before each one, not on those after.
-simulate_trial is the per-attempt reference sampler, one draw per attempt.
-Both raise NoDetectionError once a trial has taken draw_cap draws without a
-click: a cap on the sampler's work, not on the attempts a trial simulates.
+detection. A sequence without a click is exactly n_max attempts, so the
+sequences of a trial are back-to-back blocks of one stream of i.i.d.
+attempts: the index T of the first click is geometric with p = p_det, the
+trial used ceil(T / n_max) sequences, and it clicked at position
+k = T - (sequences - 1) * n_max of the last. Its error flag is set if any of
+the k - 1 attempts before the click, each an error with chance
+p_e / (1 - p_det) given no click, is one. simulate_rate draws T and the flag
+by inversion from row i of one rng.standard_exponential((trials, 2)) for
+trial i, with no loop over trials, sequences or attempts. That uses only the
+per-attempt law and memorylessness, so it is exact in distribution and
+independent of the closed forms in rate; its cost does not grow with loss,
+and a seeded run's first k trials are those of the same seed's k-trial run.
+A first click at attempt 2**62 or later, whose count would not fit the
+sampler's integers, raises NoDetectionError (p_det = 0, or far below 1e-18).
+simulate_trial is the per-attempt reference sampler, one draw per attempt;
+it raises NoDetectionError once draw_cap draws pass without a click.
 """
 
 from __future__ import annotations
@@ -23,10 +28,11 @@ import math
 import numpy as np
 
 # re-exported: McConfig and NoDetectionError live in params, which loads no numpy
-from .params import DEFAULT_DRAW_CAP, McConfig, NoDetectionError, ProtocolTiming, Value
+from .params import McConfig, NoDetectionError, ProtocolTiming, Value
 from .rate import AttemptProbabilities, _check_length
 
-_BLOCK = 256  # draws per refill in _walk; fixed, so seeded runs do not depend on trials
+DEFAULT_DRAW_CAP = 10**8  # simulate_trial's draws, one per attempt
+_ATTEMPT_CAP = 2**62  # _trials counts attempts in int64
 
 
 class TrialResult(Value):
@@ -45,10 +51,6 @@ class McRateEstimate(Value):
                  trials: int) -> None:
         self.__dict__.update(mean_rate=mean_rate, std_error=std_error,
                              error_fraction=error_fraction, trials=trials)
-
-
-def _cap_exhausted(draw_cap: int, probs: AttemptProbabilities) -> NoDetectionError:
-    return NoDetectionError(f"no detection within {draw_cap} draws (p_det = {probs.p_det})")
 
 
 def simulate_trial(
@@ -81,56 +83,30 @@ def simulate_trial(
             return TrialResult(sequences * timing.tau_reset + attempts * timing.tau_slot,
                                attempts, sequences, error_in_seq)
         error_in_seq = error_in_seq or u >= p_lost
-    raise _cap_exhausted(draw_cap, probs)
+    raise NoDetectionError(f"no detection within {draw_cap} draws (p_det = {probs.p_det})")
 
 
-def _walk(probs: AttemptProbabilities, n_max: int, trials: int,
-          rng: np.random.Generator, draw_cap: int
-          ) -> tuple[list[int], list[int], list[bool]]:
-    """Attempts, sequences and error flags of `trials` successive trials of
-    simulate_trial's law, drawn only at the attempts that are not lost.
-
-    Gaps and uniforms come from rng in blocks of _BLOCK, each refilled only
-    when used up, so a trial's draws do not depend on how many trials follow
-    it. A trial may take draw_cap gaps, one per attempt that is not lost or
-    per sequence that ends without a click, however many attempts they span.
+def _trials(probs: AttemptProbabilities, n_max: int, trials: int, rng: np.random.Generator
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Attempts, sequences, click positions (int64) and error flags (bool)
+    of `trials` trials of simulate_trial's law, trial i from row i of one
+    (trials, 2) draw of standard exponentials (see the module docstring).
+    Raises NoDetectionError where a first click comes at _ATTEMPT_CAP or later.
     """
     _check_length(n_max, "n_max")
-    if probs.p_det == 0:  # no click ever; stepping through errors to the cap is slow
-        raise NoDetectionError("no detection possible (p_det = 0)")
-    p_hit = min(1.0, probs.p_det + probs.p_e)
-    click_share = probs.p_det / p_hit
-    attempts_out: list[int] = []
-    sequences_out: list[int] = []
-    errors_out: list[bool] = []
-    gaps: list[int] = []
-    uniforms: list[float] = []
-    gi = ui = _BLOCK  # both blocks empty: fill on first use
-    for _ in range(trials):
-        attempts, sequences = 0, 1  # attempts counts the sequences already ended
-        pos, error_in_seq = 0, False  # the current sequence
-        stop = gi + draw_cap  # gi at which this trial's draws run out, block-relative
-        while True:
-            if gi == _BLOCK:
-                gaps, gi, stop = rng.geometric(p_hit, size=_BLOCK).tolist(), 0, stop - _BLOCK
-            if gi == stop:
-                raise _cap_exhausted(draw_cap, probs)
-            pos += gaps[gi]
-            gi += 1
-            if pos > n_max:  # no click within n_max attempts: reset, start anew
-                attempts, sequences, pos, error_in_seq = attempts + n_max, sequences + 1, 0, False
-                continue
-            if ui == _BLOCK:
-                uniforms, ui = rng.random(_BLOCK).tolist(), 0
-            u = uniforms[ui]
-            ui += 1
-            if u < click_share:
-                break
-            error_in_seq = True
-        attempts_out.append(attempts + pos)
-        sequences_out.append(sequences)
-        errors_out.append(error_in_seq)
-    return attempts_out, sequences_out, errors_out
+    p_det, p_e = probs.p_det, probs.p_e
+    scale = -math.log1p(-p_det) if p_det < 1 else math.inf  # P(X > scale * t) = (1 - p_det)**t
+    x = rng.standard_exponential((trials, 2))
+    if not x[:, 0].max() < scale * _ATTEMPT_CAP:  # also p_det = 0; below it, no overflow
+        raise NoDetectionError(
+            f"no detection within 2**62 attempts (p_det = {p_det})")
+    before = (x[:, 0] / scale).astype(np.int64)  # floor: T - 1, the attempts before the click
+    # sequences - 1 and k - 1; an n_max past int64 is one sequence, as before < 2**63
+    resets, pos = np.divmod(before, min(int(n_max), 2**63 - 1))
+    # each of the k - 1 attempts before the click is an error with chance q
+    q = p_e / (1 - p_det) if p_det < 1 else 0.0
+    errors = pos > 0 if q >= 1 else x[:, 1] < pos * -math.log1p(-q)
+    return before + 1, resets + 1, pos + 1, errors
 
 
 def simulate_rate(
@@ -141,17 +117,15 @@ def simulate_rate(
 ) -> McRateEstimate:
     """Estimate the average transfer rate from cfg.trials independent trials.
 
-    One generator seeded with cfg.seed draws every trial in turn, skipping
-    the lost attempts in blocks of draws (see the module docstring), and the
-    cost per trial does not grow with loss. A seeded run's first k trials
-    are those of the same seed's k-trial run.
+    One generator seeded with cfg.seed draws every trial at once (see the
+    module docstring), and the cost per trial does not grow with loss. A
+    seeded run's first k trials are those of the same seed's k-trial run.
     The estimate is 1/mean(elapsed), the rate the analytic model computes;
     its standard error is propagated from the trial times' spread, nan for one trial.
     """
-    attempts, sequences, errors = _walk(probs, n_max, cfg.trials,
-                                        np.random.default_rng(cfg.seed), cfg.draw_cap)
-    elapsed = (np.array(sequences, dtype=float) * timing.tau_reset
-               + np.array(attempts, dtype=float) * timing.tau_slot)
+    attempts, sequences, _, errors = _trials(probs, n_max, cfg.trials,
+                                             np.random.default_rng(cfg.seed))
+    elapsed = sequences * timing.tau_reset + attempts * timing.tau_slot
     n = cfg.trials
     mean_t = float(np.add.reduce(elapsed) / n)  # np.mean's arithmetic, without its overhead
     d = elapsed - mean_t  # and np.std(ddof=1)'s
@@ -159,6 +133,6 @@ def simulate_rate(
     return McRateEstimate(
         mean_rate=1.0 / mean_t,
         std_error=se_t / mean_t**2,  # delta method through 1/x
-        error_fraction=sum(errors) / n,
+        error_fraction=int(np.count_nonzero(errors)) / n,
         trials=n,
     )

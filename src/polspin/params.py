@@ -262,11 +262,8 @@ class ProtocolTiming(Value):
         return self.pulse_multiplier * self.tau_pulse
 
 
-DEFAULT_DRAW_CAP = 10**8
-
-
 class NoDetectionError(RuntimeError):
-    """The draw cap was exhausted without a detector click."""
+    """A Monte Carlo sampler reached its cap without a detector click."""
 
 
 class InfeasibleConstraintError(ValueError):
@@ -274,16 +271,15 @@ class InfeasibleConstraintError(ValueError):
 
 
 class McConfig(Value):
-    _fields = ("trials", "seed", "draw_cap")
+    _fields = ("trials", "seed")
 
-    def __init__(self, trials: int = 100, seed: int = 0,
-                 draw_cap: int = DEFAULT_DRAW_CAP) -> None:
+    def __init__(self, trials: int = 100, seed: int = 0) -> None:
         # the one place the mc rules are written; config builds its mc section here
-        for key, v, least in (("trials", trials, 1), ("seed", seed, 0), ("draw_cap", draw_cap, 1)):
+        for key, v, least in (("trials", trials, 1), ("seed", seed, 0)):
             # int before Integral: a plain int then skips the slower ABC check
             if isinstance(v, bool) or not isinstance(v, (int, Integral)) or v < least:
                 raise ValidationError(f"mc.{key} must be an integer >= {least}, got {v!r}")
-        self.__dict__.update(trials=trials, seed=seed, draw_cap=draw_cap)
+        self.__dict__.update(trials=trials, seed=seed)
 
 
 class SweepAxis(Value):

@@ -386,9 +386,12 @@ def _search(lo, p_det, p_e, budget, xp):
     exact p_err at a candidate c, which gives p_err at c + 1 through the
     increment, tests p_err <= budget at both, and so either ends the search
     (c fits and c + 1 does not: the answer c was walked) or shrinks the
-    bracket. An answer reached as c + 1 carries the walk at hi where c + 1
-    is hi, and NaN elsewhere: p_err(c) plus the increment need not be the
-    walk at c + 1 to the bit. The first candidate comes from _first_guess
+    bracket. An answer reached as c + 1 carries NaN: p_err(c) plus the
+    increment need not be the walk at c + 1 to the bit. Where they differ
+    across the budget, the walk wins: c + 1 is not admitted where it is hi,
+    whose walk did not fit, and a walk at an admitted lo that does not fit
+    ends the search at lo - 1, the candidate that admitted it, whose walk
+    fits and is kept. The first candidate comes from _first_guess
     and usually ends the search. Later candidates are Newton steps on the
     exact p_err with the increment as slope. One outside the bracket by
     more than a step, or any after _NEWTON_STEPS steps, is replaced by the
@@ -399,7 +402,7 @@ def _search(lo, p_det, p_e, budget, xp):
     """
     floor, where, minimum, maximum = xp.floor, xp.where, xp.minimum, xp.maximum
     hi = _CAP + 2.0 + 0.0 * lo
-    p_lo = p_hi = math.nan + 0.0 * lo  # p_err at lo and at hi where walked there
+    p_lo = p_below = math.nan + 0.0 * lo  # p_err at lo and at lo - 1 where walked there
     if xp is not _PyMath:
         found, found_p, at = xp.empty_like(lo), xp.empty_like(lo), xp.arange(lo.size)
     t, steps = 0.0 * lo, 0
@@ -407,8 +410,8 @@ def _search(lo, p_det, p_e, budget, xp):
         active = (hi - lo > 1) & (lo < ATTEMPT_SEARCH_CAP)
         if xp is not _PyMath:  # set the finished points aside
             found[at], found_p[at] = lo, p_lo
-            at, lo, hi, p_lo, p_hi, t, p_det, p_e, budget = (
-                a[active] for a in (at, lo, hi, p_lo, p_hi, t, p_det, p_e, budget))
+            at, lo, hi, p_lo, p_below, t, p_det, p_e, budget = (
+                a[active] for a in (at, lo, hi, p_lo, p_below, t, p_det, p_e, budget))
             if at.size == 0:
                 return found, found_p
         elif not active:
@@ -423,16 +426,17 @@ def _search(lo, p_det, p_e, budget, xp):
         near = (lo - 1 < t) & (t < hi + 1) & newton
         c = minimum(maximum(floor(where(near, t, lo + floor((hi - lo) * 0.5))), lo), hi - 1)
         p, dp = _error_terms(c, p_det, p_e, xp)
-        fits, next_fits = p <= budget, p + dp <= budget
-        # the bracket becomes [c + 1, hi), [c, c + 1) or [lo, c). c + 1 was
-        # walked only if it is hi; c = lo does not fit only where lo was
-        # judged by an increment, and [lo, lo) then ends the search at lo.
-        # The middle bracket is closed, so its hi needs no p_err.
-        lo, hi, p_lo, p_hi = (where(next_fits, c + 1, where(fits, c, lo)),
-                              where(next_fits, hi, where(fits, c + 1, c)),
-                              where(next_fits, where(c + 1 == hi, p_hi, math.nan),
-                                    where(fits | (c == lo), p, p_lo)),
-                              where(fits, p_hi, p))
+        # c + 1 is hi only where hi was walked and did not fit (the first hi
+        # is past any c + 1 a float holds)
+        fits, next_fits = p <= budget, (p + dp <= budget) & (c + 1 < hi)
+        # the bracket becomes [c + 1, hi), [c, c + 1) or [lo, c). c = lo does
+        # not fit only where lo was judged by an increment, and [lo - 1, lo)
+        # then ends the search at the candidate that admitted it
+        lo, hi, p_lo, p_below = (
+            where(next_fits, c + 1, where(fits, c, where(c == lo, lo - 1, lo))),
+            where(next_fits, hi, where(fits, c + 1, c)),
+            where(next_fits, math.nan, where(fits, p, where(c == lo, p_below, p_lo))),
+            where(next_fits, p, p_below))
         steps += 1
         t = c + (budget - p) / maximum(dp, 5e-324)
 

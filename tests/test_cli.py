@@ -42,7 +42,7 @@ class TestLoadConfig:
         assert cfg.link == ps.design_link()
         assert cfg.timing == ps.design_timing()
         assert cfg.r_cav_h == ps.params.DESIGN_R_CAV_H
-        assert cfg.config_hash == "b2f23caf3111179c"
+        assert cfg.config_hash == "b480b247e256f11f"
 
     def test_override_layering(self):
         cfg = load_config(overrides=["link.eta_link=0.01", "f_target=0.97"])
@@ -147,7 +147,7 @@ class TestLoadConfig:
             assert DEFAULTS == before
             fresh = load_config()
             assert fresh.raw == before
-            assert fresh.config_hash == "b2f23caf3111179c"
+            assert fresh.config_hash == "b480b247e256f11f"
         finally:
             # on failure, put DEFAULTS back in place for the tests that follow
             for key, val in before.items():
@@ -382,8 +382,9 @@ class TestMain:
     @pytest.mark.parametrize("command", ["fidelity", "rate", "montecarlo", "diagnose"])
     @pytest.mark.parametrize("setting", [
         'mc.trials="x"', "mc.trials=0", "mc.trials=true", "mc.trials=2.5",
-        'mc.seed="x"', "mc.seed=-1", 'mc.draw_cap="x"', "mc.draw_cap=0",
+        'mc.seed="x"', "mc.seed=-1",
         # removed keys: an unknown key, whatever its value
+        'mc.draw_cap="x"', "mc.draw_cap=0",
         'mc.attempt_cap="x"', "mc.attempt_cap=0", "mc.harmonic_rate=1",
     ])
     def test_bad_mc_setting_exit_code(self, tmp_path, capsys, command, setting):
@@ -392,6 +393,14 @@ class TestMain:
                                tmp_path, capsys)
         assert code == 2
         assert json.loads(cap.err)["error"] == "validation"
+
+    @pytest.mark.parametrize("setting", ["mc.draw_cap=1000", "mc.draw_cap=100000000"])
+    def test_removed_draw_cap_names_the_key(self, tmp_path, capsys, setting):
+        # a trial takes two draws, so there is no draw count left to bound
+        code, cap, _ = run_cli(["--command", "montecarlo", "--set", setting],
+                               tmp_path, capsys)
+        assert code == 2
+        assert json.loads(cap.err)["detail"] == "unknown config key: mc.draw_cap"
 
     @pytest.mark.parametrize("setting,field", [
         ("cavity.delta_c=NaN", "delta_c"), ("cavity.delta_a=Infinity", "delta_a"),
@@ -486,24 +495,35 @@ class TestMain:
         assert list(tmp_path.iterdir()) == []
 
     def test_numerical_exit_code(self, tmp_path, capsys):
-        # a click so much rarer than an error that the draws run out first
-        code, cap, _ = run_cli(
+        # about 4e30 attempts to the first click at 300 dB: past the
+        # sampler's attempt cap, where a count would not fit its integers
+        code, cap, out = run_cli(
             ["--command", "montecarlo", "--trials", "1",
-             "--set", "link.eta_det=1e-9",
-             "--set", "mc.draw_cap=1000"],
+             "--set", "link.eta_link=1e-30",
+             "--set", "f_target=0.5"],
             tmp_path, capsys)
         assert code == 5
         err = json.loads(cap.err)
         assert err["error"] == "numerical"
-        assert err["detail"].startswith("no detection within 1000 draws")
+        assert err["detail"].startswith("no detection within 2**62 attempts")
+        assert not out.exists()
 
-    def test_montecarlo_at_90_db_within_a_small_draw_cap(self, tmp_path, capsys):
-        # about 4e9 attempts per trial, but only a few draws: the cap bounds
-        # the sampler's work, not the attempts a trial simulates
+    def test_montecarlo_with_a_click_far_rarer_than_an_error(self, tmp_path, capsys):
+        # about 1e9 attempts, most of them errors, to the click: two draws
+        code, _, out = run_cli(
+            ["--command", "montecarlo", "--trials", "3",
+             "--set", "link.eta_det=1e-9"],
+            tmp_path, capsys)
+        assert code == 0
+        with out.open() as fh:
+            row = next(csv.DictReader(fh))
+        assert float(row["mean_rate"]) > 0 and row["trials"] == "3"
+
+    def test_montecarlo_at_90_db(self, tmp_path, capsys):
+        # about 4e9 attempts per trial, drawn as one number
         code, _, out = run_cli(
             ["--command", "montecarlo", "--trials", "1",
              "--set", "link.eta_link=1e-9",
-             "--set", "mc.draw_cap=1000",
              "--set", "f_target=0.5"],
             tmp_path, capsys)
         assert code == 0
@@ -636,7 +656,7 @@ class TestSweepCsvBytes:
     rows, for every sweep kind and for values whose text is easy to get
     wrong."""
 
-    HASH = "b2f23caf3111179c"
+    HASH = "b480b247e256f11f"
 
     def check(self, tmp_path, res, row=None):
         """row: the {column: value} of a result that is not a sweep."""

@@ -101,6 +101,37 @@ def test_scalar_paths_do_not_load_numpy(tmp_path):
         assert "polspin.rate" not in modules[f"fidelity {fmt} (exit 0)"]
 
 
+# Run in a fresh interpreter: the names set-up asks the import system for.
+_ASKED = """
+import json, sys
+asked = []
+class Recorder:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        asked.append(name)
+sys.meta_path.insert(0, Recorder)
+from polspin import config
+config.load_config()
+print(json.dumps(asked), file=sys.stderr)
+"""
+
+
+def test_set_up_asks_only_for_its_versions_sha256_module():
+    # _sha2 exists from Python 3.12 and _sha256 below it: a failed import
+    # would scan sys.path on every set-up
+    src = str(Path(polspin.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", _ASKED], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    asked = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert "polspin.config" in asked
+    missing, present = ("_sha2", "_sha256") if sys.version_info < (3, 12) else ("_sha256", "_sha2")
+    assert missing not in asked
+    assert present in asked and "hashlib" not in asked
+
+
 @pytest.mark.parametrize("module,name", [(m, n) for m, names in EXPORTS.items() for n in names])
 def test_exported_name_is_the_defining_modules_object(module, name):
     assert getattr(polspin, name) is getattr(importlib.import_module(f"polspin.{module}"), name)
@@ -112,7 +143,7 @@ def test_moved_names_stay_importable_from_their_old_modules():
 
     for old, new, names in [
         (rate, params, ["InfeasibleConstraintError"]),
-        (montecarlo, params, ["McConfig", "NoDetectionError", "DEFAULT_DRAW_CAP"]),
+        (montecarlo, params, ["McConfig", "NoDetectionError"]),
         (sweep, params, ["SweepAxis"]),
         (sweep, config, ["DEFAULT_CONSTRAINTS", "SWEEP_KINDS", "_jsonable", "default_pdr_axes",
                          "default_cooperativity_axis", "default_coupling_axis",

@@ -1,17 +1,18 @@
 """Monte Carlo tests: determinism, degenerate inputs, the reference
 sampler's attempt rules and cap on scripted draws, McConfig's checks,
 statistical agreement of outcome frequencies with the attempt partition, of
-simulate_rate's event-skipping sampler with the per-attempt reference
-sampler, and rate agreement with the analytic model."""
+simulate_rate's loop-free sampler with the per-attempt reference sampler,
+and rate agreement with the analytic model."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 import polspin as ps
-from polspin.montecarlo import _BLOCK, McConfig, NoDetectionError, _walk
+from polspin.montecarlo import McConfig, NoDetectionError, _trials
 from polspin.params import ValidationError
 from polspin.rate import success_probability
 
@@ -150,8 +151,8 @@ class TestSimulateRate:
     def test_estimate_is_numpys_mean_and_std_bit_for_bit(self, trials):
         probs = probs_of(0.01, 0.9)
         est = ps.simulate_rate(probs, 60, TIMING, McConfig(trials=trials, seed=trials))
-        attempts, sequences, errors = _walk(probs, 60, trials,
-                                            np.random.default_rng(trials), 10**8)
+        attempts, sequences, _, errors = _trials(probs, 60, trials,
+                                                 np.random.default_rng(trials))
         elapsed = (np.array(sequences, dtype=float) * TIMING.tau_reset
                    + np.array(attempts, dtype=float) * TIMING.tau_slot)
         mean_t = float(np.mean(elapsed))
@@ -205,8 +206,7 @@ class TestMcConfig:
         ({"trials": 2.5}, "mc.trials must be an integer >= 1, got 2.5"),
         ({"trials": True}, "mc.trials must be an integer >= 1, got True"),
         ({"seed": -1}, "mc.seed must be an integer >= 0, got -1"),
-        ({"draw_cap": 0}, "mc.draw_cap must be an integer >= 1, got 0"),
-    ], ids=["trials-float", "trials-bool", "seed-negative", "cap-zero"])
+    ], ids=["trials-float", "trials-bool", "seed-negative"])
     def test_refuses(self, kwargs, message):
         with pytest.raises(ValidationError) as exc:
             McConfig(**kwargs)
@@ -217,23 +217,23 @@ class TestMcConfig:
 
 
 class TestEventSkipping:
-    """simulate_rate draws its trials by skipping lost attempts; the law must
-    be the per-attempt reference sampler's, at any loss."""
+    """simulate_rate draws each trial from two exponentials, skipping every
+    attempt before the click; the law must be the per-attempt reference
+    sampler's, at any loss."""
 
     @pytest.mark.parametrize("db, n_max, seeds", [(20, 190, (101, 102)),
                                                   (10, 19, (103, 104)),
                                                   (10, 1, (105, 106))])
     def test_same_law_as_the_reference_sampler(self, db, n_max, seeds):
-        # at 10 dB most trials span several sequences; with n_max = 1 a trial
-        # averages about 40 gap draws, so trials routinely span a block refill
+        # at 10 dB most trials span several sequences, with n_max = 1 about 40
         probs, _ = design_point(db)
         n = 4000
         fields = ("attempts_used", "sequences_used", "error_occurred")
         rng = np.random.default_rng(seeds[0])
         trials = [ps.simulate_trial(probs, n_max, TIMING, rng, 10**8) for _ in range(n)]
         ref = {f: np.array([getattr(t, f) for t in trials]) for f in fields}
-        walk = _walk(probs, n_max, n, np.random.default_rng(seeds[1]), 10**8)
-        skip = dict(zip(fields, map(np.array, walk)))
+        attempts, sequences, _, errors = _trials(probs, n_max, n, np.random.default_rng(seeds[1]))
+        skip = dict(zip(fields, (attempts, sequences, errors)))
         assert np.mean(ref["sequences_used"]) > 1.2  # several sequences occur
         # KS at a 0.1% level (conservative for these integer laws)
         d_crit = math.sqrt(-math.log(0.0005) / 2) * math.sqrt(2 / n)
@@ -245,8 +245,7 @@ class TestEventSkipping:
 
     @pytest.mark.parametrize("db, seed", [(60, 160), (90, 190)])
     def test_agreement_with_analytic_at_high_loss(self, db, seed):
-        # 90 dB expects about 4e9 attempts per trial in a few draws, well
-        # within the default draw cap
+        # 90 dB expects about 4e9 attempts per trial, drawn as one number
         probs, analytic = design_point(db)
         est = ps.simulate_rate(probs, analytic.n_max, ps.design_timing(),
                                McConfig(trials=10_000, seed=seed))
@@ -256,28 +255,27 @@ class TestEventSkipping:
         pull = abs(est.error_fraction - expect) / math.sqrt(expect * (1 - expect) / est.trials)
         assert pull <= 4
 
-    @pytest.mark.parametrize("probs, n_max, cap", [
-        # p_e > 0 and no click: stepping through the errors would hang
-        (probs_of(0.0, 0.5), 2**53, 10**15),
-        (probs_of(0.0, 1.0), 10, 1000),
-        # a click too rare to see, one attempt per sequence: the cap must
-        # also bind across sequence resets
-        (probs_of(1e-12, 1.0 - 1e-12), 1, 1000),
-    ], ids=["no-click-with-errors", "all-lost", "rare-click-across-resets"])
-    def test_attempt_cap_through_simulate_rate(self, probs, n_max, cap):
-        with pytest.raises(NoDetectionError):
-            ps.simulate_rate(probs, n_max, TIMING,
-                             McConfig(trials=3, seed=0, draw_cap=cap))
-
-    def test_attempt_cap_binds_after_a_block_refill(self):
-        # an error about every other attempt and a click too rare to see, in
-        # one unbounded sequence: both blocks run out many times before the cap
-        probs, cap = probs_of(1e-12, 0.5), 10**4
-        assert cap > 10 * _BLOCK
-        message = f"no detection within {cap} draws (p_det = {probs.p_det})"
+    @pytest.mark.parametrize("probs, n_max", [
+        # p_e > 0 and no click
+        (probs_of(0.0, 0.5), 2**53),
+        (probs_of(0.0, 1.0), 10),
+    ], ids=["no-click-with-errors", "all-lost"])
+    def test_attempt_cap_through_simulate_rate(self, probs, n_max):
+        message = f"no detection within 2**62 attempts (p_det = {probs.p_det})"
         with pytest.raises(NoDetectionError, match=re.escape(message)):
-            ps.simulate_rate(probs, 2**53, TIMING,
-                             McConfig(trials=3, seed=0, draw_cap=cap))
+            ps.simulate_rate(probs, n_max, TIMING, McConfig(trials=3, seed=0))
+
+    @pytest.mark.parametrize("p_det", [0.0, 1e-300, 5e-324])
+    def test_no_click_within_the_attempt_cap(self, p_det):
+        # the first click would come past 2**62 attempts, or T would not be
+        # finite: refused without an overflow on the way
+        probs = probs_of(p_det, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoDetectionError):
+                _trials(probs, 19, 200, np.random.default_rng(0))
+            with pytest.raises(NoDetectionError):
+                ps.simulate_rate(probs, 2**53, TIMING, McConfig(trials=1, seed=0))
 
     def test_refuses_n_max_below_one(self):
         with pytest.raises(ValueError, match="n_max must be a whole number >= 1"):
@@ -294,37 +292,54 @@ class TestEventSkipping:
             ps.simulate_rate(probs_of(0.5, 0.2), n_max, TIMING, McConfig(trials=3, seed=0))
 
     def test_first_trials_do_not_depend_on_the_trial_count(self):
-        # the short walk already spans block refills; a block size that
-        # followed the trial count would change its draws
+        # row i of the draw is trial i, whatever the number of rows
         probs, _ = design_point(10)
-        short, long = (_walk(probs, 1, k, np.random.default_rng(11), 10**8)
-                       for k in (50, 2000))
-        assert sum(short[1]) > 2 * _BLOCK  # at least one gap per sequence
+        short, long = (_trials(probs, 1, k, np.random.default_rng(11)) for k in (50, 2000))
+        assert short[1].sum() > 100  # several sequences per trial
         for a, b in zip(short, long):
-            assert a == b[:50]
+            np.testing.assert_array_equal(a, b[:50])
 
-    def test_draw_cap_counts_an_overshooting_gap_once(self):
-        # one attempt per sequence, about 10^4 sequences to the click: a click
-        # within 10^5 draws is all but certain, though a gap that overshoots
-        # n_max spans about 10^4 attempts
-        est = ps.simulate_rate(probs_of(1e-4, 1.0 - 1e-4), 1, TIMING,
-                               McConfig(trials=10, seed=0, draw_cap=10**5))
-        assert est.trials == 10
+    @pytest.mark.parametrize("n_max", [1, 7, 2**53, 10**30])
+    def test_counts_add_up(self, n_max):
+        # failed sequences are n_max attempts each, then the click position;
+        # an n_max past the int64 range is one sequence
+        attempts, sequences, positions, errors = _trials(
+            probs_of(0.05, 0.9), n_max, 2000, np.random.default_rng(8))
+        assert attempts.dtype == sequences.dtype == positions.dtype == np.int64
+        assert errors.dtype == bool
+        assert ((1 <= positions) & (positions <= min(n_max, 2**62))).all()
+        np.testing.assert_array_equal(attempts, (sequences - 1) * min(n_max, 2**62) + positions)
+        assert not errors[positions == 1].any()  # no attempt before the click
+        if n_max >= 2**53:
+            assert (sequences == 1).all()
 
-    def test_draw_cap_binds_at_the_draw_past_it(self):
-        # no error channel and n_max = 1: every gap ends a sequence, so a
-        # trial takes exactly as many draws as it uses sequences
-        probs = probs_of(1e-2, 1.0 - 1e-2)
-        draws = _walk(probs, 1, 1, np.random.default_rng(4), 10**8)[1][0]
-        assert draws > 1
-        assert _walk(probs, 1, 1, np.random.default_rng(4), draws)[1] == [draws]
-        message = f"no detection within {draws - 1} draws (p_det = {probs.p_det})"
-        with pytest.raises(NoDetectionError, match=re.escape(message)):
-            _walk(probs, 1, 1, np.random.default_rng(4), draws - 1)
+    @pytest.mark.parametrize("p_e", [0.0, 1e-13], ids=["exact", "within-tolerance"])
+    def test_certain_detection(self, p_e):
+        # one attempt, one sequence, no error, even where p_e completes the
+        # partition only within its tolerance
+        probs = ps.AttemptProbabilities(p_det=1.0, p_lost=0.0, p_e=p_e)
+        attempts, sequences, positions, errors = _trials(probs, 5, 100,
+                                                         np.random.default_rng(2))
+        assert (attempts == 1).all() and (sequences == 1).all() and (positions == 1).all()
+        assert not errors.any()
 
-    def test_draw_cap_does_not_bound_attempts(self):
-        # each trial is one draw: a gap of about 10^9 attempts, then a click
-        attempts, sequences, _ = _walk(probs_of(1e-9, 1.0 - 1e-9), 2**53, 20,
-                                       np.random.default_rng(0), 1)
-        assert sequences == [1] * 20
-        assert min(attempts) > 1 and sum(attempts) > 20 * 10**8
+    def test_no_error_channel_gives_no_errors(self):
+        est = ps.simulate_rate(probs_of(0.01, 0.99), 60, TIMING, McConfig(trials=2000, seed=3))
+        assert est.error_fraction == 0.0
+
+    def test_every_attempt_before_the_click_an_error(self):
+        # p_lost = 0: a clickless attempt is an error, so a trial is flagged
+        # exactly when its click is not the first attempt of its sequence
+        _, _, positions, errors = _trials(probs_of(0.3, 0.0), 4, 2000, np.random.default_rng(5))
+        assert errors.any() and not errors.all()
+        np.testing.assert_array_equal(errors, positions > 1)
+
+    def test_one_sequence_of_about_a_billion_attempts(self):
+        # an unbounded constraint: every trial is one sequence of about 10^9
+        # attempts, drawn as one number
+        attempts, sequences, positions, _ = _trials(probs_of(1e-9, 1.0 - 1e-9), 2**53, 2000,
+                                                    np.random.default_rng(0))
+        assert (sequences == 1).all()
+        np.testing.assert_array_equal(positions, attempts)
+        mean = attempts.mean()
+        assert abs(mean - 1e9) <= 4 * 1e9 / math.sqrt(2000)

@@ -487,6 +487,41 @@ class TestTransferRate:
         assert nm == ps.max_attempts(probs, f0, f_target)
         assert nm.n == n and p_err == ps.sequence_error_probability(n, probs)
 
+    def test_n_max_within_budget_where_an_increment_admits_a_walked_miss(self):
+        # at eta_link = 1e-15, F >= 0.97 the walk at 1377720817676774 exceeds
+        # B, and then the walk one below plus its increment lands on B: n_max
+        # is the walked one below, on the scalar and the array path
+        pdr, pol, cav, timing = (ps.design_pdr(), ps.design_polarizer(), ps.design_cavity(),
+                                 ps.design_timing())
+        link = ps.design_link(1e-15)
+        f0 = rate._f0(pdr, pol, cav, ps.design_link(1.0), DESIGN_R_CAV_H, False)
+        budget = (f0 - 0.97) / (f0 - 0.5)
+        res = ps.transfer_rate(pdr, pol, cav, link, timing, f_target=0.97)
+        assert res.n_max == 1377720817676773
+        assert res.p_error <= budget
+        curves = rate.rate_curves(pdr, pol, link, timing, np.array([1e-15]), f0, (0.97,))
+        assert curves.n_max[0, 0] == 1377720817676773
+
+    @pytest.mark.parametrize("xp", [rate._PyMath, np], ids=["scalar", "array"])
+    def test_n_max_within_budget_where_a_walk_undoes_an_increment(self, monkeypatch, xp):
+        # the walk at n and its increment admit n + 1, whose own walk
+        # exceeds B (walked after n on the scalar path, before it on the
+        # array path): the search ends at n with n's walk, and walks no more
+        p_det, p_e = 7.458849165342574e-16, 1.195686050584729e-15
+        f0 = 0.9998450058498642
+        budget = (f0 - 0.95) / (f0 - 0.5)
+        walks = {}
+        walk = rate._error_terms
+        monkeypatch.setattr(rate, "_error_terms", lambda n, *args: walks.setdefault(
+            float(np.ravel(n)[0]), walk(n, *args)))
+        args = (p_det, p_e, f0, 0.95) if xp is rate._PyMath else (
+            np.array([p_det]), np.array([p_e]), f0, np.array([0.95]))
+        n, _, _, p_err = rate._attempt_limit(*args, xp)
+        assert n == 613297387960237
+        assert sorted(walks) == [613297387960237, 613297387960238]
+        assert walks[613297387960238][0] > budget
+        assert p_err == walks[613297387960237][0] <= budget
+
 
 def design_probs(db):
     return ps.attempt_probabilities(ps.design_pdr(), ps.design_polarizer(),

@@ -20,7 +20,7 @@ FIELDS = {
     params.PolarizerParams: ("eta_pol_V", "eta_pol_H"),
     params.LinkParams: ("eta_link", "eta_det", "r_cav_V_avg", "r_cav_H", "xi"),
     params.ProtocolTiming: ("tau_reset", "tau_pulse", "pulse_multiplier"),
-    params.McConfig: ("trials", "seed", "draw_cap"),
+    params.McConfig: ("trials", "seed"),
     params.SweepAxis: ("path", "start", "stop", "num", "spacing"),
     device.EffectiveReflections: ("r_H_on", "r_H_off", "r_V_on", "r_V_off"),
     device.PhotonQubit: ("alpha", "beta"),
@@ -110,7 +110,7 @@ def test_design_reprs_are_the_dataclass_reprs():
     assert repr(ps.design_pdr()) == (
         "PdrParams(t_H=(0.9219544457292888+0j), r_H=(-0.3872983346207417+0j), "
         "t_V=(0.99498743710662+0j), r_V=(-0.10000000000000005+0j))")
-    assert repr(params.McConfig()) == "McConfig(trials=100, seed=0, draw_cap=100000000)"
+    assert repr(params.McConfig()) == "McConfig(trials=100, seed=0)"
     assert repr(rate.MaxAttempts(5)) == "MaxAttempts(n=5, unbounded=False, cap_reached=False)"
 
 
