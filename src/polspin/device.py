@@ -174,16 +174,6 @@ def cavity_reflection(cavity: CavityParams, coupled: bool = True) -> complex:
     return r_on if coupled else r_off
 
 
-def _etalon(r_pdr, t_sq, r_cav):
-    """Round-trip coefficient r_pdr + r_cav t^2 / (1 - r_cav r_pdr) and
-    whether the etalon is degenerate. A degenerate cell divides by
-    denominator + 1 instead, so that no division is by zero; its value is
-    never used."""
-    denom = 1.0 - r_cav * r_pdr
-    degenerate = abs(denom) < _DEGENERATE_ETALON_TOL
-    return r_pdr + r_cav * t_sq / (denom + degenerate), degenerate
-
-
 def _scalar_inputs(pdr: PdrParams, polarizer: PolarizerParams,
                    cavity: CavityParams, r_cav_h: complex) -> tuple:
     return (pdr.t_H, pdr.r_H, pdr.t_V, pdr.r_V,
@@ -294,10 +284,12 @@ def fidelity_kernel(t_H, r_H, t_V, r_V, eta_pol_V, eta_pol_H,
     """Etalon coefficients, herald probabilities and average transfer fidelity.
 
     Written with arithmetic operators, abs() and .conjugate() only, so the
-    same code runs on Python scalars (transfer_fidelity) and on broadcast
-    numpy arrays (the sweeps). Cells that are degenerate, non-passive or
-    opaque carry finite placeholder values and are flagged in the masks; no
-    division is by zero.
+    same code runs on Python scalars (transfer_fidelity) and on numpy arrays
+    that broadcast (the sweeps): each quantity takes the shape of the inputs
+    it depends on, so with one axis's inputs as a column and the other's as
+    a row, the etalons are computed once per axis value. Cells that are
+    degenerate, non-passive or opaque carry finite placeholder values and
+    are flagged in the masks; no division is by zero.
 
     For each input alpha|H> + beta|V> the device reflects with the spin in
     (|down> + |up>)/sqrt2, the half-wave plate maps H -> (H + V)/sqrt2 and
@@ -314,17 +306,21 @@ def fidelity_kernel(t_H, r_H, t_V, r_V, eta_pol_V, eta_pol_H,
     # The transmitted path crosses the polarizer, so each t_i^2 in the
     # etalon numerator is scaled by eta_pol_i. Only the V mode couples to the
     # spin; the H mode sees a fixed cavity reflection r_cav_h in both spin
-    # states (its transition is never resonant).
+    # states (its transition is never resonant). An etalon's round trip is
+    # r_pdr + r_cav t^2 / (1 - r_cav r_pdr); a degenerate one, whose value is
+    # never used, divides by denominator + 1 so that no division is by zero.
     r_on, r_off = _cavity_reflections(kappa, kappa_wg, gamma, g, delta_c, delta_a)
     t_sq_V = t_V**2 * eta_pol_V
-    r_H_eff, degenerate_H = _etalon(r_H, t_H**2 * eta_pol_H, r_cav_h)
-    r_V_on, degenerate_on = _etalon(r_V, t_sq_V, r_on)
-    r_V_off, degenerate_off = _etalon(r_V, t_sq_V, r_off)
-    degenerate = degenerate_H | degenerate_on | degenerate_off
+    d_H, d_on, d_off = 1.0 - r_cav_h * r_H, 1.0 - r_on * r_V, 1.0 - r_off * r_V
+    tol = _DEGENERATE_ETALON_TOL
+    deg_H, deg_on, deg_off = abs(d_H) < tol, abs(d_on) < tol, abs(d_off) < tol
+    r_H_eff = r_H + r_cav_h * (t_H**2 * eta_pol_H) / (d_H + deg_H)
+    r_V_on = r_V + r_on * t_sq_V / (d_on + deg_on)
+    r_V_off = r_V + r_off * t_sq_V / (d_off + deg_off)
+    degenerate = deg_H | deg_on | deg_off
     limit = 1.0 + _PASSIVITY_TOL
     non_passive = (abs(r_H_eff) > limit) | (abs(r_V_on) > limit) | (abs(r_V_off) > limit)
-    herald, overlap, fidelity = [], [], []
-    opaque = False
+    plus = []  # (p_H, p_V, o_H, o_V, fidelity, never heralded) of x+ and y+
     for a, b, ca, cb, scale in _PLUS_TARGETS:
         ah, b_on, b_off = a * r_H_eff, b * r_V_on, b * r_V_off
         # twice the branch amplitudes on (spin down, spin up) per outcome
@@ -336,14 +332,13 @@ def fidelity_kernel(t_H, r_H, t_V, r_V, eta_pol_V, eta_pol_H,
         o_V = abs(ca * (vd + vu) - cb * (vd - vu)) ** 2 * scale
         total = p_H + p_V
         never = total == 0.0
-        opaque = opaque | never
-        herald += [(p_H, p_V), (p_V, p_H)]
-        overlap += [(o_H, o_V), (o_V, o_H)]
-        fidelity += [(o_H + o_V) / (total + never)] * 2
-    f_avg = (fidelity[0] + fidelity[1] + fidelity[2] + fidelity[3]) / 4.0
-    return DeviceKernel(r_H_eff, r_V_on, r_V_off, tuple(herald),
-                        tuple(overlap), tuple(fidelity), f_avg,
-                        degenerate, non_passive, opaque)
+        plus.append((p_H, p_V, o_H, o_V, (o_H + o_V) / (total + never), never))
+    (px, qx, ox, wx, fx, never_x), (py, qy, oy, wy, fy, never_y) = plus
+    return DeviceKernel(r_H_eff, r_V_on, r_V_off,
+                        ((px, qx), (qx, px), (py, qy), (qy, py)),
+                        ((ox, wx), (wx, ox), (oy, wy), (wy, oy)),
+                        (fx, fx, fy, fy), (fx + fx + fy + fy) / 4.0,
+                        degenerate, non_passive, never_x | never_y)
 
 
 def transfer_fidelity(

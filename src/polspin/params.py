@@ -132,9 +132,9 @@ class CavityParams(Value):
     @classmethod
     def from_ratios(cls, coupling_ratio: float, cooperativity: float) -> "CavityParams":
         """Build from kappa_wg/kappa and C with kappa = gamma = 1, no detuning."""
-        _check(cooperativity >= 0, "cooperativity must be >= 0")
-        return cls(kappa=1.0, kappa_wg=coupling_ratio, gamma=1.0,
-                   g=math.sqrt(cooperativity / 4))
+        if not cooperativity >= 0:
+            raise ValidationError("cooperativity must be >= 0")
+        return cls(1.0, coupling_ratio, 1.0, math.sqrt(cooperativity / 4))
 
 
 class PdrParams(Value):
@@ -195,7 +195,7 @@ class PdrParams(Value):
         sign is exposed because only power values are physically pinned, and
         any value other than +1 or -1 is rejected.
         """
-        if reflection_sign not in (1, -1):
+        if reflection_sign != -1 and reflection_sign != 1:
             raise ValidationError(f"reflection_sign must be +1 or -1, got {reflection_sign}")
         R_V = 1.0 - T_V - zeta_V
         T_H = 1.0 - R_H - zeta_H
@@ -203,10 +203,10 @@ class PdrParams(Value):
             _check(0 <= T_V <= 1 and 0 <= R_H <= 1, "T_V and R_H must lie in [0, 1]")
             _check(R_V >= -POWER_TOL, "R_V = 1 - T_V - zeta_V is negative ({})", R_V)
             _check(T_H >= -POWER_TOL, "T_H = 1 - R_H - zeta_H is negative ({})", T_H)
-        return cls(complex(math.sqrt(max(T_H, 0.0))),
+        return cls(complex(math.sqrt(T_H if T_H >= 0.0 else 0.0)),
                    complex(reflection_sign * math.sqrt(R_H)),
                    complex(math.sqrt(T_V)),
-                   complex(reflection_sign * math.sqrt(max(R_V, 0.0))))
+                   complex(reflection_sign * math.sqrt(R_V if R_V >= 0.0 else 0.0)))
 
 
 class PolarizerParams(Value):

@@ -4,16 +4,16 @@ Produces structured result tables for the fidelity maps (reflector power
 coefficients, cooperativity, waveguide coupling) and the rate-versus-loss
 curve family with the repeaterless bound and optional Monte Carlo estimates.
 The fidelity maps evaluate their grids through the device kernel
-(polspin.device.fidelity_kernel) in fixed blocks of cells; a cell is NaN
-exactly where the scalar transfer_fidelity path would reject it, and the
-reason is counted in metadata["nan_reasons"]. Cells are pure-function
-evaluations written by index, so results are independent of evaluation
-order.
+(polspin.device.fidelity_kernel), one axis's inputs broadcast against the
+other's, in blocks of whole grid rows; a cell is NaN exactly where the
+scalar transfer_fidelity path would reject it, and the reason is counted
+in metadata["nan_reasons"]. Each cell is a pure function of its own
+inputs, so results do not depend on the blocks.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -73,32 +73,45 @@ class SweepResult(Value):
                              columns=columns)
 
 
-def _fidelity_cells(n: int, cell_inputs: Callable) -> tuple[np.ndarray, dict[str, int]]:
-    """Average fidelity of n grid cells through the device kernel, in blocks
-    of _BLOCK_CELLS flat cell indices so that temporaries stay small.
+def _fidelity_cells(fixed: dict[str, Any], column: dict[str, Any], row: dict[str, Any],
+                    checks: list[tuple]) -> tuple[np.ndarray, dict[str, int]]:
+    """Average fidelity over a grid through the device kernel, and the NaN
+    count per reason.
 
-    cell_inputs(idx) returns the kernel's keyword inputs for the cells idx and
-    the input checks as (reason, rejected mask) pairs, in the order the
-    scalar constructors make them. A cell is NaN exactly where the scalar
-    path raises ValidationError; it is counted under the first reason that
-    rejects it. Returns the values and the NaN count per reason.
+    fixed holds the kernel's keyword inputs shared by every cell, column
+    those that vary along the grid's first axis (one value per grid row) and
+    row those along its second; the kernel broadcasts a column against a
+    row, so what depends on one axis is computed once per value of it.
+    checks are (reason, column mask, row mask) triples, whose masks give the
+    grid's shape, in the order the scalar constructors make them; a cell
+    fails one where its grid row or grid column does. A cell is NaN exactly
+    where the scalar path raises ValidationError, counted under the first
+    reason that rejects it. Blocks of whole grid rows, at most _BLOCK_CELLS
+    cells each and a longer row in parts, keep the temporaries small.
     """
-    values = np.empty(n)
+    n_rows, n_cols = len(checks[0][1]), len(checks[0][2])
+    values = np.empty((n_rows, n_cols))
     reasons = dict.fromkeys(NAN_REASONS, 0)
-    for start in range(0, n, _BLOCK_CELLS):
-        idx = np.arange(start, min(start + _BLOCK_CELLS, n))
-        inputs, checks = cell_inputs(idx)
-        # NaN inputs give NaN cells, silently, as on the scalar path
-        with np.errstate(invalid="ignore"):
-            k = fidelity_kernel(**inputs)
-        rejected = np.zeros(idx.size, dtype=bool)
-        for reason, bad in checks + [("degenerate_etalon", k.degenerate),
-                                     ("non_passive_etalon", k.non_passive)]:
-            reasons[reason] += int(np.count_nonzero(bad & ~rejected))
-            rejected |= bad
-        if np.any(k.opaque & ~rejected):
-            raise OpaqueDeviceError("device opaque for some input")
-        values[idx] = np.where(rejected, np.nan, k.f_avg)
+    step_c = min(n_cols, _BLOCK_CELLS)
+    step_r = _BLOCK_CELLS // step_c
+    for r0 in range(0, n_rows, step_r):
+        i = slice(r0, r0 + step_r)
+        for c0 in range(0, n_cols, step_c):
+            j = slice(c0, c0 + step_c)
+            # NaN inputs give NaN cells, silently, as on the scalar path
+            with np.errstate(invalid="ignore"):
+                k = fidelity_kernel(**{**fixed, **{name: v[i, None] for name, v in column.items()},
+                                       **{name: v[None, j] for name, v in row.items()}})
+            failed = [(reason, in_column[i, None] | in_row[None, j])
+                      for reason, in_column, in_row in checks]
+            rejected = np.zeros(values[i, j].shape, dtype=bool)
+            for reason, bad in failed + [("degenerate_etalon", k.degenerate),
+                                         ("non_passive_etalon", k.non_passive)]:
+                reasons[reason] += int(np.count_nonzero(bad & ~rejected))
+                rejected |= bad
+            if np.any(k.opaque & ~rejected):
+                raise OpaqueDeviceError("device opaque for some input")
+            values[i, j] = np.where(rejected, np.nan, k.f_avg)
     return values, reasons
 
 
@@ -106,6 +119,13 @@ def _fixed_inputs(polarizer: PolarizerParams, cavity: CavityParams) -> dict[str,
     return {"eta_pol_V": polarizer.eta_pol_V, "eta_pol_H": polarizer.eta_pol_H,
             "kappa": cavity.kappa, "kappa_wg": cavity.kappa_wg, "gamma": cavity.gamma,
             "g": cavity.g, "delta_c": cavity.delta_c, "delta_a": cavity.delta_a}
+
+
+def _grid(axis: SweepAxis, path: str) -> np.ndarray:
+    """The values of an axis that must vary the quantity at path."""
+    if axis.path != path:
+        raise ValidationError(f"axis {axis.path} cannot be swept as {path}")
+    return axis.values()
 
 
 def sweep_fidelity_pdr(
@@ -123,37 +143,32 @@ def sweep_fidelity_pdr(
     Per cell, R_V = 1 - T_V - zeta_V and T_H = 1 - R_H - zeta_H, with real
     field coefficients as PdrParams.from_power builds them; cells that
     constructor or transfer_fidelity would reject are NaN, not fatal. A
-    reflection_sign other than +1 or -1 is rejected before any cell.
+    reflection_sign other than +1 or -1, or axes other than pdr.T_V and
+    pdr.R_H, are rejected before any cell.
     """
     if reflection_sign not in (1, -1):
         raise ValidationError(f"reflection_sign must be +1 or -1, got {reflection_sign}")
-    tv = tv_axis.values()
-    rh = rh_axis.values()
-    fixed = _fixed_inputs(polarizer, cavity)
-
-    def cells(idx: np.ndarray) -> tuple[dict[str, Any], list]:
-        # the array form of PdrParams.from_power and its checks
-        i, j = np.divmod(idx, rh.size)
-        T_V, R_H = tv[i], rh[j]
-        R_V = 1.0 - T_V - zeta_V
-        T_H = 1.0 - R_H - zeta_H
-        t_H = np.sqrt(np.maximum(T_H, 0.0))
-        r_H = reflection_sign * np.sqrt(np.maximum(R_H, 0.0))
-        t_V = np.sqrt(np.maximum(T_V, 0.0))
-        r_V = reflection_sign * np.sqrt(np.maximum(R_V, 0.0))
-        limit = 1.0 + POWER_TOL
-        checks = [
-            ("pdr_range", ~((0 <= T_V) & (T_V <= 1) & (0 <= R_H) & (R_H <= 1))),
-            ("pdr_complement", ~((R_V >= -POWER_TOL) & (T_H >= -POWER_TOL))),
-            ("pdr_power_sum", ~((t_H**2 + r_H**2 <= limit) & (t_V**2 + r_V**2 <= limit))),
-        ]
-        return {"t_H": t_H, "r_H": r_H, "t_V": t_V, "r_V": r_V, "r_cav_h": r_cav_h,
-                **fixed}, checks
-
-    values, reasons = _fidelity_cells(tv.size * rh.size, cells)
+    tv = _grid(tv_axis, "pdr.T_V")
+    rh = _grid(rh_axis, "pdr.R_H")
+    # PdrParams.from_power and its checks: V once per T_V, H once per R_H
+    R_V = 1.0 - tv - zeta_V
+    T_H = 1.0 - rh - zeta_H
+    t_H = np.sqrt(np.maximum(T_H, 0.0))
+    r_H = reflection_sign * np.sqrt(np.maximum(rh, 0.0))
+    t_V = np.sqrt(np.maximum(tv, 0.0))
+    r_V = reflection_sign * np.sqrt(np.maximum(R_V, 0.0))
+    limit = 1.0 + POWER_TOL
+    checks = [
+        ("pdr_range", ~((0 <= tv) & (tv <= 1)), ~((0 <= rh) & (rh <= 1))),
+        ("pdr_complement", ~(R_V >= -POWER_TOL), ~(T_H >= -POWER_TOL)),
+        ("pdr_power_sum", ~(t_V**2 + r_V**2 <= limit), ~(t_H**2 + r_H**2 <= limit)),
+    ]
+    values, reasons = _fidelity_cells(
+        {**_fixed_inputs(polarizer, cavity), "r_cav_h": r_cav_h},
+        {"t_V": t_V, "r_V": r_V}, {"t_H": t_H, "r_H": r_H}, checks)
     return SweepResult(
         axes=[(tv_axis.path, tv), (rh_axis.path, rh)],
-        values=values.reshape(tv.size, rh.size),
+        values=values,
         quantity="fidelity",
         metadata=_jsonable(dict(
             cavity=cavity, polarizer=polarizer, zeta_V=zeta_V, zeta_H=zeta_H,
@@ -175,28 +190,28 @@ def sweep_fidelity_cavity(
     A cooperativity C sets g = sqrt(C kappa gamma / 4); a coupling ratio x
     sets kappa_wg = x kappa. kappa, gamma and both detunings stay those of
     base_cavity. Cells outside C >= 0 or kappa_wg in [0, kappa] are NaN.
+    The axis must be cavity.cooperativity or cavity.coupling_ratio, as which
+    says.
     """
-    if which not in ("cooperativity", "coupling"):
+    paths = {"cooperativity": "cavity.cooperativity", "coupling": "cavity.coupling_ratio"}
+    if which not in paths:
         raise ValidationError(f"unknown cavity sweep target: {which}")
-    xs = axis.values()
+    xs = _grid(axis, paths[which])
     cav = base_cavity
     fixed = {**_fixed_inputs(polarizer, cav), "t_H": pdr.t_H, "r_H": pdr.r_H,
              "t_V": pdr.t_V, "r_V": pdr.r_V, "r_cav_h": r_cav_h}
-
-    def cells(idx: np.ndarray) -> tuple[dict[str, Any], list]:
-        x = xs[idx]
-        if which == "cooperativity":
-            varied = {"g": np.sqrt(np.maximum(x, 0.0) * cav.kappa * cav.gamma / 4.0)}
-            bad = ~(x >= 0)
-        else:
-            varied = {"kappa_wg": x * cav.kappa}
-            bad = ~((0 <= varied["kappa_wg"]) & (varied["kappa_wg"] <= cav.kappa))
-        return {**fixed, **varied}, [("cavity_range", bad)]
-
-    values, reasons = _fidelity_cells(xs.size, cells)
+    # one grid row: the axis varies along the grid's columns
+    if which == "cooperativity":
+        varied = {"g": np.sqrt(np.maximum(xs, 0.0) * cav.kappa * cav.gamma / 4.0)}
+        bad = ~(xs >= 0)
+    else:
+        varied = {"kappa_wg": xs * cav.kappa}
+        bad = ~((0 <= varied["kappa_wg"]) & (varied["kappa_wg"] <= cav.kappa))
+    values, reasons = _fidelity_cells(fixed, {}, varied,
+                                      [("cavity_range", np.zeros(1, dtype=bool), bad)])
     return SweepResult(
         axes=[(axis.path, xs)],
-        values=values,
+        values=values[0],
         quantity="fidelity",
         metadata=_jsonable(dict(
             pdr=pdr, polarizer=polarizer, base_cavity=base_cavity, which=which,

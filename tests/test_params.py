@@ -3,6 +3,7 @@ ValidationError with exactly the message pinned here."""
 
 import math
 
+import numpy as np
 import pytest
 
 import polspin as ps
@@ -74,11 +75,23 @@ CASES = [
     (lambda: _pdr(t_H=1e200, r_H=0, t_V=0, r_V=0), "T_H + R_H = inf exceeds 1"),
     (lambda: _pdr(t_H=complex(1.5e308, 1.5e308)), "T_H + R_H = inf exceeds 1"),
     (lambda: _pdr(r_V=1e200), "T_V + R_V = inf exceeds 1"),
+    (lambda: ps.CavityParams.from_ratios(0.5, NAN), "cooperativity must be >= 0"),
+    (lambda: ps.CavityParams.from_ratios(NAN, 4.0), "kappa_wg must lie in [0, kappa], got nan"),
+    (lambda: ps.CavityParams.from_ratios(1.5, 4.0), "kappa_wg must lie in [0, kappa], got 1.5"),
     # PdrParams.from_power
     (lambda: ps.PdrParams.from_power(0.5, 0.5, reflection_sign=0.5),
      "reflection_sign must be +1 or -1, got 0.5"),
+    (lambda: ps.PdrParams.from_power(0.5, 0.5, reflection_sign=NAN),
+     "reflection_sign must be +1 or -1, got nan"),
+    (lambda: ps.PdrParams.from_power(0.5, 0.5, reflection_sign=0),
+     "reflection_sign must be +1 or -1, got 0"),
+    (lambda: ps.PdrParams.from_power(0.5, 0.5, reflection_sign=1j),
+     "reflection_sign must be +1 or -1, got 1j"),
     (lambda: ps.PdrParams.from_power(1.5, 0.5), "T_V and R_H must lie in [0, 1]"),
     (lambda: ps.PdrParams.from_power(0.5, -0.5), "T_V and R_H must lie in [0, 1]"),
+    (lambda: ps.PdrParams.from_power(NAN, 0.5), "T_V and R_H must lie in [0, 1]"),
+    (lambda: ps.PdrParams.from_power(0.5, NAN), "T_V and R_H must lie in [0, 1]"),
+    (lambda: ps.PdrParams.from_power(-INF, 0.5), "T_V and R_H must lie in [0, 1]"),
     (lambda: ps.PdrParams.from_power(0.75, 0.5, zeta_V=0.5),
      "R_V = 1 - T_V - zeta_V is negative (-0.25)"),
     (lambda: ps.PdrParams.from_power(0.5, 0.5, zeta_H=0.75),
@@ -122,6 +135,10 @@ TWO_FAULTS = [
     (lambda: ps.PdrParams.from_power(NAN, 0.5, zeta_V=2.0), "T_V and R_H must lie in [0, 1]"),
     (lambda: ps.PdrParams.from_power(0.5, 0.5, zeta_V=1.0, zeta_H=0.75),
      "R_V = 1 - T_V - zeta_V is negative (-0.5)"),
+    (lambda: ps.PdrParams.from_power(1.5, 0.5, reflection_sign=2.0),
+     "reflection_sign must be +1 or -1, got 2.0"),
+    (lambda: ps.PdrParams.from_power(0.5, NAN, zeta_H=2.0), "T_V and R_H must lie in [0, 1]"),
+    (lambda: ps.CavityParams.from_ratios(NAN, -1.0), "cooperativity must be >= 0"),
 ]
 
 
@@ -147,3 +164,26 @@ def test_valid_inputs_pass_every_check():
     # a power sum within POWER_TOL of 1 passes
     pdr = _pdr(t_H=math.sqrt(0.5), r_H=math.sqrt(0.5))
     assert pdr.zeta_H == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("sign", [True, 1, 1.0, -1, -1.0, np.float64(-1.0)])
+def test_from_power_accepts_a_unit_sign(sign):
+    pdr = ps.PdrParams.from_power(0.64, 0.25, zeta_V=0.11, zeta_H=0.15, reflection_sign=sign)
+    assert pdr == ps.PdrParams(complex(math.sqrt(0.6)), complex(sign * 0.5),
+                               complex(0.8), complex(sign * math.sqrt(1.0 - 0.64 - 0.11)))
+
+
+def test_from_power_clamps_a_complement_within_tolerance():
+    # R_V and T_H a little below 0 but within POWER_TOL: their coefficients
+    # are zeros, with the sign of the reflection kept on r_V
+    pdr = ps.PdrParams.from_power(0.75, 1.0, zeta_V=0.25 + 1e-13, zeta_H=1e-13)
+    assert pdr == ps.PdrParams(0j, complex(-1.0), complex(math.sqrt(0.75)), complex(-0.0))
+    assert math.copysign(1.0, pdr.t_H.real) == 1.0
+    assert math.copysign(1.0, pdr.r_V.real) == -1.0
+
+
+def test_from_ratios_builds_the_unit_cavity():
+    cav = ps.CavityParams.from_ratios(0.73, 4.0)
+    assert cav == ps.CavityParams(kappa=1.0, kappa_wg=0.73, gamma=1.0, g=1.0,
+                                  delta_c=0.0, delta_a=0.0)
+    assert ps.CavityParams.from_ratios(0.5, 0.0).g == 0.0

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polspin as ps
+from polspin.device import fidelity_kernel
+from polspin.params import DESIGN_R_CAV_H, POWER_TOL
 from polspin.rate import rate_curves
 from polspin.sweep import (
     NAN_REASONS,
@@ -299,6 +301,117 @@ class TestKernelMatchesScalarPath:
             lambda: ps.sweep_fidelity_cavity(axis, pdr, pol, cav, "coupling", r_cav_h),
             lambda x: (pdr, pol, cav.replace(kappa_wg=x * cav.kappa), r_cav_h),
             axis.values())
+
+
+def _flat_pdr_map(tv, rh, cav, pol, zeta_V, zeta_H, r_cav_h, sign):
+    """The pdr map as one device-kernel call on flattened per-cell arrays:
+    every cell's PdrParams.from_power inputs and checks built for that cell
+    alone, the checks applied in NAN_REASONS order. Returns the values and
+    the NaN count per reason."""
+    T_V, R_H = (a.ravel() for a in np.meshgrid(tv, rh, indexing="ij"))
+    R_V = 1.0 - T_V - zeta_V
+    T_H = 1.0 - R_H - zeta_H
+    t_H = np.sqrt(np.maximum(T_H, 0.0))
+    r_H = sign * np.sqrt(np.maximum(R_H, 0.0))
+    t_V = np.sqrt(np.maximum(T_V, 0.0))
+    r_V = sign * np.sqrt(np.maximum(R_V, 0.0))
+    with np.errstate(invalid="ignore"):
+        k = fidelity_kernel(t_H, r_H, t_V, r_V, pol.eta_pol_V, pol.eta_pol_H, cav.kappa,
+                            cav.kappa_wg, cav.gamma, cav.g, cav.delta_c, cav.delta_a, r_cav_h)
+    limit = 1.0 + POWER_TOL
+    checks = [
+        ("pdr_range", ~((0 <= T_V) & (T_V <= 1) & (0 <= R_H) & (R_H <= 1))),
+        ("pdr_complement", ~((R_V >= -POWER_TOL) & (T_H >= -POWER_TOL))),
+        ("pdr_power_sum", ~((t_H**2 + r_H**2 <= limit) & (t_V**2 + r_V**2 <= limit))),
+        ("degenerate_etalon", k.degenerate),
+        ("non_passive_etalon", k.non_passive),
+    ]
+    reasons = dict.fromkeys(NAN_REASONS, 0)
+    rejected = np.zeros(T_V.size, dtype=bool)
+    for reason, bad in checks:
+        reasons[reason] += int(np.count_nonzero(bad & ~rejected))
+        rejected |= bad
+    assert not np.any(k.opaque & ~rejected)
+    return np.where(rejected, np.nan, k.f_avg).reshape(tv.size, rh.size), reasons
+
+
+class TestBroadcastMatchesFlatKernel:
+    """The pdr sweep builds each T_V row's and each R_H column's inputs once
+    and broadcasts them in the kernel; its map must equal the kernel on
+    flattened per-cell inputs bit for bit, with the same nan_reasons."""
+
+    DETUNED = {"delta_c": 0.1, "delta_a": -0.05}
+    # (T_V axis, R_H axis, zeta_V, zeta_H, r_cav_h, reflection_sign, cavity
+    # changes, the reasons that occur)
+    GRIDS = {
+        "default": (*default_pdr_axes(), 0.0, 0.0, DESIGN_R_CAV_H, -1.0, {},
+                    {"non_passive_etalon"}),
+        # one grid row is longer than a block
+        "long rows": (SweepAxis("pdr.T_V", 0.5, 1.0, 3), SweepAxis("pdr.R_H", 0.0, 0.6, 5001),
+                      0.0, 0.0, DESIGN_R_CAV_H, -1.0, {}, {"non_passive_etalon"}),
+        # out-of-range axes and losses on both sides; r_cav_h = 2 amplifies, and
+        # r_cav_h r_H = 1 exactly at R_H = 0.25 makes that column's etalon degenerate
+        "lossy, + sign": (SweepAxis("pdr.T_V", 0.5, 1.1, 13), SweepAxis("pdr.R_H", -0.25, 1.25, 7),
+                          0.005, 0.01, 2.0, 1.0, DETUNED,
+                          {"pdr_range", "pdr_complement", "degenerate_etalon",
+                           "non_passive_etalon"}),
+        # a gain zeta_H < 0 lifts every T_H + R_H above 1: the power-sum check
+        # rejects every cell the range and complement checks let through, so no
+        # grid at fixed zeta shows it next to the etalon reasons
+        "gain": (SweepAxis("pdr.T_V", 0.5, 1.1, 13), SweepAxis("pdr.R_H", -0.25, 1.25, 7),
+                 0.005, -0.01, complex(-0.9, 0.2), 1.0, DETUNED,
+                 {"pdr_range", "pdr_complement", "pdr_power_sum"}),
+    }
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    def test_map_equals_flat_kernel(self, design, monkeypatch, grid):
+        tv, rh, zeta_V, zeta_H, r_cav_h, sign, changes, occurring = self.GRIDS[grid]
+        cav = design["cavity"].replace(**changes)
+        blocks = []
+
+        def recording_kernel(**inputs):
+            k = fidelity_kernel(**inputs)
+            blocks.append(k.f_avg.shape)
+            return k
+
+        monkeypatch.setattr(ps.sweep, "fidelity_kernel", recording_kernel)
+        res = ps.sweep_fidelity_pdr(tv, rh, cav, design["polarizer"], zeta_V=zeta_V,
+                                    zeta_H=zeta_H, r_cav_h=r_cav_h, reflection_sign=sign)
+        values, reasons = _flat_pdr_map(tv.values(), rh.values(), cav, design["polarizer"],
+                                        zeta_V, zeta_H, r_cav_h, sign)
+        assert res.values.tobytes() == values.tobytes()
+        assert res.metadata["nan_reasons"] == reasons
+        assert {reason for reason, n in reasons.items() if n} == occurring
+        # whole grid rows per block, a row longer than a block in parts
+        assert max(rows * cols for rows, cols in blocks) <= ps.sweep._BLOCK_CELLS
+        assert sum(rows * cols for rows, cols in blocks) == values.size
+        whole_rows = rh.num <= ps.sweep._BLOCK_CELLS
+        assert all(cols == rh.num if whole_rows else rows == 1 for rows, cols in blocks)
+
+
+class TestAxisPaths:
+    """A sweep refuses an axis labelled as a quantity other than the one it
+    varies, rather than label its result with the wrong path."""
+
+    @pytest.mark.parametrize("which,axis", [
+        ("cooperativity", default_coupling_axis()),
+        ("coupling", default_cooperativity_axis()),
+        ("cooperativity", SweepAxis("cavity.g", 0.5, 2.0, 3)),
+    ])
+    def test_cavity_axis_must_be_the_target(self, design, which, axis):
+        with pytest.raises(ps.ValidationError, match=rf"^axis {axis.path} cannot be swept as "):
+            ps.sweep_fidelity_cavity(axis, design["pdr"], design["polarizer"],
+                                     design["cavity"], which=which)
+
+    def test_pdr_axes_must_be_T_V_then_R_H(self, design):
+        tv, rh = default_pdr_axes()
+        for axes, message in [((rh, tv), "axis pdr.R_H cannot be swept as pdr.T_V"),
+                              ((tv, tv), "axis pdr.T_V cannot be swept as pdr.R_H"),
+                              ((tv, SweepAxis("pdr.R_V", 0.0, 0.6, 5)),
+                               "axis pdr.R_V cannot be swept as pdr.R_H")]:
+            with pytest.raises(ps.ValidationError) as exc:
+                ps.sweep_fidelity_pdr(*axes, design["cavity"], design["polarizer"])
+            assert str(exc.value) == message
 
 
 @pytest.fixture(scope="module")

@@ -44,6 +44,8 @@ MC_SETTINGS = ['mc.trials="x"', "mc.trials=0", "mc.trials=true", "mc.trials=2.5"
 # (command, --set overrides, other flags)
 COMMANDS: list[tuple[str, list[str], list[str]]] = [
     ("fidelity", [], []),
+    # a detuned cavity and a complex H reflection through the scalar kernel
+    ("fidelity", ["cavity.delta_c=0.1", "cavity.delta_a=-0.05", "r_cav_h=[-0.9,0.2]"], []),
     ("rate", [], []),
     ("rate", ["link.eta_link=1e-9", "f_target=0.99"], []),
     ("rate", ["link.xi=0.01", "false_herald_correction=true"], []),
@@ -53,6 +55,11 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     ("montecarlo", ["link.eta_link=1e-6"], ["--trials", "300", "--seed", "7"]),
     ("montecarlo", ["link.eta_link=1e-9"], ["--trials", "300", "--seed", "7"]),
     ("sweep", ["sweep.kind=pdr"], []),
+    # the pdr map with grid rows longer than a kernel block, and with losses,
+    # a + reflection sign and the NaN reasons they bring
+    ("sweep", ["sweep.kind=pdr", "sweep.axis=[0.5,1,3]", "sweep.second_axis=[0,0.6,5001]"], []),
+    ("sweep", ["sweep.kind=pdr", "pdr.zeta_V=0.005", "pdr.zeta_H=0.01",
+               "pdr.reflection_sign=1"], []),
     ("sweep", ["sweep.kind=cavity_c"], []),
     ("sweep", ["sweep.kind=cavity_coupling"], []),
     ("sweep", ["sweep.kind=rate_vs_loss"], []),
