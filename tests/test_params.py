@@ -75,23 +75,11 @@ CASES = [
     (lambda: _pdr(t_H=1e200, r_H=0, t_V=0, r_V=0), "T_H + R_H = inf exceeds 1"),
     (lambda: _pdr(t_H=complex(1.5e308, 1.5e308)), "T_H + R_H = inf exceeds 1"),
     (lambda: _pdr(r_V=1e200), "T_V + R_V = inf exceeds 1"),
-    (lambda: ps.CavityParams.from_ratios(0.5, NAN), "cooperativity must be >= 0"),
-    (lambda: ps.CavityParams.from_ratios(NAN, 4.0), "kappa_wg must lie in [0, kappa], got nan"),
-    (lambda: ps.CavityParams.from_ratios(1.5, 4.0), "kappa_wg must lie in [0, kappa], got 1.5"),
     # PdrParams.from_power
     (lambda: ps.PdrParams.from_power(0.5, 0.5, reflection_sign=0.5),
      "reflection_sign must be +1 or -1, got 0.5"),
-    (lambda: ps.PdrParams.from_power(0.5, 0.5, reflection_sign=NAN),
-     "reflection_sign must be +1 or -1, got nan"),
-    (lambda: ps.PdrParams.from_power(0.5, 0.5, reflection_sign=0),
-     "reflection_sign must be +1 or -1, got 0"),
-    (lambda: ps.PdrParams.from_power(0.5, 0.5, reflection_sign=1j),
-     "reflection_sign must be +1 or -1, got 1j"),
     (lambda: ps.PdrParams.from_power(1.5, 0.5), "T_V and R_H must lie in [0, 1]"),
     (lambda: ps.PdrParams.from_power(0.5, -0.5), "T_V and R_H must lie in [0, 1]"),
-    (lambda: ps.PdrParams.from_power(NAN, 0.5), "T_V and R_H must lie in [0, 1]"),
-    (lambda: ps.PdrParams.from_power(0.5, NAN), "T_V and R_H must lie in [0, 1]"),
-    (lambda: ps.PdrParams.from_power(-INF, 0.5), "T_V and R_H must lie in [0, 1]"),
     (lambda: ps.PdrParams.from_power(0.75, 0.5, zeta_V=0.5),
      "R_V = 1 - T_V - zeta_V is negative (-0.25)"),
     (lambda: ps.PdrParams.from_power(0.5, 0.5, zeta_H=0.75),
@@ -135,10 +123,6 @@ TWO_FAULTS = [
     (lambda: ps.PdrParams.from_power(NAN, 0.5, zeta_V=2.0), "T_V and R_H must lie in [0, 1]"),
     (lambda: ps.PdrParams.from_power(0.5, 0.5, zeta_V=1.0, zeta_H=0.75),
      "R_V = 1 - T_V - zeta_V is negative (-0.5)"),
-    (lambda: ps.PdrParams.from_power(1.5, 0.5, reflection_sign=2.0),
-     "reflection_sign must be +1 or -1, got 2.0"),
-    (lambda: ps.PdrParams.from_power(0.5, NAN, zeta_H=2.0), "T_V and R_H must lie in [0, 1]"),
-    (lambda: ps.CavityParams.from_ratios(NAN, -1.0), "cooperativity must be >= 0"),
 ]
 
 
@@ -146,6 +130,44 @@ TWO_FAULTS = [
     "build,message", CASES + TWO_FAULTS,
     ids=[m for _, m in CASES] + [f"{m} (two faults)" for _, m in TWO_FAULTS])
 def test_each_check_raises_its_message(build, message):
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+# The refusals of the two constructors that skip the dataclass checks on the
+# accept path: each input, one or two faults at a time, in check order.
+FROM_POWER_AND_RATIOS = [
+    ("from_ratios(0.5, nan)", lambda: ps.CavityParams.from_ratios(0.5, NAN),
+     "cooperativity must be >= 0"),
+    ("from_ratios(nan, 4)", lambda: ps.CavityParams.from_ratios(NAN, 4.0),
+     "kappa_wg must lie in [0, kappa], got nan"),
+    ("from_ratios(1.5, 4)", lambda: ps.CavityParams.from_ratios(1.5, 4.0),
+     "kappa_wg must lie in [0, kappa], got 1.5"),
+    ("from_ratios(nan, -1)", lambda: ps.CavityParams.from_ratios(NAN, -1.0),
+     "cooperativity must be >= 0"),
+    ("from_power sign nan", lambda: ps.PdrParams.from_power(0.5, 0.5, reflection_sign=NAN),
+     "reflection_sign must be +1 or -1, got nan"),
+    ("from_power sign 0", lambda: ps.PdrParams.from_power(0.5, 0.5, reflection_sign=0),
+     "reflection_sign must be +1 or -1, got 0"),
+    ("from_power sign 1j", lambda: ps.PdrParams.from_power(0.5, 0.5, reflection_sign=1j),
+     "reflection_sign must be +1 or -1, got 1j"),
+    ("from_power(nan, 0.5)", lambda: ps.PdrParams.from_power(NAN, 0.5),
+     "T_V and R_H must lie in [0, 1]"),
+    ("from_power(0.5, nan)", lambda: ps.PdrParams.from_power(0.5, NAN),
+     "T_V and R_H must lie in [0, 1]"),
+    ("from_power(-inf, 0.5)", lambda: ps.PdrParams.from_power(-INF, 0.5),
+     "T_V and R_H must lie in [0, 1]"),
+    ("from_power(1.5, 0.5) sign 2", lambda: ps.PdrParams.from_power(1.5, 0.5, reflection_sign=2.0),
+     "reflection_sign must be +1 or -1, got 2.0"),
+    ("from_power(0.5, nan) zeta_H 2", lambda: ps.PdrParams.from_power(0.5, NAN, zeta_H=2.0),
+     "T_V and R_H must lie in [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("build,message", [c[1:] for c in FROM_POWER_AND_RATIOS],
+                         ids=[c[0] for c in FROM_POWER_AND_RATIOS])
+def test_from_power_and_from_ratios_refuse(build, message):
     with pytest.raises(ValidationError) as exc:
         build()
     assert str(exc.value) == message
