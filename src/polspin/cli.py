@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from .config import SWEEP_KINDS, ConfigError, RunConfig, _jsonable, load_config
+from .config import ConfigError, RunConfig, _jsonable, load_config
 from .device import (
     FidelityReport,
     OpaqueDeviceError,
@@ -28,7 +28,7 @@ from .device import (
     loss_balance_residual,
     transfer_fidelity,
 )
-from .params import InfeasibleConstraintError, NoDetectionError, SweepAxis, ValidationError
+from .params import InfeasibleConstraintError, NoDetectionError, ValidationError
 
 if TYPE_CHECKING:
     from .rate import RateResult
@@ -121,21 +121,6 @@ def write_table(result: Any, fmt: str, path: str | Path, config_hash: str,
         raise ConfigError(f"unknown output format: {fmt!r}")
 
 
-def _axis_from(spec: list | None, default: SweepAxis) -> SweepAxis:
-    if spec is None:
-        return default
-    if not (isinstance(spec, list) and len(spec) in (3, 4)):
-        raise ConfigError(
-            f"sweep axis must be [start, stop, num] or [start, stop, num, spacing], "
-            f"got {spec!r}")
-    start, stop, num, *rest = spec
-    spacing = rest[0] if rest else default.spacing
-    try:
-        return SweepAxis(default.path, start, stop, num, spacing)
-    except ValidationError as exc:
-        raise ConfigError(f"sweep axis {spec!r}: {exc}") from exc
-
-
 def _cmd_fidelity(cfg: RunConfig, out: Path, fmt: str) -> None:
     report = transfer_fidelity(cfg.pdr, cfg.polarizer, cfg.cavity,
                                r_cav_h=cfg.r_cav_h)
@@ -165,22 +150,18 @@ def _cmd_rate(cfg: RunConfig, out: Path, fmt: str) -> None:
 def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> None:
     from .sweep import sweep_fidelity_cavity, sweep_fidelity_pdr, sweep_rate_vs_loss
 
-    kind, sweep = cfg.sweep["kind"], cfg.sweep
-    defaults = SWEEP_KINDS[kind]
+    kind, sweep, axes = cfg.sweep["kind"], cfg.sweep, cfg.axes
     # refuse settings this kind would not read, which still change the hash
-    if len(defaults) == 1 and sweep["second_axis"] is not None:
-        raise ConfigError(f"sweep.second_axis applies only to the pdr sweep, not {kind}")
     for key, value in (("sweep.with_mc", sweep["with_mc"]),
                        ("false_herald_correction", cfg.false_herald_correction)):
         if kind != "rate_vs_loss" and value:
             raise ConfigError(f"{key} applies only to rate_vs_loss, not {kind}")
-    axes = [_axis_from(spec, default)
-            for spec, default in zip((sweep["axis"], sweep["second_axis"]), defaults)]
     if kind == "pdr":
+        # the configured losses, not those recomputed from cfg.pdr's amplitudes
+        pdr = cfg.raw["pdr"]
         results = {out: sweep_fidelity_pdr(
-            *axes, cfg.cavity, cfg.polarizer,
-            zeta_V=cfg.pdr.zeta_V, zeta_H=cfg.pdr.zeta_H, r_cav_h=cfg.r_cav_h,
-            reflection_sign=cfg.raw["pdr"]["reflection_sign"])}
+            *axes, cfg.cavity, cfg.polarizer, zeta_V=pdr["zeta_V"], zeta_H=pdr["zeta_H"],
+            r_cav_h=cfg.r_cav_h, reflection_sign=pdr["reflection_sign"])}
     elif kind == "rate_vs_loss":
         names = [f"{out.stem}_f{round(f * 100):02d}{out.suffix}" for f in cfg.constraints]
         if len(set(names)) < len(names):  # refuse before a later file overwrites one

@@ -12,6 +12,7 @@ from typing import Any
 
 from .params import (
     DESIGN,
+    POWER_TOL,
     CavityParams,
     LinkParams,
     McConfig,
@@ -144,21 +145,20 @@ def _parse_override(expr: str) -> dict[str, Any]:
 
 
 class RunConfig(Value):
-    """Validated, fully-resolved configuration for one CLI run. It holds
-    dicts, so it cannot be hashed."""
-
-    _fields = ("raw", "cavity", "pdr", "polarizer", "link", "timing", "r_cav_h", "f_target",
-               "constraints", "false_herald_correction", "mc", "sweep")
+    """Validated, fully-resolved configuration for one CLI run; axes are
+    the sweep kind's axes with sweep.axis and sweep.second_axis applied. It
+    holds dicts, so it cannot be hashed."""
 
     def __init__(self, raw: dict[str, Any], cavity: CavityParams, pdr: PdrParams,
                  polarizer: PolarizerParams, link: LinkParams, timing: ProtocolTiming,
                  r_cav_h: complex, f_target: float, constraints: tuple[float, ...],
-                 false_herald_correction: bool, mc: McConfig, sweep: dict[str, Any]) -> None:
+                 false_herald_correction: bool, mc: McConfig, sweep: dict[str, Any],
+                 axes: tuple[SweepAxis, ...]) -> None:
         self.__dict__.update(raw=raw, cavity=cavity, pdr=pdr, polarizer=polarizer, link=link,
                              timing=timing, r_cav_h=r_cav_h, f_target=f_target,
                              constraints=constraints,
                              false_herald_correction=false_herald_correction, mc=mc,
-                             sweep=sweep)
+                             sweep=sweep, axes=axes)
 
     @property
     def config_hash(self) -> str:
@@ -171,6 +171,21 @@ class RunConfig(Value):
 
         return json.dumps({"config": self.raw, "config_hash": self.config_hash},
                           indent=2, sort_keys=True)
+
+
+def _axis_from(spec: list | None, default: SweepAxis) -> SweepAxis:
+    if spec is None:
+        return default
+    if not (isinstance(spec, list) and len(spec) in (3, 4)):
+        raise ConfigError(
+            f"sweep axis must be [start, stop, num] or [start, stop, num, spacing], "
+            f"got {spec!r}")
+    start, stop, num, *rest = spec
+    spacing = rest[0] if rest else default.spacing
+    try:
+        return SweepAxis(default.path, start, stop, num, spacing)
+    except ValidationError as exc:
+        raise ConfigError(f"sweep axis {spec!r}: {exc}") from exc
 
 
 def _build(raw: dict[str, Any]) -> RunConfig:
@@ -206,9 +221,18 @@ def _build(raw: dict[str, Any]) -> RunConfig:
         raise ConfigError("r_cav_h must be a [re, im] pair")
     if not all(type(v) in _NUMBERS and math.isfinite(v) for v in re_im):
         raise ConfigError(f"r_cav_h must hold two finite numbers, got {re_im!r}")
-    kind = raw["sweep"]["kind"]
+    r_cav_h = complex(re_im[0], re_im[1])
+    if abs(r_cav_h) > 1 + POWER_TOL:
+        raise ConfigError(f"r_cav_h must be passive, but |r_cav_h| = {abs(r_cav_h)} exceeds 1")
+    kind, sweep = raw["sweep"]["kind"], raw["sweep"]
     if not (isinstance(kind, str) and kind in SWEEP_KINDS):
         raise ConfigError(f"unknown sweep kind: {kind}")
+    defaults = SWEEP_KINDS[kind]
+    # refuse a setting this kind would not read, which still changes the hash
+    if len(defaults) == 1 and sweep["second_axis"] is not None:
+        raise ConfigError(f"sweep.second_axis applies only to the pdr sweep, not {kind}")
+    axes = tuple(_axis_from(spec, default)
+                 for spec, default in zip((sweep["axis"], sweep["second_axis"]), defaults))
     return RunConfig(
         raw=raw,
         cavity=cavity,
@@ -216,12 +240,13 @@ def _build(raw: dict[str, Any]) -> RunConfig:
         polarizer=polarizer,
         link=link,
         timing=timing,
-        r_cav_h=complex(re_im[0], re_im[1]),
+        r_cav_h=r_cav_h,
         f_target=f_target,
         constraints=tuple(constraints),
         false_herald_correction=raw["false_herald_correction"],
         mc=mc,
-        sweep=dict(raw["sweep"]),
+        sweep=dict(sweep),
+        axes=axes,
     )
 
 

@@ -50,8 +50,6 @@ class EffectiveReflections(Value):
     """Round-trip field coefficients seen by each polarization for each
     spin state (on = spin couples to the cavity, off = it does not)."""
 
-    _fields = ("r_H_on", "r_H_off", "r_V_on", "r_V_off")
-
     def __init__(self, r_H_on: complex, r_H_off: complex, r_V_on: complex,
                  r_V_off: complex) -> None:
         for name, r in (("r_H_on", r_H_on), ("r_H_off", r_H_off),
@@ -70,8 +68,6 @@ IDEAL_REFLECTIONS = EffectiveReflections(
 class PhotonQubit(Value):
     """Polarization qubit alpha|H> + beta|V>, normalized."""
 
-    _fields = ("alpha", "beta")
-
     def __init__(self, alpha: complex, beta: complex) -> None:
         norm = abs(alpha) ** 2 + abs(beta) ** 2
         if abs(norm - 1.0) > 1e-12:
@@ -81,8 +77,6 @@ class PhotonQubit(Value):
 
 class SpinState(Value):
     """Spin amplitudes on (|down>, |up>); possibly unnormalized."""
-
-    _fields = ("amp_down", "amp_up")
 
     def __init__(self, amp_down: complex, amp_up: complex) -> None:
         self.__dict__.update(amp_down=amp_down, amp_up=amp_up)
@@ -105,8 +99,6 @@ class JointState(Value):
     """Unnormalized photon (H/V after the half-wave plate) x spin amplitudes.
     Loss only removes amplitude, so the total squared norm is <= 1."""
 
-    _fields = ("h_down", "h_up", "v_down", "v_up")
-
     def __init__(self, h_down: complex, h_up: complex, v_down: complex,
                  v_up: complex) -> None:
         self.__dict__.update(h_down=h_down, h_up=h_up, v_down=v_down, v_up=v_up)
@@ -125,8 +117,6 @@ class FidelityReport(Value):
     probabilities and their products with the conditional fidelity.
     per_input and per_outcome are built from them when read.
     """
-
-    _fields = ("f_avg", "fidelity", "herald", "overlap")
 
     def __init__(self, f_avg: float, fidelity: tuple[float, ...],
                  herald: tuple[tuple[float, float], ...],

@@ -36,8 +36,6 @@ _ATTEMPT_CAP = 2**62  # _trials counts attempts in int64
 
 
 class TrialResult(Value):
-    _fields = ("elapsed", "attempts_used", "sequences_used", "error_occurred")
-
     def __init__(self, elapsed: float, attempts_used: int, sequences_used: int,
                  error_occurred: bool) -> None:
         self.__dict__.update(elapsed=elapsed, attempts_used=attempts_used,
@@ -45,8 +43,6 @@ class TrialResult(Value):
 
 
 class McRateEstimate(Value):
-    _fields = ("mean_rate", "std_error", "error_fraction", "trials")
-
     def __init__(self, mean_rate: float, std_error: float, error_fraction: float,
                  trials: int) -> None:
         self.__dict__.update(mean_rate=mean_rate, std_error=std_error,

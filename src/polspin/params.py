@@ -32,9 +32,11 @@ def _check(cond: bool, fmt: str, *args: Any) -> None:
 
 
 class Value:
-    """Base of the immutable value types. A subclass names its fields in
-    _fields, in constructor order, and its own __init__ validates the
-    arguments and writes them into self.__dict__. Value gives it the repr of
+    """Base of the immutable value types. A subclass's fields are its
+    constructor's positional parameters, in order: its own __init__
+    validates the arguments and writes them into self.__dict__, and the
+    class's _fields is read from that __init__ once, when the class is
+    made, unless the class sets _fields itself. Value gives it the repr of
     a dataclass, equality within one class, a hash of the field values
     (a field that cannot be hashed makes the object unhashable), no
     assignment or deletion, and replace.
@@ -44,6 +46,12 @@ class Value:
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_fields" not in cls.__dict__ and "__init__" in cls.__dict__:
+            code = cls.__init__.__code__
+            cls._fields = code.co_varnames[1:code.co_argcount]
 
     def _field_values(self) -> tuple:
         d = self.__dict__
@@ -96,8 +104,6 @@ class CavityParams(Value):
     (omega_c - omega) and delta_a the atom detuning (omega_a - omega).
     """
 
-    _fields = ("kappa", "kappa_wg", "gamma", "g", "delta_c", "delta_a")
-
     def __init__(self, kappa: float, kappa_wg: float, gamma: float, g: float,
                  delta_c: float = 0.0, delta_a: float = 0.0) -> None:
         self.__dict__.update(kappa=kappa, kappa_wg=kappa_wg, gamma=gamma, g=g,
@@ -143,8 +149,6 @@ class PdrParams(Value):
     Per polarization i, power transmissivity T_i = |t_i|^2 and reflectivity
     R_i = |r_i|^2 must satisfy T_i + R_i <= 1; the deficit is scattering loss.
     """
-
-    _fields = ("t_H", "r_H", "t_V", "r_V")
 
     def __init__(self, t_H: complex, r_H: complex, t_V: complex, r_V: complex) -> None:
         self.__dict__.update(t_H=t_H, r_H=r_H, t_V=t_V, r_V=r_V)
@@ -212,8 +216,6 @@ class PdrParams(Value):
 class PolarizerParams(Value):
     """Pass efficiencies of the V-pass polarizer, per polarization."""
 
-    _fields = ("eta_pol_V", "eta_pol_H")
-
     def __init__(self, eta_pol_V: float, eta_pol_H: float) -> None:
         _check(0 <= eta_pol_V <= 1, "eta_pol_V out of [0,1]: {}", eta_pol_V)
         _check(0 <= eta_pol_H <= 1, "eta_pol_H out of [0,1]: {}", eta_pol_H)
@@ -227,8 +229,6 @@ class LinkParams(Value):
     average V cavity power reflectivity r_cav_V_avg (spin on and off), the
     H cavity power reflectivity r_cav_H, and the probability xi of the H
     photon reaching the spin."""
-
-    _fields = ("eta_link", "eta_det", "r_cav_V_avg", "r_cav_H", "xi")
 
     def __init__(self, eta_link: float, eta_det: float, r_cav_V_avg: float,
                  r_cav_H: float, xi: float | None = None) -> None:
@@ -246,8 +246,6 @@ class LinkParams(Value):
 
 class ProtocolTiming(Value):
     """Per-attempt slot and spin re-initialization times, in seconds."""
-
-    _fields = ("tau_reset", "tau_pulse", "pulse_multiplier")
 
     def __init__(self, tau_reset: float, tau_pulse: float,
                  pulse_multiplier: float = 1.0) -> None:
@@ -271,8 +269,6 @@ class InfeasibleConstraintError(ValueError):
 
 
 class McConfig(Value):
-    _fields = ("trials", "seed")
-
     def __init__(self, trials: int = 100, seed: int = 0) -> None:
         # the one place the mc rules are written; config builds its mc section here
         for key, v, least in (("trials", trials, 1), ("seed", seed, 0)):
@@ -286,11 +282,9 @@ class SweepAxis(Value):
     """One sweep dimension: a parameter path and its grid, with spacing
     linear, log or db."""
 
-    _fields = ("path", "start", "stop", "num", "spacing")
-
     def __init__(self, path: str, start: float, stop: float, num: int,
                  spacing: str = "linear") -> None:
-        # the one place the axis rules are written; the CLI builds its axes here
+        # the one place the axis rules are written; config builds its axes here
         if any(isinstance(v, bool) or not isinstance(v, Real) for v in (start, stop)):
             raise ValidationError(f"axis {path}: start and stop must be numbers, "
                                   f"got {start!r} and {stop!r}")

@@ -109,8 +109,6 @@ class AttemptProbabilities(Value):
     p_e defaults to 1 - p_det - p_lost; attempt_probabilities supplies it
     exactly, since that difference cancels when p_lost is close to 1."""
 
-    _fields = ("p_det", "p_lost", "p_e")
-
     def __init__(self, p_det: float, p_lost: float, p_e: float | None = None) -> None:
         for name, v in (("p_det", p_det), ("p_lost", p_lost)):
             if not 0 <= v <= 1:
@@ -130,16 +128,11 @@ class MaxAttempts(Value):
     never binds (the error probability's limit p_e / (p_det + p_e) meets
     it); cap_reached means it still holds at ATTEMPT_SEARCH_CAP."""
 
-    _fields = ("n", "unbounded", "cap_reached")
-
     def __init__(self, n: int, unbounded: bool = False, cap_reached: bool = False) -> None:
         self.__dict__.update(n=n, unbounded=unbounded, cap_reached=cap_reached)
 
 
 class RateResult(Value):
-    _fields = ("n_max", "p_error", "p_success", "t_failures", "t_success", "rate", "regime",
-               "unbounded", "cap_reached")
-
     def __init__(self, n_max: int, p_error: float, p_success: float, t_failures: float,
                  t_success: float, rate: float, regime: int, unbounded: bool = False,
                  cap_reached: bool = False) -> None:
@@ -475,16 +468,12 @@ def _attempt_limit(p_det, p_e, f0, f_target, xp):
     return n, unbounded, (n == _CAP) & xp.logical_not(unbounded | infeasible), p_err
 
 
-def _check_feasible(f0: float, f_target: float) -> None:
-    if f_target > f0:
-        raise InfeasibleConstraintError(
-            f"f_target = {f_target} exceeds single-attempt fidelity f0 = {f0}")
-
-
 def _decide_attempts(probs: AttemptProbabilities, f0: float, f_target: float):
     """max_attempts' result and p_err(n_max), the search's value where it
     walked n_max and a walk at n_max elsewhere."""
-    _check_feasible(f0, f_target)
+    if f_target > f0:
+        raise InfeasibleConstraintError(
+            f"f_target = {f_target} exceeds single-attempt fidelity f0 = {f0}")
     n, unbounded, cap_reached, p_err = _attempt_limit(probs.p_det, probs.p_e, f0, f_target,
                                                       _PyMath)
     n = int(n)
@@ -505,10 +494,7 @@ def max_attempts(
     is flagged unbounded. Otherwise the rate kernel's search finds the
     boundary up to ATTEMPT_SEARCH_CAP.
     """
-    _check_feasible(f0, f_target)
-    n, unbounded, cap_reached, _ = _attempt_limit(probs.p_det, probs.p_e, f0, f_target,
-                                                  _PyMath)
-    return MaxAttempts(n=int(n), unbounded=unbounded, cap_reached=cap_reached)
+    return _decide_attempts(probs, f0, f_target)[0]
 
 
 def _clicks(n, p_det, xp):
@@ -638,8 +624,6 @@ class RateCurves(Value):
     and link transmissivities (columns), NaN where the constraint exceeds f0
     (infeasible) or still holds at ATTEMPT_SEARCH_CAP (cap_reached), and the
     repeaterless bound per transmissivity."""
-
-    _fields = ("n_max", "rate", "regime", "bound", "infeasible", "cap_reached")
 
     def __init__(self, n_max: np.ndarray, rate: np.ndarray, regime: np.ndarray,
                  bound: np.ndarray, infeasible: np.ndarray, cap_reached: np.ndarray) -> None:

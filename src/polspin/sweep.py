@@ -56,8 +56,6 @@ class SweepResult(Value):
     new empty dicts.
     """
 
-    _fields = ("axes", "values", "quantity", "metadata", "columns")
-
     def __init__(self, axes: list[tuple[str, np.ndarray]], values: np.ndarray, quantity: str,
                  metadata: dict[str, Any] | None = None,
                  columns: dict[str, np.ndarray] | None = None) -> None:

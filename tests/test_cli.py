@@ -87,6 +87,8 @@ class TestLoadConfig:
         ("r_cav_h=[0,-Infinity]", "r_cav_h must hold two finite numbers, got [0, -inf]"),
         ('r_cav_h=["a",0]', "r_cav_h must hold two finite numbers, got ['a', 0]"),
         ("r_cav_h=[true,0]", "r_cav_h must hold two finite numbers, got [True, 0]"),
+        ("r_cav_h=[1.05,0]", "r_cav_h must be passive, but |r_cav_h| = 1.05 exceeds 1"),
+        ("r_cav_h=[0,-1.01]", "r_cav_h must be passive, but |r_cav_h| = 1.01 exceeds 1"),
         ("cavity.delta_c=NaN", "delta_c must be finite, got nan"),
         ("cavity.kappa=1e400", "kappa must be finite, got inf"),
         ("cavity.g=1e200", "g, kappa and gamma must give a finite cooperativity "
@@ -101,13 +103,27 @@ class TestLoadConfig:
                                           "got 'False'"),
         ("false_herald_correction=1", "false_herald_correction must be true or false, got 1"),
         ("sweep.with_mc=off", "sweep.with_mc must be true or false, got 'off'"),
-    ], ids=["nan", "inf", "text", "bool", "delta_c", "kappa_inf", "g_overflow", "kappa_text", "kappa_bool", "sign_bool",
+    ], ids=["nan", "inf", "text", "bool", "amplifying", "amplifying_im", "delta_c", "kappa_inf", "g_overflow", "kappa_text", "kappa_bool", "sign_bool",
             "xi_text", "f_target_text", "constraint_text", "flag_text", "flag_number",
             "with_mc_text"])
     def test_non_finite_device_setting_is_named(self, setting, message):
         with pytest.raises(ConfigError) as exc:
             load_config(overrides=[setting])
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("setting", ["r_cav_h=[-1,0]", "r_cav_h=[0.6,0.8]",
+                                         "r_cav_h=[0,0]"])
+    def test_passive_r_cav_h_is_accepted(self, setting):
+        assert abs(load_config(overrides=[setting]).r_cav_h) <= 1
+
+    def test_sweep_axes_are_parsed_at_load(self):
+        assert load_config().axes == (SweepAxis("pdr.T_V", 0.5, 1.0, 101),
+                                      SweepAxis("pdr.R_H", 0.0, 0.6, 101))
+        cfg = load_config(overrides=["sweep.kind=cavity_c", 'sweep.axis=[1,10,5,"linear"]'])
+        assert cfg.axes == (SweepAxis("cavity.cooperativity", 1, 10, 5),)
+        cfg = load_config(overrides=["sweep.second_axis=[0,0.5,3]"])
+        assert cfg.axes == (SweepAxis("pdr.T_V", 0.5, 1.0, 101),
+                            SweepAxis("pdr.R_H", 0, 0.5, 3))
 
     def test_null_xi_is_the_only_null_device_setting(self):
         # null, the default, takes xi from r_cav_H
@@ -394,6 +410,30 @@ class TestMain:
         assert code == 2
         assert json.loads(cap.err)["error"] == "validation"
 
+    @pytest.mark.parametrize("command", ["fidelity", "rate", "sweep", "montecarlo",
+                                         "diagnose"])
+    @pytest.mark.parametrize("settings,message", [
+        (['sweep.axis="x"'], "sweep axis must be [start, stop, num] or "
+                             "[start, stop, num, spacing], got 'x'"),
+        (["sweep.axis=[0,1,2.7]"], "sweep axis [0, 1, 2.7]: axis pdr.T_V: num must be an "
+                                   "integer, got 2.7"),
+        (["sweep.second_axis=[1,0,3]"], "sweep axis [1, 0, 3]: axis pdr.R_H: start must "
+                                        "be < stop"),
+        (["sweep.kind=cavity_c", "sweep.second_axis=[0,1,3]"],
+         "sweep.second_axis applies only to the pdr sweep, not cavity_c"),
+        (["r_cav_h=[1.05,0]"], "r_cav_h must be passive, but |r_cav_h| = 1.05 exceeds 1"),
+    ], ids=["axis_text", "axis_fractional_num", "axis_reversed", "second_axis_cavity_c",
+            "amplifying_r_cav_h"])
+    def test_setting_refused_by_every_command(self, tmp_path, capsys, command, settings,
+                                              message):
+        # every command checks the sweep axes, which move the config hash, as
+        # it checks the mc section, before the config echo
+        args = [arg for setting in settings for arg in ("--set", setting)]
+        code, cap, out = run_cli(["--command", command, *args], tmp_path, capsys)
+        assert (code, cap.out) == (2, "")
+        assert json.loads(cap.err) == {"error": "validation", "detail": message}
+        assert not out.exists()
+
     @pytest.mark.parametrize("setting", ["mc.draw_cap=1000", "mc.draw_cap=100000000"])
     def test_removed_draw_cap_names_the_key(self, tmp_path, capsys, setting):
         # a trial takes two draws, so there is no draw count left to bound
@@ -586,6 +626,22 @@ class TestSweepCsvRoundTrip:
         tv, rh = np.meshgrid(res.axes[0][1], res.axes[1][1], indexing="ij")
         self.check(out, ["pdr.T_V", "pdr.R_H", "fidelity"],
                    [tv.ravel(), rh.ravel(), res.values.ravel()], cfg.config_hash)
+
+    def test_pdr_at_the_configured_losses(self, tmp_path, capsys):
+        # from_power's amplitudes give back 0.004999999999999999 and
+        # 0.010000000000000009; the sweep takes the zetas as configured
+        sets = ["sweep.kind=pdr", "sweep.axis=[0.5,1.0,9]", "sweep.second_axis=[0.0,0.6,7]",
+                "pdr.zeta_V=0.005", "pdr.zeta_H=0.01", "pdr.reflection_sign=1"]
+        out, cfg = self.run(tmp_path, capsys, sets, fmt="json")
+        assert (cfg.pdr.zeta_V, cfg.pdr.zeta_H) != (0.005, 0.01)
+        res = sweep_fidelity_pdr(SweepAxis("pdr.T_V", 0.5, 1.0, 9),
+                                 SweepAxis("pdr.R_H", 0.0, 0.6, 7), cfg.cavity,
+                                 cfg.polarizer, zeta_V=0.005, zeta_H=0.01,
+                                 r_cav_h=cfg.r_cav_h, reflection_sign=1)
+        payload = json.loads(out.read_text())
+        assert (payload["metadata"]["zeta_V"], payload["metadata"]["zeta_H"]) == (0.005, 0.01)
+        values = np.array([row[2] for row in payload["rows"]], dtype=float)
+        assert np.array_equal(values, res.values.ravel(), equal_nan=True)
 
     @pytest.mark.parametrize("kind,which,axis", [
         ("cavity_c", "cooperativity", SweepAxis("cavity.cooperativity", 0.5, 20.0, 11, "log")),

@@ -1,7 +1,8 @@
 """The package loads numpy only on the array paths: `import polspin`, the
 config and the scalar CLI commands run without it, and without the
-standard dataclasses module. Every submodule and its names resolve on first
-use, so the config loads no device, rate or json, and fidelity no rate."""
+standard dataclasses and inspect modules. Every submodule and its names
+resolve on first use, so the config loads no device, rate or json, and
+fidelity no rate."""
 
 import importlib
 import json
@@ -36,13 +37,15 @@ EXPORTS = {
 }
 
 # Run in a fresh interpreter: after each step, whether numpy is loaded,
-# whether dataclasses is, which polspin submodules are and whether json is.
+# which of dataclasses and inspect are, which polspin submodules are and
+# whether json is.
 # json is read before the script imports it for its own report.
 _STEPS = """
 import os, sys
 steps = []
 def step(name, ok=True):
-    steps.append([name, ok and "numpy" in sys.modules, "dataclasses" in sys.modules,
+    steps.append([name, ok and "numpy" in sys.modules,
+                  sorted({"dataclasses", "inspect"} & set(sys.modules)),
                   sorted(m for m in sys.modules if m.startswith("polspin.")),
                   "json" in sys.modules])
 import polspin
@@ -64,7 +67,7 @@ import json
 print(json.dumps(steps), file=sys.stderr)
 """
 
-# The steps that load neither numpy nor dataclasses.
+# The steps that load neither numpy, dataclasses nor inspect.
 _SCALAR_STEPS = ["import polspin", "load_config",
                  *(f"{command} {fmt} (exit 0)"
                    for command in ("fidelity", "rate", "diagnose") for fmt in ("csv", "json"))]
@@ -87,9 +90,10 @@ def test_scalar_paths_do_not_load_numpy(tmp_path):
         "polspin.montecarlo": True,
         "polspin.sweep_fidelity_pdr": True,
     }
-    # no value type builds on dataclasses, whose import pulls in inspect
-    dataclasses_loaded = {step: dc for step, _, dc, *_ in steps if step in _SCALAR_STEPS}
-    assert dataclasses_loaded == dict.fromkeys(_SCALAR_STEPS, False)
+    # no value type builds on dataclasses, whose import pulls in inspect, and
+    # none reads its fields with inspect
+    introspection = {step: mods for step, _, mods, *_ in steps if step in _SCALAR_STEPS}
+    assert introspection == dict.fromkeys(_SCALAR_STEPS, [])
     # set-up compiles only what it runs: no submodule on import, no device,
     # rate or json for the config, and no rate for the fidelity command
     modules = {step: set(names) for step, _, _, names, _ in steps}

@@ -4,6 +4,7 @@ class, refuses assignment and deletion, rebuilds through its constructor in
 replace, and survives copy.deepcopy and pickle."""
 
 import copy
+import inspect
 import pickle
 
 import numpy as np
@@ -28,7 +29,8 @@ FIELDS = {
     device.JointState: ("h_down", "h_up", "v_down", "v_up"),
     device.FidelityReport: ("f_avg", "fidelity", "herald", "overlap"),
     config.RunConfig: ("raw", "cavity", "pdr", "polarizer", "link", "timing", "r_cav_h",
-                       "f_target", "constraints", "false_herald_correction", "mc", "sweep"),
+                       "f_target", "constraints", "false_herald_correction", "mc", "sweep",
+                       "axes"),
     rate.AttemptProbabilities: ("p_det", "p_lost", "p_e"),
     rate.MaxAttempts: ("n", "unbounded", "cap_reached"),
     rate.RateResult: ("n_max", "p_error", "p_success", "t_failures", "t_success", "rate",
@@ -102,6 +104,41 @@ def test_every_value_type_is_covered():
     assert len(FIELDS) == 20
     for cls in FIELDS:
         assert issubclass(cls, Value)
+    defined = {obj for module in (params, device, rate, montecarlo, sweep, config)
+               for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, Value) and obj is not Value}
+    assert defined == set(FIELDS)
+
+
+@TYPES
+def test_fields_are_the_constructors_positional_parameters(cls):
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    names = tuple(name for name, p in inspect.signature(cls).parameters.items()
+                  if p.kind in positional)
+    assert cls._fields == names == FIELDS[cls]
+    assert "_fields" in vars(cls)  # read from the class's own __init__
+
+
+def test_fields_come_from_the_classs_own_constructor():
+    class Point(Value):
+        def __init__(self, x, y=0.0, *rest, scale=1.0, **extra):
+            self.__dict__.update(x=x, y=y)
+
+    class Labelled(Point):  # no __init__: Point's constructor and fields
+        pass
+
+    class Named(Value):  # sets _fields itself, which is kept
+        _fields = ("name",)
+
+        def __init__(self, **values):
+            self.__dict__.update(values)
+
+    assert Point._fields == ("x", "y")
+    assert repr(Point(1.0)) == f"{Point.__qualname__}(x=1.0, y=0.0)"
+    assert Labelled._fields == ("x", "y") and "_fields" not in vars(Labelled)
+    assert Named._fields == ("name",)
+    assert repr(Named(name="a")) == f"{Named.__qualname__}(name='a')"
+    assert Value._fields == ()
 
 
 def test_design_reprs_are_the_dataclass_reprs():

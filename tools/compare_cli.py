@@ -98,6 +98,11 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     ("fidelity", ["cavity.kappa=1e-300", "cavity.gamma=1e-300", "cavity.g=1e-300",
                   "cavity.kappa_wg=1e-300"], []),
     *(("fidelity", [setting], []) for setting in MC_SETTINGS),
+    # refused under every command: a malformed sweep axis, a second axis the
+    # sweep kind does not read, an amplifying H cavity reflection
+    ("fidelity", ['sweep.axis="x"'], []),
+    ("rate", ["sweep.kind=cavity_c", "sweep.second_axis=[0,1,3]"], []),
+    ("fidelity", ["r_cav_h=[1.05,0]"], []),
 ]
 
 # The benchmark's set-up: import polspin and resolve the default config.
