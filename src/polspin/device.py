@@ -5,7 +5,8 @@ projection, and the four-state average transfer fidelity.
 fidelity_kernel computes all of it, from the cavity reflections to the
 average fidelity and the masks of invalid cells, with arithmetic operators
 only, so one code path serves scalar calls (transfer_fidelity,
-effective_reflections) and the broadcast numpy grids of the sweeps.
+effective_reflections) on the value objects and the broadcast numpy grids
+of the sweeps on stand-ins whose varied fields are arrays.
 evolve_joint_state and herald_spin_state spell out the same physics one
 state at a time on value objects; they are not on the computing path.
 
@@ -136,8 +137,9 @@ class FidelityReport(Value):
                 for outcome, p, o in zip(HeraldOutcome, probs, overlaps)}
 
 
-def _cavity_reflections(kappa, kappa_wg, gamma, g, delta_c, delta_a):
-    """(r_on, r_off) of the single-sided cavity from input-output theory:
+def _cavity_reflections(cavity):
+    """(r_on, r_off) of the single-sided cavity, a CavityParams or a stand-in
+    as fidelity_kernel takes it, from input-output theory:
     r = 1 - kappa_wg / (dc (1 + g^2 / (dc da))) with dc = kappa/2 + i delta_c
     and da = gamma/2 + i delta_a. The uncoupled spin state sees g = 0, a bare
     cavity; a resonant, critically out-coupled one reflects with a -1 phase.
@@ -146,8 +148,9 @@ def _cavity_reflections(kappa, kappa_wg, gamma, g, delta_c, delta_a):
     on Python scalars g**2 can still overflow and dc da round to 0; such a
     cavity is refused here, where the error is raised, so the accepted
     path pays nothing."""
-    dc = 1j * delta_c + kappa / 2.0
-    da = 1j * delta_a + gamma / 2.0
+    kappa, kappa_wg, gamma, g = cavity.kappa, cavity.kappa_wg, cavity.gamma, cavity.g
+    dc = 1j * cavity.delta_c + kappa / 2.0
+    da = 1j * cavity.delta_a + gamma / 2.0
     try:
         return 1.0 - kappa_wg / (dc * (1.0 + g**2 / (dc * da))), 1.0 - kappa_wg / dc
     except (OverflowError, ZeroDivisionError):
@@ -159,17 +162,7 @@ def _cavity_reflections(kappa, kappa_wg, gamma, g, delta_c, delta_a):
 def cavity_reflection(cavity: CavityParams, coupled: bool = True) -> complex:
     """Single-sided cavity field reflection with the spin coupled (g) or
     uncoupled (g = 0)."""
-    r_on, r_off = _cavity_reflections(cavity.kappa, cavity.kappa_wg, cavity.gamma,
-                                      cavity.g, cavity.delta_c, cavity.delta_a)
-    return r_on if coupled else r_off
-
-
-def _scalar_inputs(pdr: PdrParams, polarizer: PolarizerParams,
-                   cavity: CavityParams, r_cav_h: complex) -> tuple:
-    return (pdr.t_H, pdr.r_H, pdr.t_V, pdr.r_V,
-            polarizer.eta_pol_V, polarizer.eta_pol_H,
-            cavity.kappa, cavity.kappa_wg, cavity.gamma, cavity.g,
-            cavity.delta_c, cavity.delta_a, r_cav_h)
+    return _cavity_reflections(cavity)[0 if coupled else 1]
 
 
 def effective_reflections(
@@ -181,7 +174,7 @@ def effective_reflections(
     """Round-trip coefficients of the reflector-cavity etalon, as
     fidelity_kernel computes them; raises ValidationError for a degenerate
     or non-passive etalon."""
-    k = fidelity_kernel(*_scalar_inputs(pdr, polarizer, cavity, r_cav_h))
+    k = fidelity_kernel(pdr, polarizer, cavity, r_cav_h)
     if k.degenerate:
         raise ValidationError(_DEGENERATE_MSG)
     return EffectiveReflections(k.r_H, k.r_H, k.r_V_on, k.r_V_off)
@@ -268,18 +261,20 @@ class DeviceKernel(NamedTuple):
     opaque: Any                        # some input is never heralded
 
 
-def fidelity_kernel(t_H, r_H, t_V, r_V, eta_pol_V, eta_pol_H,
-                    kappa, kappa_wg, gamma, g, delta_c, delta_a,
-                    r_cav_h) -> DeviceKernel:
+def fidelity_kernel(pdr, polarizer, cavity, r_cav_h) -> DeviceKernel:
     """Etalon coefficients, herald probabilities and average transfer fidelity.
 
-    Written with arithmetic operators, abs() and .conjugate() only, so the
-    same code runs on Python scalars (transfer_fidelity) and on numpy arrays
-    that broadcast (the sweeps): each quantity takes the shape of the inputs
-    it depends on, so with one axis's inputs as a column and the other's as
-    a row, the etalons are computed once per axis value. Cells that are
-    degenerate, non-passive or opaque carry finite placeholder values and
-    are flagged in the masks; no division is by zero.
+    Reads pdr.t_H, .r_H, .t_V, .r_V, polarizer.eta_pol_V, .eta_pol_H and
+    cavity.kappa, .kappa_wg, .gamma, .g, .delta_c, .delta_a; each, like
+    r_cav_h, is a Python number or a numpy array, and they broadcast. The
+    scalar path (transfer_fidelity, effective_reflections) passes the value
+    types as they are, the sweeps stand-ins (types.SimpleNamespace) whose
+    varied fields are arrays. Written with arithmetic operators, abs() and
+    .conjugate() only, so the same code runs on both: each quantity takes
+    the shape of the inputs it depends on, so with one axis's inputs as a
+    column and the other's as a row, the etalons are computed once per axis
+    value. Cells that are degenerate, non-passive or opaque carry finite
+    placeholder values and are flagged in the masks; no division is by zero.
 
     For each input alpha|H> + beta|V> the device reflects with the spin in
     (|down> + |up>)/sqrt2, the half-wave plate maps H -> (H + V)/sqrt2 and
@@ -299,12 +294,13 @@ def fidelity_kernel(t_H, r_H, t_V, r_V, eta_pol_V, eta_pol_H,
     # states (its transition is never resonant). An etalon's round trip is
     # r_pdr + r_cav t^2 / (1 - r_cav r_pdr); a degenerate one, whose value is
     # never used, divides by denominator + 1 so that no division is by zero.
-    r_on, r_off = _cavity_reflections(kappa, kappa_wg, gamma, g, delta_c, delta_a)
-    t_sq_V = t_V**2 * eta_pol_V
+    r_on, r_off = _cavity_reflections(cavity)
+    r_H, r_V = pdr.r_H, pdr.r_V
+    t_sq_V = pdr.t_V**2 * polarizer.eta_pol_V
     d_H, d_on, d_off = 1.0 - r_cav_h * r_H, 1.0 - r_on * r_V, 1.0 - r_off * r_V
     tol = _DEGENERATE_ETALON_TOL
     deg_H, deg_on, deg_off = abs(d_H) < tol, abs(d_on) < tol, abs(d_off) < tol
-    r_H_eff = r_H + r_cav_h * (t_H**2 * eta_pol_H) / (d_H + deg_H)
+    r_H_eff = r_H + r_cav_h * (pdr.t_H**2 * polarizer.eta_pol_H) / (d_H + deg_H)
     r_V_on = r_V + r_on * t_sq_V / (d_on + deg_on)
     r_V_off = r_V + r_off * t_sq_V / (d_off + deg_off)
     degenerate = deg_H | deg_on | deg_off
@@ -346,7 +342,7 @@ def transfer_fidelity(
     ValidationError for a degenerate or non-passive etalon and
     OpaqueDeviceError when some input is never heralded.
     """
-    k = fidelity_kernel(*_scalar_inputs(pdr, polarizer, cavity, r_cav_h))
+    k = fidelity_kernel(pdr, polarizer, cavity, r_cav_h)
     if k.degenerate:
         raise ValidationError(_DEGENERATE_MSG)
     if k.non_passive:

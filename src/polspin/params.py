@@ -254,6 +254,9 @@ class ProtocolTiming(Value):
         _check(pulse_multiplier > 0, "pulse_multiplier must be > 0, got {}", pulse_multiplier)
         self.__dict__.update(tau_reset=tau_reset, tau_pulse=tau_pulse,
                              pulse_multiplier=pulse_multiplier)
+        for name, v in (("tau_reset", tau_reset), ("tau_pulse", tau_pulse),
+                        ("pulse_multiplier", pulse_multiplier), ("tau_slot", self.tau_slot)):
+            _check(v < math.inf, "{} must be finite, got {}", name, v)
 
     @property
     def tau_slot(self) -> float:

@@ -471,6 +471,8 @@ def _attempt_limit(p_det, p_e, f0, f_target, xp):
 def _decide_attempts(probs: AttemptProbabilities, f0: float, f_target: float):
     """max_attempts' result and p_err(n_max), the search's value where it
     walked n_max and a walk at n_max elsewhere."""
+    if not 0 <= f_target <= 1:  # NaN too: its budget would fit no p_err, and n_max read 1
+        raise ValidationError(f"f_target out of [0,1]: {f_target}")
     if f_target > f0:
         raise InfeasibleConstraintError(
             f"f_target = {f_target} exceeds single-attempt fidelity f0 = {f0}")
@@ -653,6 +655,9 @@ def rate_curves(
     outside = ~((eta >= 0.0) & (eta <= 1.0))
     if outside.any():
         raise ValidationError(f"eta_link out of [0,1]: {eta[outside][0]}")
+    for c in f_targets:
+        if not 0 <= c <= 1:
+            raise ValidationError(f"constraint out of [0,1]: {c}")
     unit = attempt_probabilities(pdr, polarizer, link.replace(eta_link=1.0))
     target = np.asarray(f_targets, dtype=float).reshape(-1, 1)
     shape = (target.size, eta.size)

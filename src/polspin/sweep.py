@@ -4,16 +4,17 @@ Produces structured result tables for the fidelity maps (reflector power
 coefficients, cooperativity, waveguide coupling) and the rate-versus-loss
 curve family with the repeaterless bound and optional Monte Carlo estimates.
 The fidelity maps evaluate their grids through the device kernel
-(polspin.device.fidelity_kernel), one axis's inputs broadcast against the
-other's, in blocks of whole grid rows; a cell is NaN exactly where the
-scalar transfer_fidelity path would reject it, and the reason is counted
-in metadata["nan_reasons"]. Each cell is a pure function of its own
-inputs, so results do not depend on the blocks.
+(polspin.device.fidelity_kernel) on device stand-ins whose varied fields
+are arrays, one axis's broadcast against the other's, in blocks of whole
+grid rows; a cell is NaN exactly where the scalar transfer_fidelity path
+would reject it, and the reason is counted in metadata["nan_reasons"].
+Each cell depends on its own inputs alone, not on the blocks.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from types import SimpleNamespace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -71,15 +72,14 @@ class SweepResult(Value):
                              columns=columns)
 
 
-def _fidelity_cells(fixed: dict[str, Any], column: dict[str, Any], row: dict[str, Any],
-                    checks: list[tuple]) -> tuple[np.ndarray, dict[str, int]]:
+def _fidelity_cells(inputs: Callable, checks: list[tuple]) -> tuple[np.ndarray, dict[str, int]]:
     """Average fidelity over a grid through the device kernel, and the NaN
     count per reason.
 
-    fixed holds the kernel's keyword inputs shared by every cell, column
-    those that vary along the grid's first axis (one value per grid row) and
-    row those along its second; the kernel broadcasts a column against a
-    row, so what depends on one axis is computed once per value of it.
+    inputs(i, j) gives the kernel's (pdr, polarizer, cavity, r_cav_h) for
+    grid rows i and columns j, a field varying along the first axis as
+    v[i, None] and along the second as v[None, j]; the kernel broadcasts
+    them, so what depends on one axis is computed once per value of it.
     checks are (reason, column mask, row mask) triples, whose masks give the
     grid's shape, in the order the scalar constructors make them; a cell
     fails one where its grid row or grid column does. A cell is NaN exactly
@@ -98,8 +98,7 @@ def _fidelity_cells(fixed: dict[str, Any], column: dict[str, Any], row: dict[str
             j = slice(c0, c0 + step_c)
             # NaN inputs give NaN cells, silently, as on the scalar path
             with np.errstate(invalid="ignore"):
-                k = fidelity_kernel(**{**fixed, **{name: v[i, None] for name, v in column.items()},
-                                       **{name: v[None, j] for name, v in row.items()}})
+                k = fidelity_kernel(*inputs(i, j))
             failed = [(reason, in_column[i, None] | in_row[None, j])
                       for reason, in_column, in_row in checks]
             rejected = np.zeros(values[i, j].shape, dtype=bool)
@@ -111,12 +110,6 @@ def _fidelity_cells(fixed: dict[str, Any], column: dict[str, Any], row: dict[str
                 raise OpaqueDeviceError("device opaque for some input")
             values[i, j] = np.where(rejected, np.nan, k.f_avg)
     return values, reasons
-
-
-def _fixed_inputs(polarizer: PolarizerParams, cavity: CavityParams) -> dict[str, Any]:
-    return {"eta_pol_V": polarizer.eta_pol_V, "eta_pol_H": polarizer.eta_pol_H,
-            "kappa": cavity.kappa, "kappa_wg": cavity.kappa_wg, "gamma": cavity.gamma,
-            "g": cavity.g, "delta_c": cavity.delta_c, "delta_a": cavity.delta_a}
 
 
 def _grid(axis: SweepAxis, path: str) -> np.ndarray:
@@ -162,8 +155,8 @@ def sweep_fidelity_pdr(
         ("pdr_power_sum", ~(t_V**2 + r_V**2 <= limit), ~(t_H**2 + r_H**2 <= limit)),
     ]
     values, reasons = _fidelity_cells(
-        {**_fixed_inputs(polarizer, cavity), "r_cav_h": r_cav_h},
-        {"t_V": t_V, "r_V": r_V}, {"t_H": t_H, "r_H": r_H}, checks)
+        lambda i, j: (SimpleNamespace(t_H=t_H[None, j], r_H=r_H[None, j], t_V=t_V[i, None],
+                                      r_V=r_V[i, None]), polarizer, cavity, r_cav_h), checks)
     return SweepResult(
         axes=[(tv_axis.path, tv), (rh_axis.path, rh)],
         values=values,
@@ -196,17 +189,17 @@ def sweep_fidelity_cavity(
         raise ValidationError(f"unknown cavity sweep target: {which}")
     xs = _grid(axis, paths[which])
     cav = base_cavity
-    fixed = {**_fixed_inputs(polarizer, cav), "t_H": pdr.t_H, "r_H": pdr.r_H,
-             "t_V": pdr.t_V, "r_V": pdr.r_V, "r_cav_h": r_cav_h}
     # one grid row: the axis varies along the grid's columns
     if which == "cooperativity":
-        varied = {"g": np.sqrt(np.maximum(xs, 0.0) * cav.kappa * cav.gamma / 4.0)}
+        field, varied = "g", np.sqrt(np.maximum(xs, 0.0) * cav.kappa * cav.gamma / 4.0)
         bad = ~(xs >= 0)
     else:
-        varied = {"kappa_wg": xs * cav.kappa}
-        bad = ~((0 <= varied["kappa_wg"]) & (varied["kappa_wg"] <= cav.kappa))
-    values, reasons = _fidelity_cells(fixed, {}, varied,
-                                      [("cavity_range", np.zeros(1, dtype=bool), bad)])
+        field, varied = "kappa_wg", xs * cav.kappa
+        bad = ~((0 <= varied) & (varied <= cav.kappa))
+    values, reasons = _fidelity_cells(
+        lambda i, j: (pdr, polarizer, SimpleNamespace(**{**vars(cav), field: varied[None, j]}),
+                      r_cav_h),
+        [("cavity_range", np.zeros(1, dtype=bool), bad)])
     return SweepResult(
         axes=[(axis.path, xs)],
         values=values[0],

@@ -422,8 +422,15 @@ class TestMain:
         (["sweep.kind=cavity_c", "sweep.second_axis=[0,1,3]"],
          "sweep.second_axis applies only to the pdr sweep, not cavity_c"),
         (["r_cav_h=[1.05,0]"], "r_cav_h must be passive, but |r_cav_h| = 1.05 exceeds 1"),
+        # JSON reads 1e400 as inf; rate once wrote 0.0 and montecarlo a nan std_error
+        (["timing.tau_reset=1e400"], "tau_reset must be finite, got inf"),
+        (["timing.tau_pulse=1e400"], "tau_pulse must be finite, got inf"),
+        (["timing.pulse_multiplier=1e400"], "pulse_multiplier must be finite, got inf"),
+        (["timing.tau_pulse=1e200", "timing.pulse_multiplier=1e200"],
+         "tau_slot must be finite, got inf"),
     ], ids=["axis_text", "axis_fractional_num", "axis_reversed", "second_axis_cavity_c",
-            "amplifying_r_cav_h"])
+            "amplifying_r_cav_h", "infinite_tau_reset", "infinite_tau_pulse",
+            "infinite_pulse_multiplier", "overflowing_tau_slot"])
     def test_setting_refused_by_every_command(self, tmp_path, capsys, command, settings,
                                               message):
         # every command checks the sweep axes, which move the config hash, as

@@ -7,6 +7,7 @@ evaluation script (plain arithmetic, no shared code) and frozen here.
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from polspin.device import (
     IDEAL_REFLECTIONS,
     TARGET_STATES,
     HeraldOutcome,
-    _scalar_inputs,
     fidelity_kernel,
 )
 
@@ -135,7 +135,7 @@ class TestEffectiveReflections:
     def test_are_the_kernel_coefficients(self, design):
         pdr, pol, cav = design
         eff = ps.effective_reflections(pdr, pol, cav)
-        k = fidelity_kernel(*_scalar_inputs(pdr, pol, cav, ps.params.DESIGN_R_CAV_H))
+        k = fidelity_kernel(pdr, pol, cav, ps.params.DESIGN_R_CAV_H)
         assert (eff.r_H_on, eff.r_H_off, eff.r_V_on, eff.r_V_off) \
             == (k.r_H, k.r_H, k.r_V_on, k.r_V_off)
 
@@ -312,10 +312,12 @@ def _random_devices(rng, shape):
     def cplx():
         return real(-0.8, 0.8) + 1j * real(-0.8, 0.8)
 
+    pdr = SimpleNamespace(t_H=cplx(), r_H=cplx(), t_V=cplx(), r_V=cplx())
+    pol = SimpleNamespace(eta_pol_V=real(0.0, 1.0), eta_pol_H=real(0.0, 1.0))
     kappa = real(0.1, 2.0)
-    return (cplx(), cplx(), cplx(), cplx(), real(0.0, 1.0), real(0.0, 1.0),
-            kappa, kappa * real(0.0, 1.0), real(0.1, 2.0), real(0.0, 3.0),
-            real(-1.0, 1.0), real(-1.0, 1.0), cplx())
+    cav = SimpleNamespace(kappa=kappa, kappa_wg=kappa * real(0.0, 1.0), gamma=real(0.1, 2.0),
+                          g=real(0.0, 3.0), delta_c=real(-1.0, 1.0), delta_a=real(-1.0, 1.0))
+    return pdr, pol, cav, cplx()
 
 
 def _bits(x):
@@ -339,6 +341,65 @@ class TestBetaSymmetry:
             for got, direct in ((k.herald, herald), (k.overlap, overlap)):
                 assert [list(map(_bits, pair)) for pair in got] \
                     == [list(map(_bits, pair)) for pair in direct]
+
+
+def _kernel_bits(k):
+    """Every array and scalar of a DeviceKernel, as bytes, in field order."""
+    return [_bits(x) for x in (k.r_H, k.r_V_on, k.r_V_off, *k.herald, *k.overlap,
+                               *k.fidelity, k.f_avg, k.degenerate, k.non_passive, k.opaque)]
+
+
+class TestKernelInputs:
+    """The kernel reads the device's fields as attributes: the value types on
+    the scalar path, stand-ins whose varied fields are arrays in the maps."""
+
+    def test_value_objects_equal_stand_ins_bit_for_bit(self, design):
+        rng = np.random.default_rng(28)
+
+        def u(lo, hi):
+            return float(rng.uniform(lo, hi))
+
+        devices = [(*design, ps.params.DESIGN_R_CAV_H)]
+        for _ in range(50):
+            kappa = u(0.1, 2.0)
+            devices.append((
+                ps.PdrParams.from_power(u(0.5, 1.0), u(0.0, 0.6), zeta_V=u(0.0, 0.005)),
+                ps.PolarizerParams(1.0, u(0.0, 1.0)),
+                ps.CavityParams(kappa, kappa * u(0.0, 1.0), u(0.1, 2.0), u(0.0, 3.0),
+                                u(-1.0, 1.0), u(-1.0, 1.0)),
+                complex(u(-0.8, 0.8), u(-0.8, 0.8))))
+        for pdr, pol, cav, r_cav_h in devices:
+            stand_ins = [SimpleNamespace(**vars(obj)) for obj in (pdr, pol, cav)]
+            assert _kernel_bits(fidelity_kernel(*stand_ins, r_cav_h)) \
+                == _kernel_bits(fidelity_kernel(pdr, pol, cav, r_cav_h))
+
+    def test_polarizer_column_against_cavity_row_matches_scalar_calls(self, design):
+        pdr, pol, cav = design
+        eta_H = np.linspace(0.0, 0.9, 10)  # the H etalon gains between 0.4 and 0.5
+        g = np.linspace(0.0, 2.0, 9)
+        column_pol = SimpleNamespace(eta_pol_V=pol.eta_pol_V, eta_pol_H=eta_H[:, None])
+        row_cav = SimpleNamespace(**{**vars(cav), "g": g[None, :]})
+        k = fidelity_kernel(pdr, column_pol, row_cav, ps.params.DESIGN_R_CAV_H)
+        shape = (eta_H.size, g.size)
+        assert k.f_avg.shape == shape
+        # a mask takes the shape of the inputs it depends on
+        degenerate, non_passive, opaque = (np.broadcast_to(m, shape)
+                                           for m in (k.degenerate, k.non_passive, k.opaque))
+        rejected = degenerate | non_passive
+        assert rejected.any() and not rejected.all() and not opaque.any()
+        for i, j in np.ndindex(shape):
+            cell_pol = ps.PolarizerParams(pol.eta_pol_V, float(eta_H[i]))
+            cell_cav = cav.replace(g=float(g[j]))
+            cell = fidelity_kernel(pdr, cell_pol, cell_cav, ps.params.DESIGN_R_CAV_H)
+            assert (cell.degenerate, cell.non_passive, cell.opaque) \
+                == (degenerate[i, j], non_passive[i, j], opaque[i, j])
+            try:
+                f_avg = ps.transfer_fidelity(pdr, cell_pol, cell_cav).f_avg
+            except ps.ValidationError:
+                assert rejected[i, j]
+                continue
+            assert not rejected[i, j]
+            assert k.f_avg[i, j] == pytest.approx(f_avg, rel=0, abs=1e-12)
 
 
 class TestLossBalance:

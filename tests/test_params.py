@@ -100,6 +100,11 @@ CASES = [
     (lambda: _timing(tau_reset=0.0), "tau_reset must be > 0, got 0.0"),
     (lambda: _timing(tau_pulse=-1e-6), "tau_pulse must be > 0, got -1e-06"),
     (lambda: _timing(pulse_multiplier=0), "pulse_multiplier must be > 0, got 0"),
+    (lambda: _timing(tau_reset=INF), "tau_reset must be finite, got inf"),
+    (lambda: _timing(tau_pulse=INF), "tau_pulse must be finite, got inf"),
+    (lambda: _timing(pulse_multiplier=INF), "pulse_multiplier must be finite, got inf"),
+    # finite times whose product overflows
+    (lambda: _timing(tau_pulse=1e200, pulse_multiplier=1e200), "tau_slot must be finite, got inf"),
 ]
 
 
@@ -123,6 +128,9 @@ TWO_FAULTS = [
     (lambda: ps.PdrParams.from_power(NAN, 0.5, zeta_V=2.0), "T_V and R_H must lie in [0, 1]"),
     (lambda: ps.PdrParams.from_power(0.5, 0.5, zeta_V=1.0, zeta_H=0.75),
      "R_V = 1 - T_V - zeta_V is negative (-0.5)"),
+    (lambda: _timing(tau_reset=INF, tau_pulse=-1e-6), "tau_pulse must be > 0, got -1e-06"),
+    (lambda: _timing(tau_pulse=INF, pulse_multiplier=NAN),
+     "pulse_multiplier must be > 0, got nan"),
 ]
 
 

@@ -8,6 +8,7 @@ evaluation of the published constants.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -307,6 +308,33 @@ class TestMaxAttempts:
         for f_target in (0.99, 0.99 - 1e-15):
             assert ps.max_attempts(probs, 0.99, f_target) \
                 == ps.MaxAttempts(n=ATTEMPT_SEARCH_CAP, cap_reached=True)
+
+    @pytest.mark.parametrize("f_target", [math.nan, -0.1, 1.5])
+    def test_target_outside_unit_interval_is_refused(self, f_target):
+        # a NaN target once passed as met after one attempt: its budget is
+        # NaN, no p_err fits it, and the search stayed at n = 1
+        message = f"f_target out of [0,1]: {f_target}"
+        with pytest.raises(ps.ValidationError, match=re.escape(message)):
+            ps.max_attempts(probs_of(0.1, 0.8), 0.9998, f_target)
+        with pytest.raises(ps.ValidationError, match=re.escape(message)):
+            ps.transfer_rate(ps.design_pdr(), ps.design_polarizer(), ps.design_cavity(),
+                             ps.design_link(1e-3), ps.design_timing(), f_target)
+
+    @pytest.mark.parametrize("f_target", [math.nan, -0.1, 1.5])
+    def test_constraint_outside_unit_interval_is_refused_on_arrays(self, f_target):
+        pdr, pol, link, timing = (ps.design_pdr(), ps.design_polarizer(),
+                                  ps.design_link(1.0), ps.design_timing())
+        with pytest.raises(ps.ValidationError,
+                           match=re.escape(f"constraint out of [0,1]: {f_target}")):
+            rate.rate_curves(pdr, pol, link, timing, np.array([1e-3, 1e-6]), F0_DESIGN,
+                             (0.95, f_target))
+
+    def test_target_above_f0_inside_unit_interval_stays_infeasible(self):
+        with pytest.raises(ps.InfeasibleConstraintError):
+            ps.max_attempts(probs_of(0.1, 0.8), 0.9, 1.0)
+        curves = rate.rate_curves(ps.design_pdr(), ps.design_polarizer(), ps.design_link(1.0),
+                                  ps.design_timing(), np.array([1e-3]), F0_DESIGN, (1.0,))
+        assert curves.infeasible.all() and np.isnan(curves.n_max).all()
 
     def test_f0_of_one_half_is_unbounded(self):
         # every feasible target is met by any sequence; B, which would

@@ -3,6 +3,7 @@ argmax locations on the default grids, constraint ordering, and regime
 structure of the rate-versus-loss curves."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -316,8 +317,7 @@ def _flat_pdr_map(tv, rh, cav, pol, zeta_V, zeta_H, r_cav_h, sign):
     t_V = np.sqrt(np.maximum(T_V, 0.0))
     r_V = sign * np.sqrt(np.maximum(R_V, 0.0))
     with np.errstate(invalid="ignore"):
-        k = fidelity_kernel(t_H, r_H, t_V, r_V, pol.eta_pol_V, pol.eta_pol_H, cav.kappa,
-                            cav.kappa_wg, cav.gamma, cav.g, cav.delta_c, cav.delta_a, r_cav_h)
+        k = fidelity_kernel(SimpleNamespace(t_H=t_H, r_H=r_H, t_V=t_V, r_V=r_V), pol, cav, r_cav_h)
     limit = 1.0 + POWER_TOL
     checks = [
         ("pdr_range", ~((0 <= T_V) & (T_V <= 1) & (0 <= R_H) & (R_H <= 1))),
@@ -369,8 +369,8 @@ class TestBroadcastMatchesFlatKernel:
         cav = design["cavity"].replace(**changes)
         blocks = []
 
-        def recording_kernel(**inputs):
-            k = fidelity_kernel(**inputs)
+        def recording_kernel(*inputs):
+            k = fidelity_kernel(*inputs)
             blocks.append(k.f_avg.shape)
             return k
 
@@ -469,6 +469,16 @@ class TestRateVsLoss:
         # bound column is still populated (infinite at zero loss)
         assert not np.isnan(out[0.99999].columns["bound"]).any()
         assert np.isfinite(out[0.99999].columns["bound"][1:]).all()
+
+    @pytest.mark.parametrize("constraint", [math.nan, 1.5])
+    def test_constraint_outside_unit_interval_is_refused(self, design, constraint):
+        # a NaN constraint once gave n_max 1 at every loss
+        with pytest.raises(ps.ValidationError) as exc:
+            ps.sweep_rate_vs_loss(
+                SweepAxis("loss_db", 0.0, 10.0, 3, spacing="db"),
+                design["pdr"], design["polarizer"], design["cavity"],
+                ps.design_link(1.0), design["timing"], constraints=(0.95, constraint))
+        assert str(exc.value) == f"constraint out of [0,1]: {constraint}"
 
     def test_mc_columns_present_and_close(self, design):
         out = ps.sweep_rate_vs_loss(

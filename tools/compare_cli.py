@@ -103,6 +103,10 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     ("fidelity", ['sweep.axis="x"'], []),
     ("rate", ["sweep.kind=cavity_c", "sweep.second_axis=[0,1,3]"], []),
     ("fidelity", ["r_cav_h=[1.05,0]"], []),
+    # refused: an infinite time, and finite ones whose slot time overflows
+    ("rate", ["timing.tau_reset=1e400"], []),
+    ("montecarlo", ["timing.tau_pulse=1e200", "timing.pulse_multiplier=1e200"],
+     ["--trials", "300", "--seed", "7"]),
 ]
 
 # The benchmark's set-up: import polspin and resolve the default config.
