@@ -2,13 +2,20 @@
 the polarization-dependent reflector and the cavity, heralded spin
 projection, and the four-state average transfer fidelity.
 
-fidelity_kernel computes all of it, from the cavity reflections to the
-average fidelity and the masks of invalid cells, with arithmetic operators
-only, so one code path serves scalar calls (transfer_fidelity,
+fidelity_kernel computes the etalon coefficients r_H, r_V_on and r_V_off,
+the average fidelity and the masks of invalid cells with arithmetic
+operators only, so one code path serves scalar calls (transfer_fidelity,
 effective_reflections) on the value objects and the broadcast numpy grids
-of the sweeps on stand-ins whose varied fields are arrays.
+of the sweeps on stand-ins whose varied fields are arrays. The fidelity is
+closed form in the three coefficients: each of the four inputs is heralded
+with total probability (2|r_H|^2 + |r_V_on|^2 + |r_V_off|^2) / 4 and
+transferred with the same fidelity
+    F = 1 - (|2 r_H - r_V_off + r_V_on|^2 + |r_V_on + r_V_off|^2)
+            / (4 (2|r_H|^2 + |r_V_on|^2 + |r_V_off|^2)),
+so F = 1 exactly when r_V_on + r_V_off = 0 and 2 r_H = r_V_off - r_V_on.
 evolve_joint_state and herald_spin_state spell out the same physics one
-state at a time on value objects; they are not on the computing path.
+state at a time on value objects; FidelityReport builds its per-input and
+per-outcome breakdown with them when it is read.
 
 All operations are pure functions of value inputs.
 """
@@ -111,30 +118,42 @@ class JointState(Value):
 
 
 class FidelityReport(Value):
-    """Average transfer fidelity with per-input and per-outcome breakdown.
+    """Average transfer fidelity and the etalon coefficients it comes from.
 
-    fidelity, herald and overlap are the kernel's tuples, in TARGET_STATES
-    order: each input's herald-weighted fidelity, its (H, V) herald
-    probabilities and their products with the conditional fidelity.
-    per_input and per_outcome are built from them when read.
+    f_avg is fidelity_kernel's closed form in r_H, r_V_on and r_V_off. Every
+    input's herald total is (2|r_H|^2 + |r_V_on|^2 + |r_V_off|^2) / 4 and
+    its fidelity is f_avg; per_input and per_outcome show it input by input,
+    built when read on the state path (evolve_joint_state, herald_spin_state).
     """
 
-    def __init__(self, f_avg: float, fidelity: tuple[float, ...],
-                 herald: tuple[tuple[float, float], ...],
-                 overlap: tuple[tuple[float, float], ...]) -> None:
-        self.__dict__.update(f_avg=f_avg, fidelity=fidelity, herald=herald, overlap=overlap)
+    def __init__(self, f_avg: float, r_H: complex, r_V_on: complex, r_V_off: complex) -> None:
+        self.__dict__.update(f_avg=f_avg, r_H=r_H, r_V_on=r_V_on, r_V_off=r_V_off)
 
     @property
     def per_input(self) -> list[tuple[str, float]]:
-        return list(zip(_LABELS, self.fidelity))
+        """(label, herald-weighted fidelity over both outcomes) per input."""
+        out = self.per_outcome
+        rows = []
+        for label, _, _ in TARGET_STATES:
+            pairs = [out[label, outcome] for outcome in HeraldOutcome]
+            rows.append((label, sum(p * f for p, f in pairs if p) / sum(p for p, _ in pairs)))
+        return rows
 
     @property
     def per_outcome(self) -> dict[tuple[str, HeraldOutcome], tuple[float, float]]:
         """(label, outcome) -> (herald probability, conditional fidelity of
         the corrected spin state); (0.0, nan) for an outcome never heralded."""
-        return {(label, outcome): (p, o / p) if p else (0.0, float("nan"))
-                for label, probs, overlaps in zip(_LABELS, self.herald, self.overlap)
-                for outcome, p, o in zip(HeraldOutcome, probs, overlaps)}
+        eff = EffectiveReflections(self.r_H, self.r_H, self.r_V_on, self.r_V_off)
+        out = {}
+        for label, a, b in TARGET_STATES:
+            joint = evolve_joint_state(PhotonQubit(a, b), eff)
+            for outcome in HeraldOutcome:
+                try:
+                    p, spin = herald_spin_state(joint, outcome)
+                    out[label, outcome] = (p, spin.fidelity(SpinState(a, b)))
+                except UnheraldableOutcomeError:
+                    out[label, outcome] = (0.0, math.nan)
+        return out
 
 
 def _cavity_reflections(cavity):
@@ -233,48 +252,35 @@ TARGET_STATES: list[tuple[str, complex, complex]] = [
     ("y+", _S, 1j * _S),
     ("y-", _S, -1j * _S),
 ]
-_LABELS = [label for label, _, _ in TARGET_STATES]
-
-
-# x+ and y+ as (alpha, beta, conj(alpha), conj(beta), 1 / (8 |target|^2));
-# x- and y- are them with beta negated. Branch amplitudes carry twice the
-# physical amplitude and the Hadamard a further 1/sqrt2: |overlap|^2 is 8x.
-_PLUS_TARGETS = [(a, b, complex(a).conjugate(), complex(b).conjugate(),
-                  1.0 / (8.0 * (abs(a) ** 2 + abs(b) ** 2)))
-                 for _, a, b in TARGET_STATES[::2]]
 
 
 class DeviceKernel(NamedTuple):
     """What fidelity_kernel computes. Each entry is a Python scalar or an
-    array of the broadcast input shape; herald, overlap and fidelity hold
-    one entry per TARGET_STATES input, in that order."""
+    array of the broadcast input shape."""
 
     r_H: Any                           # H etalon coefficient, both spin states
     r_V_on: Any                        # V etalon coefficients
     r_V_off: Any
-    herald: tuple[tuple[Any, Any], ...]   # (p_H, p_V) herald probabilities
-    overlap: tuple[tuple[Any, Any], ...]  # (o_H, o_V): p times conditional fidelity
-    fidelity: tuple[Any, ...]          # herald-weighted fidelity per input
-    f_avg: Any
+    f_avg: Any                         # every input's fidelity, so their average
     degenerate: Any                    # some |1 - r_cav r_pdr| < 1e-12
     non_passive: Any                   # some |r_eff| > 1 + 1e-9
-    opaque: Any                        # some input is never heralded
+    opaque: Any                        # no input is ever heralded
 
 
 def fidelity_kernel(pdr, polarizer, cavity, r_cav_h) -> DeviceKernel:
-    """Etalon coefficients, herald probabilities and average transfer fidelity.
+    """Etalon coefficients and average transfer fidelity.
 
     Reads pdr.t_H, .r_H, .t_V, .r_V, polarizer.eta_pol_V, .eta_pol_H and
     cavity.kappa, .kappa_wg, .gamma, .g, .delta_c, .delta_a; each, like
     r_cav_h, is a Python number or a numpy array, and they broadcast. The
     scalar path (transfer_fidelity, effective_reflections) passes the value
     types as they are, the sweeps stand-ins (types.SimpleNamespace) whose
-    varied fields are arrays. Written with arithmetic operators, abs() and
-    .conjugate() only, so the same code runs on both: each quantity takes
-    the shape of the inputs it depends on, so with one axis's inputs as a
-    column and the other's as a row, the etalons are computed once per axis
-    value. Cells that are degenerate, non-passive or opaque carry finite
-    placeholder values and are flagged in the masks; no division is by zero.
+    varied fields are arrays. Written with arithmetic operators and abs()
+    only, so the same code runs on both: each quantity takes the shape of
+    the inputs it depends on, so with one axis's inputs as a column and the
+    other's as a row, the etalons are computed once per axis value. Cells
+    that are degenerate, non-passive or opaque carry finite placeholder
+    values and are flagged in the masks; no division is by zero.
 
     For each input alpha|H> + beta|V> the device reflects with the spin in
     (|down> + |up>)/sqrt2, the half-wave plate maps H -> (H + V)/sqrt2 and
@@ -282,11 +288,13 @@ def fidelity_kernel(pdr, polarizer, cavity, r_cav_h) -> DeviceKernel:
     branch whose squared norm is its herald probability. The branch is
     corrected by a Hadamard for the H outcome and a Hadamard followed by a
     pi phase flip for the V outcome, then overlapped with the target
-    alpha|down> + beta|up>. Loss only removes amplitude.
-
-    Negating beta swaps the two outcomes exactly in IEEE arithmetic (a - (-b)
-    is a + b), so x- and y- are computed as x+ and y+ with their (H, V)
-    herald and overlap pairs swapped and the same fidelity, bit for bit.
+    alpha|down> + beta|up>. Loss only removes amplitude. For each of the
+    four inputs the herald total is D / 4, D = 2|r_H|^2 + |r_V_on|^2 +
+    |r_V_off|^2, and the herald-weighted fidelity is
+        F = 1 - (|2 r_H - r_V_off + r_V_on|^2 + |r_V_on + r_V_off|^2) / (4 D),
+    which is 1 exactly when r_V_on + r_V_off = 0 and 2 r_H = r_V_off - r_V_on.
+    Written as 1 minus a ratio of non-negative terms, F <= 1 holds in
+    floating point too. The device is opaque where D = 0.
     """
     # The transmitted path crosses the polarizer, so each t_i^2 in the
     # etalon numerator is scaled by eta_pol_i. Only the V mode couples to the
@@ -306,25 +314,12 @@ def fidelity_kernel(pdr, polarizer, cavity, r_cav_h) -> DeviceKernel:
     degenerate = deg_H | deg_on | deg_off
     limit = 1.0 + _PASSIVITY_TOL
     non_passive = (abs(r_H_eff) > limit) | (abs(r_V_on) > limit) | (abs(r_V_off) > limit)
-    plus = []  # (p_H, p_V, o_H, o_V, fidelity, never heralded) of x+ and y+
-    for a, b, ca, cb, scale in _PLUS_TARGETS:
-        ah, b_on, b_off = a * r_H_eff, b * r_V_on, b * r_V_off
-        # twice the branch amplitudes on (spin down, spin up) per outcome
-        hd, hu = ah - b_on, ah - b_off
-        vd, vu = ah + b_on, ah + b_off
-        p_H = (abs(hd) ** 2 + abs(hu) ** 2) / 4.0
-        p_V = (abs(vd) ** 2 + abs(vu) ** 2) / 4.0
-        o_H = abs(ca * (hd + hu) + cb * (hd - hu)) ** 2 * scale
-        o_V = abs(ca * (vd + vu) - cb * (vd - vu)) ** 2 * scale
-        total = p_H + p_V
-        never = total == 0.0
-        plus.append((p_H, p_V, o_H, o_V, (o_H + o_V) / (total + never), never))
-    (px, qx, ox, wx, fx, never_x), (py, qy, oy, wy, fy, never_y) = plus
-    return DeviceKernel(r_H_eff, r_V_on, r_V_off,
-                        ((px, qx), (qx, px), (py, qy), (qy, py)),
-                        ((ox, wx), (wx, ox), (oy, wy), (wy, oy)),
-                        (fx, fx, fy, fy), (fx + fx + fy + fy) / 4.0,
-                        degenerate, non_passive, never_x | never_y)
+    # D and the numerator of 1 - F, as in the docstring
+    total = 2.0 * abs(r_H_eff) ** 2 + abs(r_V_on) ** 2 + abs(r_V_off) ** 2
+    opaque = total == 0.0
+    error = abs(2.0 * r_H_eff - r_V_off + r_V_on) ** 2 + abs(r_V_on + r_V_off) ** 2
+    f_avg = 1.0 - error / (4.0 * (total + opaque))
+    return DeviceKernel(r_H_eff, r_V_on, r_V_off, f_avg, degenerate, non_passive, opaque)
 
 
 def transfer_fidelity(
@@ -348,11 +343,9 @@ def transfer_fidelity(
     if k.non_passive:
         mag = max(abs(k.r_H), abs(k.r_V_on), abs(k.r_V_off))
         raise ValidationError(f"non-passive etalon: |r_eff| = {mag} exceeds 1")
-    if k.opaque:
-        label = next(label for label, (p_H, p_V) in zip(_LABELS, k.herald)
-                     if p_H + p_V == 0.0)
-        raise OpaqueDeviceError(f"device opaque for input {label}")
-    return FidelityReport(k.f_avg, k.fidelity, k.herald, k.overlap)
+    if k.opaque:  # every input alike, so the first is named
+        raise OpaqueDeviceError(f"device opaque for input {TARGET_STATES[0][0]}")
+    return FidelityReport(k.f_avg, k.r_H, k.r_V_on, k.r_V_off)
 
 
 def loss_balance_residual(eff: EffectiveReflections) -> float:

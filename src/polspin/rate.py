@@ -27,9 +27,11 @@ only where the search did not walk n_max itself.
 
 n_max is decided on the error budget alone: the largest n with p_err(n) <=
 B = (f0 - f_target) / (f0 - 1/2), a test monotone in p_err. It matches the
-60-digit oracle exactly to about 145 dB at the design point; further out one
-attempt moves p_err by a few ulp of B, and n_max may be one or two attempts
-off. The rounded fidelity (1 - p_err) f0 + p_err / 2 is only reported, by
+60-digit oracle exactly to about 145 dB at the design point, except where B
+lies within p_err's few-ulp rounding of p_err(n_max) or p_err(n_max + 1)
+(at 140 dB, f_target = 0.95, n_max is one attempt above the oracle's);
+further out one attempt moves p_err by a few ulp of B, and n_max may be one
+or two attempts off. The rounded fidelity (1 - p_err) f0 + p_err / 2 is only reported, by
 protocol_fidelity.
 """
 
@@ -471,6 +473,8 @@ def _attempt_limit(p_det, p_e, f0, f_target, xp):
 def _decide_attempts(probs: AttemptProbabilities, f0: float, f_target: float):
     """max_attempts' result and p_err(n_max), the search's value where it
     walked n_max and a walk at n_max elsewhere."""
+    if not 0 <= f0 <= 1:  # NaN too: n_max read 1 at f0 = NaN, unbounded at f0 = 1.5
+        raise ValidationError(f"f0 out of [0,1]: {f0}")
     if not 0 <= f_target <= 1:  # NaN too: its budget would fit no p_err, and n_max read 1
         raise ValidationError(f"f_target out of [0,1]: {f_target}")
     if f_target > f0:
@@ -655,6 +659,8 @@ def rate_curves(
     outside = ~((eta >= 0.0) & (eta <= 1.0))
     if outside.any():
         raise ValidationError(f"eta_link out of [0,1]: {eta[outside][0]}")
+    if not 0 <= f0 <= 1:
+        raise ValidationError(f"f0 out of [0,1]: {f0}")
     for c in f_targets:
         if not 0 <= c <= 1:
             raise ValidationError(f"constraint out of [0,1]: {c}")

@@ -8,6 +8,7 @@ evaluation script (plain arithmetic, no shared code) and frozen here.
 import cmath
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polspin as ps
+from polspin import device
 from polspin.device import (
     IDEAL_REFLECTIONS,
     TARGET_STATES,
+    FidelityReport,
     HeraldOutcome,
     fidelity_kernel,
 )
@@ -286,22 +289,6 @@ class TestTransferFidelity:
         assert all(a > b for a, b in zip(fs, fs[1:]))
 
 
-def _four_targets(r_H, r_V_on, r_V_off):
-    """(p_H, p_V) and (o_H, o_V) of every TARGET_STATES input, each evaluated
-    on its own with the kernel's arithmetic, beta sign and all."""
-    herald, overlap = [], []
-    for _, a, b in TARGET_STATES:
-        ca, cb = complex(a).conjugate(), complex(b).conjugate()
-        scale = 1.0 / (8.0 * (abs(a) ** 2 + abs(b) ** 2))
-        ah, b_on, b_off = a * r_H, b * r_V_on, b * r_V_off
-        hd, hu, vd, vu = ah - b_on, ah - b_off, ah + b_on, ah + b_off
-        herald.append(((abs(hd) ** 2 + abs(hu) ** 2) / 4.0,
-                       (abs(vd) ** 2 + abs(vu) ** 2) / 4.0))
-        overlap.append((abs(ca * (hd + hu) + cb * (hd - hu)) ** 2 * scale,
-                        abs(ca * (vd + vu) - cb * (vd - vu)) ** 2 * scale))
-    return herald, overlap
-
-
 def _random_devices(rng, shape):
     """Kernel inputs with random complex reflector coefficients (non-passive
     ones included), detunings and a complex r_cav_h; shape () gives scalars."""
@@ -324,29 +311,79 @@ def _bits(x):
     return np.asarray(x).tobytes()
 
 
-class TestBetaSymmetry:
-    """x- and y- are x+ and y+ with beta negated, which swaps the two detector
-    outcomes exactly; the kernel evaluates only x+ and y+ and relies on it."""
+class TestClosedForm:
+    """The kernel's f_avg is closed form in r_H, r_V_on and r_V_off; the
+    report's per-input breakdown comes from the state path."""
 
-    @pytest.mark.parametrize("shape", [(), (30, 30)])
-    def test_minus_inputs_are_plus_inputs_swapped_bit_for_bit(self, shape):
-        rng = np.random.default_rng(17)
-        for _ in range(200 if shape == () else 3):
-            k = fidelity_kernel(*_random_devices(rng, shape))
-            herald, overlap = _four_targets(k.r_H, k.r_V_on, k.r_V_off)
-            for plus, minus in ((0, 1), (2, 3)):
-                for pairs in (herald, overlap):
-                    assert list(map(_bits, pairs[minus])) == list(map(_bits, pairs[plus][::-1]))
-                assert _bits(k.fidelity[minus]) == _bits(k.fidelity[plus])
-            for got, direct in ((k.herald, herald), (k.overlap, overlap)):
-                assert [list(map(_bits, pair)) for pair in got] \
-                    == [list(map(_bits, pair)) for pair in direct]
+    def test_every_input_matches_the_state_path(self):
+        rng = np.random.default_rng(29)
+        reports = []
+        while len(reports) < 300:
+            k = fidelity_kernel(*_random_devices(rng, ()))
+            if not (k.degenerate or k.non_passive or k.opaque):
+                reports.append(FidelityReport(k.f_avg, k.r_H, k.r_V_on, k.r_V_off))
+        for report in reports:
+            eff = ps.EffectiveReflections(report.r_H, report.r_H, report.r_V_on, report.r_V_off)
+            total = (2 * abs(report.r_H) ** 2 + abs(report.r_V_on) ** 2
+                     + abs(report.r_V_off) ** 2) / 4
+            for label, f in report.per_input:
+                assert abs(f - report.f_avg) <= 1e-15, (label, f, report.f_avg)
+            per_outcome = report.per_outcome
+            for label, a, b in TARGET_STATES:
+                joint = ps.evolve_joint_state(ps.PhotonQubit(a, b), eff)
+                heralded = 0.0
+                for outcome in HeraldOutcome:
+                    p, spin = ps.herald_spin_state(joint, outcome)
+                    got_p, got_f = per_outcome[(label, outcome)]
+                    assert got_p == pytest.approx(p, abs=1e-12), (label, outcome)
+                    assert got_f == pytest.approx(spin.fidelity(ps.SpinState(a, b)),
+                                                  abs=1e-12), (label, outcome)
+                    heralded += got_p
+                assert heralded == pytest.approx(total, rel=1e-14), label
+
+    @given(st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+    @settings(max_examples=300)
+    def test_balanced_coefficients_transfer_exactly(self, magnitude, phase):
+        # a transparent V reflector (r_V = 0, t_V = 1) passes the cavity's
+        # reflections through as r_V_on and r_V_off, and an H one with t_H = 0
+        # leaves r_H; the cavity is replaced by the pair (-r, r)
+        r = cmath.rect(magnitude, phase)
+        pdr = SimpleNamespace(t_H=0.0, r_H=r, t_V=1.0, r_V=0.0)
+        pol = SimpleNamespace(eta_pol_V=1.0, eta_pol_H=1.0)
+        with mock.patch.object(device, "_cavity_reflections", lambda cavity: (-r, r)):
+            k = fidelity_kernel(pdr, pol, None, -1.0)
+        assert (k.r_H, k.r_V_on, k.r_V_off) == (r, -r, r)
+        assert k.f_avg == 1.0
+
+    @given(*[st.complex_numbers(max_magnitude=1.0)] * 5,
+           *[st.floats(0.0, 1.0)] * 3, st.floats(0.01, 2.0), st.floats(0.0, 3.0),
+           st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    @settings(max_examples=300)
+    def test_f_avg_never_exceeds_one(self, t_H, r_H, t_V, r_V, r_cav_h, eta_V, eta_H,
+                                     coupling, gamma, g, delta_c, delta_a):
+        pdr = SimpleNamespace(t_H=t_H, r_H=r_H, t_V=t_V, r_V=r_V)
+        pol = SimpleNamespace(eta_pol_V=eta_V, eta_pol_H=eta_H)
+        cav = SimpleNamespace(kappa=1.0, kappa_wg=coupling, gamma=gamma, g=g,
+                              delta_c=delta_c, delta_a=delta_a)
+        assert fidelity_kernel(pdr, pol, cav, r_cav_h).f_avg <= 1.0
+
+    def test_all_zero_device_is_opaque(self, design):
+        _, pol, cav = design
+        pdr = ps.PdrParams.from_power(T_V=0.0, R_H=0.0, zeta_V=1.0, zeta_H=1.0)
+        with pytest.raises(ps.OpaqueDeviceError, match=r"^device opaque for input x\+$"):
+            ps.transfer_fidelity(pdr, pol, cav)
+        with pytest.raises(ps.OpaqueDeviceError):
+            ps.sweep_fidelity_pdr(ps.SweepAxis("pdr.T_V", 0.0, 1.0, 2),
+                                  ps.SweepAxis("pdr.R_H", 0.0, 1.0, 2), cav, pol,
+                                  zeta_V=1.0, zeta_H=1.0)
+        with pytest.raises(ps.OpaqueDeviceError):
+            ps.sweep_fidelity_cavity(ps.SweepAxis("cavity.cooperativity", 0.0, 1.0, 2),
+                                     pdr, pol, cav)
 
 
 def _kernel_bits(k):
     """Every array and scalar of a DeviceKernel, as bytes, in field order."""
-    return [_bits(x) for x in (k.r_H, k.r_V_on, k.r_V_off, *k.herald, *k.overlap,
-                               *k.fidelity, k.f_avg, k.degenerate, k.non_passive, k.opaque)]
+    return [_bits(x) for x in k]
 
 
 class TestKernelInputs:

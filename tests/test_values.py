@@ -27,7 +27,7 @@ FIELDS = {
     device.PhotonQubit: ("alpha", "beta"),
     device.SpinState: ("amp_down", "amp_up"),
     device.JointState: ("h_down", "h_up", "v_down", "v_up"),
-    device.FidelityReport: ("f_avg", "fidelity", "herald", "overlap"),
+    device.FidelityReport: ("f_avg", "r_H", "r_V_on", "r_V_off"),
     config.RunConfig: ("raw", "cavity", "pdr", "polarizer", "link", "timing", "r_cav_h",
                        "f_target", "constraints", "false_herald_correction", "mc", "sweep",
                        "axes"),

@@ -46,6 +46,10 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     ("fidelity", [], []),
     # a detuned cavity and a complex H reflection through the scalar kernel
     ("fidelity", ["cavity.delta_c=0.1", "cavity.delta_a=-0.05", "r_cav_h=[-0.9,0.2]"], []),
+    # a nearly balanced reflector, F within 1e-12 of 1, and a device with
+    # nothing to reflect, opaque for every input
+    ("fidelity", ["pdr.T_V=0.991753", "pdr.R_H=0.155813"], []),
+    ("fidelity", ["pdr.T_V=0", "pdr.zeta_V=1", "pdr.R_H=0", "pdr.zeta_H=1"], []),
     ("rate", [], []),
     ("rate", ["link.eta_link=1e-9", "f_target=0.99"], []),
     ("rate", ["link.xi=0.01", "false_herald_correction=true"], []),
