@@ -381,6 +381,34 @@ class TestClosedForm:
                                      pdr, pol, cav)
 
 
+class TestBetaSymmetry:
+    """x- and y- are x+ and y+ with beta negated, which swaps the two detector
+    outcomes exactly; the report's per-input breakdown, built on the state
+    path from the coefficients of each device the kernel accepts, shows it
+    bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(), (30, 30)])
+    def test_minus_inputs_are_plus_inputs_swapped_bit_for_bit(self, shape):
+        rng = np.random.default_rng(17)
+        outcomes = list(HeraldOutcome)
+        for _ in range(200 if shape == () else 3):
+            k = fidelity_kernel(*_random_devices(rng, shape))
+            *coefficients, rejected = np.broadcast_arrays(
+                k.f_avg, k.r_H, k.r_V_on, k.r_V_off, k.degenerate | k.non_passive)
+            for cell in np.ndindex(rejected.shape):
+                if rejected[cell]:
+                    continue
+                f_avg, r_H, r_V_on, r_V_off = (c[cell].item() for c in coefficients)
+                report = FidelityReport(f_avg, r_H, r_V_on, r_V_off)
+                out = report.per_outcome
+                for plus, minus in (("x+", "x-"), ("y+", "y-")):
+                    assert [list(map(_bits, out[minus, o])) for o in outcomes] \
+                        == [list(map(_bits, out[plus, o])) for o in outcomes[::-1]]
+                fidelities = dict(report.per_input)
+                assert _bits(fidelities["x-"]) == _bits(fidelities["x+"])
+                assert _bits(fidelities["y-"]) == _bits(fidelities["y+"])
+
+
 def _kernel_bits(k):
     """Every array and scalar of a DeviceKernel, as bytes, in field order."""
     return [_bits(x) for x in k]
