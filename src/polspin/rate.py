@@ -28,13 +28,14 @@ only where the search did not walk n_max itself.
 n_max is decided on the error budget alone: the largest n with p_err(n) <=
 B = (f0 - f_target) / (f0 - 1/2), a test monotone in p_err. The search
 orders p_err against B in double precision, whose walk can read a few ulp
-low; a candidate admitted within _TIE of B is re-tested on the exact value
-of p_err at the same p_det and p_e, in decimal arithmetic, and refused if
-that does not fit. n_max then matches the 60-digit oracle exactly to about
-145 dB at the design point; further out one attempt moves p_err by less
-than the rounding of p_det and p_e themselves, and n_max may be one or two
-attempts off. The rounded fidelity (1 - p_err) f0 + p_err / 2 is only
-reported, by protocol_fidelity.
+off; an n_max whose walk lies within _TIE of B is re-tested on the exact
+value of p_err at the same p_det and p_e, in decimal arithmetic, and moved
+down until it fits. n_max then matches the 60-digit oracle to about 145 dB
+at the design point, save where the walk at n_max + 1 reads p_err high
+across B, which leaves n_max one below (142.27 dB, f_target = 0.95);
+further out one attempt moves p_err by less than the rounding of p_det and
+p_e themselves, and n_max may be one or two attempts off. The rounded
+fidelity (1 - p_err) f0 + p_err / 2 is only reported, by protocol_fidelity.
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ _GUESS_STEPS = 5
 # How many digits early a point joins _array_walk's tail: each join costs a
 # few slices, each early digit a few element operations.
 _JOIN_DIGITS = 4
-# A candidate whose p_err the search put within this fraction of B below B
-# is re-tested exactly: the double walk reads p_err up to about 12 ulp from
-# its exact value (5 at the design point), and this allows 32 to 64.
+# An n_max whose walked p_err lies within this fraction of B below B is
+# re-tested exactly: the double walk reads p_err up to about 12 ulp from its
+# exact value (5 at the design point), and this allows 32 to 64.
 _TIE = 2.0**-47
 
 
@@ -378,9 +379,8 @@ def _unbounded(p_det, p_e, f0, f_target):
 
 def _search(lo, p_det, p_e, budget, xp):
     """Largest n in [lo, ATTEMPT_SEARCH_CAP] whose error probability p_err(n)
-    fits the error budget, given that lo fits it, p_err(n) where the search
-    walked it at n, NaN elsewhere, and the p_err that admitted n, a walk or
-    an increment (0.0 for a lo never moved); an n of ATTEMPT_SEARCH_CAP or
+    fits the error budget, given that lo fits it, and p_err(n) where the
+    search walked it at n, NaN elsewhere; an n of ATTEMPT_SEARCH_CAP or
     more means the cap fits it too.
 
     The bracket [lo, hi) holds the answer; hi starts past the cap, at
@@ -405,21 +405,19 @@ def _search(lo, p_det, p_e, budget, xp):
     floor, where, minimum, maximum = xp.floor, xp.where, xp.minimum, xp.maximum
     hi = _CAP + 2.0 + 0.0 * lo
     p_lo = p_below = math.nan + 0.0 * lo  # p_err at lo and at lo - 1 where walked there
-    p_in = 0.0 * lo  # the p_err that admitted lo
     if xp is not _PyMath:
         found, found_p, at = xp.empty_like(lo), xp.empty_like(lo), xp.arange(lo.size)
-        found_in = xp.empty_like(lo)
     t, steps = 0.0 * lo, 0
     while True:
         active = (hi - lo > 1) & (lo < ATTEMPT_SEARCH_CAP)
         if xp is not _PyMath:  # set the finished points aside
-            found[at], found_p[at], found_in[at] = lo, p_lo, p_in
-            at, lo, hi, p_lo, p_below, p_in, t, p_det, p_e, budget = (
-                a[active] for a in (at, lo, hi, p_lo, p_below, p_in, t, p_det, p_e, budget))
+            found[at], found_p[at] = lo, p_lo
+            at, lo, hi, p_lo, p_below, t, p_det, p_e, budget = (
+                a[active] for a in (at, lo, hi, p_lo, p_below, t, p_det, p_e, budget))
             if at.size == 0:
-                return found, found_p, found_in
+                return found, found_p
         elif not active:
-            return lo, p_lo, p_in
+            return lo, p_lo
         if steps == 0:
             t, newton = _first_guess(p_det, p_e, budget, xp), True
         else:
@@ -432,24 +430,22 @@ def _search(lo, p_det, p_e, budget, xp):
         p, dp = _error_terms(c, p_det, p_e, xp)
         # c + 1 is hi only where hi was walked and did not fit (the first hi
         # is past any c + 1 a float holds)
-        p_next = p + dp
-        fits, next_fits = p <= budget, (p_next <= budget) & (c + 1 < hi)
+        fits, next_fits = p <= budget, (p + dp <= budget) & (c + 1 < hi)
         # the bracket becomes [c + 1, hi), [c, c + 1) or [lo, c). c = lo does
         # not fit only where lo was judged by an increment, and [lo - 1, lo)
         # then ends the search at the candidate that admitted it
-        lo, hi, p_lo, p_below, p_in = (
+        lo, hi, p_lo, p_below = (
             where(next_fits, c + 1, where(fits, c, where(c == lo, lo - 1, lo))),
             where(next_fits, hi, where(fits, c + 1, c)),
             where(next_fits, math.nan, where(fits, p, where(c == lo, p_below, p_lo))),
-            where(next_fits, p, p_below),
-            where(next_fits, p_next, where(fits, p, where(c == lo, p_below, p_in))))
+            where(next_fits, p, p_below))
         steps += 1
         t = c + (budget - p) / maximum(dp, 5e-324)
 
 
 def _exact_limit(n: int, p_det: float, p_e: float, f0: float, f_target: float) -> int:
     """The largest m <= n whose exact p_err(m) at these p_det and p_e fits
-    the budget of f0 and f_target, for an n that the search admitted near
+    the budget of f0 and f_target, for an n whose walk put p_err near
     it. p_err = 1 - q^m - w (1 - p_lost^m), w = p_det / (p_det + p_e) and
     p_lost = 1 - p_det - p_e clipped at 0, as _log_ratio clips r, is
     evaluated in decimal arithmetic with 30 digits beyond those that 1 -
@@ -485,7 +481,7 @@ def _attempt_limit(p_det, p_e, f0, f_target, xp):
     B = (f0 - f_target) / (f0 - 1/2), which is
     protocol_fidelity(n) >= f_target solved for p_err. Unlike the rounded
     fidelity, which is not monotone in p_err, this test leaves the search's
-    path no say in n_max. An n that the search admitted within _TIE of B
+    path no say in n_max. An n whose walk lies within _TIE of B below B
     is re-tested by _exact_limit and moved down where its exact p_err does
     not fit B. From about 146 dB at the design point one attempt moves
     p_err by less than the rounding of p_det and p_e, and n_max may be one
@@ -509,16 +505,21 @@ def _attempt_limit(p_det, p_e, f0, f_target, xp):
     one = (budget == 0.0) & (p_e > 0.0) & xp.logical_not(unbounded | infeasible | errorless)
     skip = (unbounded | infeasible | errorless | one
             | ((p_det + p_e < 2.0**-1022) & (budget > 0.0)))
-    n, p_err, p_in = _search(xp.where(skip, _CAP, 1.0), p_det, p_e, budget, xp)
+    n, p_err = _search(xp.where(skip, _CAP, 1.0), p_det, p_e, budget, xp)
     n = xp.where(one, 1.0, xp.minimum(n, _CAP))
-    # each n admitted near B is re-tested exactly; one moved down was not walked
-    close = (p_in > budget - budget * _TIE) & xp.logical_not(skip)
+    # each n within _TIE of B is re-tested exactly, on the search's walk at
+    # n or, where it reached n by an increment, a walk for this test alone;
+    # an n moved down was not walked
     if xp is _PyMath:
-        if close:
+        p = p_err if skip or p_err == p_err else _error_terms(n, p_det, p_e, xp)[0]
+        if not skip and p > budget - budget * _TIE:
             m = float(_exact_limit(int(n), p_det, p_e, f0, f_target))
             n, p_err = m, p_err if m == n else math.nan
     else:
-        for i in xp.flatnonzero(close):
+        p, walk = p_err.copy(), xp.flatnonzero(xp.isnan(p_err) & xp.logical_not(skip))
+        if walk.size:
+            p[walk] = _error_terms(n[walk], p_det[walk], p_e[walk], xp)[0]
+        for i in xp.flatnonzero((p > budget - budget * _TIE) & xp.logical_not(skip)):
             m = float(_exact_limit(int(n[i]), p_det[i], p_e[i], f0, f_target[i]))
             if m != n[i]:
                 n[i], p_err[i] = m, math.nan

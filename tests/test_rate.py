@@ -541,19 +541,24 @@ class TestTransferRate:
         assert nm.n == n and p_err == ps.sequence_error_probability(n, probs)
 
     def test_n_max_within_budget_where_an_increment_admits_a_walked_miss(self):
-        # at eta_link = 1e-15, F >= 0.97 and this f0 (the design point's one
-        # ulp up) the walk at 1377720817676774 exceeds B, and then the walk
-        # one below plus its increment lands on B: n_max is the walked one
-        # below, on the scalar and the array path
-        pdr, pol, timing = ps.design_pdr(), ps.design_polarizer(), ps.design_timing()
-        link = ps.design_link(1e-15)
-        f0 = 0.9998450058498642
-        budget = (f0 - 0.97) / (f0 - 0.5)
-        res, p_error = rate._decide_attempts(ps.attempt_probabilities(pdr, pol, link), f0, 0.97)
-        assert res.n == 1377720817676773
-        assert p_error <= budget
-        curves = rate.rate_curves(pdr, pol, link, timing, np.array([1e-15]), f0, (0.97,))
-        assert curves.n_max[0, 0] == 1377720817676773
+        # at 133.31 dB, F >= 0.95 the walk at 40895084983292 exceeds B, and
+        # the walk one below plus its increment lands on B: n_max is the
+        # walked one below (the oracle's), on the scalar and the array path
+        pdr, pol, cav, timing = (ps.design_pdr(), ps.design_polarizer(), ps.design_cavity(),
+                                 ps.design_timing())
+        eta = 10 ** (-133.31 / 10)
+        link = ps.design_link(eta)
+        f0 = rate._f0(pdr, pol, cav, ps.design_link(1.0), DESIGN_R_CAV_H, False)
+        budget = (f0 - 0.95) / (f0 - 0.5)
+        probs = ps.attempt_probabilities(pdr, pol, link)
+        p, dp = rate._error_terms(40895084983291.0, probs.p_det, probs.p_e, rate._PyMath)
+        assert p + dp <= budget
+        assert rate._error_terms(40895084983292.0, probs.p_det, probs.p_e, rate._PyMath)[0] > budget
+        res = ps.transfer_rate(pdr, pol, cav, link, timing, f_target=0.95)
+        assert res.n_max == 40895084983291
+        assert res.p_error <= budget
+        curves = rate.rate_curves(pdr, pol, link, timing, np.array([eta]), f0, (0.95,))
+        assert curves.n_max[0, 0] == 40895084983291
 
     @pytest.mark.parametrize("db,j", [(140, 0), (150, 1)])
     def test_transfer_rate_n_max_is_the_oracles_within_budget(self, db, j):
