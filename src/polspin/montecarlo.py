@@ -97,7 +97,7 @@ def _trials(probs: AttemptProbabilities, n_max: int, trials: int, rng: np.random
         raise NoDetectionError(
             f"no detection within 2**62 attempts (p_det = {p_det})")
     before = (x[:, 0] / scale).astype(np.int64)  # floor: T - 1, the attempts before the click
-    # sequences - 1 and k - 1; an n_max past int64 is one sequence, as before < 2**63
+    # sequences - 1 and k - 1; an n_max past int64 is one sequence, since before < 2**63
     resets, pos = np.divmod(before, min(int(n_max), 2**63 - 1))
     # each of the k - 1 attempts before the click is an error with chance q
     q = p_e / (1 - p_det) if p_det < 1 else 0.0

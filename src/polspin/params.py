@@ -156,7 +156,7 @@ class PdrParams(Value):
             if (abs(t_H) ** 2 + abs(r_H) ** 2 <= 1 + POWER_TOL
                     and abs(t_V) ** 2 + abs(r_V) ** 2 <= 1 + POWER_TOL):
                 return
-        except (OverflowError, TypeError):  # the ordered checks raise as before
+        except (OverflowError, TypeError):  # the ordered checks below raise
             pass
         for name, z in (("t_H", t_H), ("r_H", r_H), ("t_V", t_V), ("r_V", r_V)):
             _check(_finite(z), "{} must be finite", name)

@@ -23,19 +23,20 @@ fraction, and the error probability is a sum of positive terms.
 transfer_rate does each piece of work once: one pass over the device's
 powers gives the partition at eta_link and at eta_link = 1, and the n_max
 search reports p_err(n_max) from its own walk, so p_err is walked again
-only where the search did not walk n_max itself.
+only where the exact test below moved n_max.
 
 n_max is decided on the error budget alone: the largest n with p_err(n) <=
 B = (f0 - f_target) / (f0 - 1/2), a test monotone in p_err. The search
 orders p_err against B in double precision, whose walk can read a few ulp
-off; an n_max whose walk lies within _TIE of B is re-tested on the exact
-value of p_err at the same p_det and p_e, in decimal arithmetic, and moved
-down until it fits. n_max then matches the 60-digit oracle to about 145 dB
-at the design point, save where the walk at n_max + 1 reads p_err high
-across B, which leaves n_max one below (142.27 dB, f_target = 0.95);
-further out one attempt moves p_err by less than the rounding of p_det and
-p_e themselves, and n_max may be one or two attempts off. The rounded
-fidelity (1 - p_err) f0 + p_err / 2 is only reported, by protocol_fidelity.
+off. Where the walk at its answer n puts p_err(n), or p_err(n) plus the
+increment, within _TIE of B, the exact p_err at the same p_det and p_e, in
+decimal arithmetic, settles both sides: n moves down until it fits or up
+until n + 1 does not. n_max is then the exact boundary at the program's own
+p_det and p_e on either path. From about 146 dB at the design point one
+attempt moves p_err by less than the rounding of p_det and p_e themselves,
+and the 60-digit oracle, which computes them from the design numbers, may
+put n_max one or two attempts away. The rounded fidelity (1 - p_err) f0 +
+p_err / 2 is only reported, by protocol_fidelity.
 """
 
 from __future__ import annotations
@@ -77,9 +78,10 @@ _GUESS_STEPS = 5
 # How many digits early a point joins _array_walk's tail: each join costs a
 # few slices, each early digit a few element operations.
 _JOIN_DIGITS = 4
-# An n_max whose walked p_err lies within this fraction of B below B is
-# re-tested exactly: the double walk reads p_err up to about 12 ulp from its
-# exact value (5 at the design point), and this allows 32 to 64.
+# An n_max whose walked p_err, or p_err plus the increment, lies within this
+# fraction of B from B is settled exactly: the double walk reads p_err up to
+# about 12 ulp from its exact value (5 at the design point), and this allows
+# 32 to 64.
 _TIE = 2.0**-47
 
 
@@ -379,45 +381,42 @@ def _unbounded(p_det, p_e, f0, f_target):
 
 def _search(lo, p_det, p_e, budget, xp):
     """Largest n in [lo, ATTEMPT_SEARCH_CAP] whose error probability p_err(n)
-    fits the error budget, given that lo fits it, and p_err(n) where the
-    search walked it at n, NaN elsewhere; an n of ATTEMPT_SEARCH_CAP or
-    more means the cap fits it too.
+    fits the error budget, for lo = 1, and the walk at n: p_err(n) and the
+    increment p_err(n + 1) - p_err(n). An n of ATTEMPT_SEARCH_CAP means the
+    cap fits the budget too. A point with lo at the cap is done from the
+    start and carries NaN.
 
-    The bracket [lo, hi) holds the answer; hi starts past the cap, at
-    ATTEMPT_SEARCH_CAP + 2 (a float holds it exactly). Each step walks the
-    exact p_err at a candidate c, which gives p_err at c + 1 through the
-    increment, tests p_err <= budget at both, and so either ends the search
-    (c fits and c + 1 does not: the answer c was walked) or shrinks the
-    bracket. An answer reached as c + 1 carries NaN: p_err(c) plus the
-    increment need not be the walk at c + 1 to the bit. Where they differ
-    across the budget, the walk wins: c + 1 is not admitted where it is hi,
-    whose walk did not fit, and a walk at an admitted lo that does not fit
-    ends the search at lo - 1, the candidate that admitted it, whose walk
-    fits and is kept. The first candidate comes from _first_guess
-    and usually ends the search. Later candidates are Newton steps on the
-    exact p_err with the increment as slope. One outside the bracket by
-    more than a step, or any after _NEWTON_STEPS steps, is replaced by the
-    bracket's midpoint. Needs 0 < p_det < 1, p_e > 0 and budget >= 0
-    wherever lo is below the cap; points with lo at the cap are done from
-    the start. On numpy, lo, p_det, p_e and budget are flat arrays of one
-    size, and each step walks only the points still searching.
+    The bracket [lo, hi) holds the answer: lo's walk fits the budget and
+    hi's does not. lo = 1 starts unwalked, since p_err(1) = 0 and p_err(2) =
+    p_det p_e; hi starts past the cap, at ATTEMPT_SEARCH_CAP + 2 (a float
+    holds it exactly). Each step walks a candidate c in (lo, hi). Where c
+    fits it becomes lo, and where its increment also refuses c + 1, hi
+    becomes c + 1; where c does not fit it becomes hi. The search ends
+    where hi = lo + 1, so it always returns the walk at its answer. The
+    first candidate comes from _first_guess and usually ends the search.
+    Later candidates are Newton steps on the exact p_err with the increment
+    as slope. One outside the bracket by more than a step, or any after
+    _NEWTON_STEPS steps, is replaced by the bracket's midpoint. Needs 0 <
+    p_det < 1, p_e > 0 and budget >= 0 wherever lo is below the cap. On
+    numpy, lo, p_det, p_e and budget are flat arrays of one size, and each
+    step walks only the points still searching.
     """
     floor, where, minimum, maximum = xp.floor, xp.where, xp.minimum, xp.maximum
     hi = _CAP + 2.0 + 0.0 * lo
-    p_lo = p_below = math.nan + 0.0 * lo  # p_err at lo and at lo - 1 where walked there
+    p, dp = where(lo == 1.0, 0.0, math.nan), p_det * p_e  # the walk at lo
     if xp is not _PyMath:
-        found, found_p, at = xp.empty_like(lo), xp.empty_like(lo), xp.arange(lo.size)
+        found, at = xp.empty((3, lo.size)), xp.arange(lo.size)  # n, p_err and increment
     t, steps = 0.0 * lo, 0
     while True:
         active = (hi - lo > 1) & (lo < ATTEMPT_SEARCH_CAP)
         if xp is not _PyMath:  # set the finished points aside
-            found[at], found_p[at] = lo, p_lo
-            at, lo, hi, p_lo, p_below, t, p_det, p_e, budget = (
-                a[active] for a in (at, lo, hi, p_lo, p_below, t, p_det, p_e, budget))
+            found[:, at] = lo, p, dp
+            at, lo, hi, p, dp, t, p_det, p_e, budget = (
+                a[active] for a in (at, lo, hi, p, dp, t, p_det, p_e, budget))
             if at.size == 0:
-                return found, found_p
+                return found
         elif not active:
-            return lo, p_lo
+            return lo, p, dp
         if steps == 0:
             t, newton = _first_guess(p_det, p_e, budget, xp), True
         else:
@@ -426,67 +425,74 @@ def _search(lo, p_det, p_e, budget, xp):
         # float floor division: hi - lo is whole, so its half is exact, and
         # the inner floor keeps the sum exact above 2**52
         near = (lo - 1 < t) & (t < hi + 1) & newton
-        c = minimum(maximum(floor(where(near, t, lo + floor((hi - lo) * 0.5))), lo), hi - 1)
-        p, dp = _error_terms(c, p_det, p_e, xp)
-        # c + 1 is hi only where hi was walked and did not fit (the first hi
-        # is past any c + 1 a float holds)
-        fits, next_fits = p <= budget, (p + dp <= budget) & (c + 1 < hi)
-        # the bracket becomes [c + 1, hi), [c, c + 1) or [lo, c). c = lo does
-        # not fit only where lo was judged by an increment, and [lo - 1, lo)
-        # then ends the search at the candidate that admitted it
-        lo, hi, p_lo, p_below = (
-            where(next_fits, c + 1, where(fits, c, where(c == lo, lo - 1, lo))),
-            where(next_fits, hi, where(fits, c + 1, c)),
-            where(next_fits, math.nan, where(fits, p, where(c == lo, p_below, p_lo))),
-            where(next_fits, p, p_below))
+        c = minimum(maximum(floor(where(near, t, lo + floor((hi - lo) * 0.5))), lo + 1), hi - 1)
+        p_c, dp_c = _error_terms(c, p_det, p_e, xp)
+        fits = p_c <= budget
+        lo, hi, p, dp = (where(fits, c, lo),
+                         where(fits, where(p_c + dp_c > budget, c + 1, hi), c),
+                         where(fits, p_c, p), where(fits, dp_c, dp))
         steps += 1
-        t = c + (budget - p) / maximum(dp, 5e-324)
+        t = c + (budget - p_c) / maximum(dp_c, 5e-324)
 
 
-def _exact_limit(n: int, p_det: float, p_e: float, f0: float, f_target: float) -> int:
-    """The largest m <= n whose exact p_err(m) at these p_det and p_e fits
-    the budget of f0 and f_target, for an n whose walk put p_err near
-    it. p_err = 1 - q^m - w (1 - p_lost^m), w = p_det / (p_det + p_e) and
-    p_lost = 1 - p_det - p_e clipped at 0, as _log_ratio clips r, is
-    evaluated in decimal arithmetic with 30 digits beyond those that 1 -
-    p_det and the cancellation down to B take, and tested as p_err (f0 -
-    1/2) <= f0 - f_target, so the budget is not rounded either. Below n the
-    steps double until an m fits (p_err(1) = 0 always does), and the gap
-    left is bisected. Needs 0 < p_det < 1, p_e >= 0 and B > 0."""
+def _exact_limit(n, p_err, p_det: float, p_e: float, f0: float, f_target: float):
+    """The largest m <= ATTEMPT_SEARCH_CAP whose exact p_err(m) at these
+    p_det and p_e fits the budget of f0 and f_target, for an n whose walk
+    put p_err(n) or p_err(n + 1) near it, and p_err(m): the given p_err
+    where m = n, NaN where m was moved. p_err = 1 - q^m - w (1 - p_lost^m),
+    w = p_det / (p_det + p_e) and p_lost = 1 - p_det - p_e clipped at 0, as
+    _log_ratio clips r, is evaluated in decimal arithmetic with 30 digits
+    beyond those that 1 - p_det and the cancellation down to B take, and
+    tested as p_err (f0 - 1/2) <= f0 - f_target, so the budget is not
+    rounded either. p_err(n + 1) comes from n's powers, q^(n + 1) = q^n q.
+    From n the steps double down until an m fits (p_err(1) = 0 always
+    does) or up until one does not, and the gap left is bisected. Needs 0
+    < p_det < 1, p_e >= 0 and B > 0."""
     from decimal import Decimal, localcontext
 
     budget = (f0 - f_target) / (f0 - 0.5)
     with localcontext() as ctx:
         ctx.prec = 30 + math.ceil(-math.log10(p_det) - math.log10(budget))
         pd, pe, f0, one = Decimal(p_det), Decimal(p_e), Decimal(f0), Decimal(1)
-        lq, ll, w = (one - pd).ln(), (one - pd - pe).max(0 * one).ln(), pd / (pd + pe)
+        q, p_lost = one - pd, (one - pd - pe).max(0 * one)
+        lq, ll, w = q.ln(), p_lost.ln(), pd / (pd + pe)
         slack, scale = f0 - Decimal(f_target), f0 - Decimal(0.5)
 
-        def fits(m):
-            return (one - (m * lq).exp() - w * (one - (m * ll).exp())) * scale <= slack
+        def fits(q_m, l_m):  # p_err(m) <= B from q^m and p_lost^m
+            return (one - q_m - w * (one - l_m)) * scale <= slack
 
-        lo, hi, step = n, n + 1, 1  # hi does not fit
-        while lo > 1 and not fits(lo):
-            lo, hi, step = max(lo - step, 1), lo, 2 * step
+        def fits_at(m):
+            return m <= ATTEMPT_SEARCH_CAP and fits((m * lq).exp(), (m * ll).exp())
+
+        k = int(n)
+        q_k, l_k = (k * lq).exp(), (k * ll).exp()
+        up = fits(q_k, l_k)
+        if up and not (k < ATTEMPT_SEARCH_CAP and fits(q_k * q, l_k * p_lost)):
+            return n, p_err
+        # from k + 1, which fits, or k, which does not, the steps double away
+        # from k while the test keeps its answer; p_err(1) = 0 always fits
+        m, step = (k + 1, 1) if up else (k, -1)
+        while fits_at(max(m + step, 1)) == up:
+            m, step = m + step, 2 * step
+        lo, hi = sorted((m, max(m + step, 1)))
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
-    return lo
+            lo, hi = (mid, hi) if fits_at(mid) else (lo, mid)
+    return float(lo), math.nan
 
 
 def _attempt_limit(p_det, p_e, f0, f_target, xp):
     """max_attempts' decision, point by point: n_max, unbounded (n_max =
-    ATTEMPT_SEARCH_CAP), cap_reached, and p_err(n_max) where the search
-    walked it, NaN elsewhere. n_max is the largest n with p_err(n) <= B,
-    B = (f0 - f_target) / (f0 - 1/2), which is
-    protocol_fidelity(n) >= f_target solved for p_err. Unlike the rounded
-    fidelity, which is not monotone in p_err, this test leaves the search's
-    path no say in n_max. An n whose walk lies within _TIE of B below B
-    is re-tested by _exact_limit and moved down where its exact p_err does
-    not fit B. From about 146 dB at the design point one attempt moves
-    p_err by less than the rounding of p_det and p_e, and n_max may be one
-    or two attempts from the 60-digit oracle's. A point whose
-    f_target exceeds f0 is not searched and carries n_max =
+    ATTEMPT_SEARCH_CAP), cap_reached, and p_err(n_max) from the search's
+    walk at n_max, NaN where the search did not run or _exact_limit moved
+    n_max. n_max is the largest n with p_err(n) <= B, B = (f0 - f_target)
+    / (f0 - 1/2), which is protocol_fidelity(n) >= f_target solved for
+    p_err. Unlike the rounded fidelity, which is not monotone in p_err,
+    this test leaves the search's path no say in n_max. The search's
+    answer n is settled by _exact_limit wherever its walked p_err(n), or
+    p_err(n) plus the increment, lies within _TIE of B, so n_max is the
+    exact boundary at the program's own p_det and p_e on either path. A
+    point whose f_target exceeds f0 is not searched and carries n_max =
     ATTEMPT_SEARCH_CAP with neither flag; max_attempts refuses such a
     target before it gets here."""
     infeasible, unbounded = f_target > f0, _unbounded(p_det, p_e, f0, f_target)
@@ -505,33 +511,24 @@ def _attempt_limit(p_det, p_e, f0, f_target, xp):
     one = (budget == 0.0) & (p_e > 0.0) & xp.logical_not(unbounded | infeasible | errorless)
     skip = (unbounded | infeasible | errorless | one
             | ((p_det + p_e < 2.0**-1022) & (budget > 0.0)))
-    n, p_err = _search(xp.where(skip, _CAP, 1.0), p_det, p_e, budget, xp)
-    n = xp.where(one, 1.0, xp.minimum(n, _CAP))
-    # each n within _TIE of B is re-tested exactly, on the search's walk at
-    # n or, where it reached n by an increment, a walk for this test alone;
-    # an n moved down was not walked
-    if xp is _PyMath:
-        p = p_err if skip or p_err == p_err else _error_terms(n, p_det, p_e, xp)[0]
-        if not skip and p > budget - budget * _TIE:
-            m = float(_exact_limit(int(n), p_det, p_e, f0, f_target))
-            n, p_err = m, p_err if m == n else math.nan
-    else:
-        p, walk = p_err.copy(), xp.flatnonzero(xp.isnan(p_err) & xp.logical_not(skip))
-        if walk.size:
-            p[walk] = _error_terms(n[walk], p_det[walk], p_e[walk], xp)[0]
-        for i in xp.flatnonzero((p > budget - budget * _TIE) & xp.logical_not(skip)):
-            m = float(_exact_limit(int(n[i]), p_det[i], p_e[i], f0, f_target[i]))
-            if m != n[i]:
-                n[i], p_err[i] = m, math.nan
+    n, p_err, dp = _search(xp.where(skip, _CAP, 1.0), p_det, p_e, budget, xp)
+    n = xp.where(one, 1.0, n)
+    # NaN at the points not searched, which no comparison selects
+    tie = (p_err > budget - budget * _TIE) | (abs(p_err + dp - budget) < budget * _TIE)
+    if xp is not _PyMath:
+        for i in xp.flatnonzero(tie):
+            n[i], p_err[i] = _exact_limit(n[i], p_err[i], p_det[i], p_e[i], f0, f_target[i])
+    elif tie:
+        n, p_err = _exact_limit(n, p_err, p_det, p_e, f0, f_target)
     return n, unbounded, (n == _CAP) & xp.logical_not(unbounded | infeasible), p_err
 
 
 def _decide_attempts(probs: AttemptProbabilities, f0: float, f_target: float):
-    """max_attempts' result and p_err(n_max), the search's value where it
-    walked n_max and a walk at n_max elsewhere."""
-    if not 0 <= f0 <= 1:  # NaN too: n_max read 1 at f0 = NaN, unbounded at f0 = 1.5
+    """max_attempts' result and p_err(n_max): the search's walk at n_max,
+    and a walk at n_max where _attempt_limit reports NaN."""
+    if not 0 <= f0 <= 1:  # NaN too: f0 = NaN would give n_max = 1, f0 = 1.5 unbounded
         raise ValidationError(f"f0 out of [0,1]: {f0}")
-    if not 0 <= f_target <= 1:  # NaN too: its budget would fit no p_err, and n_max read 1
+    if not 0 <= f_target <= 1:  # NaN too: its budget would fit no p_err, and n_max would be 1
         raise ValidationError(f"f_target out of [0,1]: {f_target}")
     if f_target > f0:
         raise InfeasibleConstraintError(
@@ -539,7 +536,7 @@ def _decide_attempts(probs: AttemptProbabilities, f0: float, f_target: float):
     n, unbounded, cap_reached, p_err = _attempt_limit(probs.p_det, probs.p_e, f0, f_target,
                                                       _PyMath)
     n = int(n)
-    if p_err != p_err:  # NaN: the search did not walk n
+    if p_err != p_err:  # NaN: n was not walked
         p_err = sequence_error_probability(n, probs)
     return MaxAttempts(n=n, unbounded=unbounded, cap_reached=cap_reached), p_err
 

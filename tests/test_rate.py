@@ -521,16 +521,17 @@ class TestTransferRate:
                                f_target=0.95)
         assert walks == [res.n_max]
 
-    def test_p_error_where_the_search_did_not_walk_n_max(self):
-        # the walk at 7597387143805502 and its increment put one above it
-        # under the budget, and the walk one further up puts that over it,
-        # so the search ends on an n it never walked. Its walk reads p_err
-        # about 12 ulp of B low here, where one attempt moves p_err by a
-        # third of an ulp, and the exact re-test moves n down 28 attempts to
-        # the 80-digit boundary, which is not walked either
+    def test_p_error_where_the_exact_test_moves_n_max(self):
+        # the search ends on 7597387143805503 with its walk there, which
+        # reads p_err about 12 ulp of B low, where one attempt moves p_err
+        # by a third of an ulp. The exact test moves n down 28 attempts to
+        # the 80-digit boundary on both paths and reports NaN for p_err,
+        # and _decide_attempts' p_err is then a walk at the new n
         p_det, p_e = 2.1097193042672393e-16, 0.014198005348750957
         f0, f_target = 0.9948660569353225, 0.5996288420986686
         probs = ps.AttemptProbabilities(p_det=p_det, p_lost=1.0 - p_det - p_e, p_e=p_e)
+        budget = (f0 - f_target) / (f0 - 0.5)
+        assert rate._search(1.0, p_det, p_e, budget, rate._PyMath)[0] == 7597387143805503
         n, _, _, walked = rate._attempt_limit(p_det, p_e, f0, f_target, rate._PyMath)
         assert n == 7597387143805475 and math.isnan(walked)
         on_arrays = rate._attempt_limit(np.array([p_det]), np.array([p_e]), f0,
@@ -581,9 +582,12 @@ class TestTransferRate:
 
     @pytest.mark.parametrize("xp", [rate._PyMath, np], ids=["scalar", "array"])
     def test_n_max_within_budget_where_a_walk_undoes_an_increment(self, monkeypatch, xp):
-        # the walk at n and its increment admit n + 1, whose own walk
-        # exceeds B (walked after n on the scalar path, before it on the
-        # array path): the search ends at n with n's walk, and walks no more
+        # the walk at n and its increment admit n + 1, whose own walk reads
+        # p_err above B (walked after n on the scalar path, before it on the
+        # array path): the search ends at n with n's walk, and the exact
+        # test moves it up to n + 1, the 80-digit boundary, without a walk
+        import mpmath
+
         p_det, p_e = 7.458849165342574e-16, 1.195686050584729e-15
         f0 = 0.9998450058498642
         budget = (f0 - 0.95) / (f0 - 0.5)
@@ -594,10 +598,31 @@ class TestTransferRate:
         args = (p_det, p_e, f0, 0.95) if xp is rate._PyMath else (
             np.array([p_det]), np.array([p_e]), f0, np.array([0.95]))
         n, _, _, p_err = rate._attempt_limit(*args, xp)
-        assert n == 613297387960237
+        assert n == 613297387960238 and np.isnan(p_err)
         assert sorted(walks) == [613297387960237, 613297387960238]
         assert walks[613297387960238][0] > budget
-        assert p_err == walks[613297387960237][0] <= budget
+        with mpmath.workdps(80):
+            pd, pe, f = mpmath.mpf(p_det), mpmath.mpf(p_e), mpmath.mpf(f0)
+            exact_budget = (f - mpmath.mpf(0.95)) / (f - mpmath.mpf(0.5))
+
+            def p_err_at(m):
+                return 1 - (1 - pd) ** m - pd / (pd + pe) * (1 - (1 - pd - pe) ** m)
+
+            assert p_err_at(613297387960238) <= exact_budget < p_err_at(613297387960239)
+
+    def test_n_max_is_the_boundary_where_the_walk_at_n_max_plus_1_reads_high(self):
+        # at 142.27 dB, F >= 0.95 the walk puts p_err(321863044553232) one
+        # ulp above B, while its exact value at the same p_det and p_e fits:
+        # the exact test moves n_max up to it on both paths
+        pdr, pol, cav, timing = (ps.design_pdr(), ps.design_polarizer(), ps.design_cavity(),
+                                 ps.design_timing())
+        link = ps.design_link(5.929253245799994e-15)
+        f0 = rate._f0(pdr, pol, cav, ps.design_link(1.0), DESIGN_R_CAV_H, False)
+        res = ps.transfer_rate(pdr, pol, cav, link, timing, f_target=0.95)
+        assert res.n_max == 321863044553232
+        curves = rate.rate_curves(pdr, pol, link, timing, np.array([link.eta_link]), f0,
+                                  (0.95,))
+        assert curves.n_max[0, 0] == res.n_max
 
 
 def design_probs(db):
@@ -634,10 +659,9 @@ class TestLossExactKernel:
         assert res.rate == pytest.approx(rate, rel=1e-12)
 
     def test_n_max_matches_oracle_past_120_db(self):
-        # Up to 145 dB the double orders p_err(n) and p_err(n + 1) against
-        # the budget B, and where it admits n within its rounding of B the
-        # exact re-test decides, so both paths give the oracle's n_max
-        # exactly. From 146 dB one attempt moves p_err by a few ulp of B
+        # Where the double cannot order p_err(n) or p_err(n + 1) against
+        # the budget B, the exact test decides, so up to 145 dB both paths
+        # give the oracle's n_max exactly. From 146 dB one attempt moves p_err by a few ulp of B
         # (about 7e-17 against B near 0.1 at 150 dB), below the rounding of
         # p_det and p_e themselves, and n_max may land up to 2 attempts off;
         # every point is still checked.
@@ -771,11 +795,9 @@ class TestDigitWalk:
     def test_bisection_matches_the_scalar_search(self, monkeypatch, guess_steps):
         # With no Newton step past the first candidate, every later one is
         # the bracket's midpoint, on arrays and on floats alike. The search
-        # tests p_err <= B, which is monotone in p_err, so every path must
-        # land on the scalar search's n_max wherever the double orders
-        # p_err(n_max) and p_err(n_max + 1) against B: to 145 dB at the
-        # design point. From 146 dB one attempt moves p_err by a few ulp of
-        # B, and the paths may land one attempt apart.
+        # tests p_err <= B, which is monotone in p_err, and the exact test
+        # settles every answer the double cannot order against B, so every
+        # path must land on the scalar search's n_max.
         cases = [(db, design_probs(db), f) for db in [*range(0, 121, 5), *range(121, 157)]
                  for f in (0.95, 0.99, 0.9998)]
         rng = np.random.default_rng(4)
@@ -797,7 +819,7 @@ class TestDigitWalk:
         for got in (on_floats, on_arrays):
             for (db, _, _), g, w in zip(cases, got, want):
                 assert (g.unbounded, g.cap_reached) == (w.unbounded, w.cap_reached)
-                assert abs(g.n - w.n) <= (db >= 146), (db, g, w)
+                assert g.n == w.n, (db, g, w)
 
 
 class TestRepeaterlessBound:

@@ -39,7 +39,7 @@ import time
 from pathlib import Path
 
 MC_SETTINGS = ['mc.trials="x"', "mc.trials=0", "mc.trials=true", "mc.trials=2.5",
-               'mc.seed="x"', "mc.seed=-1", 'mc.draw_cap="x"', "mc.draw_cap=0"]
+               'mc.seed="x"', "mc.seed=-1", "mc.seed=true", "mc.seed=2.5"]
 
 # (command, --set overrides, other flags)
 COMMANDS: list[tuple[str, list[str], list[str]]] = [
@@ -90,6 +90,8 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     # the scalar p_error at 150 and 156 dB, near the n_max search cap
     *(("rate", [f"link.eta_link={eta}", f"f_target={f}"], [])
       for eta in ("1e-15", "2.5e-16") for f in ("0.95", "0.9998")),
+    # 142.27 dB, F >= 0.95: the walk at the exact n_max reads p_err one ulp above the budget
+    ("rate", ["link.eta_link=5.929253245799994e-15", "f_target=0.95"], []),
     # past about 3080 dB 1 / (p_det + p_e) overflows; eta_link = 0 is a dark link
     ("rate", ["link.eta_link=1e-310"], []),
     ("rate", ["link.eta_link=0"], []),
