@@ -6,7 +6,8 @@ every artifact embeds the resolved-config hash and the resolved config is
 echoed to stdout so no default stays silent.
 
 Exit codes: 0 success, 2 validation, 3 infeasible constraint, 4 IO,
-5 numerical failure (search cap reached, opaque device, no detection).
+5 numerical failure (search cap reached, opaque device, no detection, out of
+memory).
 
 device and json load with this module; rate only in the commands that
 compute a rate, and numpy, montecarlo and sweep only in those that need arrays.
@@ -135,8 +136,7 @@ def _rate(cfg: RunConfig) -> RateResult:
     from .rate import ATTEMPT_SEARCH_CAP, transfer_rate
 
     res = transfer_rate(cfg.pdr, cfg.polarizer, cfg.cavity, cfg.link,
-                        cfg.timing, cfg.f_target, r_cav_h=cfg.r_cav_h,
-                        false_herald_correction=cfg.false_herald_correction)
+                        cfg.timing, cfg.f_target, r_cav_h=cfg.r_cav_h)
     if res.cap_reached:
         raise NumericalFailure(
             f"constraint still holds at the attempt cap {ATTEMPT_SEARCH_CAP}")
@@ -151,11 +151,9 @@ def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> None:
     from .sweep import sweep_fidelity_cavity, sweep_fidelity_pdr, sweep_rate_vs_loss
 
     kind, sweep, axes = cfg.sweep["kind"], cfg.sweep, cfg.axes
-    # refuse settings this kind would not read, which still change the hash
-    for key, value in (("sweep.with_mc", sweep["with_mc"]),
-                       ("false_herald_correction", cfg.false_herald_correction)):
-        if kind != "rate_vs_loss" and value:
-            raise ConfigError(f"{key} applies only to rate_vs_loss, not {kind}")
+    # refuse a setting this kind would not read, which still changes the hash
+    if kind != "rate_vs_loss" and sweep["with_mc"]:
+        raise ConfigError(f"sweep.with_mc applies only to rate_vs_loss, not {kind}")
     if kind == "pdr":
         # the configured losses, not those recomputed from cfg.pdr's amplitudes
         pdr = cfg.raw["pdr"]
@@ -170,8 +168,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str) -> None:
         curves = sweep_rate_vs_loss(
             *axes, cfg.pdr, cfg.polarizer, cfg.cavity, cfg.link, cfg.timing,
             constraints=cfg.constraints,
-            mc=cfg.mc if sweep["with_mc"] else None, r_cav_h=cfg.r_cav_h,
-            false_herald_correction=cfg.false_herald_correction)
+            mc=cfg.mc if sweep["with_mc"] else None, r_cav_h=cfg.r_cav_h)
         if out.name in ("", ".."):  # with_name raises on "" and replaces ".."
             raise IsADirectoryError(f"output path {str(out)!r} names no file")
         results = {out.with_name(name): res for name, res in zip(names, curves.values())}
@@ -254,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         return _failure(EXIT_INFEASIBLE, "infeasible", exc)
     except (ConfigError, ValidationError) as exc:
         return _failure(EXIT_VALIDATION, "validation", exc)
-    except (NumericalFailure, OpaqueDeviceError, NoDetectionError) as exc:
+    except (NumericalFailure, OpaqueDeviceError, NoDetectionError, MemoryError) as exc:
         return _failure(EXIT_NUMERICAL, "numerical", exc)
     except OSError as exc:
         return _failure(EXIT_IO, "io", exc)

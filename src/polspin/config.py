@@ -98,7 +98,6 @@ DEFAULTS: dict[str, Any] = {
     **DESIGN,
     "f_target": 0.95,
     "constraints": list(DEFAULT_CONSTRAINTS),
-    "false_herald_correction": False,
     "mc": _jsonable(McConfig()),
     "sweep": {
         "kind": "pdr",
@@ -152,13 +151,10 @@ class RunConfig(Value):
     def __init__(self, raw: dict[str, Any], cavity: CavityParams, pdr: PdrParams,
                  polarizer: PolarizerParams, link: LinkParams, timing: ProtocolTiming,
                  r_cav_h: complex, f_target: float, constraints: tuple[float, ...],
-                 false_herald_correction: bool, mc: McConfig, sweep: dict[str, Any],
-                 axes: tuple[SweepAxis, ...]) -> None:
+                 mc: McConfig, sweep: dict[str, Any], axes: tuple[SweepAxis, ...]) -> None:
         self.__dict__.update(raw=raw, cavity=cavity, pdr=pdr, polarizer=polarizer, link=link,
                              timing=timing, r_cav_h=r_cav_h, f_target=f_target,
-                             constraints=constraints,
-                             false_herald_correction=false_herald_correction, mc=mc,
-                             sweep=sweep, axes=axes)
+                             constraints=constraints, mc=mc, sweep=sweep, axes=axes)
 
     @property
     def config_hash(self) -> str:
@@ -212,10 +208,9 @@ def _build(raw: dict[str, Any]) -> RunConfig:
         mc = McConfig(**raw["mc"])
     except (ValidationError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    for name, v in (("false_herald_correction", raw["false_herald_correction"]),
-                    ("sweep.with_mc", raw["sweep"]["with_mc"])):
-        if not isinstance(v, bool):
-            raise ConfigError(f"{name} must be true or false, got {v!r}")
+    with_mc = raw["sweep"]["with_mc"]
+    if not isinstance(with_mc, bool):
+        raise ConfigError(f"sweep.with_mc must be true or false, got {with_mc!r}")
     re_im = raw["r_cav_h"]
     if not (isinstance(re_im, list) and len(re_im) == 2):
         raise ConfigError("r_cav_h must be a [re, im] pair")
@@ -243,7 +238,6 @@ def _build(raw: dict[str, Any]) -> RunConfig:
         r_cav_h=r_cav_h,
         f_target=f_target,
         constraints=tuple(constraints),
-        false_herald_correction=raw["false_herald_correction"],
         mc=mc,
         sweep=dict(sweep),
         axes=axes,

@@ -174,19 +174,6 @@ def _detected_and_lost(bracket, loss, link: LinkParams, eta):
     return (eta / 2.0) * bracket * link.eta_det, (1.0 - eta) + (eta / 2.0) * loss
 
 
-def _f0(pdr: PdrParams, polarizer: PolarizerParams, cavity: CavityParams,
-        link: LinkParams, r_cav_h: complex, false_herald_correction: bool) -> float:
-    """The fidelity of a heralded attempt: the device-only transfer fidelity;
-    the false-herald correction mixes in the uncorrected initial spin state
-    with the conditional weight of a V photon reflecting off the reflector
-    without touching the cavity."""
-    f0 = transfer_fidelity(pdr, polarizer, cavity, r_cav_h=r_cav_h).f_avg
-    if false_herald_correction:
-        p_false = pdr.R_V / _partition_terms(pdr, polarizer, link)[0]
-        f0 = (1.0 - p_false) * f0 + p_false * 0.5
-    return f0
-
-
 def attempt_probabilities(
     pdr: PdrParams, polarizer: PolarizerParams, link: LinkParams
 ) -> AttemptProbabilities:
@@ -651,14 +638,13 @@ def transfer_rate(
     timing: ProtocolTiming,
     f_target: float,
     r_cav_h: complex = DESIGN_R_CAV_H,
-    false_herald_correction: bool = False,
 ) -> RateResult:
     """Average transfer rate under a fidelity constraint, at the
-    single-attempt fidelity f0 of the device, false-herald corrected on
-    request. The stored t_success is the conditional expected duration of
+    single-attempt fidelity f0 = transfer_fidelity(...).f_avg of the
+    device. The stored t_success is the conditional expected duration of
     the successful sequence, so the rate equals the inverse of the true
     expected time per transferred qubit."""
-    f0 = _f0(pdr, polarizer, cavity, link, r_cav_h, false_herald_correction)
+    f0 = transfer_fidelity(pdr, polarizer, cavity, r_cav_h=r_cav_h).f_avg
     probs = attempt_probabilities(pdr, polarizer, link)
     nm, p_error = _decide_attempts(probs, f0, f_target)
     if probs.p_det == 0.0:  # nothing clicks: no sequence ever succeeds

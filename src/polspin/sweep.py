@@ -21,7 +21,7 @@ import numpy as np
 # re-exported: the axis type and defaults live in params and config, which load no numpy
 from .config import (DEFAULT_CONSTRAINTS, SWEEP_KINDS, _jsonable, default_cooperativity_axis,
                      default_coupling_axis, default_loss_axis, default_pdr_axes)
-from .device import OpaqueDeviceError, fidelity_kernel
+from .device import OpaqueDeviceError, fidelity_kernel, transfer_fidelity
 from .montecarlo import simulate_rate
 from .params import (
     DESIGN_R_CAV_H,
@@ -36,7 +36,7 @@ from .params import (
     ValidationError,
     Value,
 )
-from .rate import _f0, attempt_probabilities, rate_curves
+from .rate import attempt_probabilities, rate_curves
 
 # Cells per device-kernel evaluation in the fidelity sweeps: whole-grid
 # temporaries would grow peak memory with the grid, blocks keep it flat.
@@ -220,7 +220,6 @@ def sweep_rate_vs_loss(
     constraints: tuple[float, ...] = DEFAULT_CONSTRAINTS,
     mc: McConfig | None = None,
     r_cav_h: complex = DESIGN_R_CAV_H,
-    false_herald_correction: bool = False,
 ) -> dict[float, SweepResult]:
     """Analytic rate (and optional Monte Carlo estimate) versus link loss in
     dB, one result per fidelity constraint, each carrying the repeaterless
@@ -235,17 +234,16 @@ def sweep_rate_vs_loss(
     ATTEMPT_SEARCH_CAP, as transfer_rate reports it. A loss below 0 dB
     (eta_link > 1) is refused with ValidationError. The Monte Carlo columns
     run one simulate_rate per cell with a finite n_max. The metadata
-    carries f0 next to the false_herald_correction setting that gave it.
+    carries the f0 that every cell shares.
     """
     loss_db = loss_axis.values()
     eta = 10.0 ** (-loss_db / 10.0)
-    f0 = _f0(pdr, polarizer, cavity, link_template, r_cav_h, false_herald_correction)
+    f0 = transfer_fidelity(pdr, polarizer, cavity, r_cav_h=r_cav_h).f_avg
     curves = rate_curves(pdr, polarizer, link_template, timing, eta, f0, constraints)
     # the metadata all constraints share, converted once, in the JSON's key order
     head = _jsonable(dict(pdr=pdr, polarizer=polarizer, cavity=cavity,
                           link=link_template, timing=timing))
-    tail = _jsonable(dict(f0=f0, false_herald_correction=false_herald_correction,
-                          mc=mc, r_cav_h=r_cav_h))
+    tail = _jsonable(dict(f0=f0, mc=mc, r_cav_h=r_cav_h))
     results: dict[float, SweepResult] = {}
     for i, f_target in enumerate(constraints):
         columns = {"bound": curves.bound, "n_max": curves.n_max[i],

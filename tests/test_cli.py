@@ -15,7 +15,7 @@ import polspin as ps
 from polspin.cli import main, write_table
 from polspin.config import DEFAULTS, ConfigError, load_config
 from polspin.montecarlo import McConfig
-from polspin.rate import ATTEMPT_SEARCH_CAP, _f0
+from polspin.rate import ATTEMPT_SEARCH_CAP
 from polspin.sweep import (
     SweepAxis,
     SweepResult,
@@ -42,7 +42,7 @@ class TestLoadConfig:
         assert cfg.link == ps.design_link()
         assert cfg.timing == ps.design_timing()
         assert cfg.r_cav_h == ps.params.DESIGN_R_CAV_H
-        assert cfg.config_hash == "b480b247e256f11f"
+        assert cfg.config_hash == "ae1c3e8cc435f438"
 
     def test_override_layering(self):
         cfg = load_config(overrides=["link.eta_link=0.01", "f_target=0.97"])
@@ -99,9 +99,8 @@ class TestLoadConfig:
         ('link.xi="0.01"', "link.xi must be a number, got '0.01'"),
         ('f_target="a"', "f_target must be a number, got 'a'"),
         ('constraints=[0.9,"x"]', "constraint must be a number, got 'x'"),
-        ("false_herald_correction=False", "false_herald_correction must be true or false, "
-                                          "got 'False'"),
-        ("false_herald_correction=1", "false_herald_correction must be true or false, got 1"),
+        ("sweep.with_mc=False", "sweep.with_mc must be true or false, got 'False'"),
+        ("sweep.with_mc=1", "sweep.with_mc must be true or false, got 1"),
         ("sweep.with_mc=off", "sweep.with_mc must be true or false, got 'off'"),
     ], ids=["nan", "inf", "text", "bool", "amplifying", "amplifying_im", "delta_c", "kappa_inf", "g_overflow", "kappa_text", "kappa_bool", "sign_bool",
             "xi_text", "f_target_text", "constraint_text", "flag_text", "flag_number",
@@ -163,7 +162,7 @@ class TestLoadConfig:
             assert DEFAULTS == before
             fresh = load_config()
             assert fresh.raw == before
-            assert fresh.config_hash == "b480b247e256f11f"
+            assert fresh.config_hash == "ae1c3e8cc435f438"
         finally:
             # on failure, put DEFAULTS back in place for the tests that follow
             for key, val in before.items():
@@ -247,11 +246,9 @@ class TestMain:
         assert row["loss_balance_residual"] == pytest.approx(0.02473, abs=1e-4)
 
     @pytest.mark.parametrize("setting,n_max", [
-        # the false-herald correction lowers f0 and with it n_max (1908 -> 1677)
-        ("false_herald_correction=true", 1677),
-        # an H photon that seldom reaches the spin raises it (1908 -> 1918)
+        # an H photon that seldom reaches the spin raises n_max (1908 -> 1918)
         ("link.xi=0.01", 1918),
-    ], ids=["false_herald", "xi"])
+    ], ids=["xi"])
     def test_rate_and_montecarlo_share_n_max(self, tmp_path, capsys, setting, n_max):
         # rate, montecarlo and the loss sweep at 30 dB share f0 and the link
         sets = ["--set", setting, "--format", "json"]
@@ -340,6 +337,7 @@ class TestMain:
         ["--command", "sweep", "--set", "sweep.kind=pdr", "--set", "sweep.with_mc=true"],
         ["--command", "sweep", "--set", "sweep.kind=cavity_coupling",
          "--set", "sweep.with_mc=true"],
+        # a removed key: unknown under every sweep kind
         *[["--command", "sweep", "--set", f"sweep.kind={kind}",
            "--set", "false_herald_correction=true"]
           for kind in ("pdr", "cavity_c", "cavity_coupling")],
@@ -380,6 +378,7 @@ class TestMain:
         {"f_target": {"x": 1}},
         ["--set", "mc=5"],
         ["--set", "sweep=5"],
+        # a removed key: unknown, whatever its value
         ["--set", "false_herald_correction=False"],
         ["--set", "false_herald_correction=1"],
         ["--set", "sweep.with_mc=off"],
@@ -428,9 +427,11 @@ class TestMain:
         (["timing.pulse_multiplier=1e400"], "pulse_multiplier must be finite, got inf"),
         (["timing.tau_pulse=1e200", "timing.pulse_multiplier=1e200"],
          "tau_slot must be finite, got inf"),
+        # a removed key: the device fidelity already holds the direct V reflection
+        (["false_herald_correction=true"], "unknown config key: false_herald_correction"),
     ], ids=["axis_text", "axis_fractional_num", "axis_reversed", "second_axis_cavity_c",
             "amplifying_r_cav_h", "infinite_tau_reset", "infinite_tau_pulse",
-            "infinite_pulse_multiplier", "overflowing_tau_slot"])
+            "infinite_pulse_multiplier", "overflowing_tau_slot", "removed_false_herald"])
     def test_setting_refused_by_every_command(self, tmp_path, capsys, command, settings,
                                               message):
         # every command checks the sweep axes, which move the config hash, as
@@ -555,6 +556,30 @@ class TestMain:
         assert err["detail"].startswith("no detection within 2**62 attempts")
         assert not out.exists()
 
+    @pytest.mark.parametrize("target,args,size", [
+        ("polspin.params.SweepAxis.values",
+         ["--command", "sweep", "--set", "sweep.kind=cavity_coupling",
+          "--set", "sweep.axis=[0,1,1000000000000]"], lambda axis: axis.num),
+        ("polspin.montecarlo._trials", ["--command", "montecarlo", "--trials", "1000000000000"],
+         lambda probs, n_max, trials, rng: trials),
+    ], ids=["sweep_axis", "mc_trials"])
+    def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch, target, args,
+                                     size):
+        # the call that would allocate 10**12 values raises in its place,
+        # so the test allocates nothing
+        sizes = []
+
+        def refuse(*call):
+            sizes.append(size(*call))
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(target, refuse)
+        code, cap, out = run_cli(args, tmp_path, capsys)
+        assert (code, sizes) == (5, [10**12])
+        assert json.loads(cap.err) == {"error": "numerical",
+                                       "detail": "Unable to allocate 7.28 TiB"}
+        assert not out.exists()
+
     def test_montecarlo_with_a_click_far_rarer_than_an_error(self, tmp_path, capsys):
         # about 1e9 attempts, most of them errors, to the click: two draws
         code, _, out = run_cli(
@@ -579,20 +604,16 @@ class TestMain:
         assert float(row["mean_rate"]) > 0 and row["trials"] == "1"
         assert row["std_error"] == "nan"  # one trial has no spread
 
-    @pytest.mark.parametrize("correction", [False, True])
-    def test_rate_vs_loss_metadata_names_the_correction(self, tmp_path, capsys,
-                                                        correction):
-        setting = f"false_herald_correction={json.dumps(correction)}"
-        cfg = load_config(overrides=[setting])
+    def test_rate_vs_loss_metadata_carries_the_device_fidelity(self, tmp_path, capsys):
+        cfg = load_config()
         assert main(["--command", "sweep", "--set", "sweep.kind=rate_vs_loss",
                      "--set", "sweep.axis=[0,10,2]", "--set", "constraints=[0.95]",
-                     "--set", setting,
                      "--format", "json", "--out", str(tmp_path / "rates.json")]) == 0
         capsys.readouterr()
         meta = json.loads((tmp_path / "rates_f95.json").read_text())["metadata"]
-        assert meta["false_herald_correction"] is correction
-        assert meta["f0"] == _f0(cfg.pdr, cfg.polarizer, cfg.cavity, cfg.link,
-                                 cfg.r_cav_h, correction)
+        assert "false_herald_correction" not in meta
+        assert meta["f0"] == ps.transfer_fidelity(cfg.pdr, cfg.polarizer, cfg.cavity,
+                                                  r_cav_h=cfg.r_cav_h).f_avg
 
 
 class TestSweepCsvRoundTrip:

@@ -285,6 +285,16 @@ class TestTransferFidelity:
         assert all(p > 0 for (label, _), (p, _) in per_outcome.items()
                    if label in ("y+", "y-"))
 
+    def test_v_blind_device_gives_the_fully_mixed_fidelity(self, design):
+        # T_V = 0: V never enters the cavity, so its only detected light is
+        # the reflector's direct reflection, which the kernel adds coherently
+        # to both V coefficients; a herald blind to the spin gives F = 1/2
+        _, pol, cav = design
+        pdr = ps.PdrParams.from_power(T_V=0.0, R_H=0.15)
+        k = fidelity_kernel(pdr, pol, cav, ps.params.DESIGN_R_CAV_H)
+        assert k.r_V_on == k.r_V_off == pdr.r_V
+        assert ps.transfer_fidelity(pdr, pol, cav).f_avg == 0.5
+
     def test_scattering_only_degrades(self):
         # grow V scattering at fixed R_V: fidelity strictly decreases
         pol, cav = ps.design_polarizer(), ps.design_cavity()

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import polspin as ps
 from polspin import rate
-from polspin.params import DESIGN, DESIGN_R_CAV_H
+from polspin.params import DESIGN
 from polspin.rate import ATTEMPT_SEARCH_CAP, success_probability
 
 # frozen oracle values, paper presets at eta_link = 1e-3
@@ -495,8 +495,8 @@ class TestTransferRate:
         # point the search walks every n_max itself, save where the exact
         # re-test moves the search's n down; the new n is then walked apart
         moved = {(0.95, 140), (0.95, 156), (0.99, 150)}
-        f0 = rate._f0(ps.design_pdr(), ps.design_polarizer(), ps.design_cavity(),
-                      ps.design_link(1.0), DESIGN_R_CAV_H, False)
+        f0 = ps.transfer_fidelity(ps.design_pdr(), ps.design_polarizer(),
+                                  ps.design_cavity()).f_avg
         for db in range(0, 157):
             link = ps.design_link(10 ** (-db / 10))
             res = ps.transfer_rate(ps.design_pdr(), ps.design_polarizer(),
@@ -549,7 +549,7 @@ class TestTransferRate:
                                  ps.design_timing())
         eta = 10 ** (-133.31 / 10)
         link = ps.design_link(eta)
-        f0 = rate._f0(pdr, pol, cav, ps.design_link(1.0), DESIGN_R_CAV_H, False)
+        f0 = ps.transfer_fidelity(pdr, pol, cav).f_avg
         budget = (f0 - 0.95) / (f0 - 0.5)
         probs = ps.attempt_probabilities(pdr, pol, link)
         p, dp = rate._error_terms(40895084983291.0, probs.p_det, probs.p_e, rate._PyMath)
@@ -572,7 +572,7 @@ class TestTransferRate:
         pdr, pol, cav, timing = (ps.design_pdr(), ps.design_polarizer(), ps.design_cavity(),
                                  ps.design_timing())
         link = ps.design_link(10 ** (-db / 10))
-        f0 = rate._f0(pdr, pol, cav, ps.design_link(1.0), DESIGN_R_CAV_H, False)
+        f0 = ps.transfer_fidelity(pdr, pol, cav).f_avg
         res = ps.transfer_rate(pdr, pol, cav, link, timing, f_target=f_target)
         assert res.n_max == ORACLE_N_MAX_PAST_120DB[db][j]
         assert res.p_error <= (f0 - f_target) / (f0 - 0.5)
@@ -617,7 +617,7 @@ class TestTransferRate:
         pdr, pol, cav, timing = (ps.design_pdr(), ps.design_polarizer(), ps.design_cavity(),
                                  ps.design_timing())
         link = ps.design_link(5.929253245799994e-15)
-        f0 = rate._f0(pdr, pol, cav, ps.design_link(1.0), DESIGN_R_CAV_H, False)
+        f0 = ps.transfer_fidelity(pdr, pol, cav).f_avg
         res = ps.transfer_rate(pdr, pol, cav, link, timing, f_target=0.95)
         assert res.n_max == 321863044553232
         curves = rate.rate_curves(pdr, pol, link, timing, np.array([link.eta_link]), f0,

@@ -589,25 +589,21 @@ class TestRateVsLoss:
 
     @pytest.mark.parametrize("mc", [None, ps.McConfig(trials=2, seed=5)],
                              ids=["analytic", "mc"])
-    @pytest.mark.parametrize("xi,correction,n_max_30_db", [
-        (0.01, False, 1918), (None, True, 1677)], ids=["xi", "false_herald"])
-    def test_link_and_correction_as_transfer_rate(self, design, mc, xi, correction,
-                                                  n_max_30_db):
-        """The sweep reads the link as given, xi included, and the
-        false-herald correction, as transfer_rate does at each loss; so do
-        its Monte Carlo columns."""
+    @pytest.mark.parametrize("xi,n_max_30_db", [(0.01, 1918)], ids=["xi"])
+    def test_link_and_correction_as_transfer_rate(self, design, mc, xi, n_max_30_db):
+        """The sweep reads the link as given, xi included, as transfer_rate
+        does at each loss; so do its Monte Carlo columns."""
         link = ps.design_link(1.0).replace(xi=xi)
         out = ps.sweep_rate_vs_loss(
             SweepAxis("loss_db", 10.0, 30.0, 3, spacing="db"),
             design["pdr"], design["polarizer"], design["cavity"], link,
-            design["timing"], constraints=(0.95, 0.99), mc=mc,
-            false_herald_correction=correction)
+            design["timing"], constraints=(0.95, 0.99), mc=mc)
         for f_target, res in out.items():
             for i, db in enumerate(res.axes[0][1]):
                 at = link.replace(eta_link=float(10.0 ** (-db / 10.0)))
                 scalar = ps.transfer_rate(
                     design["pdr"], design["polarizer"], design["cavity"], at,
-                    design["timing"], f_target, false_herald_correction=correction)
+                    design["timing"], f_target)
                 assert res.columns["n_max"][i] == scalar.n_max
                 assert res.values[i] == pytest.approx(scalar.rate, rel=1e-13)
                 if mc is not None:

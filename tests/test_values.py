@@ -29,8 +29,7 @@ FIELDS = {
     device.JointState: ("h_down", "h_up", "v_down", "v_up"),
     device.FidelityReport: ("f_avg", "r_H", "r_V_on", "r_V_off"),
     config.RunConfig: ("raw", "cavity", "pdr", "polarizer", "link", "timing", "r_cav_h",
-                       "f_target", "constraints", "false_herald_correction", "mc", "sweep",
-                       "axes"),
+                       "f_target", "constraints", "mc", "sweep", "axes"),
     rate.AttemptProbabilities: ("p_det", "p_lost", "p_e"),
     rate.MaxAttempts: ("n", "unbounded", "cap_reached"),
     rate.RateResult: ("n_max", "p_error", "p_success", "t_failures", "t_success", "rate",

@@ -52,7 +52,7 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     ("fidelity", ["pdr.T_V=0", "pdr.zeta_V=1", "pdr.R_H=0", "pdr.zeta_H=1"], []),
     ("rate", [], []),
     ("rate", ["link.eta_link=1e-9", "f_target=0.99"], []),
-    ("rate", ["link.xi=0.01", "false_herald_correction=true"], []),
+    ("rate", ["link.xi=0.01"], []),
     ("diagnose", [], []),
     ("montecarlo", [], ["--trials", "2000", "--seed", "7"]),
     ("montecarlo", [], ["--trials", "1", "--seed", "7"]),
