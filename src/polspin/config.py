@@ -184,34 +184,27 @@ def _axis_from(spec: list | None, default: SweepAxis) -> SweepAxis:
         raise ConfigError(f"sweep axis {spec!r}: {exc}") from exc
 
 
-def _build(raw: dict[str, Any]) -> RunConfig:
-    try:
-        # a text would fail below with a bare TypeError, a bool pass as 0 or 1
-        for section in ("cavity", "pdr", "polarizer", "link", "timing"):
-            for key, v in raw[section].items():
-                if type(v) not in _NUMBERS and not (v is None and key == "xi"):  # link.xi
-                    raise ConfigError(f"{section}.{key} must be a number, got {v!r}")
-        cavity = CavityParams(**raw["cavity"])
-        pdr = PdrParams.from_power(**raw["pdr"])
-        polarizer = PolarizerParams(**raw["polarizer"])
-        link = LinkParams(**raw["link"])
-        timing = ProtocolTiming(**raw["timing"])
-        f_target, constraints = raw["f_target"], raw["constraints"]
-        if not (isinstance(constraints, list) and constraints):
-            raise ConfigError(
-                f"constraints must be a non-empty list of numbers, got {constraints!r}")
-        for name, v in (("f_target", f_target), *(("constraint", c) for c in constraints)):
-            if type(v) not in _NUMBERS:
-                raise ConfigError(f"{name} must be a number, got {v!r}")
-            if not 0 <= v <= 1:
-                raise ConfigError(f"{name} out of [0,1]: {v}")
-        mc = McConfig(**raw["mc"])
-    except (ValidationError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-    with_mc = raw["sweep"]["with_mc"]
-    if not isinstance(with_mc, bool):
-        raise ConfigError(f"sweep.with_mc must be true or false, got {with_mc!r}")
-    re_im = raw["r_cav_h"]
+# a device section, refused unless each value is a number: a text would fail
+# with a bare TypeError, a bool pass as 0 or 1
+def _numbers(section: str, values: dict[str, Any]) -> dict[str, Any]:
+    for key, v in values.items():
+        if type(v) not in _NUMBERS and not (v is None and key == "xi"):  # link.xi
+            raise ConfigError(f"{section}.{key} must be a number, got {v!r}")
+    return values
+
+
+def _fractions(values: Any, name: str = "constraint") -> tuple[float, ...]:
+    if not (isinstance(values, list) and values):  # f_target comes as [v]: never refused here
+        raise ConfigError(f"constraints must be a non-empty list of numbers, got {values!r}")
+    for v in values:
+        if type(v) not in _NUMBERS:
+            raise ConfigError(f"{name} must be a number, got {v!r}")
+        if not 0 <= v <= 1:
+            raise ConfigError(f"{name} out of [0,1]: {v}")
+    return tuple(values)
+
+
+def _r_cav_h(re_im: Any) -> complex:
     if not (isinstance(re_im, list) and len(re_im) == 2):
         raise ConfigError("r_cav_h must be a [re, im] pair")
     if not all(type(v) in _NUMBERS and math.isfinite(v) for v in re_im):
@@ -219,29 +212,53 @@ def _build(raw: dict[str, Any]) -> RunConfig:
     r_cav_h = complex(re_im[0], re_im[1])
     if abs(r_cav_h) > 1 + POWER_TOL:
         raise ConfigError(f"r_cav_h must be passive, but |r_cav_h| = {abs(r_cav_h)} exceeds 1")
-    kind, sweep = raw["sweep"]["kind"], raw["sweep"]
+    return r_cav_h
+
+
+def _axes(sweep: dict[str, Any]) -> tuple[SweepAxis, ...]:
+    if not isinstance(sweep["with_mc"], bool):
+        raise ConfigError(f"sweep.with_mc must be true or false, got {sweep['with_mc']!r}")
+    kind = sweep["kind"]
     if not (isinstance(kind, str) and kind in SWEEP_KINDS):
         raise ConfigError(f"unknown sweep kind: {kind}")
     defaults = SWEEP_KINDS[kind]
     # refuse a setting this kind would not read, which still changes the hash
     if len(defaults) == 1 and sweep["second_axis"] is not None:
         raise ConfigError(f"sweep.second_axis applies only to the pdr sweep, not {kind}")
-    axes = tuple(_axis_from(spec, default)
+    return tuple(_axis_from(spec, default)
                  for spec, default in zip((sweep["axis"], sweep["second_axis"]), defaults))
-    return RunConfig(
-        raw=raw,
-        cavity=cavity,
-        pdr=pdr,
-        polarizer=polarizer,
-        link=link,
-        timing=timing,
-        r_cav_h=r_cav_h,
-        f_target=f_target,
-        constraints=tuple(constraints),
-        mc=mc,
-        sweep=dict(sweep),
-        axes=axes,
-    )
+
+
+# Each top-level key's resolver, in the order they refuse: the RunConfig
+# field the key's value gives (the sweep key gives the axes).
+_RESOLVERS = {
+    "cavity": lambda v: CavityParams(**_numbers("cavity", v)),
+    "pdr": lambda v: PdrParams.from_power(**_numbers("pdr", v)),
+    "polarizer": lambda v: PolarizerParams(**_numbers("polarizer", v)),
+    "link": lambda v: LinkParams(**_numbers("link", v)),
+    "timing": lambda v: ProtocolTiming(**_numbers("timing", v)),
+    "f_target": lambda v: _fractions([v], "f_target")[0],
+    "constraints": _fractions,
+    "mc": lambda v: McConfig(**v),
+    "r_cav_h": _r_cav_h,
+    "sweep": _axes,
+}
+# DEFAULTS' own values resolved once, for every key no file or --set reaches
+_RESOLVED = {key: resolve(DEFAULTS[key]) for key, resolve in _RESOLVERS.items()}
+
+
+def _build(raw: dict[str, Any]) -> RunConfig:
+    try:
+        # identity, not equality: a merge copies only along the paths it writes,
+        # and true == 1 and -0.0 == 0.0 hold
+        fields = {key: _RESOLVED[key] if raw[key] is DEFAULTS[key] else resolve(raw[key])
+                  for key, resolve in _RESOLVERS.items()}
+    except (ValidationError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
+    axes = fields.pop("sweep")
+    # the run's own containers; a copy one level down is deep: DEFAULTS nests no deeper
+    raw = {key: type(v)(v) if isinstance(v, (dict, list)) else v for key, v in raw.items()}
+    return RunConfig(raw=raw, sweep=dict(raw["sweep"]), axes=axes, **fields)
 
 
 def load_config(
@@ -252,11 +269,10 @@ def load_config(
 
     The file may be empty or contain a partial JSON object; it and each
     override are merged the same way, and unknown keys are rejected with
-    their full dotted path.
+    their full dotted path. A top-level key neither reaches reuses its
+    default's resolved value, built once per process.
     """
-    # a copy one container level down is deep: DEFAULTS nests no deeper
-    raw = {key: type(val)(val) if isinstance(val, (dict, list)) else val
-           for key, val in DEFAULTS.items()}
+    raw = DEFAULTS
     if path is not None:
         text = Path(path).read_text()
         if text.strip():

@@ -13,7 +13,7 @@ import pytest
 
 import polspin as ps
 from polspin.cli import main, write_table
-from polspin.config import DEFAULTS, ConfigError, load_config
+from polspin.config import DEFAULTS, SWEEP_KINDS, ConfigError, RunConfig, load_config
 from polspin.montecarlo import McConfig
 from polspin.rate import ATTEMPT_SEARCH_CAP
 from polspin.sweep import (
@@ -23,6 +23,45 @@ from polspin.sweep import (
     sweep_fidelity_pdr,
     sweep_rate_vs_loss,
 )
+
+
+# Settings that reach each top-level key alone, then pairs of keys; a value
+# equal to its default (f_target 0.95, an empty mc section) still counts as set
+RESOLUTION_CASES = [
+    {"cavity.delta_c": -0.0},
+    {"pdr.R_H": 0.2},
+    {"polarizer.eta_pol_H": 0.2},
+    {"link.eta_link": 0.01},
+    {"timing.pulse_multiplier": 1},
+    {"r_cav_h": [-0.9, 0.2]},
+    {"f_target": 0.97},
+    {"constraints": [0.9, 0.99]},
+    {"mc.trials": 5},
+    {"mc": {}},
+    {"sweep.kind": "cavity_c", "sweep.axis": [1, 10, 5]},
+    {"link.eta_link": 0.01, "f_target": 0.95},
+    {"pdr.T_V": 0.95, "sweep.second_axis": [0, 0.5, 3, "linear"]},
+    {"cavity.g": 1.5, "r_cav_h": [0.6, 0.8]},
+    {"constraints": [0.97], "mc.seed": 3},
+]
+
+
+def resolve_from_scratch(raw):
+    """Every RunConfig field but raw, built from a merged raw config by the
+    value types themselves."""
+    sweep = raw["sweep"]
+    axes = tuple(default if spec is None else SweepAxis(default.path, *spec[:3],
+                                                        *(spec[3:] or [default.spacing]))
+                 for spec, default in zip((sweep["axis"], sweep["second_axis"]),
+                                          SWEEP_KINDS[sweep["kind"]]))
+    return {"cavity": ps.CavityParams(**raw["cavity"]),
+            "pdr": ps.PdrParams.from_power(**raw["pdr"]),
+            "polarizer": ps.PolarizerParams(**raw["polarizer"]),
+            "link": ps.LinkParams(**raw["link"]),
+            "timing": ps.ProtocolTiming(**raw["timing"]),
+            "r_cav_h": complex(*raw["r_cav_h"]), "f_target": raw["f_target"],
+            "constraints": tuple(raw["constraints"]), "mc": McConfig(**raw["mc"]),
+            "sweep": sweep, "axes": axes}
 
 
 class TestLoadConfig:
@@ -139,8 +178,8 @@ class TestLoadConfig:
         assert len(a.config_hash) == 16
 
     def test_defaults_nest_at_most_two_levels(self):
-        # load_config copies DEFAULTS one container level down; a container
-        # below that would be shared between runs
+        # load_config copies the merged config one container level down; a
+        # container of DEFAULTS below that would be shared between runs
         for key, val in DEFAULTS.items():
             if isinstance(val, dict):
                 val = list(val.values())
@@ -149,20 +188,25 @@ class TestLoadConfig:
 
     def test_mutating_a_resolved_config_leaves_defaults_alone(self):
         before = copy.deepcopy(DEFAULTS)
-        raw = load_config().raw
         try:
-            for val in raw.values():
-                if isinstance(val, dict):
-                    for key in val:
-                        val[key] = "mutated"
-                    val["extra"] = 1
-                elif isinstance(val, list):
-                    val[:] = ["mutated"]
-                    val.append(2)
-            assert DEFAULTS == before
-            fresh = load_config()
-            assert fresh.raw == before
-            assert fresh.config_hash == "ae1c3e8cc435f438"
+            # the defaults alone, then configs whose settings reach some keys
+            for overrides in ([], ["link.eta_link=0.01", "f_target=0.97"],
+                              ["sweep.axis=[0.5,1,3]", "constraints=[0.9]", "mc.trials=5"]):
+                cfg = load_config(overrides=overrides)
+                resolved = copy.deepcopy(cfg)
+                for val in [*cfg.raw.values(), cfg.sweep]:
+                    if isinstance(val, dict):
+                        for key in val:
+                            val[key] = "mutated"
+                        val["extra"] = 1
+                    elif isinstance(val, list):
+                        val[:] = ["mutated"]
+                        val.append(2)
+                assert DEFAULTS == before, overrides
+                assert load_config(overrides=overrides) == resolved, overrides
+                fresh = load_config()
+                assert fresh.raw == before, overrides
+                assert fresh.config_hash == "ae1c3e8cc435f438", overrides
         finally:
             # on failure, put DEFAULTS back in place for the tests that follow
             for key, val in before.items():
@@ -171,6 +215,54 @@ class TestLoadConfig:
                     DEFAULTS[key].update(val)
                 elif isinstance(val, list):
                     DEFAULTS[key][:] = val
+
+    @pytest.mark.parametrize("source", ["set", "file"])
+    @pytest.mark.parametrize("settings", RESOLUTION_CASES,
+                             ids=["+".join(case) for case in RESOLUTION_CASES])
+    def test_each_key_resolves_as_from_scratch(self, tmp_path, source, settings):
+        nested, expected_raw = {}, copy.deepcopy(DEFAULTS)
+        for dotted, value in settings.items():
+            *parents, last = dotted.split(".")
+            at, into = nested, expected_raw
+            for key in parents:
+                at, into = at.setdefault(key, {}), into[key]
+            at[last] = value
+            if isinstance(value, dict):
+                into[last].update(value)
+            else:
+                into[last] = value
+        if source == "file":
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(nested))
+            cfg = load_config(path)
+        else:
+            cfg = load_config(overrides=[f"{k}={json.dumps(v)}" for k, v in settings.items()])
+        # json tells true from 1, 1 from 1.0 and -0.0 from 0.0, as == does not
+        assert json.dumps(cfg.raw, sort_keys=True) == json.dumps(expected_raw, sort_keys=True)
+        expected = resolve_from_scratch(expected_raw)
+        assert set(expected) == set(RunConfig._fields) - {"raw"}
+        for field, value in expected.items():
+            assert getattr(cfg, field) == value, field
+            assert repr(getattr(cfg, field)) == repr(value), field
+        # a key no setting reached reuses the defaults' resolved field; one a
+        # setting reached, even to an equal value, is resolved anew
+        base, touched = load_config(), {dotted.split(".")[0] for dotted in settings}
+        for key in DEFAULTS:
+            field = "axes" if key == "sweep" else key
+            assert (getattr(cfg, field) is getattr(base, field)) == (key not in touched), key
+        for key, val in cfg.raw.items():
+            if isinstance(val, (dict, list)):
+                assert val is not DEFAULTS[key] and val is not base.raw[key], key
+        assert cfg.sweep is not cfg.raw["sweep"] and cfg.sweep is not base.sweep
+        resolved = copy.deepcopy(cfg)
+        for val in [*cfg.raw.values(), cfg.sweep]:
+            if isinstance(val, (dict, list)):
+                val.clear()
+        assert (load_config(path) if source == "file" else
+                load_config(overrides=[f"{k}={json.dumps(v)}" for k, v in settings.items()])
+                ) == resolved
+        assert load_config() == base
+        assert load_config().config_hash == "ae1c3e8cc435f438"
 
     def test_echo_contains_every_preset_key(self):
         echoed = json.loads(load_config().echo_json())
@@ -393,6 +485,20 @@ class TestMain:
         code, cap, _ = run_cli(["--command", "rate"] + setting, tmp_path, capsys)
         assert code == 2
         assert json.loads(cap.err)["error"] == "validation"
+
+    @pytest.mark.parametrize("source", ["set", "file"])
+    def test_file_setting_is_refused_as_a_set_one(self, tmp_path, capsys, source):
+        if source == "file":
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps({"link": {"eta_det": True}}))
+            setting = ["--config", str(path)]
+        else:
+            setting = ["--set", "link.eta_det=true"]
+        code, cap, out = run_cli(["--command", "fidelity"] + setting, tmp_path, capsys)
+        assert code == 2
+        assert json.loads(cap.err) == {"error": "validation",
+                                       "detail": "link.eta_det must be a number, got True"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["fidelity", "rate", "montecarlo", "diagnose"])
     @pytest.mark.parametrize("setting", [

@@ -6,7 +6,8 @@ Usage: python tools/compare_cli.py [--repeat N] OLD_TREE NEW_TREE
 Each tree is a checkout holding src/polspin. Every command runs in CSV and
 in JSON, as a fresh `python -m polspin.cli` process with PYTHONPATH set to
 the tree's src, inside one temporary directory per tree that is emptied
-between commands. A run that is not byte-identical is reported as
+between commands; the --config files some commands read are written once to
+a third temporary directory that both trees share. A run that is not byte-identical is reported as
 identical apart from the config hash when it matches once each side's hash,
 read from its config echo, is swapped for a placeholder in its streams and
 files: the echo, the CSV row tails and the JSON. Exits 0 when every run is
@@ -113,7 +114,21 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     ("rate", ["timing.tau_reset=1e400"], []),
     ("montecarlo", ["timing.tau_pulse=1e200", "timing.pulse_multiplier=1e200"],
      ["--trials", "300", "--seed", "7"]),
+    # --config files (CONFIG_FILES): one section, one section under a --set,
+    # an empty file, and a refused wrong-typed value
+    ("rate", [], ["--config", "link.json"]),
+    ("rate", ["f_target=0.97"], ["--config", "link.json"]),
+    ("fidelity", [], ["--config", "empty.json"]),
+    ("fidelity", [], ["--config", "bad_type.json"]),
 ]
+
+# The --config files by name. They are written once per comparison to a
+# directory both trees read, outside the workdirs that run() empties.
+CONFIG_FILES = {
+    "link.json": '{"link": {"eta_link": 1e-4, "eta_det": 0.9}}\n',
+    "empty.json": "",
+    "bad_type.json": '{"link": {"eta_det": true}}\n',
+}
 
 # The benchmark's set-up: import polspin and resolve the default config.
 SETUP_PROBE = "from polspin import config; config.load_config()"
@@ -193,9 +208,13 @@ def main(argv: list[str]) -> int:
             return 2
     runs = identical = hash_only = 0
     timings: list[tuple[str, list[float], list[float]]] = []
-    with tempfile.TemporaryDirectory() as old_dir, tempfile.TemporaryDirectory() as new_dir:
+    with tempfile.TemporaryDirectory() as old_dir, tempfile.TemporaryDirectory() as new_dir, \
+            tempfile.TemporaryDirectory() as config_dir:
         workdirs = [Path(old_dir), Path(new_dir)]
+        for name, text in CONFIG_FILES.items():
+            (Path(config_dir) / name).write_text(text)
         for command, sets, flags in COMMANDS:
+            flags = [str(Path(config_dir) / f) if f in CONFIG_FILES else f for f in flags]
             for fmt, out in (("csv", "result.csv"), ("json", "result.json")):
                 argv = ["--command", command, *flags, "--out", out, "--format", fmt,
                         *(arg for s in sets for arg in ("--set", s))]
