@@ -5,14 +5,12 @@ where a value is read or written as JSON."""
 
 from __future__ import annotations
 
-import math
 import sys
 from pathlib import Path
 from typing import Any
 
 from .params import (
     DESIGN,
-    POWER_TOL,
     CavityParams,
     LinkParams,
     McConfig,
@@ -145,16 +143,17 @@ def _parse_override(expr: str) -> dict[str, Any]:
 
 class RunConfig(Value):
     """Validated, fully-resolved configuration for one CLI run; axes are
-    the sweep kind's axes with sweep.axis and sweep.second_axis applied. It
+    the sweep kind's axes with sweep.axis and sweep.second_axis applied, and
+    r_cav_h, not a field, is link.r_cav_h, the H cavity field reflection. It
     holds dicts, so it cannot be hashed."""
 
     def __init__(self, raw: dict[str, Any], cavity: CavityParams, pdr: PdrParams,
                  polarizer: PolarizerParams, link: LinkParams, timing: ProtocolTiming,
-                 r_cav_h: complex, f_target: float, constraints: tuple[float, ...],
-                 mc: McConfig, sweep: dict[str, Any], axes: tuple[SweepAxis, ...]) -> None:
+                 f_target: float, constraints: tuple[float, ...], mc: McConfig,
+                 sweep: dict[str, Any], axes: tuple[SweepAxis, ...]) -> None:
         self.__dict__.update(raw=raw, cavity=cavity, pdr=pdr, polarizer=polarizer, link=link,
-                             timing=timing, r_cav_h=r_cav_h, f_target=f_target,
-                             constraints=constraints, mc=mc, sweep=sweep, axes=axes)
+                             timing=timing, f_target=f_target, constraints=constraints,
+                             mc=mc, sweep=sweep, axes=axes, r_cav_h=link.r_cav_h)
 
     @property
     def config_hash(self) -> str:
@@ -204,17 +203,6 @@ def _fractions(values: Any, name: str = "constraint") -> tuple[float, ...]:
     return tuple(values)
 
 
-def _r_cav_h(re_im: Any) -> complex:
-    if not (isinstance(re_im, list) and len(re_im) == 2):
-        raise ConfigError("r_cav_h must be a [re, im] pair")
-    if not all(type(v) in _NUMBERS and math.isfinite(v) for v in re_im):
-        raise ConfigError(f"r_cav_h must hold two finite numbers, got {re_im!r}")
-    r_cav_h = complex(re_im[0], re_im[1])
-    if abs(r_cav_h) > 1 + POWER_TOL:
-        raise ConfigError(f"r_cav_h must be passive, but |r_cav_h| = {abs(r_cav_h)} exceeds 1")
-    return r_cav_h
-
-
 def _axes(sweep: dict[str, Any]) -> tuple[SweepAxis, ...]:
     if not isinstance(sweep["with_mc"], bool):
         raise ConfigError(f"sweep.with_mc must be true or false, got {sweep['with_mc']!r}")
@@ -240,7 +228,6 @@ _RESOLVERS = {
     "f_target": lambda v: _fractions([v], "f_target")[0],
     "constraints": _fractions,
     "mc": lambda v: McConfig(**v),
-    "r_cav_h": _r_cav_h,
     "sweep": _axes,
 }
 # DEFAULTS' own values resolved once, for every key no file or --set reaches

@@ -243,24 +243,25 @@ class LinkParams(Value):
         self.__dict__.update(eta_link=eta_link, eta_det=eta_det, r_cav_V_avg=r_cav_V_avg,
                              r_cav_H=r_cav_H, xi=xi)
 
+    @property
+    def r_cav_h(self) -> complex:
+        """The H cavity field reflection -sqrt(r_cav_H): mirror-like phase."""
+        return complex(-math.sqrt(self.r_cav_H))
+
 
 class ProtocolTiming(Value):
     """Per-attempt slot and spin re-initialization times, in seconds."""
 
-    def __init__(self, tau_reset: float, tau_pulse: float,
-                 pulse_multiplier: float = 1.0) -> None:
+    def __init__(self, tau_reset: float, tau_pulse: float) -> None:
         _check(tau_reset > 0, "tau_reset must be > 0, got {}", tau_reset)
         _check(tau_pulse > 0, "tau_pulse must be > 0, got {}", tau_pulse)
-        _check(pulse_multiplier > 0, "pulse_multiplier must be > 0, got {}", pulse_multiplier)
-        self.__dict__.update(tau_reset=tau_reset, tau_pulse=tau_pulse,
-                             pulse_multiplier=pulse_multiplier)
-        for name, v in (("tau_reset", tau_reset), ("tau_pulse", tau_pulse),
-                        ("pulse_multiplier", pulse_multiplier), ("tau_slot", self.tau_slot)):
+        self.__dict__.update(tau_reset=tau_reset, tau_pulse=tau_pulse)
+        for name, v in (("tau_reset", tau_reset), ("tau_pulse", tau_pulse)):
             _check(v < math.inf, "{} must be finite, got {}", name, v)
 
     @property
     def tau_slot(self) -> float:
-        return self.pulse_multiplier * self.tau_pulse
+        return self.tau_pulse
 
 
 class NoDetectionError(RuntimeError):
@@ -320,9 +321,8 @@ class SweepAxis(Value):
 # Reference design point, in the format of a run config's device sections;
 # config.DEFAULTS is this plus the run settings. g = 1 with
 # kappa = gamma = 1 gives C = 4. The H mode sees an effectively fixed cavity
-# reflection behind the reflector stopband; its field value r_cav_h
-# ([re, im]) is pinned to the design power reflectivity r_cav_H with
-# mirror-like phase.
+# reflection behind the reflector stopband: its field value is derived from
+# the power reflectivity link.r_cav_H (LinkParams.r_cav_h), so one key sets both.
 DESIGN: dict[str, Any] = {
     "cavity": {"kappa": 1.0, "kappa_wg": 0.73, "gamma": 1.0, "g": 1.0,
                "delta_c": 0.0, "delta_a": 0.0},
@@ -331,10 +331,9 @@ DESIGN: dict[str, Any] = {
     "polarizer": {"eta_pol_V": 0.989, "eta_pol_H": 0.128},
     "link": {"eta_link": 1e-3, "eta_det": 0.936, "r_cav_V_avg": 0.356,
              "r_cav_H": 0.921, "xi": None},
-    "timing": {"tau_reset": 30e-6, "tau_pulse": 1.0 / 5.81e6, "pulse_multiplier": 1.0},
+    "timing": {"tau_reset": 30e-6, "tau_pulse": 1.0 / 5.81e6},
 }
-DESIGN["r_cav_h"] = [-math.sqrt(DESIGN["link"]["r_cav_H"]), 0.0]
-DESIGN_R_CAV_H = complex(*DESIGN["r_cav_h"])
+DESIGN_R_CAV_H = LinkParams(**DESIGN["link"]).r_cav_h
 
 
 def design_cavity() -> CavityParams:

@@ -426,15 +426,16 @@ def _exact_limit(n, p_err, p_det: float, p_e: float, f0: float, f_target: float)
     """The largest m <= ATTEMPT_SEARCH_CAP whose exact p_err(m) at these
     p_det and p_e fits the budget of f0 and f_target, for an n whose walk
     put p_err(n) or p_err(n + 1) near it, and p_err(m): the given p_err
-    where m = n, NaN where m was moved. p_err = 1 - q^m - w (1 - p_lost^m),
-    w = p_det / (p_det + p_e) and p_lost = 1 - p_det - p_e clipped at 0, as
-    _log_ratio clips r, is evaluated in decimal arithmetic with 30 digits
-    beyond those that 1 - p_det and the cancellation down to B take, and
-    tested as p_err (f0 - 1/2) <= f0 - f_target, so the budget is not
-    rounded either. p_err(n + 1) comes from n's powers, q^(n + 1) = q^n q.
-    From n the steps double down until an m fits (p_err(1) = 0 always
-    does) or up until one does not, and the gap left is bisected. Needs 0
-    < p_det < 1, p_e >= 0 and B > 0."""
+    where m = n, else the exact one rounded to the nearest double, which
+    fits B wherever B is correctly rounded. p_err = 1 - q^m - w (1 -
+    p_lost^m), w = p_det / (p_det + p_e) and p_lost = 1 - p_det - p_e
+    clipped at 0, as _log_ratio clips r, is evaluated in decimal arithmetic
+    with 30 digits beyond those that 1 - p_det and the cancellation down to
+    B take, and tested as p_err (f0 - 1/2) <= f0 - f_target, so the budget
+    is not rounded either. p_err(n + 1) comes from n's powers, q^(n + 1) =
+    q^n q. From n the steps double down until an m fits (p_err(1) = 0
+    always does) or up until one does not, and the gap left is bisected.
+    Needs 0 < p_det < 1, p_e >= 0 and B > 0."""
     from decimal import Decimal, localcontext
 
     budget = (f0 - f_target) / (f0 - 0.5)
@@ -465,14 +466,15 @@ def _exact_limit(n, p_err, p_det: float, p_e: float, f0: float, f_target: float)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if fits_at(mid) else (lo, mid)
-    return float(lo), math.nan
+        p = one - (lo * lq).exp() - w * (one - (lo * ll).exp())
+        return float(lo), float(max(p, 0))  # p_err(1) = 0 may round below 0
 
 
 def _attempt_limit(p_det, p_e, f0, f_target, xp):
     """max_attempts' decision, point by point: n_max, unbounded (n_max =
-    ATTEMPT_SEARCH_CAP), cap_reached, and p_err(n_max) from the search's
-    walk at n_max, NaN where the search did not run or _exact_limit moved
-    n_max. n_max is the largest n with p_err(n) <= B, B = (f0 - f_target)
+    ATTEMPT_SEARCH_CAP), cap_reached, and p_err(n_max): the search's walk,
+    _exact_limit's value where it moved n_max, NaN where the search did
+    not run. n_max is the largest n with p_err(n) <= B, B = (f0 - f_target)
     / (f0 - 1/2), which is protocol_fidelity(n) >= f_target solved for
     p_err. Unlike the rounded fidelity, which is not monotone in p_err,
     this test leaves the search's path no say in n_max. The search's
@@ -511,8 +513,7 @@ def _attempt_limit(p_det, p_e, f0, f_target, xp):
 
 
 def _decide_attempts(probs: AttemptProbabilities, f0: float, f_target: float):
-    """max_attempts' result and p_err(n_max): the search's walk at n_max,
-    and a walk at n_max where _attempt_limit reports NaN."""
+    """max_attempts' result and p_err(n_max), walked where the search did not run."""
     if not 0 <= f0 <= 1:  # NaN too: f0 = NaN would give n_max = 1, f0 = 1.5 unbounded
         raise ValidationError(f"f0 out of [0,1]: {f0}")
     if not 0 <= f_target <= 1:  # NaN too: its budget would fit no p_err, and n_max would be 1
@@ -523,7 +524,7 @@ def _decide_attempts(probs: AttemptProbabilities, f0: float, f_target: float):
     n, unbounded, cap_reached, p_err = _attempt_limit(probs.p_det, probs.p_e, f0, f_target,
                                                       _PyMath)
     n = int(n)
-    if p_err != p_err:  # NaN: n was not walked
+    if p_err != p_err:  # NaN: unbounded, errorless, or B = 0 (n = 1)
         p_err = sequence_error_probability(n, probs)
     return MaxAttempts(n=n, unbounded=unbounded, cap_reached=cap_reached), p_err
 

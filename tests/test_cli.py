@@ -32,8 +32,8 @@ RESOLUTION_CASES = [
     {"pdr.R_H": 0.2},
     {"polarizer.eta_pol_H": 0.2},
     {"link.eta_link": 0.01},
-    {"timing.pulse_multiplier": 1},
-    {"r_cav_h": [-0.9, 0.2]},
+    {"timing.tau_pulse": 2e-7},
+    {"link.r_cav_H": 0.81},
     {"f_target": 0.97},
     {"constraints": [0.9, 0.99]},
     {"mc.trials": 5},
@@ -41,7 +41,7 @@ RESOLUTION_CASES = [
     {"sweep.kind": "cavity_c", "sweep.axis": [1, 10, 5]},
     {"link.eta_link": 0.01, "f_target": 0.95},
     {"pdr.T_V": 0.95, "sweep.second_axis": [0, 0.5, 3, "linear"]},
-    {"cavity.g": 1.5, "r_cav_h": [0.6, 0.8]},
+    {"cavity.g": 1.5, "link.r_cav_H": 0.64},
     {"constraints": [0.97], "mc.seed": 3},
 ]
 
@@ -58,8 +58,7 @@ def resolve_from_scratch(raw):
             "pdr": ps.PdrParams.from_power(**raw["pdr"]),
             "polarizer": ps.PolarizerParams(**raw["polarizer"]),
             "link": ps.LinkParams(**raw["link"]),
-            "timing": ps.ProtocolTiming(**raw["timing"]),
-            "r_cav_h": complex(*raw["r_cav_h"]), "f_target": raw["f_target"],
+            "timing": ps.ProtocolTiming(**raw["timing"]), "f_target": raw["f_target"],
             "constraints": tuple(raw["constraints"]), "mc": McConfig(**raw["mc"]),
             "sweep": sweep, "axes": axes}
 
@@ -81,7 +80,7 @@ class TestLoadConfig:
         assert cfg.link == ps.design_link()
         assert cfg.timing == ps.design_timing()
         assert cfg.r_cav_h == ps.params.DESIGN_R_CAV_H
-        assert cfg.config_hash == "ae1c3e8cc435f438"
+        assert cfg.config_hash == "ee86378e7f882f44"
 
     def test_override_layering(self):
         cfg = load_config(overrides=["link.eta_link=0.01", "f_target=0.97"])
@@ -122,12 +121,14 @@ class TestLoadConfig:
             load_config(overrides=["link.eta_link=1.5"])
 
     @pytest.mark.parametrize("setting,message", [
-        ("r_cav_h=[NaN,0]", "r_cav_h must hold two finite numbers, got [nan, 0]"),
-        ("r_cav_h=[0,-Infinity]", "r_cav_h must hold two finite numbers, got [0, -inf]"),
-        ('r_cav_h=["a",0]', "r_cav_h must hold two finite numbers, got ['a', 0]"),
-        ("r_cav_h=[true,0]", "r_cav_h must hold two finite numbers, got [True, 0]"),
-        ("r_cav_h=[1.05,0]", "r_cav_h must be passive, but |r_cav_h| = 1.05 exceeds 1"),
-        ("r_cav_h=[0,-1.01]", "r_cav_h must be passive, but |r_cav_h| = 1.01 exceeds 1"),
+        # the H cavity field reflection derives from link.r_cav_H, which
+        # refuses what the removed r_cav_h key did; that key is now unknown
+        ("link.r_cav_H=NaN", "r_cav_H out of [0,1]: nan"),
+        ("link.r_cav_H=Infinity", "r_cav_H out of [0,1]: inf"),
+        ('link.r_cav_H="a"', "link.r_cav_H must be a number, got 'a'"),
+        ("link.r_cav_H=true", "link.r_cav_H must be a number, got True"),
+        ("link.r_cav_H=1.1025", "r_cav_H out of [0,1]: 1.1025"),
+        ("r_cav_h=[0,-1.01]", "unknown config key: r_cav_h"),
         ("cavity.delta_c=NaN", "delta_c must be finite, got nan"),
         ("cavity.kappa=1e400", "kappa must be finite, got inf"),
         ("cavity.g=1e200", "g, kappa and gamma must give a finite cooperativity "
@@ -149,10 +150,35 @@ class TestLoadConfig:
             load_config(overrides=[setting])
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("setting", ["r_cav_h=[-1,0]", "r_cav_h=[0.6,0.8]",
-                                         "r_cav_h=[0,0]"])
+    @pytest.mark.parametrize("setting", ["link.r_cav_H=1", "link.r_cav_H=0.36",
+                                         "link.r_cav_H=0"])
     def test_passive_r_cav_h_is_accepted(self, setting):
         assert abs(load_config(overrides=[setting]).r_cav_h) <= 1
+
+    @pytest.mark.parametrize("source", ["set", "file"])
+    def test_r_cav_h_derives_from_link_r_cav_H(self, tmp_path, capsys, source):
+        # one key sets the H cavity reflection for both the fidelity kernel
+        # (the field r_cav_h) and the rate partition (the power r_cav_H)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"link": {"r_cav_H": 0.81}}))
+        args = ["--config", str(path)] if source == "file" else ["--set", "link.r_cav_H=0.81"]
+        cfg = load_config(path) if source == "file" else load_config(overrides=args[1:])
+        assert cfg.r_cav_h == complex(-0.9, 0.0)
+
+        def row(command):
+            out = tmp_path / f"{command}.json"
+            assert main(["--command", command, *args, "--format", "json",
+                         "--out", str(out)]) == 0
+            payload = json.loads(out.read_text())
+            return dict(zip(payload["columns"], payload["rows"][0]))
+
+        design = load_config()
+        assert row("fidelity")["f_avg"] == ps.transfer_fidelity(
+            design.pdr, design.polarizer, design.cavity, r_cav_h=-0.9).f_avg
+        link = ps.LinkParams(eta_link=1e-3, eta_det=0.936, r_cav_V_avg=0.356, r_cav_H=0.81)
+        assert row("diagnose")["p_det"] == ps.attempt_probabilities(
+            design.pdr, design.polarizer, link).p_det
+        capsys.readouterr()
 
     def test_sweep_axes_are_parsed_at_load(self):
         assert load_config().axes == (SweepAxis("pdr.T_V", 0.5, 1.0, 101),
@@ -206,7 +232,7 @@ class TestLoadConfig:
                 assert load_config(overrides=overrides) == resolved, overrides
                 fresh = load_config()
                 assert fresh.raw == before, overrides
-                assert fresh.config_hash == "ae1c3e8cc435f438", overrides
+                assert fresh.config_hash == "ee86378e7f882f44", overrides
         finally:
             # on failure, put DEFAULTS back in place for the tests that follow
             for key, val in before.items():
@@ -244,6 +270,8 @@ class TestLoadConfig:
         for field, value in expected.items():
             assert getattr(cfg, field) == value, field
             assert repr(getattr(cfg, field)) == repr(value), field
+        # the H cavity field reflection is derived from link.r_cav_H, not set
+        assert cfg.r_cav_h == complex(-math.sqrt(expected_raw["link"]["r_cav_H"]), 0.0)
         # a key no setting reached reuses the defaults' resolved field; one a
         # setting reached, even to an equal value, is resolved anew
         base, touched = load_config(), {dotted.split(".")[0] for dotted in settings}
@@ -262,7 +290,7 @@ class TestLoadConfig:
                 load_config(overrides=[f"{k}={json.dumps(v)}" for k, v in settings.items()])
                 ) == resolved
         assert load_config() == base
-        assert load_config().config_hash == "ae1c3e8cc435f438"
+        assert load_config().config_hash == "ee86378e7f882f44"
 
     def test_echo_contains_every_preset_key(self):
         echoed = json.loads(load_config().echo_json())
@@ -526,18 +554,26 @@ class TestMain:
                                         "be < stop"),
         (["sweep.kind=cavity_c", "sweep.second_axis=[0,1,3]"],
          "sweep.second_axis applies only to the pdr sweep, not cavity_c"),
-        (["r_cav_h=[1.05,0]"], "r_cav_h must be passive, but |r_cav_h| = 1.05 exceeds 1"),
+        # link.r_cav_H now sets the H cavity field reflection too, so the
+        # amplifying, infinite and overflowing cases of the removed r_cav_h
+        # and timing.pulse_multiplier keys stay refused, as unknown keys
+        (["r_cav_h=[1.05,0]"], "unknown config key: r_cav_h"),
         # JSON reads 1e400 as inf; rate once wrote 0.0 and montecarlo a nan std_error
         (["timing.tau_reset=1e400"], "tau_reset must be finite, got inf"),
         (["timing.tau_pulse=1e400"], "tau_pulse must be finite, got inf"),
-        (["timing.pulse_multiplier=1e400"], "pulse_multiplier must be finite, got inf"),
+        (["timing.pulse_multiplier=1e400"], "unknown config key: timing.pulse_multiplier"),
         (["timing.tau_pulse=1e200", "timing.pulse_multiplier=1e200"],
-         "tau_slot must be finite, got inf"),
-        # a removed key: the device fidelity already holds the direct V reflection
+         "unknown config key: timing.pulse_multiplier"),
+        # removed keys: the device fidelity already holds the direct V
+        # reflection; the H cavity field reflection derives from link.r_cav_H;
+        # the slot time is tau_pulse itself
         (["false_herald_correction=true"], "unknown config key: false_herald_correction"),
+        (["r_cav_h=[-0.9,0.2]"], "unknown config key: r_cav_h"),
+        (["timing.pulse_multiplier=1"], "unknown config key: timing.pulse_multiplier"),
     ], ids=["axis_text", "axis_fractional_num", "axis_reversed", "second_axis_cavity_c",
             "amplifying_r_cav_h", "infinite_tau_reset", "infinite_tau_pulse",
-            "infinite_pulse_multiplier", "overflowing_tau_slot", "removed_false_herald"])
+            "infinite_pulse_multiplier", "overflowing_tau_slot", "removed_false_herald",
+            "removed_r_cav_h", "removed_pulse_multiplier"])
     def test_setting_refused_by_every_command(self, tmp_path, capsys, command, settings,
                                               message):
         # every command checks the sweep axes, which move the config hash, as
@@ -558,7 +594,7 @@ class TestMain:
 
     @pytest.mark.parametrize("setting,field", [
         ("cavity.delta_c=NaN", "delta_c"), ("cavity.delta_a=Infinity", "delta_a"),
-        ("r_cav_h=[NaN,0]", "r_cav_h"), ('r_cav_h=["a",0]', "r_cav_h"),
+        ('link.r_cav_H="a"', "link.r_cav_H"), ("link.r_cav_H=true", "link.r_cav_H"),
         ('cavity.kappa="x"', "cavity.kappa"),
         ("pdr.reflection_sign=true", "pdr.reflection_sign"),
         # JSON reads 1e400 as inf

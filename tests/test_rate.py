@@ -172,6 +172,16 @@ class TestAttemptProbabilities:
             eta_link * T**2 * eta_pol**2 * r_cav * eta_det, rel=1e-12)
 
 
+def exact_p_err(m, p_det, p_e):
+    """p_err(m) = 1 - q^m - w (1 - p_lost^m) in 80-digit mpmath at these
+    double p_det and p_e, rounded to the nearest double."""
+    import mpmath
+
+    with mpmath.workdps(80):
+        pd, pe = mpmath.mpf(p_det), mpmath.mpf(p_e)
+        return float(1 - (1 - pd) ** m - pd / (pd + pe) * (1 - (1 - pd - pe) ** m))
+
+
 def brute_force_sequence_error(n, probs):
     """Term-by-term sum over the click position m of its probability times
     the chance that an error preceded it, 1 - (p_lost / (1 - p_det))^(m - 1)."""
@@ -493,7 +503,8 @@ class TestTransferRate:
         # p_error comes from the n_max search's own walk: it must be the
         # bits of a fresh walk, out to the search cap, and at the design
         # point the search walks every n_max itself, save where the exact
-        # re-test moves the search's n down; the new n is then walked apart
+        # re-test moves the search's n down; p_error is then the exact
+        # p_err at the new n, rounded, and fits the budget
         moved = {(0.95, 140), (0.95, 156), (0.99, 150)}
         f0 = ps.transfer_fidelity(ps.design_pdr(), ps.design_polarizer(),
                                   ps.design_cavity()).f_avg
@@ -503,12 +514,13 @@ class TestTransferRate:
                                    ps.design_cavity(), link, ps.design_timing(),
                                    f_target=f_target)
             probs = ps.attempt_probabilities(ps.design_pdr(), ps.design_polarizer(), link)
-            assert res.p_error == ps.sequence_error_probability(res.n_max, probs), db
             walked = rate._attempt_limit(probs.p_det, probs.p_e, f0, f_target, rate._PyMath)[3]
+            assert walked == res.p_error, db
             if (f_target, db) in moved:
-                assert math.isnan(walked), db
+                assert res.p_error == exact_p_err(res.n_max, probs.p_det, probs.p_e), db
+                assert res.p_error <= (f0 - f_target) / (f0 - 0.5), db
             else:
-                assert walked == res.p_error, db
+                assert res.p_error == ps.sequence_error_probability(res.n_max, probs), db
 
     @pytest.mark.parametrize("db", [30, 60])
     def test_one_walk_per_call(self, monkeypatch, db):
@@ -525,21 +537,22 @@ class TestTransferRate:
         # the search ends on 7597387143805503 with its walk there, which
         # reads p_err about 12 ulp of B low, where one attempt moves p_err
         # by a third of an ulp. The exact test moves n down 28 attempts to
-        # the 80-digit boundary on both paths and reports NaN for p_err,
-        # and _decide_attempts' p_err is then a walk at the new n
+        # the 80-digit boundary on both paths and reports the exact p_err
+        # there, rounded, which _decide_attempts keeps: a walk at the new n
+        # reads it 1.4e-15 low
         p_det, p_e = 2.1097193042672393e-16, 0.014198005348750957
         f0, f_target = 0.9948660569353225, 0.5996288420986686
         probs = ps.AttemptProbabilities(p_det=p_det, p_lost=1.0 - p_det - p_e, p_e=p_e)
         budget = (f0 - f_target) / (f0 - 0.5)
         assert rate._search(1.0, p_det, p_e, budget, rate._PyMath)[0] == 7597387143805503
         n, _, _, walked = rate._attempt_limit(p_det, p_e, f0, f_target, rate._PyMath)
-        assert n == 7597387143805475 and math.isnan(walked)
+        assert n == 7597387143805475 and walked == exact_p_err(n, p_det, p_e) <= budget
         on_arrays = rate._attempt_limit(np.array([p_det]), np.array([p_e]), f0,
                                         np.array([f_target]), np)[0]
         assert on_arrays[0] == n
         nm, p_err = rate._decide_attempts(probs, f0, f_target)
         assert nm == ps.max_attempts(probs, f0, f_target)
-        assert nm.n == n and p_err == ps.sequence_error_probability(n, probs)
+        assert nm.n == n and p_err == walked != ps.sequence_error_probability(n, probs)
 
     def test_n_max_within_budget_where_an_increment_admits_a_walked_miss(self):
         # at 133.31 dB, F >= 0.95 the walk at 40895084983292 exceeds B, and
@@ -585,7 +598,8 @@ class TestTransferRate:
         # the walk at n and its increment admit n + 1, whose own walk reads
         # p_err above B (walked after n on the scalar path, before it on the
         # array path): the search ends at n with n's walk, and the exact
-        # test moves it up to n + 1, the 80-digit boundary, without a walk
+        # test moves it up to n + 1, the 80-digit boundary, without a walk,
+        # and reports the exact p_err there, rounded, which fits the budget
         import mpmath
 
         p_det, p_e = 7.458849165342574e-16, 1.195686050584729e-15
@@ -598,7 +612,8 @@ class TestTransferRate:
         args = (p_det, p_e, f0, 0.95) if xp is rate._PyMath else (
             np.array([p_det]), np.array([p_e]), f0, np.array([0.95]))
         n, _, _, p_err = rate._attempt_limit(*args, xp)
-        assert n == 613297387960238 and np.isnan(p_err)
+        assert n == 613297387960238
+        assert p_err == exact_p_err(613297387960238, p_det, p_e) <= budget
         assert sorted(walks) == [613297387960237, 613297387960238]
         assert walks[613297387960238][0] > budget
         with mpmath.workdps(80):
@@ -613,13 +628,15 @@ class TestTransferRate:
     def test_n_max_is_the_boundary_where_the_walk_at_n_max_plus_1_reads_high(self):
         # at 142.27 dB, F >= 0.95 the walk puts p_err(321863044553232) one
         # ulp above B, while its exact value at the same p_det and p_e fits:
-        # the exact test moves n_max up to it on both paths
+        # the exact test moves n_max up to it on both paths, and p_error is
+        # that exact value, rounded, so it fits B too
         pdr, pol, cav, timing = (ps.design_pdr(), ps.design_polarizer(), ps.design_cavity(),
                                  ps.design_timing())
         link = ps.design_link(5.929253245799994e-15)
         f0 = ps.transfer_fidelity(pdr, pol, cav).f_avg
         res = ps.transfer_rate(pdr, pol, cav, link, timing, f_target=0.95)
         assert res.n_max == 321863044553232
+        assert res.p_error <= (f0 - 0.95) / (f0 - 0.5)
         curves = rate.rate_curves(pdr, pol, link, timing, np.array([link.eta_link]), f0,
                                   (0.95,))
         assert curves.n_max[0, 0] == res.n_max

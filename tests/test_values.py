@@ -20,7 +20,7 @@ FIELDS = {
     params.PdrParams: ("t_H", "r_H", "t_V", "r_V"),
     params.PolarizerParams: ("eta_pol_V", "eta_pol_H"),
     params.LinkParams: ("eta_link", "eta_det", "r_cav_V_avg", "r_cav_H", "xi"),
-    params.ProtocolTiming: ("tau_reset", "tau_pulse", "pulse_multiplier"),
+    params.ProtocolTiming: ("tau_reset", "tau_pulse"),
     params.McConfig: ("trials", "seed"),
     params.SweepAxis: ("path", "start", "stop", "num", "spacing"),
     device.EffectiveReflections: ("r_H_on", "r_H_off", "r_V_on", "r_V_off"),
@@ -28,8 +28,8 @@ FIELDS = {
     device.SpinState: ("amp_down", "amp_up"),
     device.JointState: ("h_down", "h_up", "v_down", "v_up"),
     device.FidelityReport: ("f_avg", "r_H", "r_V_on", "r_V_off"),
-    config.RunConfig: ("raw", "cavity", "pdr", "polarizer", "link", "timing", "r_cav_h",
-                       "f_target", "constraints", "mc", "sweep", "axes"),
+    config.RunConfig: ("raw", "cavity", "pdr", "polarizer", "link", "timing", "f_target",
+                       "constraints", "mc", "sweep", "axes"),
     rate.AttemptProbabilities: ("p_det", "p_lost", "p_e"),
     rate.MaxAttempts: ("n", "unbounded", "cap_reached"),
     rate.RateResult: ("n_max", "p_error", "p_success", "t_failures", "t_success", "rate",

@@ -45,8 +45,8 @@ MC_SETTINGS = ['mc.trials="x"', "mc.trials=0", "mc.trials=true", "mc.trials=2.5"
 # (command, --set overrides, other flags)
 COMMANDS: list[tuple[str, list[str], list[str]]] = [
     ("fidelity", [], []),
-    # a detuned cavity and a complex H reflection through the scalar kernel
-    ("fidelity", ["cavity.delta_c=0.1", "cavity.delta_a=-0.05", "r_cav_h=[-0.9,0.2]"], []),
+    # a detuned cavity and another H cavity reflection through the scalar kernel
+    ("fidelity", ["cavity.delta_c=0.1", "cavity.delta_a=-0.05", "link.r_cav_H=0.81"], []),
     # a nearly balanced reflector, F within 1e-12 of 1, and a device with
     # nothing to reflect, opaque for every input
     ("fidelity", ["pdr.T_V=0.991753", "pdr.R_H=0.155813"], []),
@@ -54,6 +54,8 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
     ("rate", [], []),
     ("rate", ["link.eta_link=1e-9", "f_target=0.99"], []),
     ("rate", ["link.xi=0.01"], []),
+    # link.r_cav_H moves both f0 and p_det
+    ("rate", ["link.r_cav_H=0.81"], []),
     ("diagnose", [], []),
     ("montecarlo", [], ["--trials", "2000", "--seed", "7"]),
     ("montecarlo", [], ["--trials", "1", "--seed", "7"]),
@@ -106,14 +108,14 @@ COMMANDS: list[tuple[str, list[str], list[str]]] = [
                   "cavity.kappa_wg=1e-300"], []),
     *(("fidelity", [setting], []) for setting in MC_SETTINGS),
     # refused under every command: a malformed sweep axis, a second axis the
-    # sweep kind does not read, an amplifying H cavity reflection
+    # sweep kind does not read, the removed r_cav_h and timing.pulse_multiplier keys
     ("fidelity", ['sweep.axis="x"'], []),
     ("rate", ["sweep.kind=cavity_c", "sweep.second_axis=[0,1,3]"], []),
     ("fidelity", ["r_cav_h=[1.05,0]"], []),
-    # refused: an infinite time, and finite ones whose slot time overflows
+    ("rate", ["timing.pulse_multiplier=2"], []),
+    # refused: infinite times, the slot time tau_pulse among them
     ("rate", ["timing.tau_reset=1e400"], []),
-    ("montecarlo", ["timing.tau_pulse=1e200", "timing.pulse_multiplier=1e200"],
-     ["--trials", "300", "--seed", "7"]),
+    ("montecarlo", ["timing.tau_pulse=1e400"], ["--trials", "300", "--seed", "7"]),
     # --config files (CONFIG_FILES): one section, one section under a --set,
     # an empty file, and a refused wrong-typed value
     ("rate", [], ["--config", "link.json"]),
