@@ -22,8 +22,9 @@ fraction, and the error probability is a sum of positive terms.
 
 transfer_rate does each piece of work once: one pass over the device's
 powers gives the partition at eta_link and at eta_link = 1, and the n_max
-search reports p_err(n_max) from its own walk, so p_err is walked again
-only where the exact test below moved n_max.
+search reports p_err(n_max) from its own walk. rate_curves needs no p_err,
+so on arrays a cell whose n_max the closed form p_err(n) = 1 - q^n - w (1 -
+p_lost^n) decides within its error bound is never walked.
 
 n_max is decided on the error budget alone: the largest n with p_err(n) <=
 B = (f0 - f_target) / (f0 - 1/2), a test monotone in p_err. The search
@@ -83,6 +84,9 @@ _JOIN_DIGITS = 4
 # about 12 ulp from its exact value (5 at the design point), and this allows
 # 32 to 64.
 _TIE = 2.0**-47
+# K eps of _closed_form's error bound; its error against 80-digit arithmetic
+# stays below 1.07 eps (T1 + T2)(1 + x).
+_CLOSED_FORM_ERR = 8.0 * 2.0**-52
 
 
 class _PyMath:
@@ -341,16 +345,27 @@ def protocol_fidelity(n: int, probs: AttemptProbabilities, f0: float) -> float:
     return (1.0 - p_err) * f0 + p_err * 0.5
 
 
-def _first_guess(p_det, p_e, budget, xp):
+def _closed_form_logs(p_det, p_e, xp):
+    """log q, log p_lost and w = p_det / (p_det + p_e), for _closed_form."""
+    lq = xp.log1p(-p_det)
+    return lq, lq + _log_ratio(p_det, p_e, xp), p_det / (p_det + p_e)
+
+
+def _closed_form(n, lq, ls, w, xp):
+    """p_err(n) = 1 - q^n - w (1 - p_lost^n) = T1 - T2, T1 = -expm1(n lq) and
+    T2 = -w expm1(n ls), and its error bound K eps (T1 + T2)(1 + x), x = -n
+    ls: T1 and T2 cancel where n (p_det + p_e) is small."""
+    t1, t2 = -xp.expm1(n * lq), -w * xp.expm1(n * ls)
+    return t1 - t2, _CLOSED_FORM_ERR * (t1 + t2) * (1.0 - n * ls)
+
+
+def _first_guess(p_det, p_e, budget, lq, ls, w, xp):
     """The search's first candidate before rounding: p_err(x) = budget
     solved by _GUESS_STEPS Newton steps from the small-n root sqrt(2 budget
-    / (p_det p_e)) on the closed form p_err(x) = 1 - q^x - w (1 - p_lost^x),
-    w = p_det / (p_det + p_e). The form's two terms cancel where x (p_det +
-    p_e) is small, so it only guides the search."""
+    / (p_det p_e)) on the closed form, from _closed_form_logs. On arrays
+    _search takes it as n_max where _closed_form's bound decides so."""
     exp, expm1, minimum, maximum = xp.exp, xp.expm1, xp.minimum, xp.maximum
     x = xp.sqrt(2.0 * budget / p_det / p_e)
-    lq = xp.log1p(-p_det)
-    ls, w = lq + _log_ratio(p_det, p_e, xp), p_det / (p_det + p_e)
     w_ls = w * ls
     for _ in range(_GUESS_STEPS):
         a, b = x * ls, x * lq
@@ -386,7 +401,10 @@ def _search(lo, p_det, p_e, budget, xp):
     _NEWTON_STEPS steps, is replaced by the bracket's midpoint. Needs 0 <
     p_det < 1, p_e > 0 and budget >= 0 wherever lo is below the cap. On
     numpy, lo, p_det, p_e and budget are flat arrays of one size, and each
-    step walks only the points still searching.
+    step walks only the points still searching. There, before any walk, a
+    point ends at c = floor(first candidate) < ATTEMPT_SEARCH_CAP, carrying
+    NaN, where _closed_form and its bound put p_err(c) (0 at c = 1) and
+    p_err(c + 1) on either side of B by more than _TIE of B.
     """
     floor, where, minimum, maximum = xp.floor, xp.where, xp.minimum, xp.maximum
     hi = _CAP + 2.0 + 0.0 * lo
@@ -405,7 +423,18 @@ def _search(lo, p_det, p_e, budget, xp):
         elif not active:
             return lo, p, dp
         if steps == 0:
-            t, newton = _first_guess(p_det, p_e, budget, xp), True
+            logs = _closed_form_logs(p_det, p_e, xp)
+            t, newton = _first_guess(p_det, p_e, budget, *logs, xp), True
+            if xp is not _PyMath:  # set aside, unwalked, the points the closed form settles
+                c, tie = floor(t), budget * _TIE
+                (p_c, err_c), (p_next, err_next) = (_closed_form(m, *logs, xp) for m in (c, c + 1))
+                settled = ((c == 1.0) | (p_c + err_c + tie < budget)) & (
+                    p_next - err_next - tie > budget) & (c < _CAP)
+                found[0, at[settled]], found[1:, at[settled]] = c[settled], math.nan
+                at, lo, hi, p, dp, t, p_det, p_e, budget = (
+                    a[~settled] for a in (at, lo, hi, p, dp, t, p_det, p_e, budget))
+                if at.size == 0:
+                    return found
         else:
             newton = steps < _NEWTON_STEPS
         # a Newton step near the bracket, else lo + (hi - lo) // 2 without
@@ -474,16 +503,17 @@ def _attempt_limit(p_det, p_e, f0, f_target, xp):
     """max_attempts' decision, point by point: n_max, unbounded (n_max =
     ATTEMPT_SEARCH_CAP), cap_reached, and p_err(n_max): the search's walk,
     _exact_limit's value where it moved n_max, NaN where the search did
-    not run. n_max is the largest n with p_err(n) <= B, B = (f0 - f_target)
-    / (f0 - 1/2), which is protocol_fidelity(n) >= f_target solved for
-    p_err. Unlike the rounded fidelity, which is not monotone in p_err,
-    this test leaves the search's path no say in n_max. The search's
-    answer n is settled by _exact_limit wherever its walked p_err(n), or
-    p_err(n) plus the increment, lies within _TIE of B, so n_max is the
-    exact boundary at the program's own p_det and p_e on either path. A
-    point whose f_target exceeds f0 is not searched and carries n_max =
-    ATTEMPT_SEARCH_CAP with neither flag; max_attempts refuses such a
-    target before it gets here."""
+    not run or, on arrays, where the closed form settled n_max unwalked.
+    n_max is the largest n with p_err(n) <= B, B = (f0 - f_target) / (f0 -
+    1/2), which is protocol_fidelity(n) >= f_target solved for p_err.
+    Unlike the rounded fidelity, which is not monotone in p_err, this test
+    leaves the search's path no say in n_max. The search's answer n is
+    settled by _exact_limit wherever its walked p_err(n), or p_err(n) plus
+    the increment, lies within _TIE of B, and the closed form settles a
+    point only outside that window, so n_max is the exact boundary at the
+    program's own p_det and p_e on either path. A point whose f_target
+    exceeds f0 is not searched and carries n_max = ATTEMPT_SEARCH_CAP with
+    neither flag; max_attempts refuses such a target before it gets here."""
     infeasible, unbounded = f_target > f0, _unbounded(p_det, p_e, f0, f_target)
     # B only matters where f0 > 1/2: below, every feasible point is unbounded
     budget = (f0 - f_target) / (f0 - 0.5) if f0 > 0.5 else 0.0 * f_target

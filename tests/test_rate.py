@@ -839,6 +839,109 @@ class TestDigitWalk:
                 assert g.n == w.n, (db, g, w)
 
 
+def design_curves(db, f_targets):
+    """rate_curves at the design point over the loss axis db (in dB)."""
+    pdr, pol, cav = ps.design_pdr(), ps.design_polarizer(), ps.design_cavity()
+    f0 = ps.transfer_fidelity(pdr, pol, cav).f_avg
+    return rate.rate_curves(pdr, pol, ps.design_link(), ps.design_timing(),
+                            10.0 ** (-np.asarray(db) / 10.0), f0, f_targets)
+
+
+def settle_nothing(monkeypatch):
+    """Make the closed form read NaN, so that the screen settles no point."""
+    monkeypatch.setattr(rate, "_closed_form", lambda n, *args: (n * math.nan, n * math.nan))
+
+
+class TestClosedFormScreen:
+    """On arrays the closed form p_err(n) = T1 - T2, within its error bound
+    K eps (T1 + T2)(1 + x), settles n_max before any walk wherever it puts
+    p_err(c) and p_err(c + 1) on either side of B: the bound must hold, and
+    the screen may change no decision."""
+
+    def test_error_bound_holds_with_a_margin(self):
+        # draws like the ones K was chosen on: p_det and p_e log-uniform over
+        # [1e-16, 0.95], a quarter with p_lost down to 1e-16 of 1 - p_det; n
+        # log-uniform up to 2**53 with n (p_det + p_e) <= 1e3, a quarter with
+        # n from 2 to 12 and a quarter with n (p_det + p_e) in [500, 1000].
+        # The error against 80-digit arithmetic at the same doubles must stay
+        # within a quarter of the bound the screen uses.
+        import mpmath
+
+        rng, size = np.random.default_rng(34), 2000
+        quarter = size // 4
+        p_det = log_uniform(rng, 1e-16, 0.95, size)
+        p_e = np.minimum(log_uniform(rng, 1e-16, 0.95, size), 1.0 - p_det)
+        p_e[:quarter] = (1.0 - p_det[:quarter]) * (1.0 - log_uniform(rng, 1e-16, 1e-2, quarter))
+        s = p_det + p_e
+        n = np.floor(np.exp(rng.uniform(math.log(2.0), np.log(np.minimum(2.0**53, 1e3 / s)))))
+        n[quarter:2 * quarter] = rng.integers(2, 13, quarter)
+        n[2 * quarter:3 * quarter] = np.floor(rng.uniform(500.0, 1e3, quarter)
+                                              / s[2 * quarter:3 * quarter])
+        n = np.clip(n, 2.0, 2.0**53)
+        p, bound = rate._closed_form(n, *rate._closed_form_logs(p_det, p_e, np), np)
+        assert np.isfinite(bound).all() and (bound > 0).all()
+        with mpmath.workdps(80):
+            for i in range(size):
+                pd, pe = mpmath.mpf(p_det[i]), mpmath.mpf(p_e[i])
+                m = int(n[i])
+                exact = 1 - (1 - pd) ** m - pd / (pd + pe) * (1 - max(1 - pd - pe, 0) ** m)
+                assert abs(mpmath.mpf(p[i]) - exact) <= bound[i] / 4, (p_det[i], p_e[i], m)
+
+    def test_design_scan_matches_the_walked_search(self, monkeypatch):
+        # 0 to 145 dB in 0.05 dB steps: every output bit as without the screen
+        db = np.linspace(0.0, 145.0, 2901)
+        f_targets = (0.95, 0.97, 0.98, 0.99, 0.995, 0.9998)
+        with_screen = design_curves(db, f_targets)
+        settle_nothing(monkeypatch)
+        walked = design_curves(db, f_targets)
+        for name in ("n_max", "rate", "regime", "cap_reached", "infeasible"):
+            assert np.array_equal(getattr(with_screen, name), getattr(walked, name),
+                                  equal_nan=True), name
+
+    def test_random_cells_match_the_walked_search(self, monkeypatch):
+        rng = np.random.default_rng(340)
+        p_det, p_e = log_uniform(rng, 1e-12, 0.3, 50), log_uniform(rng, 1e-12, 0.3, 50)
+        f_target = F0_DESIGN - log_uniform(rng, 1e-7, 0.45, 50)
+        f_target[:3] = F0_DESIGN + 1e-6  # infeasible
+        timing = ps.design_timing()
+
+        def decide():
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                n, unbounded, cap_reached, _ = rate._attempt_limit(
+                    p_det, p_e, F0_DESIGN, f_target, np)
+                return (n, unbounded, cap_reached, f_target > F0_DESIGN,
+                        rate._rate_terms(n, p_det, timing, np)[3], rate._regime(n, timing, np))
+
+        with_screen = decide()
+        settle_nothing(monkeypatch)
+        for got, want in zip(with_screen, decide()):
+            assert np.array_equal(got, want)
+
+    def test_settles_the_benchmark_grid(self, monkeypatch):
+        # 0 to 120 dB in 0.25 dB steps at the default constraints: at least
+        # 97% of the cells are settled unwalked, p_err is NaN exactly there
+        # (the first walk takes every other cell), and the walked cells
+        # carry the same n_max and p_err as without the screen
+        limits, walks = [], []
+        attempt_limit, array_walk = rate._attempt_limit, rate._array_walk
+        monkeypatch.setattr(rate, "_attempt_limit",
+                            lambda *args: limits.append(attempt_limit(*args)) or limits[-1])
+        monkeypatch.setattr(rate, "_array_walk",
+                            lambda n, *args: walks.append(n.size) or array_walk(n, *args))
+        db, f_targets = np.linspace(0.0, 120.0, 481), (0.95, 0.97, 0.98, 0.99)
+        design_curves(db, f_targets)
+        n, _, _, p_err = limits[0]
+        settled = np.isnan(p_err)
+        assert settled.sum() >= 0.97 * n.size
+        assert walks[0] == n.size - settled.sum()
+        settle_nothing(monkeypatch)
+        design_curves(db, f_targets)
+        walked_n, _, _, walked_p_err = limits[1]
+        assert np.isfinite(walked_p_err).all()
+        assert np.array_equal(n, walked_n)
+        assert np.array_equal(p_err[~settled], walked_p_err[~settled])
+
+
 class TestRepeaterlessBound:
     def test_small_transmissivity_series(self):
         timing = ps.ProtocolTiming(tau_reset=1.0, tau_pulse=1e-7)
